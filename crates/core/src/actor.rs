@@ -94,11 +94,21 @@ pub trait RegisterProcess: fmt::Debug {
     /// Whether the join operation has returned.
     fn is_active(&self) -> bool;
 
-    /// Number of distinct join-phase replies gathered so far, while the
-    /// join is in flight. `None` (the default) means the protocol does not
-    /// expose a count — the space layer's bounded join retransmission
-    /// (`RetransmitConfig` in the `space` module) then never intercepts a
-    /// join timer on its behalf and treats every silence beat as silent.
+    /// Join-phase replies gathered so far, while the join is in flight;
+    /// `None` once it returned. The space layer's bounded join
+    /// retransmission (`RetransmitConfig` in the `space` module) is the
+    /// consumer, and what it relies on depends on how the join completes:
+    ///
+    /// * **timer-driven joins** (sync) — only *zero vs non-zero*: a wait
+    ///   expiring at `Some(0)` is intercepted. Any O(1) counter will do;
+    ///   duplicates may inflate it.
+    /// * **quorum-driven joins** (ES) — a count of *distinct senders*,
+    ///   compared beat to beat as progress, so a duplicate reply elicited
+    ///   by a retransmitted inquiry must not raise it.
+    ///
+    /// `None` (the default) also means the protocol exposes no count — the
+    /// space layer then never intercepts a join timer on its behalf and
+    /// treats every silence beat as silent.
     fn join_replies(&self) -> Option<usize> {
         None
     }

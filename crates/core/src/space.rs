@@ -39,6 +39,12 @@
 //! Steady-state operation needs no contract: a read/write/timer touches
 //! exactly one key's instance and its effects are tagged with that key.
 //!
+//! Both ends of the handshake stream: a responder builds its
+//! [`SpaceMsg::Batch`] in one pass over its instances (one reply vector,
+//! sized once), and a joiner hands each received entry to its instance as
+//! it goes — the sync protocol folds it into a running maximum, so a join
+//! holds O(1) state per key however many processes answer.
+//!
 //! # Key-sharded join replies
 //!
 //! The shared handshake's full-state reply transfers `K` payload entries
@@ -741,8 +747,6 @@ struct StepCtx<M, V> {
     /// replies must be identifiable on the wire even when a shard owns
     /// one key). Never set when `groups == 1`.
     force_batch: bool,
-    /// Whether all instances became active during this step.
-    join_completed: bool,
 }
 
 impl<M, V> StepCtx<M, V> {
@@ -753,7 +757,19 @@ impl<M, V> StepCtx<M, V> {
             join_timers: Vec::new(),
             fan_sends: batch_fan_in.then(Vec::new),
             force_batch: batch_fan_in && force_batch,
-            join_completed: false,
+        }
+    }
+
+    /// Moves `entries` to the end of `to`'s fan-in group, opening the group
+    /// if these are its first.
+    fn fan_to(&mut self, to: NodeId, entries: &mut Vec<(RegisterId, M)>) {
+        let Some(groups) = &mut self.fan_sends else {
+            return;
+        };
+        match groups.iter_mut().find(|(t, _)| *t == to) {
+            Some((_, group)) => group.append(entries),
+            None if entries.is_empty() => {}
+            None => groups.push((to, std::mem::take(entries))),
         }
     }
 }
@@ -971,7 +987,6 @@ impl<P: RegisterProcess> RegisterSpace<P> {
                 Effect::JoinComplete => {
                     if !self.join_done && self.regs.iter().all(|r| r.is_active()) {
                         self.join_done = true;
-                        ctx.join_completed = true;
                         ctx.out.push(SpaceEffect::JoinComplete);
                     }
                 }
@@ -1060,6 +1075,49 @@ impl<P: RegisterProcess> RegisterSpace<P> {
         out
     }
 
+    /// Delivers a fan-in message's per-key payloads in one pass over a
+    /// single scratch borrow. An instance answering with exactly one `Send`
+    /// back to `from` (any active responder) appends to `from`'s reply
+    /// group, allocated once at exact capacity; every other effect list
+    /// takes the generic [`route`](Self::route) — so the effects, and their
+    /// order, are those of stepping the keys one by one.
+    fn fan_in(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        entries: impl ExactSizeIterator<Item = (RegisterId, P::Msg)>,
+        ctx: &mut StepCtx<P::Msg, P::Val>,
+    ) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        debug_assert!(scratch.is_empty());
+        let capacity = entries.len();
+        let batching = ctx.fan_sends.is_some();
+        // `from`'s reply group, local to the loop until something routes.
+        let mut replies = Vec::new();
+        for (key, inner) in entries {
+            self.regs[key.as_raw() as usize].on_message_into(now, from, inner, &mut scratch);
+            // Peek before popping: moving a whole `Effect` out right after
+            // the instance wrote it stalls on store forwarding.
+            match scratch.as_slice() {
+                [] => {}
+                [Effect::Send { to, .. }] if batching && *to == from => {
+                    if replies.capacity() == 0 {
+                        replies.reserve_exact(capacity);
+                    }
+                    if let Some(Effect::Send { msg, .. }) = scratch.pop() {
+                        replies.push((key, msg));
+                    }
+                }
+                _ => {
+                    ctx.fan_to(from, &mut replies);
+                    self.route(key, ctx, &mut scratch);
+                }
+            }
+        }
+        ctx.fan_to(from, &mut replies);
+        self.scratch = scratch;
+    }
+
     /// Runs `step` on the instance backing `key`, routing its effects.
     fn step_one(
         &mut self,
@@ -1116,37 +1174,33 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
         msg: Self::Msg,
         out: &mut Vec<SpaceEffect<Self::Msg, Self::Val>>,
     ) {
+        // Only the handshake's fan-in messages batch per-target sends; the
+        // step appends straight into the runtime's buffer (`flush` returns it).
+        let batching = self.regs.len() > 1 && !matches!(msg, SpaceMsg::Keyed { .. });
+        let mut ctx = StepCtx::new(batching, self.shard.groups > 1);
+        ctx.out = std::mem::take(out);
         match msg {
             SpaceMsg::Keyed { key, inner } => {
-                let mut ctx = StepCtx::new(false, false);
                 self.step_one(key, &mut ctx, |reg, scratch| {
                     reg.on_message_into(now, from, inner, scratch);
                 });
-                out.append(&mut self.flush(ctx));
             }
             SpaceMsg::JoinAll { inner, full } => {
                 // Fan the shared inquiry into every instance — or, on a
                 // sharded space answering a non-full inquiry, into this
-                // responder's shard only. Each key's answers to one target
-                // coalesce into a single Batch (the "all keys' states in
-                // one reply" half of the handshake; `K/G` of them when
-                // sharded). A 1-key space batches nothing, staying
-                // message-for-message identical to the solo path.
-                let groups = self.shard.groups;
-                let mut ctx = StepCtx::new(self.regs.len() > 1, groups > 1);
-                for raw in 0..self.regs.len() as u32 {
-                    if groups > 1
-                        && !full
-                        && shard_of_key(RegisterId::from_raw(raw), groups) != self.my_shard
-                    {
-                        continue;
-                    }
-                    let inner = inner.clone();
-                    self.step_one(RegisterId::from_raw(raw), &mut ctx, |reg, scratch| {
-                        reg.on_message_into(now, from, inner, scratch);
-                    });
-                }
-                out.append(&mut self.flush(ctx));
+                // responder's stripe (`shard_of_key` is `key mod G`) only.
+                // Each key's answers to one target coalesce into a single
+                // Batch (the "all keys' states in one reply" half of the
+                // handshake; `K/G` of them when sharded). A 1-key space
+                // batches nothing, staying message-for-message identical
+                // to the solo path.
+                let (first, stride) = match self.shard.groups {
+                    g if g > 1 && !full => (self.my_shard, g as usize),
+                    _ => (0, 1),
+                };
+                let keys = (first..self.regs.len() as u32).step_by(stride);
+                let entries = keys.map(|raw| (RegisterId::from_raw(raw), inner.clone()));
+                self.fan_in(now, from, entries, &mut ctx);
             }
             SpaceMsg::Batch { replies } => {
                 // Joiner-side shard bookkeeping: a batch from `from`
@@ -1159,15 +1213,10 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
                         self.shard_heard[s].insert(from);
                     }
                 }
-                let mut ctx = StepCtx::new(self.regs.len() > 1, self.shard.groups > 1);
-                for (key, inner) in replies {
-                    self.step_one(key, &mut ctx, |reg, scratch| {
-                        reg.on_message_into(now, from, inner, scratch);
-                    });
-                }
-                out.append(&mut self.flush(ctx));
+                self.fan_in(now, from, replies.into_iter(), &mut ctx);
             }
         }
+        *out = self.flush(ctx);
     }
 
     fn on_timer(&mut self, now: Time, tag: u64) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
@@ -2180,6 +2229,180 @@ mod tests {
         s.on_message_into(Time::at(6), nid(2), batch(), &mut out);
         assert!(out.contains(&SpaceEffect::JoinComplete), "{out:?}");
         assert!(s.is_active());
+    }
+
+    /// The per-key path the single-pass fan-in replaced, as an oracle: one
+    /// `step_one` (scratch take, `route`, group `find`) per entry.
+    fn per_key_fan_in<P: RegisterProcess>(
+        space: &mut RegisterSpace<P>,
+        from: NodeId,
+        entries: Vec<(RegisterId, P::Msg)>,
+    ) -> Vec<SpaceEffect<SpaceMsg<P::Msg>, P::Val>> {
+        let mut ctx = StepCtx::new(space.regs.len() > 1, space.shard.groups > 1);
+        for (key, inner) in entries {
+            space.step_one(key, &mut ctx, |reg, scratch| {
+                reg.on_message_into(Time::at(7), from, inner, scratch);
+            });
+        }
+        space.flush(ctx)
+    }
+
+    /// The keys a responder answers a `JoinAll` for, by `shard_of_key`.
+    fn answered_keys<P: RegisterProcess>(space: &RegisterSpace<P>, full: bool) -> Vec<RegisterId> {
+        let groups = space.shard.groups;
+        (0..space.key_count())
+            .map(key)
+            .filter(|k| groups == 1 || full || shard_of_key(*k, groups) == space.my_shard)
+            .collect()
+    }
+
+    /// A sync joiner past its `δ` wait in which `active` keys adopted a
+    /// `WRITE` meanwhile (so they are active) and the rest are inquiring.
+    fn mixed_sync_space(
+        keys: u32,
+        groups: u32,
+        active: &[u32],
+    ) -> RegisterSpace<SyncRegister<u64>> {
+        let mut s = sharded_joiner(9, keys, groups);
+        let enter = s.on_enter(Time::ZERO);
+        let SpaceEffect::SetTimer { tag, .. } = enter[0] else {
+            panic!("expected the shared δ wait, got {enter:?}");
+        };
+        for &k in active {
+            let write = SyncMsg::Write { value: 50, sn: 2 };
+            let msg = SpaceMsg::Keyed {
+                key: key(k),
+                inner: write,
+            };
+            s.on_message_into(Time::at(1), nid(0), msg, &mut Vec::new());
+        }
+        s.on_timer(Time::at(3), tag);
+        for k in 0..keys {
+            assert_eq!(s.register(key(k)).is_active(), active.contains(&k));
+        }
+        s
+    }
+
+    #[test]
+    fn single_pass_join_all_matches_the_per_key_path() {
+        let inquirer = nid(77);
+        for (keys, groups, active) in [
+            (6, 1, &[0, 2, 5][..]),
+            (6, 4, &[0, 2, 5]),
+            (6, 4, &[]),
+            (1, 1, &[0]),
+            (1, 1, &[]),
+        ] {
+            for full in [false, true] {
+                let mut single = mixed_sync_space(keys, groups, active);
+                let mut per_key = mixed_sync_space(keys, groups, active);
+                let entries = answered_keys(&per_key, full)
+                    .into_iter()
+                    .map(|k| (k, SyncMsg::Inquiry))
+                    .collect();
+                let inquiry = SpaceMsg::JoinAll {
+                    inner: SyncMsg::Inquiry,
+                    full,
+                };
+                let got = single.on_message(Time::at(7), inquirer, inquiry);
+                let want = per_key_fan_in(&mut per_key, inquirer, entries);
+                assert_eq!(got, want, "K={keys} G={groups} full={full} {active:?}");
+                if keys == 1 {
+                    let batches = got.iter().filter(|e| {
+                        matches!(
+                            e,
+                            SpaceEffect::Send {
+                                msg: SpaceMsg::Batch { .. },
+                                ..
+                            }
+                        )
+                    });
+                    assert_eq!(batches.count(), 0, "a 1-key space never batches");
+                }
+                // The joining keys postponed the inquirer identically: both
+                // spaces answer it the same way on activation.
+                let tag = SHARED_TAG | 2; // the shared `wait(2δ)`
+                assert_eq!(
+                    single.on_timer(Time::at(9), tag),
+                    per_key.on_timer(Time::at(9), tag)
+                );
+            }
+        }
+    }
+
+    /// An ES space with every shape of answer to one inquiry: key 0 active
+    /// (one `Send`), key 1 active *and reading* (two `Send`s — the generic
+    /// route), keys 2–3 still joining (a `DL_PREV` back, a postponement).
+    fn mixed_es_space(groups: u32) -> RegisterSpace<EsRegister<u64>> {
+        let ecfg = EsConfig::new(3).with_join_quorum(2).with_notes();
+        let regs = (0..4).map(|_| EsRegister::<u64>::new_joiner(nid(9), ecfg, oid(900)));
+        let mut s = RegisterSpace::new_joiner(regs.collect()).with_shards(ShardConfig::new(groups));
+        s.on_enter(Time::ZERO);
+        for from in [1, 2] {
+            let reply = EsMsg::Reply {
+                value: Some(7),
+                ts: Timestamp::INITIAL,
+                r_sn: 0,
+            };
+            let batch = SpaceMsg::Batch {
+                replies: vec![(key(0), reply.clone()), (key(1), reply)],
+            };
+            s.on_message_into(Time::at(2), nid(from), batch, &mut Vec::new());
+        }
+        assert!(s.register(key(1)).is_active() && !s.register(key(2)).is_active());
+        s.on_read(Time::at(3), key(1), oid(5));
+        s
+    }
+
+    #[test]
+    fn single_pass_fan_in_matches_the_per_key_path_on_es() {
+        for groups in [1, 4] {
+            for full in [false, true] {
+                let mut single = mixed_es_space(groups);
+                let mut per_key = mixed_es_space(groups);
+                let inquiry = EsMsg::Inquiry { r_sn: 0 };
+                let entries = answered_keys(&per_key, full)
+                    .into_iter()
+                    .map(|k| (k, inquiry.clone()))
+                    .collect();
+                let msg = SpaceMsg::JoinAll {
+                    inner: inquiry,
+                    full,
+                };
+                let got = single.on_message(Time::at(7), nid(77), msg);
+                assert_eq!(
+                    got,
+                    per_key_fan_in(&mut per_key, nid(77), entries),
+                    "JoinAll G={groups} full={full}"
+                );
+                // Absorbing a batch that completes the join: acks to the
+                // responder, a note, the postponed replies to the inquirer
+                // (a second target) and `JoinComplete`, in the same order.
+                let reply = EsMsg::Reply {
+                    value: Some(8),
+                    ts: Timestamp::INITIAL,
+                    r_sn: 0,
+                };
+                for from in [1, 2] {
+                    let entries: Vec<_> = (0..4).map(|k| (key(k), reply.clone())).collect();
+                    let batch = SpaceMsg::Batch {
+                        replies: entries.clone(),
+                    };
+                    if groups > 1 {
+                        // The oracle bypasses the Batch arm's shard
+                        // bookkeeping; nothing below reads it.
+                        per_key.shard_heard = single.shard_heard.clone();
+                    }
+                    let got = single.on_message(Time::at(8), nid(from), batch);
+                    assert_eq!(
+                        got,
+                        per_key_fan_in(&mut per_key, nid(from), entries),
+                        "Batch from {from} G={groups} full={full}"
+                    );
+                }
+                assert!(single.is_active() && per_key.is_active());
+            }
+        }
     }
 
     #[test]

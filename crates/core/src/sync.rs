@@ -155,8 +155,12 @@ pub struct SyncRegister<V> {
     sn: i64,
     /// `activeᵢ`.
     active: bool,
-    /// `repliesᵢ` — (sender, value, sn) triples gathered while joining.
-    replies: Vec<(NodeId, Option<V>, i64)>,
+    /// `repliesᵢ`, folded: the join only ever reads its `(sn, sender)`-
+    /// maximal entry (lines 07–08), so that entry is all that is kept —
+    /// `(sn, sender, value)`, `None` while no reply arrived.
+    best_reply: Option<(i64, NodeId, Option<V>)>,
+    /// `|repliesᵢ|` since line 04, duplicates included.
+    reply_count: usize,
     /// `reply_toᵢ` — inquirers to answer upon activation.
     reply_to: Vec<NodeId>,
     phase: JoinPhase,
@@ -177,7 +181,8 @@ impl<V: Value> SyncRegister<V> {
             register: Some(initial),
             sn: 0,
             active: true,
-            replies: Vec::new(),
+            best_reply: None,
+            reply_count: 0,
             reply_to: Vec::new(),
             phase: JoinPhase::Done,
             pending_write: None,
@@ -213,9 +218,16 @@ impl<V: Value> SyncRegister<V> {
                     }
                 }
             }
-            // Figure 1, line 17.
+            // Figure 1, line 17 — folded on arrival; among equal
+            // `(sn, sender)` keys the last wins. An active process reads none.
             SyncMsg::Reply { value, sn } => {
-                self.replies.push((from, value, sn));
+                if self.phase != JoinPhase::Done {
+                    self.reply_count += 1;
+                    let best = self.best_reply.as_ref();
+                    if best.is_none_or(|(s, id, _)| (sn, from) >= (*s, *id)) {
+                        self.best_reply = Some((sn, from, value));
+                    }
+                }
             }
             // Figure 2, lines 03–04.
             SyncMsg::Write { value, sn } => {
@@ -236,7 +248,8 @@ impl<V: Value> SyncRegister<V> {
             register: None,
             sn: -1,
             active: false,
-            replies: Vec::new(),
+            best_reply: None,
+            reply_count: 0,
             reply_to: Vec::new(),
             phase: JoinPhase::InitialWait,
             pending_write: None,
@@ -259,12 +272,19 @@ impl<V: Value> SyncRegister<V> {
         self.sn
     }
 
+    /// `repliesᵢ ← ∅` — line 04, and the join state's release on activation.
+    fn clear_replies(&mut self) {
+        self.best_reply = None;
+        self.reply_count = 0;
+    }
+
     /// Figure 1, lines 10–11: switch to active and flush `reply_toᵢ`.
     fn become_active(&mut self) -> Vec<Effect<SyncMsg<V>, V>> {
         debug_assert!(!self.active);
         // Line 10: activeᵢ ← true.
         self.active = true;
         self.phase = JoinPhase::Done;
+        self.clear_replies();
         let mut effects = Vec::new();
         // Line 11: for each j ∈ reply_toᵢ send REPLY⟨i, registerᵢ, snᵢ⟩.
         for j in std::mem::take(&mut self.reply_to) {
@@ -284,12 +304,7 @@ impl<V: Value> SyncRegister<V> {
     /// Figure 1, lines 07–08: adopt the reply with the largest sequence
     /// number, if larger than ours.
     fn adopt_best_reply(&mut self) {
-        if let Some((_, value, sn)) = self
-            .replies
-            .iter()
-            .max_by_key(|(id, _, sn)| (*sn, *id))
-            .cloned()
-        {
+        if let Some((sn, _, value)) = self.best_reply.take() {
             // Line 08: if sn > snᵢ then adopt.
             if sn > self.sn {
                 self.sn = sn;
@@ -315,12 +330,9 @@ impl<V: Value> RegisterProcess for SyncRegister<V> {
         if self.active {
             return None;
         }
-        // Count distinct senders so a retransmitted inquiry that elicits a
-        // duplicate `REPLY` cannot masquerade as progress.
-        let mut senders: Vec<NodeId> = self.replies.iter().map(|(id, _, _)| *id).collect();
-        senders.sort_unstable();
-        senders.dedup();
-        Some(senders.len())
+        // A plain counter: this join completes on a timer, so its only
+        // consumer asks "zero or not" and duplicates cannot mislead it.
+        Some(self.reply_count)
     }
 
     /// `operation join(i)` — Figure 1.
@@ -349,7 +361,7 @@ impl<V: Value> RegisterProcess for SyncRegister<V> {
                 // Line 03: if registerᵢ = ⊥ …
                 if self.register.is_none() {
                     // Line 04: repliesᵢ ← ∅.
-                    self.replies.clear();
+                    self.clear_replies();
                     self.phase = JoinPhase::Inquiring;
                     // Line 05: broadcast INQUIRY(i); line 06: wait(2δ).
                     vec![
@@ -449,6 +461,7 @@ impl<V: Value> RegisterProcess for SyncRegister<V> {
 mod tests {
     use super::*;
     use crate::actor::completions;
+    use proptest::prelude::*;
 
     fn nid(i: u64) -> NodeId {
         NodeId::from_raw(i)
@@ -608,6 +621,159 @@ mod tests {
         let effects = p.on_timer(Time::at(12), TIMER_INQUIRY_WAIT);
         assert!(effects.contains(&Effect::JoinComplete));
         assert_eq!(p.local_value(), None);
+    }
+
+    /// Drives a joiner to its post-inquiry wait (lines 02–06).
+    fn inquiring<V: Value>(p: &mut SyncRegister<V>) {
+        p.on_enter(Time::ZERO);
+        p.on_timer(Time::at(4), TIMER_JOIN_WAIT);
+        assert_eq!(p.join_replies(), Some(0));
+    }
+
+    #[test]
+    fn duplicate_replies_fold_and_late_replies_are_ignored() {
+        let mut p = joiner(5);
+        inquiring(&mut p);
+        // A retransmitted inquiry makes the same sender answer twice: the
+        // running maximum is unmoved by an exact duplicate, and on an equal
+        // `(sn, sender)` key the later reply wins (as `max_by_key` did).
+        for value in [10, 10, 11] {
+            let reply = SyncMsg::Reply {
+                value: Some(value),
+                sn: 1,
+            };
+            assert!(p.on_message(Time::at(6), nid(1), reply).is_empty());
+        }
+        assert_eq!(p.join_replies(), Some(3), "a counter, not a sender set");
+        let effects = p.on_timer(Time::at(12), TIMER_INQUIRY_WAIT);
+        assert_eq!(effects, vec![Effect::JoinComplete]);
+        assert_eq!((p.local_value(), p.local_sn()), (Some(&11), 1));
+        // A reply landing after activation is dropped on the floor: it is
+        // never read, so it must not be kept either.
+        let late = SyncMsg::Reply {
+            value: Some(99),
+            sn: 9,
+        };
+        assert!(p.on_message(Time::at(13), nid(2), late).is_empty());
+        assert_eq!((p.local_value(), p.local_sn()), (Some(&11), 1));
+        assert_eq!(p.join_replies(), None);
+        assert!(p.best_reply.is_none() && p.reply_count == 0);
+    }
+
+    #[test]
+    fn join_state_does_not_grow_with_replies_and_is_released() {
+        use std::rc::Rc;
+        // Every reply carries a handle on one allocation, so its strong
+        // count is the number of reply values the joiner is holding.
+        let held = Rc::new(7u64);
+        let mut p: SyncRegister<Rc<u64>> = SyncRegister::new_joiner(nid(5), cfg(), oid(905));
+        inquiring(&mut p);
+        for i in 0..1000 {
+            let reply = SyncMsg::Reply {
+                value: Some(Rc::clone(&held)),
+                sn: i % 3,
+            };
+            p.on_message(Time::at(6), nid(i as u64 % 50), reply);
+            assert!(Rc::strong_count(&held) <= 2, "one best reply, not a list");
+        }
+        assert_eq!(p.join_replies(), Some(1000));
+        let effects = p.on_timer(Time::at(12), TIMER_INQUIRY_WAIT);
+        assert_eq!(effects, vec![Effect::JoinComplete]);
+        // Adopted into the register; the join state itself is gone.
+        assert_eq!(p.local_sn(), 2);
+        assert_eq!(Rc::strong_count(&held), 2);
+        assert!(p.best_reply.is_none() && p.reply_count == 0);
+    }
+
+    /// One message of a generated join: `REPLY⟨from, value, sn⟩` or a
+    /// concurrent `WRITE(value, sn)`.
+    #[derive(Debug, Clone)]
+    struct JoinMsg {
+        from: u64,
+        write: bool,
+        value: Option<u64>,
+        sn: i64,
+    }
+
+    /// Small ranges on purpose: duplicate senders, equal-`sn` ties, equal
+    /// `(sn, sender)` keys carrying different values, and `⊥` are all likely.
+    fn join_msgs() -> impl Strategy<Value = Vec<JoinMsg>> {
+        let msg = (0u64..4, 0u32..5, prop::bool::ANY, 0u64..3, 0u64..5).prop_map(
+            |(from, kind, bottom, value, sn)| JoinMsg {
+                from,
+                write: kind == 0,
+                value: (!bottom).then_some(value),
+                sn: sn as i64 - 1,
+            },
+        );
+        prop::collection::vec(msg, 0..24)
+    }
+
+    /// The stored-list join this module ran before replies were folded:
+    /// every reply kept, line 08 adopting `max_by_key`'s pick. Returns the
+    /// `(registerᵢ, snᵢ)` the join ends with.
+    fn stored_list_join(early: &[JoinMsg], inquiry: &[JoinMsg]) -> (Option<u64>, i64) {
+        let (mut register, mut my_sn) = (None, -1);
+        let mut replies: Vec<(NodeId, Option<u64>, i64)> = Vec::new();
+        replies.extend(early.iter().map(|m| (nid(m.from), m.value, m.sn)));
+        replies.clear(); // line 04
+        for m in inquiry {
+            match m.value {
+                Some(value) if m.write => {
+                    if m.sn > my_sn {
+                        (register, my_sn) = (Some(value), m.sn);
+                    }
+                }
+                _ => replies.push((nid(m.from), m.value, m.sn)),
+            }
+        }
+        if let Some((_, value, sn)) = replies.iter().max_by_key(|(id, _, sn)| (*sn, *id)) {
+            if *sn > my_sn {
+                (register, my_sn) = (*value, *sn);
+            }
+        }
+        (register, my_sn)
+    }
+
+    fn deliver(p: &mut SyncRegister<u64>, m: &JoinMsg) {
+        let msg = match m.value {
+            Some(value) if m.write => SyncMsg::Write { value, sn: m.sn },
+            value => SyncMsg::Reply { value, sn: m.sn },
+        };
+        assert!(p.on_message(Time::at(5), nid(m.from), msg).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The folded join adopts exactly what the stored list adopted,
+        /// whatever arrives: before the line-04 reset, in duplicate, tied,
+        /// at `⊥`, or interleaved with concurrent writes.
+        #[test]
+        fn folded_join_adopts_what_the_stored_list_adopted(
+            early in join_msgs(),
+            inquiry in join_msgs(),
+        ) {
+            let mut p = joiner(9);
+            p.on_enter(Time::ZERO);
+            // Only replies can precede the inquiry: a `WRITE` during the
+            // initial wait skips it (line 03).
+            for m in &early {
+                deliver(&mut p, &JoinMsg { write: false, ..m.clone() });
+            }
+            inquiring(&mut p);
+            for m in &inquiry {
+                deliver(&mut p, m);
+            }
+            let replies = inquiry.iter().filter(|m| !(m.write && m.value.is_some())).count();
+            prop_assert_eq!(p.join_replies(), Some(replies));
+            let effects = p.on_timer(Time::at(12), TIMER_INQUIRY_WAIT);
+            prop_assert_eq!(effects, vec![Effect::JoinComplete]);
+            prop_assert_eq!(
+                (p.local_value().copied(), p.local_sn()),
+                stored_list_join(&early, &inquiry)
+            );
+        }
     }
 
     #[test]

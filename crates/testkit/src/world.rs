@@ -312,6 +312,9 @@ pub struct World<F: SpaceFactory> {
     scripted_leaves: Vec<(Time, NodeId)>,
     now: Time,
     end: Time,
+    /// The next tick's instant while it is *not* on the queue: the chain
+    /// stopped at the previous `end` and the next `run_until` re-arms it.
+    parked_tick: Option<Time>,
 }
 
 impl<F: SpaceFactory> World<F>
@@ -392,6 +395,7 @@ where
             scripted_leaves: Vec::new(),
             now: Time::ZERO,
             end: Time::MAX,
+            parked_tick: None,
         }
     }
 
@@ -515,9 +519,13 @@ where
         }
     }
 
-    /// Runs the world until (and including) `end`.
+    /// Runs the world until (and including) `end`. Resumable: a later call
+    /// with a later `end` continues the same run, tick chain included.
     pub fn run_until(&mut self, end: Time) {
         self.end = end;
+        if let Some(tick) = self.parked_tick.take_if(|t| *t <= end) {
+            self.queue.schedule_class(tick, CLASS_TICK, Pending::Tick);
+        }
         if self.obs.as_deref().is_some_and(|o| o.cfg.tick_profile) {
             self.run_until_profiled(end);
             return;
@@ -715,9 +723,17 @@ where
         self.apply_workload();
         self.sample_gauges();
         self.obs_tick_row();
+        self.chain_tick();
+    }
+
+    /// Schedules the next churn/workload tick, or — past the current `end`
+    /// — parks it for a later [`World::run_until`] to resume the chain.
+    fn chain_tick(&mut self) {
         let next = self.now + Span::UNIT;
         if next <= self.end {
             self.queue.schedule_class(next, CLASS_TICK, Pending::Tick);
+        } else {
+            self.parked_tick = Some(next);
         }
     }
 
@@ -743,10 +759,7 @@ where
             obs.profile.add(TickPhase::Sample, t3 - t2);
             obs.profile.ticks += 1;
         }
-        let next = self.now + Span::UNIT;
-        if next <= self.end {
-            self.queue.schedule_class(next, CLASS_TICK, Pending::Tick);
-        }
+        self.chain_tick();
     }
 
     /// Appends one timeseries row if the recorder is on and the cadence
@@ -1629,6 +1642,50 @@ mod tests {
         );
         world.protect(NodeId::from_raw(0));
         world
+    }
+
+    /// Everything a run's digest folds: the op stream, membership totals,
+    /// the message count — plus the raw event count.
+    fn fingerprint<F: SpaceFactory>(w: &World<F>) -> (String, usize, usize, u64, u64)
+    where
+        F::Proc: RegisterSpaceProcess<Val = Val>,
+    {
+        (
+            format!("{:?}", w.history().ops()),
+            w.presence().total_arrivals(),
+            w.presence().total_departures(),
+            w.network().total_sent(),
+            w.events_processed(),
+        )
+    }
+
+    #[test]
+    fn run_until_is_resumable() {
+        // Stopping at `a` and resuming to `b` is the same run as going
+        // straight to `b`: churn and workload ticks keep firing after `a`.
+        let (a, b) = (Time::at(90), Time::at(300));
+        let mut whole = sync_world(20, 3, 0.05, 2);
+        whole.run_until(b);
+        let mut split = sync_world(20, 3, 0.05, 2);
+        split.run_until(a);
+        let (events_at_a, arrivals_at_a) =
+            (split.events_processed(), split.presence().total_arrivals());
+        split.run_until(a); // re-running to the same instant is a no-op
+        assert_eq!(split.events_processed(), events_at_a);
+        split.run_until(b);
+        assert!(
+            split.presence().total_arrivals() > arrivals_at_a,
+            "churn kept running"
+        );
+        assert_eq!(fingerprint(&split), fingerprint(&whole));
+
+        let mut whole = es_world(10, 3, 5);
+        whole.run_until(b);
+        let mut split = es_world(10, 3, 5);
+        for stop in [Time::at(1), a, Time::at(91), b] {
+            split.run_until(stop);
+        }
+        assert_eq!(fingerprint(&split), fingerprint(&whole));
     }
 
     #[test]
