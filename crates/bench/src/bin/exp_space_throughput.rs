@@ -25,12 +25,11 @@
 //! (`BENCH_space.json` by default) — the register-space perf trajectory
 //! future PRs measure against. `--digest-out PATH` additionally writes a
 //! wall-clock-free event-stream digest per scenario; CI `cmp`s the digest
-//! of `--shards 1` against `--legacy` (the constructor path without a
-//! shard config) to hold the `G = 1 ≡ legacy` contract, and the digest of
-//! `--writers 1` against the unflagged run to hold `W = 1 ≡ default`.
+//! of `--shards 1 --writers 1` against `--shards 1` to hold
+//! `W = 1 ≡ default`.
 //!
 //! Usage: `exp_space_throughput [--nodes N] [--ticks T] [--out PATH]
-//! [--shards G | --legacy] [--writers W] [--digest-out PATH]`
+//! [--shards G] [--writers W] [--digest-out PATH]`
 //! (defaults: 1000 nodes, 600 ticks, `BENCH_space.json`, the mixed
 //! `G ∈ {1, 16}` / `W ∈ {1, 4}` scenario set).
 
@@ -69,7 +68,7 @@ struct SpaceResult {
     liveness_ok: bool,
     /// FNV fold of every key's op stream plus the message/membership
     /// totals — wall-clock-free, so two runs of the same configuration
-    /// compare byte-for-byte (the CI shard-equivalence gate).
+    /// compare byte-for-byte (the CI writer-equivalence gate).
     digest: u64,
 }
 
@@ -170,10 +169,8 @@ impl ChurnModel for StopAfter {
 #[derive(Clone, Copy)]
 struct Row {
     keys: u32,
-    /// `None` = the legacy constructor path (no shard config attached);
-    /// `Some(g)` threads a `ShardConfig` — `Some(1)` must be observably
-    /// identical to `None`.
-    shards: Option<u32>,
+    /// Join-reply shard groups `G`.
+    shards: u32,
     /// Writer-roster size and per-key write cap.
     writers: usize,
     /// Ticks between workload write beats (every roster writer attempts
@@ -197,11 +194,8 @@ fn run_space(row: Row, nodes: usize, ticks: u64) -> SpaceResult {
     let churn_rate = 0.4 / nodes as f64;
     let end = Time::at(ticks);
     let stop = Time::at(ticks.saturating_sub(delta.as_ticks() * 12).max(1));
-    let mut factory = SpaceOf::new(SyncFactory::new(SyncConfig::new(delta)), keys);
-    if let Some(groups) = shards {
-        factory =
-            factory.with_shards(ShardConfig::new(groups).with_reinquire_every(delta.times(4)));
-    }
+    let factory = SpaceOf::new(SyncFactory::new(SyncConfig::new(delta)), keys)
+        .with_shards(ShardConfig::new(shards).with_reinquire_every(delta.times(4)));
     let mut world = World::new(
         factory,
         WorldConfig {
@@ -269,7 +263,7 @@ fn run_space(row: Row, nodes: usize, ticks: u64) -> SpaceResult {
 
     SpaceResult {
         keys,
-        shards: shards.unwrap_or(1).min(keys),
+        shards: shards.min(keys),
         writers: writers as u32,
         write_every,
         nodes,
@@ -295,9 +289,8 @@ struct Args {
     ticks: u64,
     out: String,
     digest_out: Option<String>,
-    /// `None` = the default mixed scenario set; `Some(None)` = the legacy
-    /// constructor path; `Some(Some(g))` = `--shards g`.
-    mode: Option<Option<u32>>,
+    /// `None` = the default mixed scenario set; `Some(g)` = `--shards g`.
+    shards: Option<u32>,
     /// `--writers W` pins every row to one roster size (and drops the
     /// default set's extra `W = 4` rows): the explicit-W output is
     /// row-comparable across W values, and `--writers 1` must digest-match
@@ -311,12 +304,12 @@ fn parse_args() -> Args {
         ticks: 600,
         out: "BENCH_space.json".to_string(),
         digest_out: None,
-        mode: None,
+        shards: None,
         writers: None,
     };
     let mut cli = Cli::from_env(
         "exp_space_throughput [--nodes N] [--ticks T] [--out PATH] \
-         [--shards G | --legacy] [--writers W] [--digest-out PATH]",
+         [--shards G] [--writers W] [--digest-out PATH]",
     );
     while let Some(flag) = cli.next_arg() {
         match flag.as_str() {
@@ -330,13 +323,9 @@ fn parse_args() -> Args {
             "--out" => parsed.out = cli.value("--out"),
             "--digest-out" => parsed.digest_out = Some(cli.value("--digest-out")),
             "--shards" => {
-                parsed.mode = Some(Some(cli.parsed_where(
-                    "--shards",
-                    "a positive integer",
-                    |&g: &u32| g > 0,
-                )));
+                parsed.shards =
+                    Some(cli.parsed_where("--shards", "a positive integer", |&g: &u32| g > 0));
             }
-            "--legacy" => parsed.mode = Some(None),
             "--writers" => {
                 parsed.writers =
                     Some(cli.parsed_where("--writers", "a positive integer", |&w: &usize| w > 0));
@@ -357,9 +346,9 @@ fn main() {
 
     // The default set carries the sharded-recovery row plus the two W = 4
     // rows (multi-key write scaling on the standard beat, hot-key
-    // contention on a 1-tick beat); an explicit --shards/--legacy or
-    // --writers runs the plain trio in that one mode (the CI equivalence
-    // gates compare their digests).
+    // contention on a 1-tick beat); an explicit --shards or --writers
+    // runs the plain trio in that one mode (the CI writer-equivalence gate
+    // compares their digests).
     let w = args.writers.unwrap_or(1);
     let beat = 9; // the standard write beat, 3δ ticks
     let row = |keys, shards, writers, write_every| Row {
@@ -368,21 +357,21 @@ fn main() {
         writers,
         write_every,
     };
-    let scenarios: Vec<Row> = match (args.mode, args.writers) {
+    let scenarios: Vec<Row> = match (args.shards, args.writers) {
         (None, None) => vec![
-            row(1, Some(1), 1, beat),
-            row(16, Some(1), 1, beat),
-            row(256, Some(1), 1, beat),
-            row(256, Some(16), 1, beat),
-            row(256, Some(1), 4, beat),
-            row(256, Some(1), 4, 1),
+            row(1, 1, 1, beat),
+            row(16, 1, 1, beat),
+            row(256, 1, 1, beat),
+            row(256, 16, 1, beat),
+            row(256, 1, 4, beat),
+            row(256, 1, 4, 1),
         ],
-        (mode, _) => {
-            let mode = mode.unwrap_or(Some(1));
+        (shards, _) => {
+            let g = shards.unwrap_or(1);
             vec![
-                row(1, mode, w, beat),
-                row(16, mode, w, beat),
-                row(256, mode, w, beat),
+                row(1, g, w, beat),
+                row(16, g, w, beat),
+                row(256, g, w, beat),
             ]
         }
     };

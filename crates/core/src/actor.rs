@@ -116,29 +116,29 @@ pub trait RegisterProcess: fmt::Debug {
     /// The process enters the system and starts its `join` operation.
     fn on_enter(&mut self, now: Time) -> Vec<Effect<Self::Msg, Self::Val>>;
 
-    /// A message from `from` is delivered.
-    fn on_message(
-        &mut self,
-        now: Time,
-        from: NodeId,
-        msg: Self::Msg,
-    ) -> Vec<Effect<Self::Msg, Self::Val>>;
-
-    /// Delivery fast path: appends the effects of a message to `out`
-    /// instead of returning a fresh vector. The runtime calls this with a
-    /// reused buffer, so protocols that override it (message delivery is
+    /// A message from `from` is delivered; its effects append to `out`.
+    /// The runtime calls this with a reused buffer (message delivery is
     /// the simulator's hottest edge — tens of millions of calls in a
-    /// large-population run) pay zero allocations per delivery. The
-    /// default delegates to [`RegisterProcess::on_message`] and stays
-    /// correct for every implementation.
+    /// large-population run), so a delivery costs no allocation.
     fn on_message_into(
         &mut self,
         now: Time,
         from: NodeId,
         msg: Self::Msg,
         out: &mut Vec<Effect<Self::Msg, Self::Val>>,
-    ) {
-        out.append(&mut self.on_message(now, from, msg));
+    );
+
+    /// Allocating convenience form of
+    /// [`on_message_into`](RegisterProcess::on_message_into).
+    fn on_message(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        msg: Self::Msg,
+    ) -> Vec<Effect<Self::Msg, Self::Val>> {
+        let mut out = Vec::new();
+        self.on_message_into(now, from, msg, &mut out);
+        out
     }
 
     /// A timer set via [`Effect::SetTimer`] with this `tag` expired.

@@ -562,12 +562,6 @@ impl<V: Value> RegisterProcess for EsRegister<V> {
         panic!("the eventually synchronous protocol sets no timers (got tag {tag})");
     }
 
-    fn on_message(&mut self, now: Time, from: NodeId, msg: EsMsg<V>) -> Vec<Effect<EsMsg<V>, V>> {
-        let mut out = Vec::new();
-        self.on_message_into(now, from, msg, &mut out);
-        out
-    }
-
     // Message delivery is the simulator's hottest edge (every INQUIRY/READ
     // broadcast lands here once per process, and an ES-heavy sweep delivers
     // tens of millions of them); the buffered form makes the common cases —

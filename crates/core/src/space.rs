@@ -19,8 +19,10 @@
 //!   key-partitioned.
 //! * [`SoloSpace`] adapts a single [`RegisterProcess`] to the space trait
 //!   with **zero wire or behavioural overhead** — raw protocol messages,
-//!   no key tags. It is the pre-redesign single-register path, kept as the
-//!   oracle the 1-key equivalence property tests compare against.
+//!   no key tags. It is the 1-key fast path, chosen by the factory from
+//!   the key count: measured against [`RegisterSpace`] at `K = 1` it runs
+//!   20–36 % more events per second in 7–9 % less memory, and the 1-key
+//!   equivalence property tests hold the two digest-identical.
 //!
 //! # The shared handshake's contract
 //!
@@ -61,7 +63,7 @@
 //! joining and the timer **re-fires the inquiry** (re-arming itself) until
 //! every shard has answered. A re-inquiry is *full* (`full: true`): any
 //! active process answers for all keys, so one starved shard degrades a
-//! join to the legacy full-state transfer for one extra round instead of
+//! join to the full-state transfer for one extra round instead of
 //! wedging it — availability falls back to the paper's argument while the
 //! common case pays `1/G` of the payload.
 //!
@@ -71,10 +73,8 @@
 //! (`EsConfig::join_quorum`) — the quorum-per-shard liveness trade the
 //! fleet tier's phase diagrams measure.
 //!
-//! `G = 1` is the legacy full-reply handshake, bit for bit: every gate,
-//! filter and fallback below is conditioned on `groups > 1`, and the
-//! equivalence property tests plus the CI `cmp` gate hold the digest
-//! identity.
+//! `G = 1` (the default) is the full-reply handshake: every gate, filter
+//! and fallback below is conditioned on `groups > 1`.
 //!
 //! # Loss-tolerant join retransmission
 //!
@@ -284,31 +284,16 @@ pub trait RegisterSpaceProcess: fmt::Debug {
 /// Adapts one [`RegisterProcess`] to the space trait with no wire overhead:
 /// `Msg = P::Msg` (no key tags), every effect attributed to
 /// [`RegisterId::ZERO`]. Byte-identical behaviour to driving `P` directly —
-/// this *is* the pre-redesign single-register path, and the 1-key
-/// equivalence property tests pit [`RegisterSpace`] against it.
+/// the 1-key fast path the factory picks from the key count, and what the
+/// 1-key equivalence property tests pit [`RegisterSpace`] against.
 #[derive(Debug)]
 pub struct SoloSpace<P: RegisterProcess> {
     inner: P,
     /// Reused scratch so the delivery fast path stays allocation-free.
     scratch: Vec<Effect<P::Msg, P::Val>>,
-    /// Join-retransmit policy (`None` = the pre-retransmit path, bit for
-    /// bit — the default of [`SoloSpace::new`]).
-    retransmit: Option<RetransmitConfig>,
-    /// Whether the join broadcast its inquiry yet.
-    inquired: bool,
-    /// The observed inquiry payload, kept for re-fires.
-    last_inquiry: Option<P::Msg>,
-    /// `(tag, delay)` of join-phase timers the inner protocol armed, so a
-    /// zero-reply interception can re-arm the expiring wait.
-    join_timers: Vec<(u64, Span)>,
-    /// Whether the silence ([`RETRANSMIT_TAG`]) timer is outstanding.
-    retransmit_armed: bool,
-    /// Consecutive silent beats (the backoff exponent, plateaued).
-    retransmit_attempts: u32,
-    /// Zero-reply interceptions consumed (timer-driven joins).
-    retransmit_used: u32,
-    /// Reply count at the last silence beat (progress detection).
-    retransmit_seen: usize,
+    /// Join re-fire state; inert without a policy (the default of
+    /// [`SoloSpace::new`]).
+    refire: JoinRefire<P::Msg>,
 }
 
 impl<P: RegisterProcess> SoloSpace<P> {
@@ -317,20 +302,13 @@ impl<P: RegisterProcess> SoloSpace<P> {
         SoloSpace {
             inner,
             scratch: Vec::new(),
-            retransmit: None,
-            inquired: false,
-            last_inquiry: None,
-            join_timers: Vec::new(),
-            retransmit_armed: false,
-            retransmit_attempts: 0,
-            retransmit_used: 0,
-            retransmit_seen: 0,
+            refire: JoinRefire::new(),
         }
     }
 
     /// Installs (or clears) the bounded join-retransmit policy.
     pub fn with_retransmit(mut self, config: Option<RetransmitConfig>) -> SoloSpace<P> {
-        self.retransmit = config;
+        self.refire.policy = config;
         self
     }
 
@@ -347,86 +325,24 @@ impl<P: RegisterProcess> SoloSpace<P> {
 
     /// Observes a join-phase step's lifted effects (inquiry payload and
     /// armed waits) and appends the silence timer for timer-less joins —
-    /// the solo mirror of [`RegisterSpace::flush`]'s bookkeeping. A no-op
-    /// unless a retransmit policy is installed and the join is still in
-    /// flight.
+    /// the solo counterpart of [`RegisterSpace::flush`]'s bookkeeping. A
+    /// no-op unless a retransmit policy is installed and the join is still
+    /// in flight.
     fn observe_join_step(&mut self, out: &mut Vec<SpaceEffect<P::Msg, P::Val>>) {
-        let Some(cfg) = self.retransmit else {
-            return;
-        };
-        if self.inner.is_active() {
+        if self.refire.policy.is_none() || self.inner.is_active() {
             return;
         }
         for effect in out.iter() {
             match effect {
-                SpaceEffect::Broadcast { msg } if !self.inquired => {
-                    self.inquired = true;
-                    self.last_inquiry = Some(msg.clone());
+                SpaceEffect::Broadcast { msg } => {
+                    self.refire.inquiry.get_or_insert_with(|| msg.clone());
                 }
-                SpaceEffect::SetTimer { delay, tag }
-                    if *tag != RETRANSMIT_TAG
-                        && !self.join_timers.iter().any(|(t, _)| t == tag) =>
-                {
-                    self.join_timers.push((*tag, *delay));
-                }
+                SpaceEffect::SetTimer { delay, tag } => self.refire.record_wait(*tag, *delay),
                 _ => {}
             }
         }
-        if self.inquired && !self.retransmit_armed && self.join_timers.is_empty() {
-            // A timer-less (quorum) protocol inquired: arm the space's own
-            // silence timer so a swallowed handshake re-fires.
-            out.push(SpaceEffect::SetTimer {
-                delay: cfg.backoff(self.retransmit_attempts),
-                tag: RETRANSMIT_TAG,
-            });
-            self.retransmit_armed = true;
-            self.retransmit_seen = self.inner.join_replies().unwrap_or(0);
-        }
-    }
-
-    /// The silence timer fired (timer-less joins): re-broadcast the
-    /// inquiry if no reply arrived since the last beat, back the window
-    /// off, and re-arm.
-    fn retransmit_fire(&mut self) -> Vec<SpaceEffect<P::Msg, P::Val>> {
-        self.retransmit_armed = false;
-        let Some(cfg) = self.retransmit else {
-            return Vec::new();
-        };
-        if self.inner.is_active() {
-            return Vec::new();
-        }
-        let heard = self.inner.join_replies().unwrap_or(0);
-        let silent = heard <= self.retransmit_seen;
-        self.retransmit_seen = heard;
-        let mut out = Vec::new();
-        if silent {
-            if let Some(msg) = self.last_inquiry.clone() {
-                out.push(SpaceEffect::Broadcast { msg });
-                out.push(SpaceEffect::Retransmit);
-            }
-            self.retransmit_attempts = (self.retransmit_attempts + 1).min(cfg.budget);
-        } else {
-            self.retransmit_attempts = 0;
-        }
-        out.push(SpaceEffect::SetTimer {
-            delay: cfg.backoff(self.retransmit_attempts),
-            tag: RETRANSMIT_TAG,
-        });
-        self.retransmit_armed = true;
-        out
-    }
-
-    /// Whether a timer-driven join's expiring wait must be intercepted:
-    /// the inquiry is out, zero replies were gathered, and budget remains.
-    fn intercepts(&self, tag: u64) -> bool {
-        let Some(cfg) = self.retransmit else {
-            return false;
-        };
-        !self.inner.is_active()
-            && self.inquired
-            && self.retransmit_used < cfg.budget
-            && self.inner.join_replies() == Some(0)
-            && self.join_timers.iter().any(|&(t, _)| t == tag)
+        let inner = &self.inner;
+        self.refire.arm(|| inner.join_replies().unwrap_or(0), out);
     }
 }
 
@@ -486,24 +402,19 @@ impl<P: RegisterProcess> RegisterSpaceProcess for SoloSpace<P> {
     }
 
     fn on_timer(&mut self, now: Time, tag: u64) -> Vec<SpaceEffect<P::Msg, P::Val>> {
+        let mut out = Vec::new();
+        let (inner, done) = (&self.inner, self.inner.is_active());
         if tag == RETRANSMIT_TAG {
             // The space's own silence timer — never forwarded (timer-less
             // inner protocols panic on unknown tags).
-            return self.retransmit_fire();
+            let heard = inner.join_replies().unwrap_or(0);
+            self.refire.beat(done, heard, &mut out);
+            return out;
         }
-        if self.intercepts(tag) {
-            // A timer-driven join's wait expired with zero replies: re-fire
-            // the inquiry and re-arm the same wait instead of dispatching
-            // the expiry (which would blind-activate at ⊥).
-            self.retransmit_used += 1;
-            let mut out = Vec::new();
-            if let Some(msg) = self.last_inquiry.clone() {
-                out.push(SpaceEffect::Broadcast { msg });
-                out.push(SpaceEffect::Retransmit);
-            }
-            if let Some(&(t, delay)) = self.join_timers.iter().find(|&&(t, _)| t == tag) {
-                out.push(SpaceEffect::SetTimer { delay, tag: t });
-            }
+        if self
+            .refire
+            .intercept(done, tag, || inner.join_replies(), &mut out)
+        {
             return out;
         }
         let mut out = Self::lift(self.inner.on_timer(now, tag));
@@ -551,8 +462,8 @@ pub const RETRANSMIT_TAG: u64 = SHARED_TAG | (1 << 61);
 /// Bounded join-handshake retransmission policy (see the module's
 /// "Loss-tolerant join retransmission"). Attached to a space via
 /// [`SoloSpace::with_retransmit`] / [`RegisterSpace::with_retransmit`];
-/// absent (the default of every raw constructor), the space behaves
-/// exactly as before — lossless paths are bit-identical either way.
+/// absent (the default of every raw constructor), nothing re-fires — on a
+/// lossless network the effect stream is the same either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetransmitConfig {
     /// The initial silence window: how long a joiner's inquiry may go
@@ -563,7 +474,9 @@ pub struct RetransmitConfig {
     /// zero-reply expiries; timer-less joins stop doubling their silence
     /// window after this many consecutive silent beats (the window then
     /// plateaus at `base << budget`, so liveness after the loss stops is
-    /// still guaranteed).
+    /// still guaranteed). Doubling stops after 16 steps whatever the
+    /// budget, so the window cannot overflow: the plateau is
+    /// `base << min(budget, 16)`.
     pub budget: u32,
 }
 
@@ -580,7 +493,8 @@ impl RetransmitConfig {
         RetransmitConfig { base, budget: 4 }
     }
 
-    /// Sets the retry budget (interception cap / backoff plateau).
+    /// Sets the retry budget (interception cap; backoff plateau at
+    /// `base << min(budget, 16)`).
     ///
     /// # Panics
     /// Panics if `budget` is zero.
@@ -591,10 +505,149 @@ impl RetransmitConfig {
     }
 
     /// The silence window after `attempts` consecutive silent beats:
-    /// `base << min(attempts, budget)`, shift capped so the window can
-    /// never overflow.
+    /// `base << min(attempts, budget, 16)`.
     fn backoff(&self, attempts: u32) -> Span {
         Span::ticks(self.base.as_ticks() << attempts.min(self.budget).min(16))
+    }
+}
+
+/// The join handshake's re-fire state machine: "the inquiry went
+/// unanswered, send it again", once. Each space holds one, records into it
+/// the inquiry (already wrapped for its wire) and the join waits (under
+/// their outer tags) it observes, and asks it the three decisions —
+/// [`arm`](Self::arm), [`beat`](Self::beat), [`intercept`](Self::intercept);
+/// every re-broadcast leaves through [`refire`](Self::refire).
+#[derive(Debug)]
+struct JoinRefire<W> {
+    /// Retransmit policy (`None` = no interceptions, no silence beats).
+    policy: Option<RetransmitConfig>,
+    /// The sharded pace: while set, `policy` is inert and the silence
+    /// timer re-inquires this often instead — unconditionally, and
+    /// uncounted (the wire labels those inquiries `INQUIRY_FULL`).
+    reinquire: Option<Span>,
+    /// The wire message a re-fire broadcasts, recorded at the inquiry.
+    inquiry: Option<W>,
+    /// `(tag, delay)` of the join waits armed so far, so an intercepted or
+    /// withheld expiry can re-arm itself.
+    waits: Vec<(u64, Span)>,
+    /// Whether the silence timer is outstanding.
+    armed: bool,
+    /// Consecutive silent beats (the backoff exponent, plateaued).
+    attempts: u32,
+    /// Zero-reply interceptions consumed (timer-driven joins).
+    used: u32,
+    /// Reply count at the last silence beat (progress detection).
+    seen: usize,
+}
+
+impl<W: Clone> JoinRefire<W> {
+    fn new() -> JoinRefire<W> {
+        JoinRefire {
+            policy: None,
+            reinquire: None,
+            inquiry: None,
+            waits: Vec::new(),
+            armed: false,
+            attempts: 0,
+            used: 0,
+            seen: 0,
+        }
+    }
+
+    fn record_wait(&mut self, tag: u64, delay: Span) {
+        match self.waits.iter_mut().find(|(t, _)| *t == tag) {
+            Some((_, d)) => *d = delay,
+            None => self.waits.push((tag, delay)),
+        }
+    }
+
+    /// Join wait `tag` as a timer to re-arm, if it was recorded.
+    fn wait(&self, tag: u64) -> Option<(Span, u64)> {
+        let &(_, delay) = self.waits.iter().find(|&&(t, _)| t == tag)?;
+        Some((delay, tag))
+    }
+
+    /// The retry budget in force (none while sharded).
+    fn budget(&self) -> u32 {
+        let policy = self.policy.filter(|_| self.reinquire.is_none());
+        policy.map_or(0, |cfg| cfg.budget)
+    }
+
+    /// The silence timer at the current pace, if any.
+    fn silence(&self) -> Option<(Span, u64)> {
+        match self.reinquire {
+            Some(every) => Some((every, REINQUIRE_TAG)),
+            None => self
+                .policy
+                .map(|cfg| (cfg.backoff(self.attempts), RETRANSMIT_TAG)),
+        }
+    }
+
+    /// The one emitter: re-broadcasts the recorded inquiry — marked with
+    /// [`SpaceEffect::Retransmit`] when the policy drives it — and arms
+    /// `timer` behind it.
+    fn refire<V>(&self, out: &mut Vec<SpaceEffect<W, V>>, timer: Option<(Span, u64)>) {
+        if let Some(msg) = self.inquiry.clone() {
+            out.push(SpaceEffect::Broadcast { msg });
+            if self.reinquire.is_none() {
+                out.push(SpaceEffect::Retransmit);
+            }
+        }
+        if let Some((delay, tag)) = timer {
+            out.push(SpaceEffect::SetTimer { delay, tag });
+        }
+    }
+
+    /// Decision 1, closing a join-phase step: a timer-less (quorum)
+    /// protocol inquired, so the space arms its own silence timer for a
+    /// swallowed handshake to re-fire on.
+    fn arm<V>(&mut self, heard: impl FnOnce() -> usize, out: &mut Vec<SpaceEffect<W, V>>) {
+        if self.armed || self.inquiry.is_none() || !self.waits.is_empty() {
+            return;
+        }
+        if let Some((delay, tag)) = self.silence() {
+            out.push(SpaceEffect::SetTimer { delay, tag });
+            self.armed = true;
+            self.seen = heard();
+        }
+    }
+
+    /// Decision 2, the silence timer fired: re-broadcast the inquiry if no
+    /// reply arrived since the last beat (at the sharded pace, always),
+    /// back the window off (progress resets it), and re-arm.
+    fn beat<V>(&mut self, done: bool, heard: usize, out: &mut Vec<SpaceEffect<W, V>>) {
+        self.armed = false;
+        if done || self.silence().is_none() {
+            return;
+        }
+        if self.reinquire.is_some() || heard <= self.seen {
+            self.refire(out, None);
+            self.attempts = (self.attempts + 1).min(self.budget());
+        } else {
+            self.attempts = 0;
+        }
+        self.arm(|| heard, out);
+    }
+
+    /// Decision 3, join wait `tag` expired: with the inquiry out, zero
+    /// replies gathered and budget left, re-fire the inquiry and re-arm
+    /// the same wait instead of dispatching the expiry — which would
+    /// blind-activate at `⊥`. Returns whether the expiry was consumed.
+    fn intercept<V>(
+        &mut self,
+        done: bool,
+        tag: u64,
+        heard: impl FnOnce() -> Option<usize>,
+        out: &mut Vec<SpaceEffect<W, V>>,
+    ) -> bool {
+        let wait = self.wait(tag);
+        let spent = self.used >= self.budget();
+        if done || spent || self.inquiry.is_none() || wait.is_none() || heard() != Some(0) {
+            return false;
+        }
+        self.used += 1;
+        self.refire(out, wait);
+        true
     }
 }
 
@@ -616,12 +669,11 @@ pub fn shard_of_key(key: RegisterId, groups: u32) -> u32 {
 
 /// How join replies are sharded across responders (see the module docs).
 ///
-/// `ShardConfig::legacy()` (`G = 1`) is the full-state reply handshake —
-/// the default of every constructor, wire- and digest-identical to the
-/// pre-sharding code.
+/// `G = 1` is the full-state reply handshake — the [`Default`], and what
+/// every constructor starts from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Number of shard groups `G`. `1` = legacy full replies. Clamped to
+    /// Number of shard groups `G`. `1` = full replies. Clamped to
     /// the key count when a space is assembled (a shard with no keys
     /// answers nothing and gates nothing).
     pub groups: u32,
@@ -637,11 +689,6 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// The legacy full-reply handshake (`G = 1`).
-    pub fn legacy() -> ShardConfig {
-        ShardConfig::new(1)
-    }
-
     /// Sharded replies over `groups` groups, per-shard quorum 1, re-inquiry
     /// every 8 ticks.
     ///
@@ -679,7 +726,7 @@ impl ShardConfig {
 
 impl Default for ShardConfig {
     fn default() -> ShardConfig {
-        ShardConfig::legacy()
+        ShardConfig::new(1)
     }
 }
 
@@ -694,35 +741,15 @@ pub struct RegisterSpace<P: RegisterProcess> {
     join_done: bool,
     /// Reused scratch for the instances' effect lists.
     scratch: Vec<Effect<P::Msg, P::Val>>,
-    /// Join-reply sharding (`groups == 1` = legacy full replies).
+    /// Join-reply sharding (`groups == 1` = full replies).
     shard: ShardConfig,
     /// This process's responder shard (`shard_of_node(id, groups)`).
     my_shard: u32,
-    /// Whether this joiner has broadcast its (shared) inquiry yet — shard
-    /// gating applies only from then on.
-    inquired: bool,
-    /// The coalesced inquiry payload, kept for re-inquiries.
-    last_inquiry: Option<P::Msg>,
     /// Per-shard distinct responders whose batches covered that shard's
     /// keys (joiner-side quorum tracking; empty unless `groups > 1`).
     shard_heard: Vec<BTreeSet<NodeId>>,
-    /// `(inner tag, delay)` of shared join timers armed so far, so a
-    /// withheld (or zero-reply-intercepted) expiry can re-arm itself.
-    join_timer_delays: Vec<(u64, Span)>,
-    /// Whether the space's own re-inquiry timer is outstanding.
-    reinquire_armed: bool,
-    /// Unsharded join-retransmit policy (`None` = pre-retransmit path).
-    /// Inert while `groups > 1` — sharded handshakes already re-fire via
-    /// the withheld-expiry / re-inquiry machinery.
-    retransmit: Option<RetransmitConfig>,
-    /// Whether the silence ([`RETRANSMIT_TAG`]) timer is outstanding.
-    retransmit_armed: bool,
-    /// Consecutive silent beats (the backoff exponent, plateaued).
-    retransmit_attempts: u32,
-    /// Zero-reply interceptions consumed (timer-driven joins).
-    retransmit_used: u32,
-    /// Reply count at the last silence beat (progress detection).
-    retransmit_seen: usize,
+    /// Join re-fire state; on the sharded pace while `groups > 1`.
+    refire: JoinRefire<SpaceMsg<P::Msg>>,
 }
 
 /// One target's pending fan-in replies: `(target, per-key payloads)`.
@@ -734,12 +761,13 @@ type FanGroup<M> = (NodeId, Vec<(RegisterId, M)>);
 /// of the space-level step.
 struct StepCtx<M, V> {
     out: Vec<SpaceEffect<SpaceMsg<M>, V>>,
-    /// First join-phase broadcast payload of this step, if any, with its
-    /// `full` flag (false for a fresh sharded inquiry, true for
-    /// re-inquiries — the starvation fallback).
-    join_broadcast: Option<(M, bool)>,
+    /// First join-phase broadcast payload of this step, if any.
+    join_broadcast: Option<M>,
     /// Distinct `(delay, tag)` join-phase timer requests of this step.
     join_timers: Vec<(Span, u64)>,
+    /// The shared wait whose expiry a starved shard withheld this step:
+    /// the flush re-fires the (full) inquiry and re-arms it.
+    withheld: Option<u64>,
     /// Per-target send groups (fan-in batching); insertion-ordered.
     fan_sends: Option<Vec<FanGroup<M>>>,
     /// Emit single-entry fan-in groups as `Batch` anyway (sharded joins:
@@ -755,6 +783,7 @@ impl<M, V> StepCtx<M, V> {
             out: Vec::new(),
             join_broadcast: None,
             join_timers: Vec::new(),
+            withheld: None,
             fan_sends: batch_fan_in.then(Vec::new),
             force_batch: batch_fan_in && force_batch,
         }
@@ -781,7 +810,7 @@ impl<P: RegisterProcess> RegisterSpace<P> {
     /// Panics if `regs` is empty, the instances disagree on identity, or
     /// any instance is not active.
     pub fn new_bootstrap(regs: Vec<P>) -> RegisterSpace<P> {
-        let mut space = RegisterSpace::assemble(regs);
+        let mut space = RegisterSpace::new_joiner(regs);
         assert!(
             space.regs.iter().all(|r| r.is_active()),
             "bootstrap instances must be active"
@@ -798,10 +827,6 @@ impl<P: RegisterProcess> RegisterSpace<P> {
     /// # Panics
     /// Panics if `regs` is empty or the instances disagree on identity.
     pub fn new_joiner(regs: Vec<P>) -> RegisterSpace<P> {
-        RegisterSpace::assemble(regs)
-    }
-
-    fn assemble(regs: Vec<P>) -> RegisterSpace<P> {
         assert!(!regs.is_empty(), "a register space needs at least one key");
         let id = regs[0].id();
         assert!(
@@ -813,29 +838,22 @@ impl<P: RegisterProcess> RegisterSpace<P> {
             regs,
             join_done: false,
             scratch: Vec::new(),
-            shard: ShardConfig::legacy(),
+            shard: ShardConfig::default(),
             my_shard: 0,
-            inquired: false,
-            last_inquiry: None,
             shard_heard: Vec::new(),
-            join_timer_delays: Vec::new(),
-            reinquire_armed: false,
-            retransmit: None,
-            retransmit_armed: false,
-            retransmit_attempts: 0,
-            retransmit_used: 0,
-            retransmit_seen: 0,
+            refire: JoinRefire::new(),
         }
     }
 
     /// Installs a join-reply shard configuration. `groups` is clamped to
     /// the key count (a shard owning no keys answers nothing and gates
     /// nothing); a clamped-to-1 (or explicit `G = 1`) config leaves the
-    /// space on the legacy full-reply path.
+    /// space on the full-reply path.
     pub fn with_shards(mut self, config: ShardConfig) -> RegisterSpace<P> {
         let groups = config.groups.min(self.regs.len() as u32).max(1);
         self.shard = ShardConfig { groups, ..config };
         self.my_shard = shard_of_node(self.id, groups);
+        self.refire.reinquire = (groups > 1).then_some(config.reinquire_every);
         self.shard_heard = if groups > 1 {
             vec![BTreeSet::new(); groups as usize]
         } else {
@@ -847,7 +865,7 @@ impl<P: RegisterProcess> RegisterSpace<P> {
     /// Installs (or clears) the bounded join-retransmit policy. Only an
     /// unsharded (`G = 1`) handshake uses it; see [`RetransmitConfig`].
     pub fn with_retransmit(mut self, config: Option<RetransmitConfig>) -> RegisterSpace<P> {
-        self.retransmit = config;
+        self.refire.policy = config;
         self
     }
 
@@ -866,74 +884,11 @@ impl<P: RegisterProcess> RegisterSpace<P> {
         &self.regs[key.as_raw() as usize]
     }
 
-    /// Whether `shard` met its reply quorum (joiner-side tracking; only
-    /// meaningful while `groups > 1`).
-    fn shard_quorum_met(&self, shard: u32) -> bool {
-        self.shard_heard[shard as usize].len() >= self.shard.quorum
-    }
-
     /// Total join replies gathered by still-joining instances, if any
     /// instance reports a count ([`RegisterProcess::join_replies`]).
-    fn joining_replies(&self) -> Option<usize> {
-        let mut total = None;
-        for r in &self.regs {
-            if !r.is_active() {
-                if let Some(n) = r.join_replies() {
-                    total = Some(total.unwrap_or(0) + n);
-                }
-            }
-        }
-        total
-    }
-
-    /// The silence timer fired (unsharded timer-less joins): re-broadcast
-    /// the inquiry if no reply arrived since the last beat, back the
-    /// window off, and re-arm — the spaced mirror of
-    /// [`SoloSpace::retransmit_fire`].
-    fn retransmit_fire(&mut self) -> Vec<SpaceEffect<SpaceMsg<P::Msg>, P::Val>> {
-        self.retransmit_armed = false;
-        let Some(cfg) = self.retransmit else {
-            return Vec::new();
-        };
-        if self.join_done {
-            return Vec::new();
-        }
-        let heard = self.joining_replies().unwrap_or(0);
-        let silent = heard <= self.retransmit_seen;
-        self.retransmit_seen = heard;
-        let mut out = Vec::new();
-        if silent {
-            if let Some(inner) = self.last_inquiry.clone() {
-                out.push(SpaceEffect::Broadcast {
-                    msg: SpaceMsg::JoinAll { inner, full: false },
-                });
-                out.push(SpaceEffect::Retransmit);
-            }
-            self.retransmit_attempts = (self.retransmit_attempts + 1).min(cfg.budget);
-        } else {
-            self.retransmit_attempts = 0;
-        }
-        out.push(SpaceEffect::SetTimer {
-            delay: cfg.backoff(self.retransmit_attempts),
-            tag: RETRANSMIT_TAG,
-        });
-        self.retransmit_armed = true;
-        out
-    }
-
-    /// Whether an expiring shared join wait must be intercepted (unsharded
-    /// timer-driven joins): the inquiry is out, every joining instance
-    /// gathered zero replies, and retry budget remains.
-    fn intercepts(&self, inner_tag: u64) -> bool {
-        let Some(cfg) = self.retransmit else {
-            return false;
-        };
-        self.shard.groups == 1
-            && !self.join_done
-            && self.inquired
-            && self.retransmit_used < cfg.budget
-            && self.joining_replies() == Some(0)
-            && self.join_timer_delays.iter().any(|&(t, _)| t == inner_tag)
+    fn joining_replies(regs: &[P]) -> Option<usize> {
+        let joining = regs.iter().filter(|r| !r.is_active());
+        joining.filter_map(P::join_replies).reduce(|a, b| a + b)
     }
 
     /// Routes one instance's raw effects into the step context.
@@ -963,12 +918,19 @@ impl<P: RegisterProcess> RegisterSpace<P> {
                     } else if ctx.join_broadcast.is_none() {
                         // Shared handshake: one inquiry covers every key
                         // (join-phase broadcasts are key-agnostic; module
-                        // docs, contract 1). The payload is remembered for
-                        // re-inquiries and retransmits; the first sharded
-                        // inquiry asks each responder only for its shard.
-                        self.inquired = true;
-                        self.last_inquiry = Some(msg.clone());
-                        ctx.join_broadcast = Some((msg, false));
+                        // docs, contract 1). The first sharded inquiry asks
+                        // each responder only for its shard; its re-fires
+                        // ask any responder for every key, so a starved
+                        // shard falls back to the full-state transfer
+                        // instead of wedging the join.
+                        let full = self.shard.groups > 1;
+                        self.refire
+                            .inquiry
+                            .get_or_insert_with(|| SpaceMsg::JoinAll {
+                                inner: msg.clone(),
+                                full,
+                            });
+                        ctx.join_broadcast = Some(msg);
                     }
                 }
                 Effect::SetTimer { delay, tag } => {
@@ -1000,60 +962,30 @@ impl<P: RegisterProcess> RegisterSpace<P> {
 
     /// Flushes the step context into the final effect list: direct effects
     /// first (their order is the instances' own), then the coalesced join
-    /// broadcast, shared timers, and batched fan-in replies. Sharded
-    /// spaces additionally record armed join-timer delays (for withheld
-    /// expiries to re-arm) and keep a re-inquiry timer outstanding for
-    /// protocols that arm none themselves.
+    /// broadcast, shared timers (recorded, so an expiry can re-arm itself),
+    /// the re-fire for a withheld expiry, the silence timer for protocols
+    /// that arm no join timer themselves, and batched fan-in replies.
     fn flush(
         &mut self,
         mut ctx: StepCtx<P::Msg, P::Val>,
     ) -> Vec<SpaceEffect<SpaceMsg<P::Msg>, P::Val>> {
         let mut out = ctx.out;
-        if let Some((inner, full)) = ctx.join_broadcast.take() {
-            out.push(SpaceEffect::Broadcast {
-                msg: SpaceMsg::JoinAll { inner, full },
-            });
+        if let Some(inner) = ctx.join_broadcast.take() {
+            let msg = SpaceMsg::JoinAll { inner, full: false };
+            out.push(SpaceEffect::Broadcast { msg });
         }
         for (delay, tag) in ctx.join_timers.drain(..) {
-            match self.join_timer_delays.iter_mut().find(|(t, _)| *t == tag) {
-                Some((_, d)) => *d = delay,
-                None => self.join_timer_delays.push((tag, delay)),
-            }
-            out.push(SpaceEffect::SetTimer {
-                delay,
-                tag: SHARED_TAG | tag,
-            });
+            let tag = SHARED_TAG | tag;
+            self.refire.record_wait(tag, delay);
+            out.push(SpaceEffect::SetTimer { delay, tag });
         }
-        if self.shard.groups > 1
-            && !self.join_done
-            && self.inquired
-            && !self.reinquire_armed
-            && self.join_timer_delays.is_empty()
-        {
-            // A timer-less (quorum) protocol inquired: the space itself
-            // re-fires the inquiry until every shard has answered.
-            out.push(SpaceEffect::SetTimer {
-                delay: self.shard.reinquire_every,
-                tag: REINQUIRE_TAG,
-            });
-            self.reinquire_armed = true;
+        if let Some(tag) = ctx.withheld {
+            self.refire.refire(&mut out, self.refire.wait(tag));
         }
-        if let Some(cfg) = self.retransmit {
-            if self.shard.groups == 1
-                && !self.join_done
-                && self.inquired
-                && !self.retransmit_armed
-                && self.join_timer_delays.is_empty()
-            {
-                // Unsharded timer-less join: arm the silence timer (the
-                // solo path arms the same one — `observe_join_step`).
-                out.push(SpaceEffect::SetTimer {
-                    delay: cfg.backoff(self.retransmit_attempts),
-                    tag: RETRANSMIT_TAG,
-                });
-                self.retransmit_armed = true;
-                self.retransmit_seen = self.joining_replies().unwrap_or(0);
-            }
+        if !self.join_done {
+            let regs = &self.regs;
+            let heard = || Self::joining_replies(regs).unwrap_or(0);
+            self.refire.arm(heard, &mut out);
         }
         if let Some(groups) = ctx.fan_sends.take() {
             for (to, mut entries) in groups {
@@ -1220,30 +1152,11 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
     }
 
     fn on_timer(&mut self, now: Time, tag: u64) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
-        if tag == RETRANSMIT_TAG {
-            // The unsharded silence timer — never forwarded to instances.
-            return self.retransmit_fire();
-        }
-        if tag == REINQUIRE_TAG {
-            // The space's own re-inquiry beat (timer-less protocols): while
-            // the shared join is incomplete, re-broadcast a full inquiry —
-            // any active process answers for every key, so a starved shard
-            // falls back to the legacy transfer instead of wedging.
-            self.reinquire_armed = false;
-            if self.join_done {
-                return Vec::new();
-            }
-            let mut out = Vec::new();
-            if let Some(inner) = self.last_inquiry.clone() {
-                out.push(SpaceEffect::Broadcast {
-                    msg: SpaceMsg::JoinAll { inner, full: true },
-                });
-            }
-            out.push(SpaceEffect::SetTimer {
-                delay: self.shard.reinquire_every,
-                tag: REINQUIRE_TAG,
-            });
-            self.reinquire_armed = true;
+        let mut out = Vec::new();
+        if tag == RETRANSMIT_TAG || tag == REINQUIRE_TAG {
+            // The space's own silence timer — never forwarded to instances.
+            let heard = Self::joining_replies(&self.regs).unwrap_or(0);
+            self.refire.beat(self.join_done, heard, &mut out);
             return out;
         }
         if tag & SHARED_TAG != 0 {
@@ -1254,44 +1167,27 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
             // timer re-fires the inquiry (full fallback) and re-arms.
             // Multi-instance step → per-target sends batch, so postponed
             // replies flushed at activation stay one message per inquirer.
-            let inner_tag = tag & !SHARED_TAG;
-            if self.intercepts(inner_tag) {
-                // Unsharded zero-reply expiry: re-fire the inquiry and
-                // re-arm the same wait instead of dispatching (which would
-                // blind-activate every key at ⊥) — the spaced mirror of the
-                // solo interception, effect for effect.
-                self.retransmit_used += 1;
-                let mut out = Vec::new();
-                if let Some(inner) = self.last_inquiry.clone() {
-                    out.push(SpaceEffect::Broadcast {
-                        msg: SpaceMsg::JoinAll { inner, full: false },
-                    });
-                    out.push(SpaceEffect::Retransmit);
-                }
-                if let Some(&(t, delay)) = self
-                    .join_timer_delays
-                    .iter()
-                    .find(|&&(t, _)| t == inner_tag)
-                {
-                    out.push(SpaceEffect::SetTimer {
-                        delay,
-                        tag: SHARED_TAG | t,
-                    });
-                }
+            let groups = self.shard.groups;
+            let (regs, done) = (&self.regs, self.join_done);
+            let heard = || Self::joining_replies(regs);
+            if self.refire.intercept(done, tag, heard, &mut out) {
+                // An unsharded zero-reply expiry: dispatching it would
+                // blind-activate every key at ⊥.
                 return out;
             }
-            let groups = self.shard.groups;
+            let inner_tag = tag & !SHARED_TAG;
             // Snapshot the gate before stepping: the first dispatched
             // instance may broadcast the inquiry (flipping `inquired`)
             // mid-step, and pre-inquiry waits must dispatch to every key.
-            let gate = groups > 1 && self.inquired && !self.join_done;
+            let gate = groups > 1 && self.refire.inquiry.is_some() && !self.join_done;
             let mut ctx = StepCtx::new(self.regs.len() > 1, groups > 1);
             let mut withheld = false;
             for raw in 0..self.regs.len() as u32 {
                 if self.regs[raw as usize].is_active() {
                     continue;
                 }
-                if gate && !self.shard_quorum_met(shard_of_key(RegisterId::from_raw(raw), groups)) {
+                let shard = shard_of_key(RegisterId::from_raw(raw), groups) as usize;
+                if gate && self.shard_heard[shard].len() < self.shard.quorum {
                     withheld = true;
                     continue;
                 }
@@ -1299,23 +1195,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
                     scratch.append(&mut reg.on_timer(now, inner_tag));
                 });
             }
-            if withheld {
-                debug_assert!(groups > 1, "only sharded spaces withhold expiries");
-                if ctx.join_broadcast.is_none() {
-                    if let Some(inner) = self.last_inquiry.clone() {
-                        ctx.join_broadcast = Some((inner, true));
-                    }
-                }
-                if let Some(&(t, delay)) = self
-                    .join_timer_delays
-                    .iter()
-                    .find(|&&(t, _)| t == inner_tag)
-                {
-                    if !ctx.join_timers.contains(&(delay, t)) {
-                        ctx.join_timers.push((delay, t));
-                    }
-                }
-            }
+            ctx.withheld = withheld.then_some(tag);
             self.flush(ctx)
         } else {
             let key = RegisterId::from_raw((tag >> KEY_TAG_SHIFT) as u32);
@@ -1902,6 +1782,7 @@ mod tests {
     fn one_group_sharding_is_the_legacy_handshake() {
         // G = 1 through the shard-config path produces exactly the legacy
         // effect streams: the equivalence oracle at the unit level.
+        assert_eq!(ShardConfig::default(), ShardConfig::new(1));
         let mut legacy = bootstrap_space(0, 5);
         let mut sharded = sharded_bootstrap(0, 5, 1);
         for full in [false, true] {
@@ -2430,5 +2311,125 @@ mod tests {
             .payload_count(),
             2
         );
+    }
+
+    /// The join a re-fire machine serves: timer-driven (the protocol armed
+    /// join wait 2) or quorum-driven, in an unsharded or a sharded space.
+    enum Join {
+        Timed,
+        Quorum,
+        ShardedTimed,
+        Sharded,
+    }
+
+    /// One input to the re-fire machine.
+    enum Step {
+        /// A join-phase step closed (decision 1) with this many replies in.
+        Arm(usize),
+        /// The silence timer fired (decision 2): `(done, heard)`.
+        Beat(bool, usize),
+        /// Join wait 2 expired (decision 3): `(done, heard)`.
+        Expire(bool, Option<usize>),
+    }
+
+    #[test]
+    fn join_refire_decisions() {
+        use Join::*;
+        use Step::*;
+        type Fx = SpaceEffect<u8, u64>;
+        type Case = (&'static str, Join, Vec<(Step, Vec<Fx>)>);
+        let timer = |ticks, tag| Fx::SetTimer {
+            delay: Span::ticks(ticks),
+            tag,
+        };
+        let silence = |ticks| timer(ticks, RETRANSMIT_TAG);
+        let refired = |rearm| vec![Fx::Broadcast { msg: 7 }, Fx::Retransmit, rearm];
+        let reinquiry = || vec![Fx::Broadcast { msg: 7 }, timer(12, REINQUIRE_TAG)];
+        // (case, the join's kind, steps and what each must emit — an
+        // expiry emitting nothing was not consumed).
+        let table: Vec<Case> = vec![
+            (
+                "budget exhaustion lets the expiry dispatch (blind ⊥ activation)",
+                Timed,
+                vec![
+                    (Arm(0), vec![]),
+                    (Expire(false, Some(0)), refired(timer(6, 2))),
+                    (Expire(false, Some(0)), refired(timer(6, 2))),
+                    (Expire(false, Some(0)), vec![]),
+                ],
+            ),
+            (
+                "a gathered reply, or no reply count at all, stands down",
+                Timed,
+                vec![
+                    (Expire(false, Some(1)), vec![]),
+                    (Expire(false, None), vec![]),
+                ],
+            ),
+            (
+                "the window plateaus at base << budget",
+                Quorum,
+                vec![
+                    (Arm(0), vec![silence(8)]),
+                    (Arm(0), vec![]),
+                    (Beat(false, 0), refired(silence(16))),
+                    (Beat(false, 0), refired(silence(32))),
+                    (Beat(false, 0), refired(silence(32))),
+                ],
+            ),
+            (
+                "progress resets the exponent; a duplicate reply is not progress",
+                Quorum,
+                vec![
+                    (Arm(0), vec![silence(8)]),
+                    (Beat(false, 0), refired(silence(16))),
+                    (Beat(false, 1), vec![silence(8)]),
+                    (Beat(false, 1), refired(silence(16))),
+                ],
+            ),
+            (
+                "nothing is emitted once the join is done",
+                Timed,
+                vec![(Expire(true, Some(0)), vec![]), (Beat(true, 0), vec![])],
+            ),
+            (
+                "the sharded pace beats unconditionally, uncounted, at one period",
+                Sharded,
+                vec![
+                    (Arm(0), vec![timer(12, REINQUIRE_TAG)]),
+                    (Beat(false, 0), reinquiry()),
+                    (Beat(false, 5), reinquiry()),
+                ],
+            ),
+            (
+                "a sharded space never intercepts",
+                ShardedTimed,
+                vec![(Expire(false, Some(0)), vec![])],
+            ),
+        ];
+        for (case, join, steps) in table {
+            let mut m = JoinRefire::new();
+            m.policy = Some(RetransmitConfig::after(Span::ticks(8)).with_budget(2));
+            m.inquiry = Some(7u8);
+            match join {
+                Timed | ShardedTimed => m.record_wait(2, Span::ticks(6)),
+                Quorum | Sharded => {}
+            }
+            if matches!(join, Sharded | ShardedTimed) {
+                m.reinquire = Some(Span::ticks(12));
+            }
+            for (i, (step, want)) in steps.into_iter().enumerate() {
+                let mut out = Vec::new();
+                match step {
+                    Arm(heard) => m.arm(|| heard, &mut out),
+                    Beat(done, heard) => m.beat(done, heard, &mut out),
+                    Expire(done, heard) => {
+                        let consumed = m.intercept(done, 2, || heard, &mut out);
+                        assert_eq!(consumed, !out.is_empty(), "{case}: step {i}");
+                    }
+                }
+                assert_eq!(out, want, "{case}: step {i}");
+            }
+        }
     }
 }

@@ -190,55 +190,6 @@ impl<V: Value> SyncRegister<V> {
         }
     }
 
-    /// Figure 1 lines 13–17 and Figure 2 lines 03–04: the message handlers,
-    /// in push form so the delivery fast path appends into a reused buffer.
-    fn handle_message(
-        &mut self,
-        _now: Time,
-        from: NodeId,
-        msg: SyncMsg<V>,
-        out: &mut Vec<Effect<SyncMsg<V>, V>>,
-    ) {
-        match msg {
-            // Figure 1, lines 13–16.
-            SyncMsg::Inquiry => {
-                if self.active {
-                    // Line 14: immediate REPLY.
-                    out.push(Effect::Send {
-                        to: from,
-                        msg: SyncMsg::Reply {
-                            value: self.register.clone(),
-                            sn: self.sn,
-                        },
-                    });
-                } else {
-                    // Line 15: postpone until active.
-                    if !self.reply_to.contains(&from) {
-                        self.reply_to.push(from);
-                    }
-                }
-            }
-            // Figure 1, line 17 — folded on arrival; among equal
-            // `(sn, sender)` keys the last wins. An active process reads none.
-            SyncMsg::Reply { value, sn } => {
-                if self.phase != JoinPhase::Done {
-                    self.reply_count += 1;
-                    let best = self.best_reply.as_ref();
-                    if best.is_none_or(|(s, id, _)| (sn, from) >= (*s, *id)) {
-                        self.best_reply = Some((sn, from, value));
-                    }
-                }
-            }
-            // Figure 2, lines 03–04.
-            SyncMsg::Write { value, sn } => {
-                if sn > self.sn {
-                    self.register = Some(value);
-                    self.sn = sn;
-                }
-            }
-        }
-    }
-
     /// A process about to enter the system; `join_op` identifies its join
     /// operation in the recorded history.
     pub fn new_joiner(id: NodeId, config: SyncConfig, join_op: OpId) -> SyncRegister<V> {
@@ -400,28 +351,55 @@ impl<V: Value> RegisterProcess for SyncRegister<V> {
         }
     }
 
-    fn on_message(
-        &mut self,
-        now: Time,
-        from: NodeId,
-        msg: SyncMsg<V>,
-    ) -> Vec<Effect<SyncMsg<V>, V>> {
-        let mut out = Vec::new();
-        self.handle_message(now, from, msg, &mut out);
-        out
-    }
-
-    // Message delivery is the simulator's hottest edge (every INQUIRY in a
-    // join wave lands here once per process); the buffered form makes it
-    // allocation-free.
+    /// Figure 1 lines 13–17 and Figure 2 lines 03–04. Message delivery is
+    /// the simulator's hottest edge (every INQUIRY in a join wave lands here
+    /// once per process); appending into the runtime's reused buffer makes
+    /// it allocation-free.
     fn on_message_into(
         &mut self,
-        now: Time,
+        _now: Time,
         from: NodeId,
         msg: SyncMsg<V>,
         out: &mut Vec<Effect<SyncMsg<V>, V>>,
     ) {
-        self.handle_message(now, from, msg, out);
+        match msg {
+            // Figure 1, lines 13–16.
+            SyncMsg::Inquiry => {
+                if self.active {
+                    // Line 14: immediate REPLY.
+                    out.push(Effect::Send {
+                        to: from,
+                        msg: SyncMsg::Reply {
+                            value: self.register.clone(),
+                            sn: self.sn,
+                        },
+                    });
+                } else {
+                    // Line 15: postpone until active.
+                    if !self.reply_to.contains(&from) {
+                        self.reply_to.push(from);
+                    }
+                }
+            }
+            // Figure 1, line 17 — folded on arrival; among equal
+            // `(sn, sender)` keys the last wins. An active process reads none.
+            SyncMsg::Reply { value, sn } => {
+                if self.phase != JoinPhase::Done {
+                    self.reply_count += 1;
+                    let best = self.best_reply.as_ref();
+                    if best.is_none_or(|(s, id, _)| (sn, from) >= (*s, *id)) {
+                        self.best_reply = Some((sn, from, value));
+                    }
+                }
+            }
+            // Figure 2, lines 03–04.
+            SyncMsg::Write { value, sn } => {
+                if sn > self.sn {
+                    self.register = Some(value);
+                    self.sn = sn;
+                }
+            }
+        }
     }
 
     /// `operation read()` — Figure 2: purely local, zero latency.

@@ -310,8 +310,10 @@ pub enum TickPhase {
 
 /// Wall-clock accounting per tick phase.
 ///
-/// Purely diagnostic: durations are measured around the simulator's
-/// dispatch sites and never influence simulated time, so profiles vary
+/// Purely diagnostic: the event loop stamps the wall-clock where it moves
+/// from one phase to the next — a batch of same-class events shares one
+/// stamp, and the phases sum to the loop's wall-clock — and the durations
+/// never influence simulated time, so profiles vary
 /// run-to-run while the event stream stays byte-identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TickProfile {
@@ -334,17 +336,18 @@ pub struct TickProfile {
 }
 
 impl TickProfile {
-    /// Adds `elapsed` to the bucket for `phase`.
-    pub fn add(&mut self, phase: TickPhase, elapsed: Duration) {
+    /// Adds `elapsed`, spent on a batch of `events` events, to the bucket
+    /// for `phase` (only deliveries and timers count events).
+    pub fn add(&mut self, phase: TickPhase, elapsed: Duration, events: u64) {
         let secs = elapsed.as_secs_f64();
         match phase {
             TickPhase::Deliver => {
                 self.deliver_secs += secs;
-                self.deliver_events += 1;
+                self.deliver_events += events;
             }
             TickPhase::Timer => {
                 self.timer_secs += secs;
-                self.timer_events += 1;
+                self.timer_events += events;
             }
             TickPhase::Churn => self.churn_secs += secs,
             TickPhase::Workload => self.workload_secs += secs,
@@ -476,10 +479,9 @@ mod tests {
     #[test]
     fn tick_profile_accumulates_by_phase() {
         let mut p = TickProfile::default();
-        p.add(TickPhase::Deliver, Duration::from_millis(2));
-        p.add(TickPhase::Deliver, Duration::from_millis(1));
-        p.add(TickPhase::Timer, Duration::from_millis(4));
-        p.add(TickPhase::Churn, Duration::from_millis(8));
+        p.add(TickPhase::Deliver, Duration::from_millis(3), 2);
+        p.add(TickPhase::Timer, Duration::from_millis(4), 1);
+        p.add(TickPhase::Churn, Duration::from_millis(8), 0);
         p.ticks = 3;
         assert_eq!(p.deliver_events, 2);
         assert_eq!(p.timer_events, 1);

@@ -81,7 +81,7 @@ pub trait SpaceFactory {
 /// Every protocol factory is a 1-key space factory: instances are wrapped
 /// in the transparent [`SoloSpace`] adapter, so the wire format (raw
 /// protocol messages, no key tags) and the event stream are byte-identical
-/// to driving the protocol directly — this *is* the pre-redesign path.
+/// to driving the protocol directly — the 1-key fast path.
 impl<F: ProtocolFactory> SpaceFactory for F {
     type Proc = SoloSpace<F::Proc>;
 
@@ -121,8 +121,8 @@ pub struct SpaceOf<F> {
 }
 
 impl<F> SpaceOf<F> {
-    /// A `keys`-key space over `inner`'s protocol, with the legacy
-    /// full-reply join handshake.
+    /// A `keys`-key space over `inner`'s protocol, with the full-reply
+    /// (`G = 1`) join handshake.
     ///
     /// # Panics
     /// Panics if `keys` is zero.
@@ -131,12 +131,12 @@ impl<F> SpaceOf<F> {
         SpaceOf {
             inner,
             keys,
-            shard: ShardConfig::legacy(),
+            shard: ShardConfig::default(),
         }
     }
 
     /// Shards join replies over `config.groups` responder groups
-    /// (`G = 1` keeps the legacy full-reply handshake; see
+    /// (`G = 1` keeps the full-reply handshake; see
     /// [`dynareg_core::space`]).
     pub fn with_shards(mut self, config: ShardConfig) -> SpaceOf<F> {
         self.shard = config;
@@ -188,10 +188,10 @@ impl<F: ProtocolFactory> SpaceFactory for SpaceOf<F> {
         match msg {
             // A full re-inquiry is the sharded handshake's starvation
             // fallback — only ever sent when `G > 1`, so the distinct
-            // label cannot perturb a legacy run's label streams. A high
+            // label cannot perturb an unsharded run's label streams. A high
             // INQUIRY_FULL count is the operational signal that shard
             // quorums keep starving (e.g. `G` too large for `n`) and
-            // joins are degrading to the legacy full-state transfer.
+            // joins are degrading to the full-state transfer.
             SpaceMsg::JoinAll { full: true, .. } => "INQUIRY_FULL",
             SpaceMsg::Keyed { inner, .. } | SpaceMsg::JoinAll { inner, .. } => F::msg_label(inner),
             SpaceMsg::Batch { .. } => "BATCH",
@@ -373,9 +373,9 @@ mod tests {
                 .groups,
             2
         );
-        // The default is the legacy handshake.
-        let legacy = SpaceOf::new(SyncFactory::new(SyncConfig::new(Span::ticks(3))), 2);
-        assert_eq!(legacy.shard_config(), ShardConfig::legacy());
+        // The default is the full-reply handshake.
+        let plain = SpaceOf::new(SyncFactory::new(SyncConfig::new(Span::ticks(3))), 2);
+        assert_eq!(plain.shard_config(), ShardConfig::new(1));
     }
 
     #[test]

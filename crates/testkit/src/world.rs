@@ -47,7 +47,7 @@ use dynareg_core::space::{RegisterSpaceProcess, SpaceEffect};
 use dynareg_core::OpOutcome;
 use dynareg_net::{Fanout, Network, Presence};
 use dynareg_sim::metrics::Metrics;
-use dynareg_sim::obs::TickPhase;
+use dynareg_sim::obs::{TickPhase, TickProfile};
 use dynareg_sim::trace::{TraceEvent, TraceLog};
 use dynareg_sim::{DetRng, EventQueue, NodeId, OpId, RegisterId, Span, Time};
 use dynareg_verify::{History, SpaceHistory};
@@ -135,6 +135,69 @@ enum Pending<M> {
         tag: u64,
     },
     Tick,
+}
+
+/// Told by the main loop which phase each piece of work belongs to. The
+/// loop is generic over it: with [`NoClock`] the calls compile to nothing,
+/// so an unprofiled run reads no clock and keeps no account.
+trait PhaseClock {
+    /// The loop enters `phase`: once per delivery or timer event, once per
+    /// sub-phase of a tick.
+    fn enter(&mut self, phase: TickPhase);
+}
+
+/// The unprofiled run's clock.
+struct NoClock;
+
+impl PhaseClock for NoClock {
+    #[inline(always)]
+    fn enter(&mut self, _phase: TickPhase) {}
+}
+
+/// The tick profiler: reads the wall-clock only where the phase *changes*.
+/// The queue drains an instant's deliveries, then its timers, then the
+/// tick, so a whole lane shares one stamp — five reads per tick, however
+/// many events it holds — and each stamp both closes one phase and opens
+/// the next, so the phases sum to the loop's wall-clock.
+struct WallClock {
+    profile: TickProfile,
+    phase: TickPhase,
+    since: std::time::Instant,
+    /// Events entered since the last stamp.
+    events: u64,
+}
+
+impl WallClock {
+    #[allow(clippy::disallowed_methods)] // profiler timing, outside the simulation clock
+    fn start(profile: TickProfile) -> WallClock {
+        WallClock {
+            profile,
+            phase: TickPhase::Deliver,
+            since: std::time::Instant::now(), // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
+            events: 0,
+        }
+    }
+
+    /// Closes the open phase's account and opens `next`'s.
+    #[allow(clippy::disallowed_methods)] // profiler timing, outside the simulation clock
+    fn stamp(&mut self, next: TickPhase) {
+        let now = std::time::Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
+        self.profile.add(self.phase, now - self.since, self.events);
+        (self.phase, self.since, self.events) = (next, now, 0);
+    }
+}
+
+impl PhaseClock for WallClock {
+    fn enter(&mut self, phase: TickPhase) {
+        if phase != self.phase {
+            self.stamp(phase);
+            if phase == TickPhase::Churn {
+                // A tick opens with its churn phase.
+                self.profile.ticks += 1;
+            }
+        }
+        self.events += 1;
+    }
 }
 
 /// Who issues writes.
@@ -526,39 +589,21 @@ where
         if let Some(tick) = self.parked_tick.take_if(|t| *t <= end) {
             self.queue.schedule_class(tick, CLASS_TICK, Pending::Tick);
         }
-        if self.obs.as_deref().is_some_and(|o| o.cfg.tick_profile) {
-            self.run_until_profiled(end);
-            return;
-        }
-        while let Some(t) = self.queue.peek_time() {
-            if t > end {
-                break;
+        let profiled = self.obs.as_deref().filter(|o| o.cfg.tick_profile);
+        match profiled.map(|o| o.profile) {
+            Some(profile) => {
+                let mut clock = WallClock::start(profile);
+                self.run_loop(end, &mut clock);
+                clock.stamp(TickPhase::Deliver);
+                if let Some(obs) = self.obs.as_deref_mut() {
+                    obs.profile = clock.profile;
+                }
             }
-            let ev = self.queue.pop().expect("peeked");
-            self.now = ev.time;
-            match ev.payload {
-                Pending::Deliver {
-                    from,
-                    to,
-                    slot,
-                    label,
-                    seq,
-                    msg,
-                } => self.handle_delivery(from, to, slot, label, seq, msg),
-                Pending::Fan { fan, idx, slot } => self.handle_fan(fan, idx, slot),
-                Pending::Timer { node, slot, tag } => self.handle_timer(node, slot, tag),
-                Pending::Tick => self.handle_tick(),
-            }
+            None => self.run_loop(end, &mut NoClock),
         }
-        self.now = end;
     }
 
-    /// The profiled twin of the main loop: identical dispatch, plus a
-    /// wall-clock stamp around each event class. Kept separate so the
-    /// unprofiled path carries no `Instant` reads.
-    #[allow(clippy::disallowed_methods)] // profiler timing, outside the simulation clock
-    fn run_until_profiled(&mut self, end: Time) {
-        use std::time::Instant;
+    fn run_loop<C: PhaseClock>(&mut self, end: Time, clock: &mut C) {
         while let Some(t) = self.queue.peek_time() {
             if t > end {
                 break;
@@ -574,31 +619,21 @@ where
                     seq,
                     msg,
                 } => {
-                    let t0 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
+                    clock.enter(TickPhase::Deliver);
                     self.handle_delivery(from, to, slot, label, seq, msg);
-                    self.profile_add(TickPhase::Deliver, t0.elapsed());
                 }
                 Pending::Fan { fan, idx, slot } => {
-                    let t0 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
+                    clock.enter(TickPhase::Deliver);
                     self.handle_fan(fan, idx, slot);
-                    self.profile_add(TickPhase::Deliver, t0.elapsed());
                 }
                 Pending::Timer { node, slot, tag } => {
-                    let t0 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
+                    clock.enter(TickPhase::Timer);
                     self.handle_timer(node, slot, tag);
-                    self.profile_add(TickPhase::Timer, t0.elapsed());
                 }
-                Pending::Tick => self.handle_tick_profiled(),
+                Pending::Tick => self.handle_tick(clock),
             }
         }
         self.now = end;
-    }
-
-    #[inline]
-    fn profile_add(&mut self, phase: TickPhase, elapsed: std::time::Duration) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.profile.add(phase, elapsed);
-        }
     }
 
     fn handle_fan(
@@ -715,12 +750,15 @@ where
         }
     }
 
-    fn handle_tick(&mut self) {
+    fn handle_tick<C: PhaseClock>(&mut self, clock: &mut C) {
+        clock.enter(TickPhase::Churn);
         self.apply_scripted_membership();
         if self.now > Time::ZERO {
             self.apply_churn();
         }
+        clock.enter(TickPhase::Workload);
         self.apply_workload();
+        clock.enter(TickPhase::Sample);
         self.sample_gauges();
         self.obs_tick_row();
         self.chain_tick();
@@ -735,31 +773,6 @@ where
         } else {
             self.parked_tick = Some(next);
         }
-    }
-
-    /// The profiled twin of [`World::handle_tick`]: same work, with each
-    /// sub-phase (membership, workload, sampling) stamped separately.
-    #[allow(clippy::disallowed_methods)] // profiler timing, outside the simulation clock
-    fn handle_tick_profiled(&mut self) {
-        use std::time::Instant;
-        let t0 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
-        self.apply_scripted_membership();
-        if self.now > Time::ZERO {
-            self.apply_churn();
-        }
-        let t1 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
-        self.apply_workload();
-        let t2 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
-        self.sample_gauges();
-        self.obs_tick_row();
-        let t3 = Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.profile.add(TickPhase::Churn, t1 - t0);
-            obs.profile.add(TickPhase::Workload, t2 - t1);
-            obs.profile.add(TickPhase::Sample, t3 - t2);
-            obs.profile.ticks += 1;
-        }
-        self.chain_tick();
     }
 
     /// Appends one timeseries row if the recorder is on and the cadence

@@ -5,12 +5,13 @@
 //! (sync + ES) and churn plans.
 //!
 //! `ScenarioSpec::run()` takes the solo fast path (raw protocol messages,
-//! the pre-redesign engine); `ScenarioSpec::run_spaced()` forces the same
-//! spec through the `RegisterSpace` multiplexer and its `SpaceMsg` wire
-//! layer. Their event-stream digests must collide exactly.
+//! no envelope); `ScenarioSpec::run_spaced()` — the reference — forces the
+//! same spec through the `RegisterSpace` multiplexer and its `SpaceMsg`
+//! wire layer. Their event-stream digests must collide exactly.
 
 use dynareg::churn::LeaveSelector;
 use dynareg::fleet::run_digest;
+use dynareg::net::{DropRule, FaultPlan};
 use dynareg::sim::{Span, Time};
 use dynareg::testkit::{RunReport, Scenario};
 use proptest::prelude::*;
@@ -99,114 +100,36 @@ proptest! {
     }
 }
 
-/// The **shard-config plumbing at `G = 1`** is the other equivalence
-/// oracle this suite pins: a multi-key world built through
-/// `SpaceOf::with_shards(ShardConfig::new(1))` must observe exactly what
-/// the legacy constructor path (no shard config attached) observes — the
-/// sharded joiner bookkeeping, batch filtering and fallback machinery are
-/// all conditioned on `groups > 1` and may not leak a single event. CI
-/// additionally `cmp`s `exp_space_throughput --shards 1` against
-/// `--legacy` digests.
-mod sharded_g1 {
-    use dynareg::churn::{ChurnDriver, ConstantRate, LeaveSelector};
-    use dynareg::net::delay::Synchronous;
-    use dynareg::sim::{IdSource, NodeId, Span, Time};
-    use dynareg::testkit::{
-        EsFactory, RegisterSpaceProcess, ShardConfig, SpaceFactory, SpaceOf, SyncFactory, World,
-        WorldConfig, WriterPolicy, ZipfKeys, ZipfWorkload,
-    };
-    use dynareg_core::es::EsConfig;
-    use dynareg_core::sync::SyncConfig;
-    use proptest::prelude::*;
-
-    /// Everything observable about a keyed world: every key's op stream,
-    /// the membership totals, and the per-label message streams.
-    fn observe<F>(
-        factory: F,
-        n: usize,
-        keys: u32,
-        churn: f64,
-        seed: u64,
-    ) -> (String, u64, u64, Vec<(&'static str, u64)>)
-    where
-        F: SpaceFactory,
-        F::Proc: RegisterSpaceProcess<Val = u64>,
-    {
-        let delta = Span::ticks(3);
-        let mut world = World::new(
-            factory,
-            WorldConfig {
-                n,
-                initial: 0,
-                delay: Box::new(Synchronous::new(delta)),
-                churn: ChurnDriver::new(
-                    Box::new(ConstantRate::new(churn)),
-                    LeaveSelector::Random,
-                    IdSource::starting_at(n as u64),
-                ),
-                workload: Box::new(
-                    ZipfWorkload::new(ZipfKeys::new(keys, 1.0), delta.times(3), 1.0)
-                        .stopping_at(Time::at(130)),
-                ),
-                seed,
-                trace: false,
-                writer_policy: WriterPolicy::FixedProtected,
-                writers: 1,
-            },
-        );
-        world.protect(NodeId::from_raw(0));
-        world.run_until(Time::at(160));
-        let (space, presence, _metrics, _trace, network) = world.into_space_outputs();
-        let mut ops = String::new();
-        for (_, h) in space.iter() {
-            ops.push_str(&format!("{:?}", h.ops()));
-        }
-        (
-            ops,
-            presence.total_arrivals() as u64,
-            network.total_sent(),
-            network.sent_by_label().collect(),
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        #[test]
-        fn g1_sync_space_equals_legacy_constructor_path(
-            n in 5usize..16,
-            keys in 2u32..6,
-            churn_plan in 0usize..3,
-            seed in 0u64..1_000_000,
-        ) {
-            let churn = [0.0, 0.01, 0.03][churn_plan];
-            let f = SyncFactory::new(SyncConfig::new(Span::ticks(3)));
-            let legacy = observe(SpaceOf::new(f, keys), n, keys, churn, seed);
-            let sharded = observe(
-                SpaceOf::new(f, keys).with_shards(ShardConfig::new(1)),
-                n,
-                keys,
-                churn,
-                seed,
-            );
-            prop_assert_eq!(legacy, sharded);
-        }
-    }
-
-    #[test]
-    fn g1_es_space_equals_legacy_constructor_path() {
+/// The join re-fire paths under loss: a seeded drop window closing
+/// mid-run makes sync joiners intercept zero-reply expiries and ES joiners
+/// beat their silence timers, and the solo and spaced worlds must re-fire
+/// at the same instants, the same number of times — before, during and
+/// after the window.
+#[test]
+fn one_key_lossy_space_equals_legacy_world_through_retransmits() {
+    let delta = Span::ticks(4);
+    // Sync intercepts only an expiry that gathered *zero* replies, so its
+    // window is near-total; ES re-fires on any silent beat.
+    let sync = (Scenario::synchronous(15, delta), 0.9);
+    let es = (Scenario::eventually_synchronous(15, delta, Time::ZERO), 0.4);
+    for (base, loss) in [sync, es] {
+        let mut retransmits = 0;
         for seed in 0..4 {
-            let f = EsFactory::new(EsConfig::new(9));
-            let legacy = observe(SpaceOf::new(f, 4), 9, 4, 0.005, seed);
-            let sharded = observe(
-                SpaceOf::new(f, 4).with_shards(ShardConfig::new(1)),
-                9,
-                4,
-                0.005,
-                seed,
-            );
-            assert_eq!(legacy, sharded);
+            let window = DropRule::lossy_everything(Time::ZERO, Time::at(180), loss);
+            let spec = base
+                .clone()
+                .churn_rate(0.005)
+                .duration(Span::ticks(400))
+                .drain(Span::ticks(150))
+                .seed(seed)
+                .faults(FaultPlan::default().with_drop(window))
+                .into_spec();
+            let (solo, spaced) = (spec.run(), spec.run_spaced());
+            assert_eq!(solo.join_retransmits(), spaced.join_retransmits());
+            assert_equivalent(&solo, &spaced);
+            retransmits += solo.join_retransmits();
         }
+        assert!(retransmits > 0, "{loss} loss never re-fired a join");
     }
 }
 
