@@ -1106,17 +1106,30 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
         msg: Self::Msg,
         out: &mut Vec<SpaceEffect<Self::Msg, Self::Val>>,
     ) {
-        // Only the handshake's fan-in messages batch per-target sends; the
-        // step appends straight into the runtime's buffer (`flush` returns it).
-        let batching = self.regs.len() > 1 && !matches!(msg, SpaceMsg::Keyed { .. });
-        let mut ctx = StepCtx::new(batching, self.shard.groups > 1);
+        if let SpaceMsg::Keyed { key, inner } = msg {
+            debug_assert!(self.scratch.is_empty());
+            let reg = &mut self.regs[key.as_raw() as usize];
+            reg.on_message_into(now, from, inner, &mut self.scratch);
+            // Steady state's common delivery — a `WRITE` already applied
+            // or stale — emits nothing, and once the join is done a flush
+            // adds nothing of its own: leave before any context is built.
+            if self.scratch.is_empty() && self.join_done {
+                return;
+            }
+            let mut scratch = std::mem::take(&mut self.scratch);
+            let mut ctx = StepCtx::new(false, false);
+            ctx.out = std::mem::take(out);
+            self.route(key, &mut ctx, &mut scratch);
+            self.scratch = scratch;
+            *out = self.flush(ctx);
+            return;
+        }
+        // The handshake's fan-in messages batch per-target sends; the step
+        // appends straight into the runtime's buffer (`flush` returns it).
+        let mut ctx = StepCtx::new(self.regs.len() > 1, self.shard.groups > 1);
         ctx.out = std::mem::take(out);
         match msg {
-            SpaceMsg::Keyed { key, inner } => {
-                self.step_one(key, &mut ctx, |reg, scratch| {
-                    reg.on_message_into(now, from, inner, scratch);
-                });
-            }
+            SpaceMsg::Keyed { .. } => unreachable!("stepped above"),
             SpaceMsg::JoinAll { inner, full } => {
                 // Fan the shared inquiry into every instance — or, on a
                 // sharded space answering a non-full inquiry, into this

@@ -16,7 +16,10 @@
 //! schedule and pop on the hot path (a `BinaryHeap` pays O(log n) per
 //! operation against a three-way comparator). Each bucket keeps per-class
 //! FIFO lanes, so the (time, class, seq) total order is positional rather
-//! than compared. The rare far-future event (long timers, `Time::MAX`
+//! than compared. A bucket that drains hands its lane buffers to a free
+//! list the next bucket to fill takes from, so the queue's memory follows
+//! the *live horizon* (the handful of buckets that hold events), not the
+//! wheel's size. The rare far-future event (long timers, `Time::MAX`
 //! sentinels) parks in a sorted overflow map and migrates into the wheel
 //! as the cursor approaches — a two-level hierarchy in the style of
 //! hashed-and-hierarchical timing wheels.
@@ -31,8 +34,11 @@ use crate::time::Time;
 
 /// Number of one-tick buckets in the near wheel. Events further than this
 /// from the cursor go to the overflow level. 256 comfortably covers the
-/// protocols' `3δ` horizons for any realistic `δ` while keeping the wheel
-/// a few KiB.
+/// protocols' `3δ` horizons for any realistic `δ`. The wheel's size does
+/// not set the queue's memory: an empty bucket owns no lane buffer (see
+/// [`Bucket`]), so 256 buckets cost their headers and a lane index of a
+/// few entries each, and the buffers are as many as the lanes that hold
+/// events right now.
 const WHEEL_SLOTS: u64 = 256;
 
 /// An event drawn from the queue: the instant it fires at and its payload.
@@ -49,14 +55,22 @@ pub struct ScheduledEvent<E> {
     pub payload: E,
 }
 
+/// A lane's buffer: `(seq, payload)` in FIFO order.
+type Lane<E> = VecDeque<(u64, E)>;
+
 /// One wheel bucket: per-class FIFO lanes, kept sorted by class.
 ///
-/// A lane that drains keeps its (empty) deque: the slot recycles every
-/// [`WHEEL_SLOTS`] ticks and the same ordering classes come back, so the
-/// allocation is reused instead of churned.
+/// A bucket owns lane buffers only while it holds events. Its first push
+/// per class takes a buffer from the queue's free list, and the pop that
+/// empties the bucket puts every buffer back — last in, first out, so the
+/// buffer the next bucket picks up is the one just drained and still in
+/// cache. A simulation whose events land within `h` ticks of the cursor
+/// therefore keeps about `h + 1` buckets' worth of buffers, each grown to
+/// the longest lane it has held, instead of [`WHEEL_SLOTS`] high-water
+/// buffers that every new queue must page in afresh.
 #[derive(Debug)]
 struct Bucket<E> {
-    lanes: Vec<(u8, VecDeque<(u64, E)>)>,
+    lanes: Vec<(u8, Lane<E>)>,
     len: usize,
 }
 
@@ -70,7 +84,8 @@ impl<E> Default for Bucket<E> {
 }
 
 impl<E> Bucket<E> {
-    fn push(&mut self, class: u8, seq: u64, payload: E) {
+    /// Appends to `class`'s lane, opening it with a buffer from `free`.
+    fn push(&mut self, class: u8, seq: u64, payload: E, free: &mut Vec<Lane<E>>) {
         self.len += 1;
         // Deliveries (class 0) dominate and sort first: hit lane 0 without
         // a search.
@@ -83,7 +98,7 @@ impl<E> Bucket<E> {
         match self.lanes.binary_search_by_key(&class, |&(c, _)| c) {
             Ok(i) => self.lanes[i].1.push_back((seq, payload)),
             Err(i) => {
-                let mut lane = VecDeque::new();
+                let mut lane = free.pop().unwrap_or_default();
                 lane.push_back((seq, payload));
                 self.lanes.insert(i, (class, lane));
             }
@@ -91,16 +106,27 @@ impl<E> Bucket<E> {
     }
 
     /// Removes the earliest (class, seq) event; the bucket must be
-    /// non-empty.
-    fn pop(&mut self) -> (u8, u64, E) {
+    /// non-empty. The pop that empties it returns its buffers to `free`.
+    fn pop(&mut self, free: &mut Vec<Lane<E>>) -> (u8, u64, E) {
         debug_assert!(self.len > 0);
         self.len -= 1;
-        for (class, lane) in &mut self.lanes {
-            if let Some((seq, payload)) = lane.pop_front() {
-                return (*class, seq, payload);
-            }
+        let (class, lane) = self
+            .lanes
+            .iter_mut()
+            .find(|(_, lane)| !lane.is_empty())
+            .expect("bucket len counted an event, so a lane holds one");
+        let (seq, payload) = lane.pop_front().expect("found non-empty");
+        let class = *class;
+        if self.len == 0 {
+            free.extend(self.lanes.drain(..).map(|(_, lane)| lane));
         }
-        unreachable!("bucket len counted an event but no lane held one");
+        (class, seq, payload)
+    }
+
+    /// The last event of `class`'s lane, if it holds one.
+    fn back_mut(&mut self, class: u8) -> Option<&mut E> {
+        let (_, lane) = self.lanes.iter_mut().find(|(c, _)| *c == class)?;
+        lane.back_mut().map(|(_, payload)| payload)
     }
 }
 
@@ -133,6 +159,8 @@ pub struct EventQueue<E> {
     wheel: Vec<Bucket<E>>,
     /// Events in the wheel (cheap emptiness/`len` bookkeeping).
     wheel_len: usize,
+    /// Lane buffers of drained buckets, reused last in, first out.
+    free_lanes: Vec<Lane<E>>,
     /// Absolute tick of the start of the wheel's window. Invariants:
     /// `cursor == watermark` between operations, every queued event at
     /// `t < cursor + WHEEL_SLOTS` is in the wheel, and everything at or
@@ -162,6 +190,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             wheel: (0..WHEEL_SLOTS).map(|_| Bucket::default()).collect(),
             wheel_len: 0,
+            free_lanes: Vec::new(),
             cursor: 0,
             overflow: BTreeMap::new(),
             next_seq: 0,
@@ -203,7 +232,7 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         let t = time.ticks();
         if t < self.horizon() {
-            self.wheel[(t % WHEEL_SLOTS) as usize].push(class, seq, payload);
+            self.wheel[(t % WHEEL_SLOTS) as usize].push(class, seq, payload, &mut self.free_lanes);
             self.wheel_len += 1;
         } else {
             self.overflow.insert((t, class, seq), payload);
@@ -218,6 +247,24 @@ impl<E> EventQueue<E> {
         seq
     }
 
+    /// The event that a [`schedule_class`](EventQueue::schedule_class) at
+    /// `(time, class)` would queue directly behind: the last one of that
+    /// wheel lane, or `None` when the lane is empty or `time` lies at or
+    /// beyond the wheel's horizon (overflow events have no lane).
+    ///
+    /// A caller whose payloads are *runs* of items may append to the
+    /// returned payload instead of scheduling a new event: the item keeps
+    /// the place in the (time, class, seq) order that its own event would
+    /// have taken, because nothing can be queued between a lane's last
+    /// event and the next one scheduled there.
+    pub fn back_mut(&mut self, time: Time, class: u8) -> Option<&mut E> {
+        let t = time.ticks();
+        if time < self.watermark || t >= self.horizon() {
+            return None;
+        }
+        self.wheel[(t % WHEEL_SLOTS) as usize].back_mut(class)
+    }
+
     /// Moves overflow events that now fit the window into the wheel.
     /// Migrated events land in slots the cursor has not reached yet, and
     /// arrive in (time, class, seq) order, so lane FIFO order is preserved.
@@ -228,7 +275,7 @@ impl<E> EventQueue<E> {
                 break;
             }
             let payload = self.overflow.pop_first().expect("head exists").1;
-            self.wheel[(t % WHEEL_SLOTS) as usize].push(class, seq, payload);
+            self.wheel[(t % WHEEL_SLOTS) as usize].push(class, seq, payload, &mut self.free_lanes);
             self.wheel_len += 1;
         }
     }
@@ -269,7 +316,7 @@ impl<E> EventQueue<E> {
         loop {
             let slot = (self.cursor % WHEEL_SLOTS) as usize;
             if self.wheel[slot].len > 0 {
-                let (class, seq, payload) = self.wheel[slot].pop();
+                let (class, seq, payload) = self.wheel[slot].pop(&mut self.free_lanes);
                 self.wheel_len -= 1;
                 return Some(self.emit(Time::at(self.cursor), class, seq, payload));
             }
@@ -334,6 +381,14 @@ impl<E> EventQueue<E> {
     /// Total number of events delivered so far.
     pub fn delivered(&self) -> u64 {
         self.popped
+    }
+
+    /// Lane buffers the queue owns: those of buckets holding events plus
+    /// the free list.
+    #[cfg(test)]
+    fn lane_buffers(&self) -> usize {
+        let live: usize = self.wheel.iter().map(|b| b.lanes.len()).sum();
+        live + self.free_lanes.len()
     }
 }
 
@@ -604,6 +659,57 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Time::at(40)));
         q.schedule(Time::at(60), 3); // later than the cached peek
         assert_eq!(q.peek_time(), Some(Time::at(40)));
+    }
+
+    #[test]
+    fn lane_buffers_follow_the_live_horizon_not_the_wheel() {
+        // Every tick schedules a wave at each offset in [1, δ] and drains
+        // the current instant, for several turns of the wheel: the buffers
+        // in use never exceed the δ buckets ahead plus the one draining,
+        // and the free list never holds more than was once live.
+        const DELTA: u64 = 5;
+        const WAVE: usize = 64;
+        let mut q = EventQueue::new();
+        for offset in 1..=DELTA {
+            q.schedule(Time::at(offset), 0);
+        }
+        for tick in 1..=(4 * WHEEL_SLOTS + 7) {
+            for offset in 1..=DELTA {
+                for i in 0..WAVE {
+                    q.schedule(Time::at(tick + offset), i);
+                }
+            }
+            while q.peek_time() == Some(Time::at(tick)) {
+                q.pop();
+            }
+            assert!(
+                q.lane_buffers() <= DELTA as usize + 2,
+                "{} buffers at tick {tick}",
+                q.lane_buffers()
+            );
+        }
+        while q.pop().is_some() {}
+        assert_eq!(q.lane_buffers(), q.free_lanes.len(), "all returned");
+        assert!(q.free_lanes.len() <= DELTA as usize + 2);
+    }
+
+    #[test]
+    fn back_mut_names_the_lane_tail_and_never_an_overflow_event() {
+        let mut q = EventQueue::new();
+        assert!(q.back_mut(Time::at(5), 0).is_none(), "empty lane");
+        q.schedule(Time::at(5), vec![1]);
+        q.schedule_class(Time::at(5), 1, vec![10]);
+        q.schedule(Time::at(5), vec![2]);
+        q.back_mut(Time::at(5), 0).expect("lane tail").push(3);
+        assert!(q.back_mut(Time::at(5), 2).is_none(), "no such class");
+        assert!(q.back_mut(Time::at(6), 0).is_none(), "other instant");
+        // Beyond the horizon events park in overflow and are never named,
+        // even after they migrate behind nothing.
+        q.schedule(Time::at(WHEEL_SLOTS + 9), vec![7]);
+        assert!(q.back_mut(Time::at(WHEEL_SLOTS + 9), 0).is_none());
+        let order: Vec<Vec<i32>> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+        assert_eq!(order, [vec![1], vec![2, 3], vec![10], vec![7]]);
+        assert!(q.back_mut(Time::at(3), 0).is_none(), "the past");
     }
 
     #[test]

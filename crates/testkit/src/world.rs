@@ -11,8 +11,8 @@
 //!
 //! | effect | interpretation |
 //! |---|---|
-//! | `Send` | sample latency, schedule a delivery (dropped if the target leaves first) |
-//! | `Broadcast` | one delivery per process present *now* (the timely broadcast snapshot), sharing a single payload |
+//! | `Send` | sample latency, queue the copy — at the tail of its instant's unicast run when there is one (dropped if the target leaves first) |
+//! | `Broadcast` | one *run* per distinct delivery instant over the processes present *now* (the timely broadcast snapshot), all sharing a single payload |
 //! | `SetTimer` | schedule a timer callback |
 //! | `JoinComplete` | flip presence to active, complete the join (every key) in the history |
 //! | `OpComplete` | complete the read/write in its key's history, free the process |
@@ -105,30 +105,53 @@ const CLASS_DELIVER: u8 = 0;
 const CLASS_TIMER: u8 = 1;
 const CLASS_TICK: u8 = 2;
 
-/// Events on the world's queue. Deliveries and timers carry the target's
-/// slab slot so delivery is O(1); the `NodeId` doubles as a generation
-/// check against slot reuse.
+/// One queued unicast copy, stripped to what delivery needs (the instant
+/// lives in the queue key; keeping the full [`Envelope`] here would move
+/// two redundant timestamps through every wheel bucket).
+///
+/// [`Envelope`]: dynareg_net::Envelope
+struct Unicast<M> {
+    from: NodeId,
+    to: NodeId,
+    /// The recipient's slab slot; `to` doubles as a generation check
+    /// against slot reuse.
+    slot: u32,
+    label: &'static str,
+    /// The network's sequence id for this copy (links the delivery to its
+    /// send in the observability layer; inert otherwise).
+    seq: u64,
+    msg: M,
+}
+
+/// Events on the world's queue. Messages travel in **delivery runs**: one
+/// queue entry holds every copy that would otherwise sit in consecutive
+/// entries of one `(instant, CLASS_DELIVER)` lane, and is drained copy by
+/// copy when it fires. Every *count* stays per copy (see
+/// [`World::events_processed`]).
+///
+/// Runs keep the delivery order bit for bit, for one reason: the queue is
+/// FIFO within a lane, and a run only ever gathers copies that would have
+/// been **neighbours** there. A broadcast's copies are scheduled back to
+/// back with nothing in between, so those landing at one instant are
+/// already contiguous, in recipient-id order; a unicast joins a run only
+/// when that run is the lane's last entry, i.e. its immediate predecessor.
+/// Whatever a handler schedules while a run drains lands behind the run's
+/// remaining copies, exactly as it landed behind their separate entries —
+/// they were all queued before it.
 enum Pending<M> {
-    /// A unicast delivery, stripped to what delivery needs (the instant
-    /// lives in the queue key; keeping the full [`Envelope`] here would
-    /// move two redundant timestamps through every wheel bucket).
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        slot: u32,
-        label: &'static str,
-        /// The network's sequence id for this copy (links the delivery to
-        /// its send in the observability layer; inert otherwise).
-        seq: u64,
-        msg: M,
-    },
-    /// One recipient's share of a broadcast: the payload lives once inside
-    /// the shared [`Fanout`]; `idx` names the recipient.
-    Fan {
+    /// A unicast run: consecutive sends landing at one instant, in send
+    /// order. A lone unicast is a run of one.
+    UnicastRun(Vec<Unicast<M>>),
+    /// A broadcast run: the copies of one broadcast landing at one
+    /// instant, as `(index into fan.recipients, recipient slot)` in
+    /// recipient-id order. The payload lives once inside the shared
+    /// [`Fanout`]; under a synchronous model a broadcast is at most `δ`
+    /// of these, whatever `n` is.
+    FanRun {
         fan: Rc<Fanout<M>>,
-        idx: u32,
-        slot: u32,
+        copies: Vec<(u32, u32)>,
     },
+    /// A timer callback; carries the target's slab slot like a delivery.
     Timer {
         node: NodeId,
         slot: u32,
@@ -311,6 +334,19 @@ type NodeMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
 pub struct World<F: SpaceFactory> {
     factory: F,
     queue: EventQueue<Pending<<F::Proc as RegisterSpaceProcess>::Msg>>,
+    /// Copies queued beyond the first of each delivery run: what
+    /// `queue.len()` misses of the messages in flight.
+    surplus_queued: usize,
+    /// Copies delivered (or dropped at delivery) beyond the first of each
+    /// run: what `queue.delivered()` misses of the events processed.
+    surplus_done: u64,
+    /// Drained runs' buffers, reused last in, first out, so a lone unicast
+    /// or a one-instant broadcast costs no allocation.
+    free_unicasts: Vec<Vec<Unicast<<F::Proc as RegisterSpaceProcess>::Msg>>>,
+    free_copies: Vec<Vec<(u32, u32)>>,
+    /// Scratch for bucketing one broadcast's copies by delivery instant,
+    /// sorted by instant; empty between broadcasts.
+    fan_runs: Vec<(Time, Vec<(u32, u32)>)>,
     /// Dense live-node storage; see the module docs.
     slots: Vec<Option<Slot<F::Proc>>>,
     free_slots: Vec<u32>,
@@ -426,6 +462,11 @@ where
         World {
             factory,
             queue,
+            surplus_queued: 0,
+            surplus_done: 0,
+            free_unicasts: Vec::new(),
+            free_copies: Vec::new(),
+            fan_runs: Vec::new(),
             slots,
             free_slots: Vec::new(),
             slot_of,
@@ -556,9 +597,17 @@ where
     }
 
     /// Total events (deliveries, timers, ticks) processed so far — the
-    /// denominator of the engine's events/sec throughput.
+    /// denominator of the engine's events/sec throughput. A delivery is
+    /// one message copy reaching (or missing) its recipient, however many
+    /// copies shared a queue entry.
     pub fn events_processed(&self) -> u64 {
-        self.queue.delivered()
+        self.queue.delivered() + self.surplus_done
+    }
+
+    /// Events pending on the queue, counted like
+    /// [`World::events_processed`]: per message copy.
+    fn inflight(&self) -> usize {
+        self.queue.len() + self.surplus_queued
     }
 
     /// The live slot for `node`, with the identity check against reuse.
@@ -611,20 +660,22 @@ where
             let ev = self.queue.pop().expect("peeked");
             self.now = ev.time;
             match ev.payload {
-                Pending::Deliver {
-                    from,
-                    to,
-                    slot,
-                    label,
-                    seq,
-                    msg,
-                } => {
-                    clock.enter(TickPhase::Deliver);
-                    self.handle_delivery(from, to, slot, label, seq, msg);
+                Pending::UnicastRun(mut run) => {
+                    self.run_popped(run.len());
+                    for copy in run.drain(..) {
+                        clock.enter(TickPhase::Deliver);
+                        self.handle_unicast(copy);
+                    }
+                    self.free_unicasts.push(run);
                 }
-                Pending::Fan { fan, idx, slot } => {
-                    clock.enter(TickPhase::Deliver);
-                    self.handle_fan(fan, idx, slot);
+                Pending::FanRun { fan, mut copies } => {
+                    self.run_popped(copies.len());
+                    for &(idx, slot) in &copies {
+                        clock.enter(TickPhase::Deliver);
+                        self.handle_fan(&fan, idx, slot);
+                    }
+                    copies.clear();
+                    self.free_copies.push(copies);
                 }
                 Pending::Timer { node, slot, tag } => {
                     clock.enter(TickPhase::Timer);
@@ -636,9 +687,17 @@ where
         self.now = end;
     }
 
+    /// Moves a popped run of `copies` from the queued to the processed
+    /// account (the queue itself counted one event for it).
+    fn run_popped(&mut self, copies: usize) {
+        debug_assert!(copies > 0, "runs are never empty");
+        self.surplus_queued -= copies - 1;
+        self.surplus_done += (copies - 1) as u64;
+    }
+
     fn handle_fan(
         &mut self,
-        fan: Rc<Fanout<<F::Proc as RegisterSpaceProcess>::Msg>>,
+        fan: &Fanout<<F::Proc as RegisterSpaceProcess>::Msg>,
         idx: u32,
         slot: u32,
     ) {
@@ -660,20 +719,14 @@ where
         self.trace.record(self.now, TraceEvent::Drop { to, label });
     }
 
-    fn handle_delivery(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        slot: u32,
-        label: &'static str,
-        seq: u64,
-        msg: <F::Proc as RegisterSpaceProcess>::Msg,
-    ) {
-        if self.live_slot(to, slot).is_none() {
-            self.drop_delivery(to, label, seq);
+    fn handle_unicast(&mut self, copy: Unicast<<F::Proc as RegisterSpaceProcess>::Msg>) {
+        if self.live_slot(copy.to, copy.slot).is_none() {
+            self.drop_delivery(copy.to, copy.label, copy.seq);
             return;
         }
-        self.deliver_to_live_slot(from, to, slot, label, seq, msg);
+        self.deliver_to_live_slot(
+            copy.from, copy.to, copy.slot, copy.label, copy.seq, copy.msg,
+        );
     }
 
     /// Delivery core; the caller has already verified `slot` is live for
@@ -779,6 +832,7 @@ where
     /// says this tick is due. Gauges are read-only views of state the run
     /// maintains anyway, so a row costs a handful of loads.
     fn obs_tick_row(&mut self) {
+        let inflight = self.inflight() as u64;
         let Some(obs) = self.obs.as_deref_mut() else {
             return;
         };
@@ -798,7 +852,7 @@ where
                 ("active", active),
                 ("present", present),
                 ("joining", present - active),
-                ("inflight", self.queue.len() as u64),
+                ("inflight", inflight),
                 ("busy_writers", busy_writers),
                 ("delivered", self.delivered_msgs),
                 ("fault_drops", self.network.dropped_to_faults()),
@@ -1192,18 +1246,31 @@ where
                             deliver_at: Some(env.deliver_at),
                         },
                     );
-                    self.queue.schedule_class(
-                        env.deliver_at,
-                        CLASS_DELIVER,
-                        Pending::Deliver {
-                            from: env.from,
-                            to: env.to,
-                            slot: rslot,
-                            label: env.label,
-                            seq: env.seq,
-                            msg: env.msg,
-                        },
-                    );
+                    let copy = Unicast {
+                        from: env.from,
+                        to: env.to,
+                        slot: rslot,
+                        label: env.label,
+                        seq: env.seq,
+                        msg: env.msg,
+                    };
+                    // Join the run at the tail of this instant's lane, or
+                    // open one (see `Pending` for why that keeps the order).
+                    match self.queue.back_mut(env.deliver_at, CLASS_DELIVER) {
+                        Some(Pending::UnicastRun(run)) => {
+                            run.push(copy);
+                            self.surplus_queued += 1;
+                        }
+                        _ => {
+                            let mut run = self.free_unicasts.pop().unwrap_or_default();
+                            run.push(copy);
+                            self.queue.schedule_class(
+                                env.deliver_at,
+                                CLASS_DELIVER,
+                                Pending::UnicastRun(run),
+                            );
+                        }
+                    }
                 }
                 SpaceEffect::Broadcast { msg } => {
                     let label = F::space_msg_label(&msg);
@@ -1245,8 +1312,10 @@ where
                     // The snapshot is an (id-ordered) subset of the slot
                     // roster — equal when no fault drops thinned it — so a
                     // single merge walk resolves every recipient's slot
-                    // without hashing once per recipient.
+                    // without hashing once per recipient, and files the
+                    // copy under its delivery instant on the way.
                     debug_assert!(fan.recipients.len() <= self.present_slots.len());
+                    let mut runs = std::mem::take(&mut self.fan_runs);
                     let mut roster = self.present_slots.iter();
                     for (idx, &(to, deliver_at, _seq)) in fan.recipients.iter().enumerate() {
                         let slot = loop {
@@ -1256,16 +1325,26 @@ where
                                 break slot;
                             }
                         };
+                        let run = match runs.binary_search_by_key(&deliver_at, |r| r.0) {
+                            Ok(i) => i,
+                            Err(i) => {
+                                let copies = self.free_copies.pop().unwrap_or_default();
+                                runs.insert(i, (deliver_at, copies));
+                                i
+                            }
+                        };
+                        runs[run].1.push((idx as u32, slot));
+                    }
+                    for (deliver_at, copies) in runs.drain(..) {
+                        self.surplus_queued += copies.len() - 1;
+                        let fan = Rc::clone(&fan);
                         self.queue.schedule_class(
                             deliver_at,
                             CLASS_DELIVER,
-                            Pending::Fan {
-                                fan: Rc::clone(&fan),
-                                idx: idx as u32,
-                                slot,
-                            },
+                            Pending::FanRun { fan, copies },
                         );
                     }
+                    self.fan_runs = runs;
                 }
                 SpaceEffect::SetTimer { delay, tag } => {
                     self.queue.schedule_class(
@@ -1685,6 +1764,13 @@ mod tests {
             (split.events_processed(), split.presence().total_arrivals());
         split.run_until(a); // re-running to the same instant is a no-op
         assert_eq!(split.events_processed(), events_at_a);
+        // `a` is a write beat (every 3δ = 9 ticks): its broadcast lands
+        // over a+1..=a+δ, so these stops fall between the delivery runs of
+        // one broadcast, with copies of it still queued.
+        for inside in [a + Span::ticks(1), a + Span::ticks(2)] {
+            split.run_until(inside);
+            assert!(split.surplus_queued > 0, "stopped inside the window");
+        }
         split.run_until(b);
         assert!(
             split.presence().total_arrivals() > arrivals_at_a,
@@ -1761,6 +1847,146 @@ mod tests {
         assert!(w.metrics().counter("ops.write_completed") >= 1);
     }
 
+    /// A churn-free sync world driven by `script` alone.
+    fn scripted_world(
+        n: usize,
+        delta: u64,
+        script: crate::workload::ScriptedWorkload,
+        trace: bool,
+    ) -> World<SyncFactory> {
+        World::new(
+            SyncFactory::new(SyncConfig::new(Span::ticks(delta))),
+            WorldConfig {
+                n,
+                initial: 0,
+                delay: Box::new(Synchronous::new(Span::ticks(delta))),
+                churn: ChurnDriver::new(
+                    Box::new(NoChurn),
+                    LeaveSelector::Random,
+                    IdSource::starting_at(n as u64),
+                ),
+                workload: Box::new(script),
+                seed: 17,
+                trace,
+                writer_policy: WriterPolicy::FixedProtected,
+                writers: 1,
+            },
+        )
+    }
+
+    /// One write by node 0 at t = 2 — a single `n`-wide broadcast.
+    fn one_write() -> crate::workload::ScriptedWorkload {
+        crate::workload::ScriptedWorkload::new().at(
+            Time::at(2),
+            NodeId::from_raw(0),
+            OpAction::Write(100),
+        )
+    }
+
+    /// `(instant, recipient, delivered?)` of every delivery attempt, in
+    /// trace order.
+    fn delivery_attempts<F: SpaceFactory>(w: &World<F>) -> Vec<(Time, NodeId, bool)>
+    where
+        F::Proc: RegisterSpaceProcess<Val = Val>,
+    {
+        w.trace()
+            .entries()
+            .filter_map(|e| match e.event {
+                TraceEvent::Deliver { to, .. } => Some((e.time, to, true)),
+                TraceEvent::Drop { to, .. } => Some((e.time, to, false)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_write_is_n_copies_and_a_timer_in_at_most_delta_runs() {
+        let (n, delta) = (40, 4);
+        let mut w = scripted_world(n, delta, one_write(), true);
+        w.run_until(Time::at(1));
+        let (events, entries) = (w.events_processed(), w.queue.delivered());
+        w.run_until(Time::at(10));
+        let ticks = 9;
+        // Counts are per copy …
+        assert_eq!(w.events_processed() - events, n as u64 + 1 + ticks);
+        assert_eq!(w.metrics().counter("ops.write_completed"), 1);
+        // … while the queue carried one entry per delivery instant.
+        let runs = w.queue.delivered() - entries - 1 - ticks;
+        assert!((2..=delta).contains(&runs), "{runs} runs");
+        assert_eq!((w.surplus_queued, w.inflight()), (0, 0), "tick parked");
+        // Within an instant, copies land in recipient-id order.
+        let attempts = delivery_attempts(&w);
+        assert_eq!(attempts.len(), n);
+        assert!(attempts.iter().all(|&(_, _, delivered)| delivered));
+        assert!(
+            attempts
+                .windows(2)
+                .all(|p| (p[0].0, p[0].1) < (p[1].0, p[1].1)),
+            "deliveries sorted by (instant, id): {attempts:?}"
+        );
+    }
+
+    #[test]
+    fn a_recipient_leaving_in_flight_is_dropped_and_the_rest_of_its_run_delivered() {
+        let n = 12;
+        let mut w = scripted_world(n, 3, one_write(), true);
+        // Copies land over t = 3..=5. A leave at t = 3 takes effect after
+        // that instant's deliveries, so a leaver's copy is lost exactly
+        // when it was due at 4 or 5.
+        let leavers: Vec<NodeId> = (1..=6).map(NodeId::from_raw).collect();
+        for &node in &leavers {
+            w.schedule_leave(Time::at(3), node);
+        }
+        w.run_until(Time::at(1));
+        let events = w.events_processed();
+        w.run_until(Time::at(10));
+        let attempts = delivery_attempts(&w);
+        let dropped: Vec<_> = attempts.iter().filter(|a| !a.2).collect();
+        assert!(!dropped.is_empty() && dropped.len() < leavers.len());
+        assert!(dropped
+            .iter()
+            .all(|&&(at, to, _)| at > Time::at(3) && leavers.contains(&to)));
+        assert_eq!(w.network().dropped_to_departed(), dropped.len() as u64);
+        // Every copy is accounted for, delivered or dropped, and a dropped
+        // one still counts as a processed event.
+        assert_eq!(attempts.len(), n);
+        assert_eq!(w.events_processed() - events, n as u64 + 1 + 9);
+        // A run goes on past a drop: some stayer with a higher id got its
+        // copy at the same instant, after the lost one.
+        let resumed = attempts.iter().enumerate().any(|(i, &(at, to, ok))| {
+            !ok && attempts[i + 1..]
+                .iter()
+                .any(|&(t, node, ok)| t == at && node > to && ok)
+        });
+        assert!(resumed, "{attempts:?}");
+    }
+
+    #[test]
+    fn timeseries_inflight_counts_copies_not_queue_entries() {
+        let (n, delta) = (30, 4);
+        let mut w = scripted_world(n, delta, one_write(), true);
+        w.set_obs(ObsConfig {
+            timeseries_every: Some(1),
+            ..ObsConfig::off()
+        });
+        w.run_until(Time::at(10));
+        let attempts = delivery_attempts(&w);
+        let landed_by = |t| attempts.iter().filter(|a| a.0 <= Time::at(t)).count() as u64;
+        let (at_3, at_4) = (landed_by(3), landed_by(4));
+        assert!(0 < at_3 && at_3 < at_4 && at_4 < n as u64);
+        let report = w.take_obs_report().expect("obs installed");
+        let inflight = report.timeseries.expect("recorder on");
+        let inflight = inflight.column("inflight").expect("gauge exists");
+        // Rows are sampled inside the tick, before the next one is
+        // chained: the broadcast's copies still in flight plus the
+        // writer's wait(δ) timer.
+        assert_eq!(inflight[1], 0);
+        assert_eq!(inflight[2], n as u64 + 1);
+        assert_eq!(inflight[3], n as u64 - at_3 + 1);
+        assert_eq!(inflight[4], n as u64 - at_4 + 1);
+        assert_eq!(inflight[2 + delta as usize + 1], 0);
+    }
+
     #[test]
     fn departing_writer_frees_its_key_slot_and_shield() {
         use crate::workload::ScriptedWorkload;
@@ -1770,24 +1996,7 @@ mod tests {
             .at(Time::at(2), leaver, OpAction::Write(100))
             // A later writer must find the key slot free again.
             .at(Time::at(10), NodeId::from_raw(2), OpAction::Write(101));
-        let mut w = World::new(
-            SyncFactory::new(SyncConfig::new(Span::ticks(3))),
-            WorldConfig {
-                n: 5,
-                initial: 0,
-                delay: Box::new(Synchronous::new(Span::ticks(3))),
-                churn: ChurnDriver::new(
-                    Box::new(NoChurn),
-                    LeaveSelector::Random,
-                    IdSource::starting_at(5),
-                ),
-                workload: Box::new(script),
-                seed: 17,
-                trace: false,
-                writer_policy: WriterPolicy::FixedProtected,
-                writers: 1,
-            },
-        );
+        let mut w = scripted_world(5, 3, script, false);
         w.schedule_leave(Time::at(3), leaver);
         w.run_until(Time::at(40));
         // The abandoned write freed the key's writer slot and the
