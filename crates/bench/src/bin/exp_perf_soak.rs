@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use dynareg_bench::{header, Cli};
+use dynareg_bench::Cli;
 use dynareg_churn::{ChurnDriver, ConstantRate, LeaveSelector};
 use dynareg_core::sync::SyncConfig;
 use dynareg_net::delay::Synchronous;
@@ -222,11 +222,8 @@ fn parse_args() -> (usize, u64, String) {
 
 fn main() {
     let (nodes, ticks, out) = parse_args();
-    header(
-        "PERF",
-        "engine soak (tick-wheel queue, fan-out, slab world, sweep checkers)",
-        "sustained large-n throughput; regenerates the BENCH_*.json trajectory",
-    );
+    println!("PERF — engine soak (tick-wheel queue, fan-out, slab world, sweep checkers)");
+    println!("claim: sustained large-n throughput; regenerates the BENCH_*.json trajectory\n");
 
     let delta = Span::ticks(4);
     // Scale scenario: churn fixed in *absolute* terms (≈0.5 joins/tick) so

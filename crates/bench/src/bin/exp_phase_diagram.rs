@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use dynareg_bench::{expectation, header, Cli};
+use dynareg_bench::Cli;
 use dynareg_fleet::{default_threads, run_sweep, SweepDomain, SweepSpec};
 use dynareg_sim::Span;
 
@@ -81,11 +81,8 @@ fn sweep_for(scale: &str, master_seed: u64) -> SweepSpec {
 #[allow(clippy::disallowed_methods)] // bench harness throughput timing, outside the simulation
 fn main() {
     let args = parse_args();
-    header(
-        "PHASE",
-        "empirical churn/synchrony phase diagram (dynareg-fleet sweep)",
-        "feasible exactly below c = 1/(3δ); the measured frontier brackets the analytic curve",
-    );
+    println!("PHASE — empirical churn/synchrony phase diagram (dynareg-fleet sweep)");
+    println!("claim: feasible exactly below c = 1/(3δ); the measured frontier brackets the analytic curve\n");
 
     let spec = sweep_for(&args.scale, args.master_seed);
     let runs = spec.run_count();
@@ -116,8 +113,8 @@ fn main() {
     std::fs::write(&args.out, report.json()).expect("write phase-diagram json");
     println!("wrote {}", args.out);
 
-    expectation(
-        "every δ row is feasible ('#') left of the '|' boundary and \
+    println!(
+        "\nexpected shape (paper): every δ row is feasible ('#') left of the '|' boundary and \
          infeasible ('.') at and beyond it: availability — not safety — is \
          what collapses, and the empirical frontier hugs c = 1/(3δ) \
          (fraction 1.0) at every δ.",

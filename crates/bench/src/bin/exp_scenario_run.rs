@@ -22,7 +22,7 @@
 //! [--duration-ticks T] [--digest-out PATH] [--obs] [--trace-out PATH]
 //! [--timeseries-out PATH]`
 
-use dynareg_bench::{header, Cli};
+use dynareg_bench::Cli;
 use dynareg_fleet::run_digest;
 use dynareg_sim::Span;
 use dynareg_testkit::{parse_scenario, scenario_hash, ObsConfig, RunReport};
@@ -127,11 +127,8 @@ fn main() {
     }
     let hash = scenario_hash(&text, spec.seed);
 
-    header(
-        "SCENARIO",
-        &format!("deterministic replay of {}", args.path),
-        "same file + seed ⇒ same scenario hash and run digest, every time",
-    );
+    println!("SCENARIO — deterministic replay of {}", args.path);
+    println!("claim: same file + seed ⇒ same scenario hash and run digest, every time\n");
     println!(
         "scenario: n={} δ={} duration={} seed={} churn={:?}",
         spec.n, spec.delta, spec.duration, spec.seed, spec.churn

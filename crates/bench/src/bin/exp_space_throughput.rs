@@ -35,7 +35,7 @@
 
 use std::time::Instant;
 
-use dynareg_bench::{header, Cli};
+use dynareg_bench::Cli;
 use dynareg_churn::{ChurnDriver, ChurnModel, ConstantRate, LeaveSelector};
 use dynareg_core::space::ShardConfig;
 use dynareg_core::sync::SyncConfig;
@@ -338,11 +338,10 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    header(
-        "PERF",
-        "register-space throughput (shared handshake, sharded join replies, Zipf traffic)",
-        "events/sec at 1 / 16 / 256 keys on one churning world",
+    println!(
+        "PERF — register-space throughput (shared handshake, sharded join replies, Zipf traffic)"
     );
+    println!("claim: events/sec at 1 / 16 / 256 keys on one churning world\n");
 
     // The default set carries the sharded-recovery row plus the two W = 4
     // rows (multi-key write scaling on the standard beat, hot-key

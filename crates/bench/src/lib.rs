@@ -1,28 +1,17 @@
-//! Shared plumbing for the `exp_*` experiment binaries.
+//! The `exp_*` binaries and what they share.
 //!
-//! Each binary regenerates one row of the experiment index in
-//! `DESIGN.md`/`EXPERIMENTS.md`: it prints the paper's predicted shape,
-//! runs the parameter sweep, and emits a markdown table of measured
-//! results. Most take no arguments — determinism means the printed
-//! numbers are *the* numbers — and the few that do parse them through
-//! [`Cli`], which turns every malformed invocation into a one-line usage
-//! error on stderr and exit code 2 (never an unwrap backtrace).
+//! [`ledger`] is the paper-facing half: every claim of the paper with its
+//! measured value and computed verdict, printed by `exp_paper_tables` as
+//! `docs/REPRODUCTION.md`. The other binaries (`exp_phase_diagram`,
+//! `exp_scenario_run`, `exp_perf_soak`, `exp_space_throughput`) take flags
+//! and parse them through [`Cli`], which turns every malformed invocation
+//! into a one-line usage error on stderr and exit code 2 (never an unwrap
+//! backtrace).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Prints the standard experiment header.
-pub fn header(id: &str, artifact: &str, claim: &str) {
-    println!("==============================================================");
-    println!("{id} — {artifact}");
-    println!("claim: {claim}");
-    println!("==============================================================\n");
-}
-
-/// Prints the closing expectation note.
-pub fn expectation(text: &str) {
-    println!("\nexpected shape (paper): {text}");
-}
+pub mod ledger;
 
 /// The single error line a bad invocation prints to stderr.
 pub fn usage_line(usage: &str, msg: &str) -> String {
@@ -32,17 +21,6 @@ pub fn usage_line(usage: &str, msg: &str) -> String {
 fn exit_usage(usage: &str, msg: &str) -> ! {
     eprintln!("{}", usage_line(usage, msg));
     std::process::exit(2);
-}
-
-/// Guard for the argument-less experiment binaries: anything on the
-/// command line is a mistake worth a usage error, not a silent ignore.
-pub fn expect_no_args(bin: &str) {
-    if let Some(extra) = std::env::args().nth(1) {
-        exit_usage(
-            bin,
-            &format!("unexpected argument `{extra}` (this experiment takes none)"),
-        );
-    }
 }
 
 /// Minimal argv cursor for the experiment binaries that do take flags.
@@ -135,12 +113,6 @@ impl Cli {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn header_is_callable() {
-        header("E0", "smoke", "none");
-        expectation("none");
-    }
 
     #[test]
     fn usage_line_is_one_line() {

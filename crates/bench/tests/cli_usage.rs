@@ -59,7 +59,7 @@ fn flagged_experiments_reject_bad_values() {
 }
 
 #[test]
-fn no_arg_experiments_reject_any_argument() {
-    assert_usage_error(env!("CARGO_BIN_EXE_exp_sync_protocol"), &["extra"]);
-    assert_usage_error(env!("CARGO_BIN_EXE_exp_newold_inversion"), &["--help-me"]);
+fn ledger_rejects_unknown_rows() {
+    assert_usage_error(env!("CARGO_BIN_EXE_exp_paper_tables"), &["no-such-row"]);
+    assert_usage_error(env!("CARGO_BIN_EXE_exp_paper_tables"), &["E2", "E11"]);
 }

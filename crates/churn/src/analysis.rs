@@ -64,7 +64,7 @@ pub fn lemma2_bound(n: usize, delta: Span, c: f64) -> f64 {
 /// The paper's Lemma 2 derivation computes the second deduction only
 /// (starting from `|A(τ)| = n`, exact at `τ = 0`); our measured minima
 /// track this corrected bound instead — one of the reproduction's findings
-/// (`EXPERIMENTS.md`, E4). Positivity then requires `c < 1/(6δ)`, half the
+/// (`docs/REPRODUCTION.md#e4`). Positivity then requires `c < 1/(6δ)`, half the
 /// paper's stated `1/(3δ)` threshold, under worst-case victim selection.
 pub fn lemma2_steady_bound(n: usize, delta: Span, c: f64) -> f64 {
     (n as f64 * (1.0 - 6.0 * delta.as_ticks() as f64 * c)).max(0.0)

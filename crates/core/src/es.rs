@@ -31,7 +31,8 @@
 //! ## Resolved pseudo-code ambiguities
 //!
 //! The report's figure text has mangled subscripts; the disambiguations
-//! below follow the prose and the proofs (documented in `DESIGN.md` §4):
+//! below follow the prose and the proofs (the resulting wire protocol is
+//! specified in `docs/PROTOCOL.md`):
 //!
 //! 1. the `ACK` sent when a `REPLY` is received (Fig. 4 line 20) carries
 //!    the *register* timestamp from the reply, so it counts toward the

@@ -20,9 +20,11 @@
 //! * [`SoloSpace`] adapts a single [`RegisterProcess`] to the space trait
 //!   with **zero wire or behavioural overhead** — raw protocol messages,
 //!   no key tags. It is the 1-key fast path, chosen by the factory from
-//!   the key count: measured against [`RegisterSpace`] at `K = 1` it runs
-//!   20–36 % more events per second in 7–9 % less memory, and the 1-key
-//!   equivalence property tests hold the two digest-identical.
+//!   the key count: re-measured at PR 16 HEAD, after the `Keyed` fast
+//!   exit, `K = 1` through [`RegisterSpace`] still runs at 0.64–0.70× of
+//!   its events per second (dynabench `soak_scale`, `es_quorum`,
+//!   `churn_edge`), and the 1-key equivalence property tests hold the two
+//!   digest-identical.
 //!
 //! # The shared handshake's contract
 //!

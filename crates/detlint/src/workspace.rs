@@ -6,9 +6,8 @@
 //! path are excluded:
 //!
 //! * `crates/shims/**` — vendored stand-ins for external crates
-//!   (`rand`, `proptest`, `criterion`). They sit *below* the determinism
-//!   boundary: `DetRng` wraps the rand shim, and the criterion shim's
-//!   wall-clock timing is the bench harness itself.
+//!   (`rand`, `proptest`). They sit *below* the determinism boundary:
+//!   `DetRng` wraps the rand shim.
 //! * any `fixtures/` directory — detlint's own rule corpus is deliberate
 //!   violations.
 

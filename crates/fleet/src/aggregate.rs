@@ -75,7 +75,7 @@ pub struct PointOutcome {
     pub n: usize,
     /// Register-space key count of the run.
     pub keys: u32,
-    /// Join-reply shard groups of the run (1 = legacy full replies).
+    /// Join-reply shard groups of the run (1, the default = full replies).
     pub shards: u32,
     /// Writer-roster size (and per-key write cap) of the run.
     pub writers: u32,

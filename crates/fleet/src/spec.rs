@@ -64,8 +64,8 @@ pub struct SweepSpec {
     /// classic single-register sweep; larger entries run keyed
     /// `RegisterSpace` worlds under Zipf traffic).
     pub keys: Vec<u32>,
-    /// Join-reply shard group counts `G` to cross with the domain (`[1]` =
-    /// the legacy full-reply handshake). Sharding gives churn `G`
+    /// Join-reply shard group counts `G` to cross with the domain (`[1]`,
+    /// the default = the full-reply handshake). Sharding gives churn `G`
     /// independent chances to starve a shard's join quorum, so this axis
     /// is how the phase diagram maps the Theorem 1 frontier against `G`.
     pub shards: Vec<u32>,
@@ -116,7 +116,7 @@ pub struct RunPoint {
     /// Register-space key count of this point.
     pub keys: u32,
     /// Join-reply shard groups of this point, clamped to the key count —
-    /// the `G` the run actually used (1 = legacy full replies).
+    /// the `G` the run actually used (1, the default = full replies).
     pub shards: u32,
     /// Writer roster size of this point (1 = single-writer).
     pub writers: usize,

@@ -2,18 +2,21 @@
 //! code they describe, and no Markdown link in the repo's documentation
 //! may dangle.
 //!
-//! Two families of checks, both air-gapped (plain string scanning — no
+//! Three families of checks, all air-gapped (plain string scanning — no
 //! Markdown parser dependency):
 //!
 //! * **Version pinning** — every on-disk format's version string quoted
 //!   in `docs/FORMATS.md` must equal the constant in the owning module,
 //!   so bumping a schema in code without updating the spec (or vice
 //!   versa) fails CI.
-//! * **Dead links** — every `[text](target)` link in `README.md` and
-//!   `docs/*.md` must resolve: relative paths to files that exist,
-//!   `#anchors` to headings that exist in the target document (GitHub
-//!   slug rules). External URLs are skipped (the checker must run
-//!   offline).
+//! * **Dead links** — every `[text](target)` link in `README.md`,
+//!   `PAPER.md` and `docs/*.md` must resolve: relative paths to files
+//!   that exist, `#anchors` to headings that exist in the target
+//!   document (GitHub slug rules). External URLs are skipped (the
+//!   checker must run offline).
+//! * **Binary names** — every `exp_…` name the documentation, crate
+//!   docs, examples, workflows or the verify skill mention must be a
+//!   binary that exists in `crates/bench/src/bin/`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -30,20 +33,26 @@ fn read(path: &Path) -> String {
     fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
-/// The documentation set the link checker walks: the README plus every
-/// Markdown file under `docs/`.
+/// The files of `dir` (relative to the repository root) with extension
+/// `ext`.
+fn files_in(dir: &str, ext: &str) -> Vec<PathBuf> {
+    let entries = fs::read_dir(repo_root().join(dir)).unwrap_or_else(|e| panic!("{dir}: {e}"));
+    let paths = entries.map(|entry| entry.expect("directory entry").path());
+    paths
+        .filter(|p| p.extension().is_some_and(|e| e == ext))
+        .collect()
+}
+
+/// The documentation set the link checker walks: the README, PAPER.md
+/// (whose mapping table links ledger rows) and every Markdown file under
+/// `docs/`.
 fn doc_files() -> Vec<PathBuf> {
     let root = repo_root();
-    let mut files = vec![root.join("README.md")];
-    for entry in fs::read_dir(root.join("docs")).expect("docs/ exists") {
-        let path = entry.expect("docs/ entry").path();
-        if path.extension().map(|e| e == "md").unwrap_or(false) {
-            files.push(path);
-        }
-    }
+    let mut files = vec![root.join("README.md"), root.join("PAPER.md")];
+    files.extend(files_in("docs", "md"));
     assert!(
-        files.len() >= 3,
-        "README + at least PROTOCOL.md, FORMATS.md"
+        files.len() >= 5,
+        "README, PAPER + at least PROTOCOL.md, FORMATS.md, REPRODUCTION.md"
     );
     files
 }
@@ -225,12 +234,54 @@ fn documentation_has_no_dead_links() {
     assert!(broken.is_empty(), "dead documentation links:\n{broken:#?}");
 }
 
+/// Every `exp_…` binary a reader is told to run exists: the token after
+/// `exp_` must name a file in `crates/bench/src/bin/`, so deleting or
+/// renaming a binary cannot leave a reference behind.
+#[test]
+fn documentation_names_only_existing_binaries() {
+    let root = repo_root();
+    let mut sources = doc_files();
+    sources.push(root.join("src/lib.rs"));
+    sources.push(root.join(".claude/skills/verify/SKILL.md"));
+    sources.extend(files_in("examples", "rs"));
+    sources.extend(files_in(".github/workflows", "yml"));
+    let binaries: Vec<String> = files_in("crates/bench/src/bin", "rs")
+        .iter()
+        .map(|p| {
+            p.file_stem()
+                .expect("a file name")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    let mut unknown: Vec<String> = Vec::new();
+    for file in sources {
+        let text = read(&file);
+        for (at, _) in text.match_indices("exp_") {
+            let name_char = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+            let inside_word = text[..at].chars().next_back().is_some_and(name_char);
+            let name: String = text[at..].chars().take_while(|&c| name_char(c)).collect();
+            if !inside_word && name != "exp_" && !binaries.contains(&name) {
+                unknown.push(format!("{}: `{name}`", file.display()));
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "references to experiment binaries that do not exist:\n{unknown:#?}"
+    );
+}
+
 /// The README links into `docs/` — the tree is discoverable from the
 /// front page, not an orphan.
 #[test]
 fn readme_links_to_the_docs_tree() {
     let readme = read(&repo_root().join("README.md"));
-    for doc in ["docs/PROTOCOL.md", "docs/FORMATS.md"] {
+    for doc in [
+        "docs/PROTOCOL.md",
+        "docs/FORMATS.md",
+        "docs/REPRODUCTION.md",
+    ] {
         assert!(
             readme.contains(doc),
             "README.md must link to {doc} so the specs are discoverable"

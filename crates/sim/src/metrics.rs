@@ -1,8 +1,8 @@
 //! Lightweight counters and histograms for experiment output.
 //!
 //! The experiment harness aggregates these across seeds to produce the
-//! tables in `EXPERIMENTS.md` (operation latency, message complexity,
-//! active-set sizes, violation counts).
+//! tables in `docs/REPRODUCTION.md` (operation latency, message
+//! complexity, active-set sizes, violation counts).
 
 use std::collections::BTreeMap;
 use std::fmt;

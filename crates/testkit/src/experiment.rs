@@ -1,6 +1,6 @@
 //! Multi-seed experiment aggregation.
 //!
-//! Every experiment in `EXPERIMENTS.md` is a parameter sweep where each
+//! Every row of `docs/REPRODUCTION.md` is a parameter sweep where each
 //! cell aggregates several seeded runs. [`run_seeds`] executes the runs
 //! (in parallel across OS threads — each run is single-threaded and
 //! deterministic, so parallelism cannot perturb results) and [`Aggregate`]

@@ -127,8 +127,8 @@ pub struct RunReport {
     /// Number of registers in the run's key space (1 for single-register
     /// scenarios).
     pub keys: u32,
-    /// Join-reply shard groups the run used (1 = the legacy full-reply
-    /// handshake; always 1 for single-key runs).
+    /// Join-reply shard groups the run used (1, the default = every
+    /// responder replies for every key; always 1 for single-key runs).
     pub shards: u32,
     /// Writer roster size the run used (1 = single-writer).
     pub writers: usize,
@@ -490,8 +490,8 @@ pub struct ScenarioSpec {
     /// Zipf key-popularity exponent for keyed workloads (`0` uniform,
     /// `~1` classic skew); ignored when `keys == 1`.
     pub zipf_exponent: f64,
-    /// Join-reply shard groups `G` (clamped to `keys`; `1` = the legacy
-    /// full-reply handshake). See [`Scenario::join_shards`].
+    /// Join-reply shard groups `G` (clamped to `keys`; `1`, the default
+    /// = the full-reply handshake). See [`Scenario::join_shards`].
     pub shards: u32,
     /// Writer roster size and per-key concurrent-write cap (`1` = the
     /// paper's single-writer model). See [`Scenario::writers`].
@@ -953,8 +953,7 @@ impl Scenario {
 
     /// Stops the stochastic writes `margin` before the general workload
     /// stop, leaving reads running over a write-quiescent suffix (the
-    /// default keeps the legacy behaviour: writes and reads stop
-    /// together).
+    /// default: writes and reads stop together).
     pub fn quiesce_writes(mut self, margin: Span) -> Scenario {
         self.spec.write_quiesce = Some(margin);
         self
@@ -1017,13 +1016,13 @@ impl Scenario {
     /// `K·n` to `K·n/G` payload entries, at the price of a per-shard
     /// reply-quorum liveness argument (shards still short when the join
     /// timer fires are re-inquired with a full-reply fallback). `1` (the
-    /// default) is the legacy full-reply handshake; the group count is
-    /// clamped to the key count.
+    /// default) is the full-reply handshake; the group count is clamped
+    /// to the key count.
     ///
     /// Responder shards are **hash-assigned**, so their populations are
     /// multinomial around `n/G`: an unlucky (or too-large) `G` can leave
     /// a shard permanently below its quorum, in which case every join
-    /// pays the re-inquiry latency and degrades to the legacy full-state
+    /// pays the re-inquiry latency and degrades to the `G = 1` full-state
     /// transfer. Watch the `INQUIRY_FULL` message counter — a high count
     /// means the configuration is defeating the payload saving.
     ///

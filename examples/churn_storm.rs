@@ -13,7 +13,7 @@
 //! `3δ·c·n` processes; at `c = c*` that is the whole population and the
 //! active set `|A(τ)| ≈ n(1 − 3δc)` (Lemma 2) hits zero: nobody is left to
 //! answer inquiries or accept reads. Stale reads additionally require the
-//! Figure 3 race (see `exp_fig3_wait_ablation`).
+//! Figure 3 race (ledger row E3, `docs/REPRODUCTION.md`).
 //!
 //! Run with: `cargo run --example churn_storm`
 

@@ -45,10 +45,10 @@
 //! run from the repo root — it builds all crates and runs every unit,
 //! integration, property and doc test. `cargo clippy --workspace
 //! --all-targets -- -D warnings` is the lint gate, `cargo run --release
-//! --example quickstart` runs the example above, and the `exp_*` binaries
-//! in `dynareg-bench` (e.g. `cargo run --release --bin
-//! exp_sync_churn_threshold`) regenerate the paper's experiment tables.
-//! External dependencies (`rand`, `proptest`, `criterion`) resolve to
+//! --example quickstart` runs the example above, and `cargo run --release
+//! --bin exp_paper_tables` (in `dynareg-bench`) regenerates the paper
+//! ledger `docs/REPRODUCTION.md`: every claim measured, with a verdict.
+//! External dependencies (`rand`, `proptest`) resolve to
 //! offline shims under `crates/shims` — the build never touches a
 //! registry. Property-test case counts are pinned per suite; set
 //! `PROPTEST_CASES` to deepen a local run.

@@ -35,7 +35,7 @@ fn measured_window_min(
 /// The *pipeline-corrected* floor `n(1−6δc)` holds for every selector,
 /// across churn levels. (The paper's `n(1−3δc)` assumes all `n` processes
 /// are active at window start — exact at τ = 0, optimistic in steady
-/// state; see `EXPERIMENTS.md` E4.)
+/// state; see `docs/REPRODUCTION.md#e4`.)
 #[test]
 fn measured_minimum_dominates_the_steady_bound() {
     for selector in [
