@@ -98,7 +98,10 @@ impl SoakResult {
 }
 
 /// Runs one synchronous soak scenario and measures it.
-#[allow(clippy::disallowed_methods)] // bench harness throughput timing, outside the simulation
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bench harness timing, outside the simulation"
+)]
 fn soak(
     name: &'static str,
     n: usize,
@@ -139,7 +142,7 @@ fn soak(
         ..ObsConfig::off()
     });
 
-    let sim_start = Instant::now(); // detlint: allow(wall-clock) -- bench harness throughput timing, outside the simulation
+    let sim_start = Instant::now();
     world.run_until(end);
     let sim_secs = sim_start.elapsed().as_secs_f64();
     let events = world.events_processed();
@@ -156,7 +159,7 @@ fn soak(
     // verdict is "no violations beyond the inversions". Running
     // RegularityChecker as well would double-scan (and double-count)
     // every read.
-    let check_start = Instant::now(); // detlint: allow(wall-clock) -- bench harness throughput timing, outside the simulation
+    let check_start = Instant::now();
     let atomicity = AtomicityChecker::check(&history);
     let check_secs = check_start.elapsed().as_secs_f64();
     let safety_ok = atomicity.violation_count() == atomicity.inversions;

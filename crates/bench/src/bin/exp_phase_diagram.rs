@@ -78,7 +78,10 @@ fn sweep_for(scale: &str, master_seed: u64) -> SweepSpec {
     spec
 }
 
-#[allow(clippy::disallowed_methods)] // bench harness throughput timing, outside the simulation
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bench harness timing, outside the simulation"
+)]
 fn main() {
     let args = parse_args();
     println!("PHASE — empirical churn/synchrony phase diagram (dynareg-fleet sweep)");
@@ -91,7 +94,7 @@ fn main() {
         runs, args.scale, args.threads, args.master_seed
     );
 
-    let start = Instant::now(); // detlint: allow(wall-clock) -- bench harness throughput timing, outside the simulation
+    let start = Instant::now();
     let report = run_sweep(&spec, args.threads);
     let secs = start.elapsed().as_secs_f64();
 

@@ -179,7 +179,10 @@ struct Row {
 }
 
 /// Runs one keyed world and measures simulation and checking separately.
-#[allow(clippy::disallowed_methods)] // bench harness throughput timing, outside the simulation
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bench harness timing, outside the simulation"
+)]
 fn run_space(row: Row, nodes: usize, ticks: u64) -> SpaceResult {
     let Row {
         keys,
@@ -224,7 +227,7 @@ fn run_space(row: Row, nodes: usize, ticks: u64) -> SpaceResult {
         world.protect(NodeId::from_raw(w));
     }
 
-    let sim_start = Instant::now(); // detlint: allow(wall-clock) -- bench harness throughput timing, outside the simulation
+    let sim_start = Instant::now();
     world.run_until(end);
     let sim_secs = sim_start.elapsed().as_secs_f64();
     let events = world.events_processed();
@@ -247,7 +250,7 @@ fn run_space(row: Row, nodes: usize, ticks: u64) -> SpaceResult {
         digest = fnv1a(v.to_le_bytes(), digest);
     }
 
-    let check_start = Instant::now(); // detlint: allow(wall-clock) -- bench harness throughput timing, outside the simulation
+    let check_start = Instant::now();
     let report = SpaceReport::check(&space);
     let check_secs = check_start.elapsed().as_secs_f64();
     // Zipf coverage: keys that saw *client* traffic (joins are recorded in

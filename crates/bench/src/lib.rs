@@ -8,7 +8,6 @@
 //! into a one-line usage error on stderr and exit code 2 (never an unwrap
 //! backtrace).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ledger;

@@ -20,7 +20,6 @@
 //! * [`analysis`] — measures realized churn and the Lemma 2 quantity
 //!   `min_τ |A(τ, τ+w)|` from a finished run.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

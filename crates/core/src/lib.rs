@@ -44,7 +44,6 @@
 //!   `(RegisterId, op)` pair (§7 asks for richer objects; this is the
 //!   many-registers answer).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod actor;

@@ -361,6 +361,7 @@ mod tests {
     use super::*;
     use dynareg_sim::Span;
     use dynareg_testkit::Scenario;
+    use proptest::prelude::*;
 
     fn outcome(delta: u64, fraction: f64, stuck: u64, joins: u64, arrivals: u64) -> PointOutcome {
         PointOutcome {
@@ -395,27 +396,70 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reduction_is_order_independent() {
-        let a = outcome(3, 0.5, 0, 10, 10);
-        let b = outcome(3, 0.5, 2, 1, 10);
-        let c = outcome(3, 1.5, 0, 0, 30);
-        let fwd = reduce_cells(&[a.clone(), b.clone(), c.clone()]);
-        let rev = reduce_cells(&[c, b, a]);
-        assert_eq!(fwd.len(), 2);
-        for (x, y) in fwd.iter().zip(&rev) {
-            assert_eq!(
-                (x.delta, x.fraction.to_bits()),
-                (y.delta, y.fraction.to_bits())
+    /// Every field of a cell: the three floats by bit pattern, then the
+    /// derived `Debug` of the whole (which covers any field added later and
+    /// renders a finite `f64` by its shortest round-trip decimal).
+    fn cell_bits(c: &Cell) -> ([u64; 3], String) {
+        let floats = [c.fraction, c.churn_rate, c.lemma2_steady_bound];
+        (floats.map(f64::to_bits), format!("{c:?}"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The module's determinism contract, stated dynamically: reducing
+        /// any outcome set in any order yields bit-identical cells. An
+        /// `f64` running sum or mean in `Cell::absorb` fails this (float
+        /// addition is not associative); so does any accumulator that
+        /// remembers which outcome came first.
+        #[test]
+        fn reduction_is_order_independent(
+            runs in prop::collection::vec(
+                (
+                    (2u64..4, 0usize..3, 1u32..3),
+                    (0u64..3, 0u64..20, 0u64..3),
+                    (0.0f64..1.0, 0.0f64..24.0, 0u64..12),
+                    prop::collection::vec(0u64..400, 0..6),
+                    0u64..u64::MAX,
+                ),
+                0..24,
+            )
+        ) {
+            let fractions = [0.1, 0.7, 1.3];
+            let mut keyed: Vec<(u64, PointOutcome)> = Vec::new();
+            for &((delta, f, keys), (stuck, joins, unsafe_), (rate, bound, window), ref samples, order) in &runs {
+                let mut o = outcome(delta, fractions[f], stuck, joins, joins + stuck);
+                o.keys = keys;
+                o.safety_violations = unsafe_;
+                o.churn_rate = rate;
+                o.lemma2_steady_bound = bound;
+                o.min_window_active = (window > 0).then_some(window);
+                for &v in samples {
+                    // One in forty lands past the histogram's dense range.
+                    let v = if v % 40 == 0 { v + (1 << 16) } else { v };
+                    o.active.record(v);
+                    o.join_latency.record(v / 7);
+                }
+                keyed.push((order, o));
+            }
+            let given: Vec<PointOutcome> = keyed.iter().map(|(_, o)| o.clone()).collect();
+            keyed.sort_by_key(|&(order, _)| order);
+            let permuted: Vec<PointOutcome> = keyed.into_iter().map(|(_, o)| o).collect();
+
+            let (a, b) = (reduce_cells(&given), reduce_cells(&permuted));
+            prop_assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                prop_assert_eq!(cell_bits(x), cell_bits(y));
+            }
+            // And the integer folds are the plain sums over the set.
+            let total = |f: fn(&Cell) -> u64| a.iter().map(f).sum::<u64>();
+            prop_assert_eq!(total(|c| c.runs), given.len() as u64);
+            prop_assert_eq!(total(|c| c.stuck_ops), given.iter().map(|o| o.stuck_ops).sum::<u64>());
+            prop_assert_eq!(
+                total(|c| c.stuck_runs),
+                given.iter().filter(|o| o.stuck_ops > 0).count() as u64
             );
-            assert_eq!(x.runs, y.runs);
-            assert_eq!(x.stuck_runs, y.stuck_runs);
-            assert_eq!(x.joins_completed, y.joins_completed);
         }
-        // Cell (3, 0.5): one stuck run of two.
-        assert_eq!(fwd[0].runs, 2);
-        assert_eq!(fwd[0].stuck_runs, 1);
-        assert_eq!(fwd[0].stuck_ops, 2);
     }
 
     #[test]

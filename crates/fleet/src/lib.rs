@@ -42,7 +42,6 @@
 //! assert_eq!(report.json(), run_sweep(&spec, 1).json(), "thread count is unobservable");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod aggregate;

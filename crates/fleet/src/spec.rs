@@ -156,18 +156,15 @@ impl SweepSpec {
     /// migrating writer), on a `5 δ-values × 40 fractions` grid spanning
     /// both sides of `c = 1/(3δ)` — 200 parameter points.
     pub fn theorem1_default() -> SweepSpec {
-        // 40 fractions, denser around the threshold: 0.1..4.0.
-        let mut fractions = Vec::new();
-        let mut f = 0.1f64;
-        while fractions.len() < 24 {
-            fractions.push((f * 1000.0).round() / 1000.0);
-            f += 0.05; // 0.10, 0.15, … 1.25 // detlint: allow(float-reduction) -- fixed-order grid construction, rounded to 1e-3; not an aggregation
-        }
-        for f in [
+        // 40 fractions, denser around the threshold: 0.10, 0.15, … 1.25
+        // (each the double nearest its decimal — built from integers, no
+        // float accumulation), then coarser steps up to 4.0.
+        let mut fractions: Vec<f64> = (0..24u32)
+            .map(|k| f64::from(100 + 50 * k) / 1000.0)
+            .collect();
+        fractions.extend([
             1.35, 1.5, 1.65, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0, 3.2, 3.4, 3.6, 3.8, 3.9, 4.0,
-        ] {
-            fractions.push(f);
-        }
+        ]);
         SweepSpec {
             protocol: ProtocolChoice::Synchronous,
             domain: SweepDomain::Grid {
@@ -415,6 +412,20 @@ mod tests {
                 .collect();
             assert!(fr.iter().any(|&f| f < 1.0) && fr.iter().any(|&f| f > 1.0));
         }
+    }
+
+    #[test]
+    fn fine_fractions_are_the_24_decimal_literals_bit_for_bit() {
+        let SweepDomain::Grid { fractions, .. } = SweepSpec::theorem1_default().domain else {
+            panic!("the default sweep is a grid");
+        };
+        let literals = [
+            0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85,
+            0.9, 0.95, 1.0, 1.05, 1.1, 1.15, 1.2, 1.25,
+        ];
+        assert_eq!(fractions.len(), 40);
+        let bits = |fs: &[f64]| fs.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&fractions[..24]), bits(&literals));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! code they describe, and no Markdown link in the repo's documentation
 //! may dangle.
 //!
-//! Three families of checks, all air-gapped (plain string scanning — no
+//! Four families of checks, all air-gapped (plain string scanning — no
 //! Markdown parser dependency):
 //!
 //! * **Version pinning** — every on-disk format's version string quoted
@@ -17,6 +17,9 @@
 //! * **Binary names** — every `exp_…` name the documentation, crate
 //!   docs, examples, workflows or the verify skill mention must be a
 //!   binary that exists in `crates/bench/src/bin/`.
+//! * **Lint opt-in** — every member manifest inherits `[workspace.lints]`
+//!   (which forbids `unsafe` and reason-less lint exceptions), and the
+//!   retired line scanner is named nowhere.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -33,14 +36,22 @@ fn read(path: &Path) -> String {
     fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
-/// The files of `dir` (relative to the repository root) with extension
-/// `ext`.
+/// The files under `dir` (relative to the repository root, walked
+/// recursively) with extension `ext`.
 fn files_in(dir: &str, ext: &str) -> Vec<PathBuf> {
-    let entries = fs::read_dir(repo_root().join(dir)).unwrap_or_else(|e| panic!("{dir}: {e}"));
-    let paths = entries.map(|entry| entry.expect("directory entry").path());
-    paths
-        .filter(|p| p.extension().is_some_and(|e| e == ext))
-        .collect()
+    fn walk(dir: &Path, ext: &str, out: &mut Vec<PathBuf>) {
+        let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+        for path in entries.map(|entry| entry.expect("directory entry").path()) {
+            if path.is_dir() {
+                walk(&path, ext, out);
+            } else if path.extension().is_some_and(|e| e == ext) {
+                out.push(path);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(&repo_root().join(dir), ext, &mut out);
+    out
 }
 
 /// The documentation set the link checker walks: the README, PAPER.md
@@ -287,4 +298,41 @@ fn readme_links_to_the_docs_tree() {
             "README.md must link to {doc} so the specs are discoverable"
         );
     }
+}
+
+/// `[workspace.lints]` in the root manifest binds only the members that
+/// opt in, so a manifest without `[lints] workspace = true` would compile
+/// `unsafe` and accept a reason-less `#[allow]` unnoticed. And the
+/// hand-written scanner those lints replaced stays gone: nothing a reader
+/// or CI follows may still point at it.
+#[test]
+fn every_member_inherits_the_workspace_lints_and_the_scanner_is_gone() {
+    let root = repo_root();
+    let mut manifests = vec![root.join("Cargo.toml")];
+    manifests.extend(files_in("crates", "toml"));
+    assert!(manifests.len() >= 11, "root + 8 crates + 2 shims");
+    for manifest in &manifests {
+        assert!(
+            read(manifest).contains("[lints]\nworkspace = true"),
+            "{} must opt into [workspace.lints]",
+            manifest.display()
+        );
+    }
+    let root_manifest = read(&manifests[0]);
+    assert_eq!(root_manifest.matches("unsafe_code = \"forbid\"").count(), 1);
+
+    let retired = ["det", "lint"].concat(); // spelled apart so this file passes
+    let mut sources = doc_files();
+    sources.push(root.join("clippy.toml"));
+    sources.push(root.join(".claude/skills/verify/SKILL.md"));
+    sources.extend(files_in(".github/workflows", "yml"));
+    sources.extend(manifests);
+    for dir in ["crates", "src", "tests", "examples"] {
+        sources.extend(files_in(dir, "rs"));
+    }
+    let naming: Vec<&PathBuf> = sources
+        .iter()
+        .filter(|file| read(file).contains(&retired))
+        .collect();
+    assert!(naming.is_empty(), "still naming `{retired}`: {naming:#?}");
 }

@@ -25,7 +25,6 @@
 //! instants that the simulation runtime schedules. This keeps the substrate
 //! unit-testable in isolation.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod delay;

@@ -15,8 +15,6 @@
 //! * the number of cases honours `ProptestConfig::with_cases` and the
 //!   `PROPTEST_CASES` environment variable (env wins), defaulting to 64.
 
-#![forbid(unsafe_code)]
-
 use std::fmt;
 
 pub mod strategy {
@@ -93,7 +91,7 @@ pub mod strategy {
         ($($name:ident),+) => {
             impl<$($name: Strategy),+> Strategy for ($($name,)+) {
                 type Value = ($($name::Value,)+);
-                #[allow(non_snake_case)]
+                #[allow(non_snake_case, reason = "the tuple's type parameters double as its bindings")]
                 fn generate(&self, rng: &mut TestRng) -> Self::Value {
                     let ($($name,)+) = self;
                     ($($name.generate(rng),)+)
@@ -173,11 +171,19 @@ pub mod test_runner {
     /// test's identity so failures reproduce run-over-run.
     #[derive(Debug, Clone)]
     pub struct TestRng {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the test runner's own seeded generator"
+        )]
         inner: ::rand::rngs::SmallRng,
     }
 
     impl TestRng {
         /// RNG for the named test. Same name, same stream, every run.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "seeded from the test's file and name, never from entropy"
+        )]
         pub fn for_test(file: &str, name: &str) -> Self {
             // FNV-1a over file + name.
             let mut h: u64 = 0xCBF2_9CE4_8422_2325;

@@ -8,9 +8,13 @@
 //! `SmallRng` here is xoshiro256++ seeded through SplitMix64 — the same
 //! construction the real `rand` crate uses on 64-bit targets — so streams
 //! are high-quality and, most importantly for this workspace, fully
-//! deterministic for a given seed.
+//! deterministic for a given seed. There is no entropy source here at all:
+//! no `thread_rng`, no `from_os_rng` — a generator exists only behind a seed.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "this crate defines SmallRng; clippy.toml disallows it everywhere else"
+)]
 
 use std::ops::{Bound, RangeBounds};
 

@@ -24,8 +24,9 @@
 //! as the cursor approaches — a two-level hierarchy in the style of
 //! hashed-and-hierarchical timing wheels.
 //!
-//! [`HeapEventQueue`] preserves the original heap implementation as a
-//! behavioural reference model for the equivalence property tests.
+//! The original heap implementation survives as a test-only reference
+//! model (`HeapEventQueue` in this module's tests) for the equivalence
+//! property tests.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
@@ -392,134 +393,115 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap`-backed event queue, kept as the *reference
-/// model* for the tick wheel: property tests drive both with identical
-/// schedule/pop scripts and require identical pop sequences. Not part of
-/// the public API surface (the simulator always runs the wheel).
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct HeapEventQueue<E> {
-    heap: std::collections::BinaryHeap<HeapEntry<E>>,
-    next_seq: u64,
-    watermark: Time,
-    popped: u64,
-}
-
-#[derive(Debug)]
-struct HeapEntry<E> {
-    time: Time,
-    class: u8,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.class == other.class && self.seq == other.seq
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: earliest (time, class, seq) pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.class.cmp(&self.class))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty reference queue.
-    pub fn new() -> HeapEventQueue<E> {
-        HeapEventQueue {
-            heap: std::collections::BinaryHeap::new(),
-            next_seq: 0,
-            watermark: Time::ZERO,
-            popped: 0,
-        }
-    }
-
-    /// Mirror of [`EventQueue::schedule`].
-    pub fn schedule(&mut self, time: Time, payload: E) -> u64 {
-        self.schedule_class(time, 0, payload)
-    }
-
-    /// Mirror of [`EventQueue::schedule_class`].
-    pub fn schedule_class(&mut self, time: Time, class: u8, payload: E) -> u64 {
-        assert!(
-            time >= self.watermark,
-            "event scheduled at {time} before current time {}",
-            self.watermark
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(HeapEntry {
-            time,
-            class,
-            seq,
-            payload,
-        });
-        seq
-    }
-
-    /// Mirror of [`EventQueue::pop`].
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let entry = self.heap.pop()?;
-        self.watermark = entry.time;
-        self.popped += 1;
-        Some(ScheduledEvent {
-            time: entry.time,
-            class: entry.class,
-            seq: entry.seq,
-            payload: entry.payload,
-        })
-    }
-
-    /// Mirror of [`EventQueue::peek_time`].
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Mirror of [`EventQueue::now`].
-    pub fn now(&self) -> Time {
-        self.watermark
-    }
-
-    /// Mirror of [`EventQueue::len`].
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Mirror of [`EventQueue::is_empty`].
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Mirror of [`EventQueue::delivered`].
-    pub fn delivered(&self) -> u64 {
-        self.popped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::Span;
+    use proptest::prelude::*;
+
+    /// The original `BinaryHeap`-backed event queue, kept as the *reference
+    /// model* for the tick wheel: the property tests below drive both with
+    /// identical schedule/pop scripts and require identical pop sequences.
+    /// Every method mirrors the `EventQueue` method of the same name.
+    #[derive(Debug)]
+    struct HeapEventQueue<E> {
+        heap: std::collections::BinaryHeap<HeapEntry<E>>,
+        next_seq: u64,
+        watermark: Time,
+        popped: u64,
+    }
+
+    #[derive(Debug)]
+    struct HeapEntry<E> {
+        time: Time,
+        class: u8,
+        seq: u64,
+        payload: E,
+    }
+
+    impl<E> PartialEq for HeapEntry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.class == other.class && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for HeapEntry<E> {}
+
+    impl<E> PartialOrd for HeapEntry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<E> Ord for HeapEntry<E> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            // Reversed: earliest (time, class, seq) pops first.
+            other
+                .time
+                .cmp(&self.time)
+                .then_with(|| other.class.cmp(&self.class))
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    impl<E> HeapEventQueue<E> {
+        fn new() -> HeapEventQueue<E> {
+            HeapEventQueue {
+                heap: std::collections::BinaryHeap::new(),
+                next_seq: 0,
+                watermark: Time::ZERO,
+                popped: 0,
+            }
+        }
+
+        fn schedule(&mut self, time: Time, payload: E) -> u64 {
+            self.schedule_class(time, 0, payload)
+        }
+
+        fn schedule_class(&mut self, time: Time, class: u8, payload: E) -> u64 {
+            assert!(
+                time >= self.watermark,
+                "event scheduled at {time} before current time {}",
+                self.watermark
+            );
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(HeapEntry {
+                time,
+                class,
+                seq,
+                payload,
+            });
+            seq
+        }
+
+        fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+            let entry = self.heap.pop()?;
+            self.watermark = entry.time;
+            self.popped += 1;
+            Some(ScheduledEvent {
+                time: entry.time,
+                class: entry.class,
+                seq: entry.seq,
+                payload: entry.payload,
+            })
+        }
+
+        fn peek_time(&self) -> Option<Time> {
+            self.heap.peek().map(|e| e.time)
+        }
+
+        fn now(&self) -> Time {
+            self.watermark
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn delivered(&self) -> u64 {
+            self.popped
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -741,5 +723,111 @@ mod tests {
         q.schedule(Time::at(30) + Span::ticks(0), ());
         assert_eq!(q.pop().unwrap().time, Time::at(30));
         assert_eq!(q.pop().unwrap().time, Time::at(600));
+    }
+
+    proptest! {
+        // Bounded case count, as in `tests/proptest_queue.rs`, so CI runtime
+        // stays predictable; override with PROPTEST_CASES.
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The tick-wheel queue is behaviorally identical to the original
+        /// `BinaryHeap` implementation (kept as `HeapEventQueue`, the
+        /// reference model): identical pop sequences — (time, class, seq,
+        /// payload) — for arbitrary interleaved `schedule`/`schedule_class`/
+        /// `pop` scripts. Delays reach far beyond the wheel's 256-slot near
+        /// window so overflow parking, migration and cursor jumps are all on
+        /// the exercised path.
+        #[test]
+        fn wheel_matches_heap_reference_model(
+            script in prop::collection::vec(
+                (0u64..600, 0u8..3, prop::bool::ANY, prop::bool::ANY),
+                1..300,
+            )
+        ) {
+            let mut wheel = EventQueue::new();
+            let mut heap = HeapEventQueue::new();
+            for (i, &(delay, class, classed, do_pop)) in script.iter().enumerate() {
+                // Schedule relative to the wheel's watermark (the reference
+                // model's watermark tracks it in lockstep) so no event lands
+                // in the past.
+                let t = wheel.now() + Span::ticks(delay);
+                if classed {
+                    wheel.schedule_class(t, class, i);
+                    heap.schedule_class(t, class, i);
+                } else {
+                    wheel.schedule(t, i);
+                    heap.schedule(t, i);
+                }
+                prop_assert_eq!(wheel.len(), heap.len());
+                if do_pop {
+                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                    prop_assert_eq!(wheel.pop(), heap.pop());
+                    prop_assert_eq!(wheel.now(), heap.now());
+                }
+            }
+            // Drain both: the tails must agree event-for-event.
+            loop {
+                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                let (a, b) = (wheel.pop(), heap.pop());
+                prop_assert_eq!(&a, &b);
+                if a.is_none() {
+                    break;
+                }
+            }
+            prop_assert_eq!(wheel.delivered(), heap.delivered());
+        }
+
+        /// Appending to the lane tail that [`EventQueue::back_mut`] names is
+        /// invisible in the order: a wheel whose payloads are *runs* (append
+        /// when the tail is there, schedule a one-item run otherwise) pops,
+        /// run by run and item by item, exactly what the per-item reference
+        /// queue pops — for arbitrary interleavings, classes, and delays on
+        /// both sides of the wheel horizon (overflow events never merge).
+        #[test]
+        fn runs_appended_at_the_lane_tail_keep_the_per_item_order(
+            script in prop::collection::vec(
+                (0u64..6, 200u64..600, 0u8..5, 0u8..3, prop::bool::ANY),
+                1..300,
+            )
+        ) {
+            let mut wheel: EventQueue<Vec<usize>> = EventQueue::new();
+            let mut heap = HeapEventQueue::new();
+            let mut merged = 0;
+            let check_run = |wheel: &mut EventQueue<Vec<usize>>, heap: &mut HeapEventQueue<usize>| {
+                let Some(run) = wheel.pop() else {
+                    prop_assert!(heap.pop().is_none());
+                    return Ok(false);
+                };
+                prop_assert!(!run.payload.is_empty());
+                for item in run.payload {
+                    let single = heap.pop().expect("the reference holds every item");
+                    prop_assert_eq!((run.time, run.class, item), (single.time, single.class, single.payload));
+                }
+                prop_assert_eq!(wheel.now(), heap.now());
+                Ok(true)
+            };
+            for (i, &(near, far, pick, class, do_pop)) in script.iter().enumerate() {
+                // Mostly a few ticks ahead (so lanes collide and runs form),
+                // one in five past the wheel horizon.
+                let delay = if pick == 0 { far } else { near };
+                let t = wheel.now() + Span::ticks(delay);
+                match wheel.back_mut(t, class) {
+                    Some(run) => {
+                        run.push(i);
+                        merged += 1;
+                    }
+                    None => {
+                        wheel.schedule_class(t, class, vec![i]);
+                    }
+                }
+                heap.schedule_class(t, class, i);
+                if do_pop {
+                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                    check_run(&mut wheel, &mut heap)?;
+                }
+            }
+            while check_run(&mut wheel, &mut heap)? {}
+            prop_assert!(script.len() < 100 || merged > 0, "runs actually formed");
+        }
     }
 }

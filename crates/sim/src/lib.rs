@@ -13,6 +13,8 @@
 //! * all randomness flows through [`DetRng`], a small seeded PRNG, so the
 //!   same seed always reproduces the same run — a correctness requirement
 //!   for reproducing the paper's lemma-level bounds,
+//! * [`LookupMap`] is the workspace's only hash map — probed by key, never
+//!   iterated, so hash order cannot reach a report or a digest,
 //! * [`trace`] and [`metrics`] record what happened for the checkers and the
 //!   experiment harness.
 //!
@@ -28,20 +30,19 @@
 //! assert_eq!(q.pop().map(|e| e.payload), Some("later"));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;
 mod ids;
+mod lookup;
 pub mod metrics;
 pub mod obs;
 mod rng;
 mod time;
 pub mod trace;
 
-#[doc(hidden)]
-pub use event::HeapEventQueue;
 pub use event::{EventQueue, ScheduledEvent};
 pub use ids::{IdSource, NodeId, OpId, RegisterId, TimerId};
+pub use lookup::LookupMap;
 pub use rng::DetRng;
 pub use time::{Span, Time};

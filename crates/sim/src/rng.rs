@@ -4,7 +4,11 @@
 //! workload arrival times) flows through a [`DetRng`] derived from the
 //! scenario seed, so a `(scenario, seed)` pair fully determines the run.
 
-use rand::rngs::SmallRng; // detlint: allow(ambient-rng) -- this module IS the DetRng derivation boundary
+#[expect(
+    clippy::disallowed_types,
+    reason = "this module is the DetRng derivation boundary"
+)]
+use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::time::Span;
@@ -25,14 +29,21 @@ use crate::time::Span;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng {
-    inner: SmallRng, // detlint: allow(ambient-rng) -- the one sanctioned generator, behind the seed
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one sanctioned generator, behind the seed"
+    )]
+    inner: SmallRng,
 }
 
 impl DetRng {
     /// Creates a generator from a 64-bit seed.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "seeded from the scenario seed, never from entropy"
+    )]
     pub fn seed(seed: u64) -> DetRng {
         DetRng {
-            // detlint: allow(ambient-rng) -- seeded from the scenario seed, never from entropy
             inner: SmallRng::seed_from_u64(seed),
         }
     }

@@ -1,7 +1,9 @@
 //! Property tests for the deterministic event queue — the simulator's
-//! correctness rests on its ordering guarantees.
+//! correctness rests on its ordering guarantees. (The two properties that
+//! compare the wheel against the heap reference model live in
+//! `src/event.rs`'s unit tests, next to the test-only oracle.)
 
-use dynareg_sim::{DetRng, EventQueue, HeapEventQueue, Span, Time};
+use dynareg_sim::{DetRng, EventQueue, Span, Time};
 use proptest::prelude::*;
 
 proptest! {
@@ -64,106 +66,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The tick-wheel queue is behaviorally identical to the original
-    /// `BinaryHeap` implementation (kept as [`HeapEventQueue`], the
-    /// reference model): identical pop sequences — (time, class, seq,
-    /// payload) — for arbitrary interleaved `schedule`/`schedule_class`/
-    /// `pop` scripts. Delays reach far beyond the wheel's 256-slot near
-    /// window so overflow parking, migration and cursor jumps are all on
-    /// the exercised path.
-    #[test]
-    fn wheel_matches_heap_reference_model(
-        script in prop::collection::vec(
-            (0u64..600, 0u8..3, prop::bool::ANY, prop::bool::ANY),
-            1..300,
-        )
-    ) {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        for (i, &(delay, class, classed, do_pop)) in script.iter().enumerate() {
-            // Schedule relative to the wheel's watermark (the reference
-            // model's watermark tracks it in lockstep) so no event lands
-            // in the past.
-            let t = wheel.now() + Span::ticks(delay);
-            if classed {
-                wheel.schedule_class(t, class, i);
-                heap.schedule_class(t, class, i);
-            } else {
-                wheel.schedule(t, i);
-                heap.schedule(t, i);
-            }
-            prop_assert_eq!(wheel.len(), heap.len());
-            if do_pop {
-                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                prop_assert_eq!(wheel.pop(), heap.pop());
-                prop_assert_eq!(wheel.now(), heap.now());
-            }
-        }
-        // Drain both: the tails must agree event-for-event.
-        loop {
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            let (a, b) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(&a, &b);
-            if a.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(wheel.delivered(), heap.delivered());
-    }
-
-    /// Appending to the lane tail that [`EventQueue::back_mut`] names is
-    /// invisible in the order: a wheel whose payloads are *runs* (append
-    /// when the tail is there, schedule a one-item run otherwise) pops,
-    /// run by run and item by item, exactly what the per-item reference
-    /// queue pops — for arbitrary interleavings, classes, and delays on
-    /// both sides of the wheel horizon (overflow events never merge).
-    #[test]
-    fn runs_appended_at_the_lane_tail_keep_the_per_item_order(
-        script in prop::collection::vec(
-            (0u64..6, 200u64..600, 0u8..5, 0u8..3, prop::bool::ANY),
-            1..300,
-        )
-    ) {
-        let mut wheel: EventQueue<Vec<usize>> = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut merged = 0;
-        let check_run = |wheel: &mut EventQueue<Vec<usize>>, heap: &mut HeapEventQueue<usize>| {
-            let Some(run) = wheel.pop() else {
-                prop_assert!(heap.pop().is_none());
-                return Ok(false);
-            };
-            prop_assert!(!run.payload.is_empty());
-            for item in run.payload {
-                let single = heap.pop().expect("the reference holds every item");
-                prop_assert_eq!((run.time, run.class, item), (single.time, single.class, single.payload));
-            }
-            prop_assert_eq!(wheel.now(), heap.now());
-            Ok(true)
-        };
-        for (i, &(near, far, pick, class, do_pop)) in script.iter().enumerate() {
-            // Mostly a few ticks ahead (so lanes collide and runs form),
-            // one in five past the wheel horizon.
-            let delay = if pick == 0 { far } else { near };
-            let t = wheel.now() + Span::ticks(delay);
-            match wheel.back_mut(t, class) {
-                Some(run) => {
-                    run.push(i);
-                    merged += 1;
-                }
-                None => {
-                    wheel.schedule_class(t, class, vec![i]);
-                }
-            }
-            heap.schedule_class(t, class, i);
-            if do_pop {
-                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                check_run(&mut wheel, &mut heap)?;
-            }
-        }
-        while check_run(&mut wheel, &mut heap)? {}
-        prop_assert!(script.len() < 100 || merged > 0, "runs actually formed");
     }
 
     /// DetRng streams are reproducible and forks are independent of later

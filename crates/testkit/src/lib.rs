@@ -37,7 +37,6 @@
 //! assert!(report.liveness.is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiment;

@@ -20,17 +20,11 @@
 //! run is digest-identical to an uninstrumented one (the zero-cost claim
 //! CI gates with a byte-compare).
 
-// Lookup-only attribution maps keyed by dense sequence ids / op ids:
-// probed on delivery, never iterated (detlint's unordered-iteration rule
-// guards that), and on the per-message hot path where hashing beats a
-// B-tree walk.
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
 use std::fmt;
 
 use dynareg_net::{MsgRecord, SendFate};
 use dynareg_sim::obs::{TickProfile, Timeseries};
-use dynareg_sim::{NodeId, OpId, RegisterId, Time};
+use dynareg_sim::{LookupMap, NodeId, OpId, RegisterId, Time};
 
 pub use dynareg_sim::obs::ObsConfig;
 
@@ -356,36 +350,37 @@ pub(crate) enum Cause {
 /// invoked behind an `Option` check, so a world without observability
 /// never touches any of this.
 #[derive(Debug)]
-#[allow(clippy::disallowed_types)] // lookup-only attribution maps, see the import note
 pub(crate) struct WorldObs {
     pub(crate) cfg: ObsConfig,
     spans: Vec<OpSpan>,
+    // The five attribution maps are keyed by dense sequence ids / op ids and
+    // probed on the per-message hot path, where hashing beats a B-tree
+    // walk; `LookupMap` cannot be iterated.
     /// `(key, op) → index into spans`.
-    span_ix: HashMap<(RegisterId, OpId), usize>,
+    span_ix: LookupMap<(RegisterId, OpId), usize>,
     /// Operation attribution of each sent sequence id.
-    seq_op: HashMap<u64, (RegisterId, OpId)>,
+    seq_op: LookupMap<u64, (RegisterId, OpId)>,
     /// Causal parent (delivered seq) of each sent sequence id.
-    seq_parent: HashMap<u64, u64>,
+    seq_parent: LookupMap<u64, u64>,
     /// Delivery instants by sequence id.
-    delivered: HashMap<u64, Time>,
+    delivered: LookupMap<u64, Time>,
     /// Delivery-time departed-recipient drops by sequence id.
-    dropped_departed: HashMap<u64, Time>,
+    dropped_departed: LookupMap<u64, Time>,
     pub(crate) cause: Cause,
     pub(crate) timeseries: Option<Timeseries>,
     pub(crate) profile: TickProfile,
 }
 
 impl WorldObs {
-    #[allow(clippy::disallowed_types)] // lookup-only attribution maps, see the import note
     pub(crate) fn new(cfg: ObsConfig) -> WorldObs {
         WorldObs {
             cfg,
             spans: Vec::new(),
-            span_ix: HashMap::new(),
-            seq_op: HashMap::new(),
-            seq_parent: HashMap::new(),
-            delivered: HashMap::new(),
-            dropped_departed: HashMap::new(),
+            span_ix: LookupMap::new(),
+            seq_op: LookupMap::new(),
+            seq_parent: LookupMap::new(),
+            delivered: LookupMap::new(),
+            dropped_departed: LookupMap::new(),
             cause: Cause::None,
             timeseries: cfg.timeseries_every.map(Timeseries::new),
             profile: TickProfile::default(),
@@ -692,6 +687,29 @@ mod tests {
 
         // Completed ops stop being stuck.
         assert!(report.why_stuck(OpId::from_raw(99)).is_none());
+    }
+
+    /// Two collectors fed the same calls render identically: the
+    /// attribution maps print their length, never their (hash-ordered)
+    /// entries.
+    #[test]
+    fn debug_rendering_is_the_same_for_identical_collectors() {
+        let build = || {
+            let mut obs = WorldObs::new(ObsConfig::full());
+            let key = RegisterId::ZERO;
+            for i in 0..12 {
+                let op = OpId::from_raw(i);
+                obs.op_invoked(key, op, nid(i), "read", Time::at(i));
+                obs.cause = Cause::Op(key, op);
+                obs.note_send(2 * i, 2, "READ", Time::at(i));
+                obs.note_delivered(2 * i, nid(50), "READ", Time::at(i + 1));
+            }
+            obs
+        };
+        let (a, b) = (format!("{:?}", build()), format!("{:?}", build()));
+        assert_eq!(a, b);
+        assert_eq!(a.matches("LookupMap { len: ").count(), 5, "{a}");
+        assert!(a.contains("seq_op: LookupMap { len: 24 }"), "{a}");
     }
 
     #[test]

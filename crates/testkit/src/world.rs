@@ -34,11 +34,6 @@
 //! idle-active roster the workload samples from is maintained
 //! incrementally instead of being re-collected every tick.
 
-// `NodeMap` below: a lookup-only interning map on the per-event hot path.
-// Probed by node id, never iterated outside an order-insensitive test
-// assertion (detlint's unordered-iteration rule guards that).
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
@@ -49,7 +44,7 @@ use dynareg_net::{Fanout, Network, Presence};
 use dynareg_sim::metrics::Metrics;
 use dynareg_sim::obs::{TickPhase, TickProfile};
 use dynareg_sim::trace::{TraceEvent, TraceLog};
-use dynareg_sim::{DetRng, EventQueue, NodeId, OpId, RegisterId, Span, Time};
+use dynareg_sim::{DetRng, EventQueue, LookupMap, NodeId, OpId, RegisterId, Span, Time};
 use dynareg_verify::{History, SpaceHistory};
 
 use crate::factory::SpaceFactory;
@@ -191,20 +186,26 @@ struct WallClock {
 }
 
 impl WallClock {
-    #[allow(clippy::disallowed_methods)] // profiler timing, outside the simulation clock
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "TickProfile wall timing, reported out-of-band, never in digests"
+    )]
     fn start(profile: TickProfile) -> WallClock {
         WallClock {
             profile,
             phase: TickPhase::Deliver,
-            since: std::time::Instant::now(), // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
+            since: std::time::Instant::now(),
             events: 0,
         }
     }
 
     /// Closes the open phase's account and opens `next`'s.
-    #[allow(clippy::disallowed_methods)] // profiler timing, outside the simulation clock
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "TickProfile wall timing, reported out-of-band, never in digests"
+    )]
     fn stamp(&mut self, next: TickPhase) {
-        let now = std::time::Instant::now(); // detlint: allow(wall-clock) -- TickProfile wall timing, reported out-of-band, never in digests
+        let now = std::time::Instant::now();
         self.profile.add(self.phase, now - self.since, self.events);
         (self.phase, self.since, self.events) = (next, now, 0);
     }
@@ -319,8 +320,9 @@ impl Hasher for NodeIdHasher {
     }
 }
 
-#[allow(clippy::disallowed_types)] // lookup-only, see the import note
-type NodeMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
+/// The `NodeId → slot` interning map on the per-event hot path: probed by
+/// node id, and — being a [`LookupMap`] — impossible to iterate.
+type NodeMap<V> = LookupMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
 
 /// The deterministic simulation world for the spaces `F` builds.
 ///
@@ -1674,12 +1676,34 @@ mod tests {
             w.presence().present_count(),
             "interning map mirrors the present set"
         );
-        // Every interned slot holds the node it claims to.
-        // detlint: allow(unordered-iteration) -- test-only, order-insensitive per-entry assertion
-        for (&node, &idx) in &w.slot_of {
+        // Every present node is interned at the slot the sorted roster
+        // names, and that slot holds the node it claims to.
+        assert_eq!(w.present_slots.len(), w.slot_of.len());
+        for &(node, idx) in &w.present_slots {
+            assert_eq!(w.slot_of.get(&node), Some(&idx));
             assert_eq!(w.slots[idx as usize].as_ref().unwrap().node, node);
         }
         assert!(RegularityChecker::check(w.history()).is_ok());
+    }
+
+    #[test]
+    fn node_map_answers_every_lookup_under_the_node_id_hasher() {
+        let id = NodeId::from_raw;
+        let mut m: NodeMap<u32> = NodeMap::default();
+        assert!(m.is_empty() && m.get(&id(1)).is_none() && !m.contains_key(&id(1)));
+        // Sequential ids, the population the hasher is tuned for.
+        for i in 0..5000 {
+            assert_eq!(m.insert(id(i), i as u32), None);
+        }
+        assert_eq!(m.insert(id(7), 70), Some(7), "insert replaces");
+        m.insert_if_absent(id(5000), 1);
+        m.insert_if_absent(id(5000), 2);
+        assert_eq!(m.get(&id(5000)), Some(&1), "first wins");
+        assert_eq!(m.len(), 5001);
+        assert!((0..5000).all(|i| m.contains_key(&id(i))));
+        assert_eq!((m.remove(&id(7)), m.remove(&id(7))), (Some(70), None));
+        assert_eq!(m.len(), 5000);
+        assert_eq!(m.clone().get(&id(4999)), Some(&4999));
     }
 
     #[test]
@@ -1692,7 +1716,7 @@ mod tests {
             .active_nodes()
             .into_iter()
             .filter(|id| {
-                let idx = w.slot_of[id] as usize;
+                let idx = *w.slot_of.get(id).unwrap() as usize;
                 w.slots[idx].as_ref().unwrap().busy.is_empty()
             })
             .collect();

@@ -47,7 +47,8 @@ impl AtomicityChecker {
 
     /// Oracle variant built on [`RegularityChecker::check_naive`]; the
     /// inversion scan is shared (it was already a sweep).
-    pub fn check_naive<V: Clone + Eq + Hash + std::fmt::Debug>(
+    #[cfg(test)]
+    pub(crate) fn check_naive<V: Clone + Eq + Hash + std::fmt::Debug>(
         history: &History<V>,
     ) -> ConsistencyReport<V> {
         let mut report = RegularityChecker::check_naive(history);

@@ -5,15 +5,9 @@
 //! with what value. The simulation runtime appends to the history as
 //! operations progress; checkers consume it read-only afterwards.
 
-// Lookup-only acceleration indexes: inserted and probed by key, never
-// iterated (detlint's unordered-iteration rule guards that), and
-// `value_writer_index` is keyed by the generic `V: Hash` which has no `Ord`
-// bound — a BTreeMap cannot back it.
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
 use std::hash::Hash;
 
-use dynareg_sim::{NodeId, OpId, Time};
+use dynareg_sim::{LookupMap, NodeId, OpId, Time};
 
 /// What kind of operation a record describes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,31 +98,32 @@ impl<V> OpRecord<V> {
 /// assert_eq!(h.completed_reads().count(), 1);
 /// ```
 #[derive(Debug, Clone)]
-#[allow(clippy::disallowed_types)] // lookup-only indexes, see the import note
 pub struct History<V> {
     initial: V,
     ops: Vec<OpRecord<V>>,
-    index_of: HashMap<OpId, usize>,
+    // Acceleration indexes, inserted and probed by key; `LookupMap` cannot
+    // be iterated, and `value_writer_index` is keyed by the generic
+    // `V: Hash`, which has no `Ord` bound — a BTreeMap cannot back it.
+    index_of: LookupMap<OpId, usize>,
     write_count: usize,
-    last_write_by_node: HashMap<NodeId, OpId>,
-    value_writer_index: HashMap<V, usize>,
-    left_at: HashMap<NodeId, Time>,
+    last_write_by_node: LookupMap<NodeId, OpId>,
+    value_writer_index: LookupMap<V, usize>,
+    left_at: LookupMap<NodeId, Time>,
     next_op: u64,
 }
 
 impl<V: Clone + Eq + Hash + std::fmt::Debug> History<V> {
     /// A history over a register whose initial value is `initial` (the
     /// paper initializes every `register_k` to a common value, §3.3).
-    #[allow(clippy::disallowed_types)] // lookup-only indexes, see the import note
     pub fn new(initial: V) -> History<V> {
         History {
             initial,
             ops: Vec::new(),
-            index_of: HashMap::new(),
+            index_of: LookupMap::new(),
             write_count: 0,
-            last_write_by_node: HashMap::new(),
-            value_writer_index: HashMap::new(),
-            left_at: HashMap::new(),
+            last_write_by_node: LookupMap::new(),
+            value_writer_index: LookupMap::new(),
+            left_at: LookupMap::new(),
             next_op: 0,
         }
     }
@@ -264,7 +259,7 @@ impl<V: Clone + Eq + Hash + std::fmt::Debug> History<V> {
     /// Records that `node` left the system at `t` (used by the liveness
     /// checker to excuse its pending operations).
     pub fn note_left(&mut self, node: NodeId, t: Time) {
-        self.left_at.entry(node).or_insert(t);
+        self.left_at.insert_if_absent(node, t);
     }
 
     /// When `node` left, if it did.
@@ -448,6 +443,27 @@ mod tests {
         let r = h.invoke_read(n(1), Time::at(3));
         h.complete_read(r, Time::at(4), 0);
         h.complete_read(r, Time::at(5), 0);
+    }
+
+    /// Two histories built by the same calls render identically: the
+    /// lookup indexes print their length, never their (hash-ordered) entries.
+    #[test]
+    fn debug_rendering_is_the_same_for_identical_histories() {
+        let build = || {
+            let mut h: History<u64> = History::new(0);
+            for i in 0..12 {
+                let w = h.invoke_write(n(i % 4), Time::at(3 * i + 1), 10 * (i + 1));
+                h.complete_write(w, Time::at(3 * i + 2));
+                let r = h.invoke_read(n(4 + i), Time::at(3 * i + 2));
+                h.complete_read(r, Time::at(3 * i + 3), 10 * (i + 1));
+                h.note_left(n(4 + i), Time::at(3 * i + 3));
+            }
+            h
+        };
+        let (a, b) = (format!("{:?}", build()), format!("{:?}", build()));
+        assert_eq!(a, b);
+        assert_eq!(a.matches("LookupMap { len: ").count(), 4, "{a}");
+        assert!(a.contains("left_at: LookupMap { len: 12 }"), "{a}");
     }
 
     #[test]

@@ -269,7 +269,8 @@ impl RegularityChecker {
     /// The original O(R·W) implementation, retained verbatim as the *test
     /// oracle*: the property suite requires [`RegularityChecker::check`]
     /// to agree with it violation-for-violation on arbitrary histories.
-    pub fn check_naive<V: Clone + Eq + Hash + std::fmt::Debug>(
+    #[cfg(test)]
+    pub(crate) fn check_naive<V: Clone + Eq + Hash + std::fmt::Debug>(
         history: &History<V>,
     ) -> ConsistencyReport<V> {
         let writes: Vec<&OpRecord<V>> = history.writes().collect();

@@ -29,7 +29,7 @@ impl SafeChecker {
     /// Sweep-line over the write intervals (`WriteSweep`): quiescence is
     /// one binary search per read (does *any* write interval intersect the
     /// read?) and the expected value another — O((R+W) log W) total,
-    /// versus the retained [`SafeChecker::check_naive`] oracle's O(R·W).
+    /// versus the test-only `check_naive` oracle's O(R·W).
     pub fn check<V: Clone + Eq + Hash + std::fmt::Debug>(
         history: &History<V>,
     ) -> ConsistencyReport<V> {
@@ -114,7 +114,8 @@ impl SafeChecker {
 
     /// The original O(R·W) implementation, retained verbatim as the *test
     /// oracle* for the sweep-line [`SafeChecker::check`].
-    pub fn check_naive<V: Clone + Eq + Hash + std::fmt::Debug>(
+    #[cfg(test)]
+    pub(crate) fn check_naive<V: Clone + Eq + Hash + std::fmt::Debug>(
         history: &History<V>,
     ) -> ConsistencyReport<V> {
         let writes: Vec<&OpRecord<V>> = history.writes().collect();

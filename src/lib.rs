@@ -65,8 +65,6 @@
 //! | [`testkit`] | `dynareg-testkit` | world runtime, scenarios, experiment sweeps |
 //! | [`fleet`] | `dynareg-fleet` | multi-threaded sweep orchestrator, phase diagrams |
 
-#![forbid(unsafe_code)]
-
 pub use dynareg_churn as churn;
 pub use dynareg_core as core;
 pub use dynareg_fleet as fleet;
