@@ -57,6 +57,8 @@ struct SpaceResult {
     churn_rate: f64,
     events: u64,
     messages: u64,
+    /// `INQUIRY_FULL` broadcasts (the sharded starvation fallback).
+    inquiry_full: u64,
     sim_secs: f64,
     reads_checked: usize,
     check_secs: f64,
@@ -237,6 +239,7 @@ fn run_space(row: Row, nodes: usize, ticks: u64) -> SpaceResult {
     let writes_skipped_busy = metrics.counter("ops.skipped_busy");
     let writes_gated = metrics.counter("workload.write_gated");
     let messages = network.total_sent();
+    let inquiry_full = network.sent_of("INQUIRY_FULL");
     let mut digest = fnv1a([], 0xCBF2_9CE4_8422_2325);
     for (_, h) in space.iter() {
         digest = fnv1a(format!("{:?}", h.ops()).bytes(), digest);
@@ -274,6 +277,7 @@ fn run_space(row: Row, nodes: usize, ticks: u64) -> SpaceResult {
         churn_rate,
         events,
         messages,
+        inquiry_full,
         sim_secs,
         reads_checked: report.total_reads_checked(),
         check_secs,
@@ -403,6 +407,9 @@ fn main() {
             if r.safety_ok { "OK" } else { "VIOLATED" },
             if r.liveness_ok { "OK" } else { "STUCK" },
         );
+        if r.shards > 1 {
+            println!("       G={}: inquiry_full={}", r.shards, r.inquiry_full);
+        }
         assert!(
             r.safety_ok,
             "register space lost regularity at k={}",
@@ -420,10 +427,18 @@ fn main() {
     // received the in-flight WRITE during its wait skips the inquiry
     // entirely — Figure 1 line 03 — while a keyed space still inquires
     // for its other keys, so only multi-key counts are exactly equal.)
-    assert_eq!(
-        results[1].messages, results[2].messages,
-        "physical message count must not scale with the key count"
-    );
+    // Only at `G = 1`: a responder still joining answers at once for the
+    // keys that adopted a WRITE during its wait and on activation for the
+    // rest — two batches if its stripe holds such a key, one if not, and
+    // whether a `K/G` stripe does depends on the Zipf draw over `K` keys
+    // (`--shards 4 --nodes 200 --ticks 200`: 8 split answers at 16 keys,
+    // 12 at 256, `inquiry_full` 0 in both — no starvation round involved).
+    if results[1].shards == 1 {
+        assert_eq!(
+            results[1].messages, results[2].messages,
+            "physical message count must not scale with the key count"
+        );
+    }
     if let (Some(full), Some(sharded)) = (
         results
             .iter()

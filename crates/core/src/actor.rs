@@ -83,8 +83,9 @@ pub enum Effect<M, V> {
 /// * Message deliveries may arrive at any moment from entry onward
 ///   (listening mode).
 pub trait RegisterProcess: fmt::Debug {
-    /// The protocol's wire message type.
-    type Msg: Clone + fmt::Debug;
+    /// The protocol's wire message type (compared by the space layer to
+    /// tell whether a kept join answer answers the inquiry at hand).
+    type Msg: Clone + PartialEq + fmt::Debug;
     /// The register's value type.
     type Val: Value;
 

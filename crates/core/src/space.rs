@@ -29,7 +29,7 @@
 //! # The shared handshake's contract
 //!
 //! [`RegisterSpace`] coalesces the join phase generically, which requires
-//! two properties both paper protocols have:
+//! three properties both paper protocols have:
 //!
 //! 1. **Join-phase broadcasts are key-agnostic.** An `INQUIRY` carries no
 //!    register state, so when several instances inquire in the same step
@@ -40,6 +40,11 @@
 //!    protocol's `wait(δ)` / `wait(2δ)`), so the space arms one shared
 //!    timer and dispatches its expiry to every still-joining instance.
 //!
+//! 3. **Answering a join-phase inquiry while active reads state and
+//!    changes none**; the sender appears only as the `Send` target
+//!    (Figure 1 line 14, Figure 4 line 13 — an ES instance that is
+//!    `reading` adds a `DL_PREV`, and two `Send`s are not such an answer).
+//!
 //! Steady-state operation needs no contract: a read/write/timer touches
 //! exactly one key's instance and its effects are tagged with that key.
 //!
@@ -48,6 +53,22 @@
 //! sized once), and a joiner hands each received entry to its instance as
 //! it goes — the sync protocol folds it into a running maximum, so a join
 //! holds O(1) state per key however many processes answer.
+//!
+//! # Standing answers
+//!
+//! By contract 3 a responder's answer changes only when one of its keys is
+//! stepped, so a join-done [`RegisterSpace`] whose stripe answered a
+//! `JoinAll` with one `Send` per key keeps that batch — inquiry payload,
+//! stripe, and the `Rc` slice the reply carries — and the next equal
+//! inquiry gets a pointer copy: nothing stepped, nothing allocated. Every
+//! `&mut` to an instance comes from one accessor that marks the key in a
+//! 64-bit dirty mask (`key mod 64`: exact up to 64 keys, conservative
+//! beyond); an inquiry that finds marks re-steps only the marked keys of
+//! its stripe and overwrites their entries through `Rc::make_mut` — in
+//! place when no reply still shares the slice, on a copy otherwise, so a
+//! `Batch` on the wire is never written. A marked key answering anything
+//! but its one `Send` drops the answer; the inquiry finishes key by key.
+//! Memory: `K` × ≈ 40 B per node beside `K` × ≈ 160 B of instances.
 //!
 //! # Key-sharded join replies
 //!
@@ -112,6 +133,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::rc::Rc;
 
 use dynareg_sim::{NodeId, OpId, RegisterId, Span, Time};
 
@@ -142,9 +164,11 @@ pub enum SpaceMsg<M> {
     },
     /// The batched per-key answers to a fan-in delivery — all keys' states
     /// in one physical message (the other half of the shared handshake).
+    /// Immutable once sent: a responder may hand the same allocation to
+    /// several inquirers (module docs, "Standing answers").
     Batch {
         /// `(key, payload)` pairs, in processing order.
-        replies: Vec<(RegisterId, M)>,
+        replies: Rc<[(RegisterId, M)]>,
     },
 }
 
@@ -738,7 +762,7 @@ impl Default for ShardConfig {
 #[derive(Debug)]
 pub struct RegisterSpace<P: RegisterProcess> {
     id: NodeId,
-    regs: Vec<P>,
+    regs: Regs<P>,
     /// Whether this space already emitted its single `JoinComplete`.
     join_done: bool,
     /// Reused scratch for the instances' effect lists.
@@ -752,6 +776,112 @@ pub struct RegisterSpace<P: RegisterProcess> {
     shard_heard: Vec<BTreeSet<NodeId>>,
     /// Join re-fire state; on the sharded pace while `groups > 1`.
     refire: JoinRefire<SpaceMsg<P::Msg>>,
+}
+
+use regs::Regs;
+
+/// A stripe's `(key, payload)` replies: what a [`SpaceMsg::Batch`] carries.
+type Entries<M> = Rc<[(RegisterId, M)]>;
+
+/// The instances and their standing answer (module docs), in a module of
+/// their own so that no `&mut P` is reachable without dirtying its key.
+mod regs {
+    use super::*;
+
+    /// A join-done responder's last all-`Send` answer to a `JoinAll`.
+    #[derive(Debug)]
+    struct Standing<M> {
+        /// The inquiry payload it answers (ES replies echo its `r_sn`).
+        inquiry: M,
+        /// The stripe it covers: keys `first, first + stride, …`.
+        stripe: (u32, usize),
+        entries: Entries<M>,
+    }
+
+    #[derive(Debug)]
+    pub(super) struct Regs<P: RegisterProcess> {
+        regs: Vec<P>,
+        /// Bit `key % 64`: `key` was stepped since `answer` was kept (exact
+        /// to 64 keys). Inline: the `Keyed` exit touches no new cache line.
+        dirty: u64,
+        answer: Option<Standing<P::Msg>>,
+    }
+
+    impl<P: RegisterProcess> std::ops::Deref for Regs<P> {
+        type Target = [P];
+
+        fn deref(&self) -> &[P] {
+            &self.regs
+        }
+    }
+
+    impl<P: RegisterProcess> Regs<P> {
+        pub fn new(regs: Vec<P>) -> Regs<P> {
+            Regs {
+                regs,
+                dirty: 0,
+                answer: None,
+            }
+        }
+
+        fn bit(key: RegisterId) -> u64 {
+            1 << (key.as_raw() % 64)
+        }
+
+        /// The only `&mut P` there is.
+        pub fn step(&mut self, key: RegisterId) -> &mut P {
+            self.dirty |= Self::bit(key);
+            &mut self.regs[key.as_raw() as usize]
+        }
+
+        /// Whether `key` (or one sharing its bit) was stepped since `keep`.
+        pub fn is_dirty(&self, key: RegisterId) -> bool {
+            self.dirty & Self::bit(key) != 0
+        }
+
+        pub fn any_dirty(&self) -> bool {
+            self.dirty != 0
+        }
+
+        /// Takes the standing answer's entries out if it answers `inquiry`
+        /// over `stripe`; drops an answer that does not.
+        pub fn take_answer(
+            &mut self,
+            inquiry: &P::Msg,
+            stripe: (u32, usize),
+        ) -> Option<Entries<P::Msg>> {
+            let fits = |a: &Standing<P::Msg>| a.stripe == stripe && a.inquiry == *inquiry;
+            self.answer.take().filter(fits).map(|a| a.entries)
+        }
+
+        /// Keeps `entries`, just built or patched, as the answer to `inquiry`
+        /// over `stripe`. Debug builds first ask every key again (contract 3).
+        pub fn keep(
+            &mut self,
+            now: Time,
+            from: NodeId,
+            inquiry: P::Msg,
+            stripe: (u32, usize),
+            entries: &Entries<P::Msg>,
+        ) {
+            if cfg!(debug_assertions) {
+                for (key, kept) in entries.iter() {
+                    let reg = &mut self.regs[key.as_raw() as usize];
+                    let fresh = reg.on_message(now, from, inquiry.clone());
+                    let same = matches!(fresh.as_slice(),
+                        [Effect::Send { to, msg }] if *to == from && msg == kept);
+                    assert!(same, "stale answer for {key:?}: {kept:?}, now {fresh:?}");
+                }
+            }
+            self.dirty = 0;
+            let entries = Rc::clone(entries);
+            self.answer = Some(Standing {
+                inquiry,
+                stripe,
+                entries,
+            });
+        }
+    }
 }
 
 /// One target's pending fan-in replies: `(target, per-key payloads)`.
@@ -837,7 +967,7 @@ impl<P: RegisterProcess> RegisterSpace<P> {
         );
         RegisterSpace {
             id,
-            regs,
+            regs: Regs::new(regs),
             join_done: false,
             scratch: Vec::new(),
             shard: ShardConfig::default(),
@@ -985,7 +1115,7 @@ impl<P: RegisterProcess> RegisterSpace<P> {
             self.refire.refire(&mut out, self.refire.wait(tag));
         }
         if !self.join_done {
-            let regs = &self.regs;
+            let regs = &*self.regs;
             let heard = || Self::joining_replies(regs).unwrap_or(0);
             self.refire.arm(heard, &mut out);
         }
@@ -999,10 +1129,9 @@ impl<P: RegisterProcess> RegisterSpace<P> {
                         msg: SpaceMsg::Keyed { key, inner },
                     });
                 } else {
-                    out.push(SpaceEffect::Send {
-                        to,
-                        msg: SpaceMsg::Batch { replies: entries },
-                    });
+                    let replies = entries.into();
+                    let msg = SpaceMsg::Batch { replies };
+                    out.push(SpaceEffect::Send { to, msg });
                 }
             }
         }
@@ -1012,44 +1141,61 @@ impl<P: RegisterProcess> RegisterSpace<P> {
     /// Delivers a fan-in message's per-key payloads in one pass over a
     /// single scratch borrow. An instance answering with exactly one `Send`
     /// back to `from` (any active responder) appends to `from`'s reply
-    /// group, allocated once at exact capacity; every other effect list
-    /// takes the generic [`route`](Self::route) — so the effects, and their
-    /// order, are those of stepping the keys one by one.
+    /// group, allocated once at exact capacity and returned for the caller
+    /// to close; every other effect list takes the generic
+    /// [`route`](Self::route) — so the effects, and their order, are those
+    /// of stepping the keys one by one.
+    ///
+    /// With `patch` — a standing answer's entries, one per entry of
+    /// `entries` — only dirty keys are stepped, their one `Send` overwriting
+    /// their entry. The first to answer anything else takes `patch` away: the
+    /// entries before it open the reply group and the pass goes on without.
     fn fan_in(
         &mut self,
         now: Time,
         from: NodeId,
         entries: impl ExactSizeIterator<Item = (RegisterId, P::Msg)>,
         ctx: &mut StepCtx<P::Msg, P::Val>,
-    ) {
+        patch: &mut Option<&mut [(RegisterId, P::Msg)]>,
+    ) -> Vec<(RegisterId, P::Msg)> {
         let mut scratch = std::mem::take(&mut self.scratch);
         debug_assert!(scratch.is_empty());
         let capacity = entries.len();
         let batching = ctx.fan_sends.is_some();
         // `from`'s reply group, local to the loop until something routes.
         let mut replies = Vec::new();
-        for (key, inner) in entries {
-            self.regs[key.as_raw() as usize].on_message_into(now, from, inner, &mut scratch);
+        for (at, (key, inner)) in entries.enumerate() {
+            if patch.is_some() && !self.regs.is_dirty(key) {
+                continue;
+            }
+            let reg = self.regs.step(key);
+            reg.on_message_into(now, from, inner, &mut scratch);
             // Peek before popping: moving a whole `Effect` out right after
             // the instance wrote it stalls on store forwarding.
             match scratch.as_slice() {
-                [] => {}
+                [] if patch.is_none() => {}
                 [Effect::Send { to, .. }] if batching && *to == from => {
-                    if replies.capacity() == 0 {
+                    if replies.capacity() == 0 && patch.is_none() {
                         replies.reserve_exact(capacity);
                     }
                     if let Some(Effect::Send { msg, .. }) = scratch.pop() {
-                        replies.push((key, msg));
+                        match patch {
+                            Some(kept) => kept[at].1 = msg,
+                            None => replies.push((key, msg)),
+                        }
                     }
                 }
                 _ => {
+                    if let Some(kept) = patch.take() {
+                        replies.extend_from_slice(&kept[..at]);
+                    }
                     ctx.fan_to(from, &mut replies);
                     self.route(key, ctx, &mut scratch);
                 }
             }
         }
-        ctx.fan_to(from, &mut replies);
         self.scratch = scratch;
+        replies
     }
 
     /// Runs `step` on the instance backing `key`, routing its effects.
@@ -1061,7 +1207,7 @@ impl<P: RegisterProcess> RegisterSpace<P> {
     ) {
         let mut scratch = std::mem::take(&mut self.scratch);
         debug_assert!(scratch.is_empty());
-        step(&mut self.regs[key.as_raw() as usize], &mut scratch);
+        step(self.regs.step(key), &mut scratch);
         self.route(key, ctx, &mut scratch);
         self.scratch = scratch;
     }
@@ -1110,7 +1256,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
     ) {
         if let SpaceMsg::Keyed { key, inner } = msg {
             debug_assert!(self.scratch.is_empty());
-            let reg = &mut self.regs[key.as_raw() as usize];
+            let reg = self.regs.step(key);
             reg.on_message_into(now, from, inner, &mut self.scratch);
             // Steady state's common delivery — a `WRITE` already applied
             // or stale — emits nothing, and once the join is done a flush
@@ -1141,13 +1287,35 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
                 // handshake; `K/G` of them when sharded). A 1-key space
                 // batches nothing, staying message-for-message identical
                 // to the solo path.
-                let (first, stride) = match self.shard.groups {
+                let stripe = match self.shard.groups {
                     g if g > 1 && !full => (self.my_shard, g as usize),
                     _ => (0, 1),
                 };
-                let keys = (first..self.regs.len() as u32).step_by(stride);
-                let entries = keys.map(|raw| (RegisterId::from_raw(raw), inner.clone()));
-                self.fan_in(now, from, entries, &mut ctx);
+                let keys = (stripe.0..self.regs.len() as u32).step_by(stripe.1);
+                // A standing answer (module docs) serves the inquiry as it is
+                // or after its dirty keys answered again; without one, or once
+                // a key answers more than its `Send`, every key is stepped.
+                let mut kept = self.regs.take_answer(&inner, stripe);
+                if kept.is_none() || self.regs.any_dirty() {
+                    let width = keys.len();
+                    let entries = keys.map(|raw| (RegisterId::from_raw(raw), inner.clone()));
+                    let mut patch = kept.as_mut().map(Rc::make_mut);
+                    let mut replies = self.fan_in(now, from, entries, &mut ctx, &mut patch);
+                    let stepped = patch.is_none();
+                    if stepped && self.join_done && replies.len() == width {
+                        // One `Send` per key and nothing else (a 1-key
+                        // space batches nothing, so it never gets here).
+                        kept = Some(replies.into());
+                    } else if stepped {
+                        kept = None;
+                        ctx.fan_to(from, &mut replies);
+                    }
+                }
+                if let Some(replies) = kept {
+                    self.regs.keep(now, from, inner, stripe, &replies);
+                    let msg = SpaceMsg::Batch { replies };
+                    ctx.out.push(SpaceEffect::Send { to: from, msg });
+                }
             }
             SpaceMsg::Batch { replies } => {
                 // Joiner-side shard bookkeeping: a batch from `from`
@@ -1155,12 +1323,14 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
                 // for a sharded reply, every shard for a full-fallback
                 // one).
                 if self.shard.groups > 1 && !self.join_done {
-                    for (key, _) in &replies {
+                    for (key, _) in replies.iter() {
                         let s = shard_of_key(*key, self.shard.groups) as usize;
                         self.shard_heard[s].insert(from);
                     }
                 }
-                self.fan_in(now, from, replies.into_iter(), &mut ctx);
+                let entries = replies.iter().cloned();
+                let mut replies = self.fan_in(now, from, entries, &mut ctx, &mut None);
+                ctx.fan_to(from, &mut replies);
             }
         }
         *out = self.flush(ctx);
@@ -1183,7 +1353,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
             // Multi-instance step → per-target sends batch, so postponed
             // replies flushed at activation stay one message per inquirer.
             let groups = self.shard.groups;
-            let (regs, done) = (&self.regs, self.join_done);
+            let (regs, done) = (&*self.regs, self.join_done);
             let heard = || Self::joining_replies(regs);
             if self.refire.intercept(done, tag, heard, &mut out) {
                 // An unsharded zero-reply expiry: dispatching it would
@@ -1256,6 +1426,7 @@ mod tests {
     use super::*;
     use crate::es::{EsConfig, EsMsg, EsRegister, Timestamp};
     use crate::sync::{SyncConfig, SyncMsg, SyncRegister};
+    use proptest::prelude::*;
 
     fn nid(i: u64) -> NodeId {
         NodeId::from_raw(i)
@@ -1436,7 +1607,8 @@ mod tests {
                             sn: 0,
                         },
                     ),
-                ],
+                ]
+                .into(),
             },
             &mut Vec::new(),
         );
@@ -2241,7 +2413,7 @@ mod tests {
                 r_sn: 0,
             };
             let batch = SpaceMsg::Batch {
-                replies: vec![(key(0), reply.clone()), (key(1), reply)],
+                replies: vec![(key(0), reply.clone()), (key(1), reply)].into(),
             };
             s.on_message_into(Time::at(2), nid(from), batch, &mut Vec::new());
         }
@@ -2282,7 +2454,7 @@ mod tests {
                 for from in [1, 2] {
                     let entries: Vec<_> = (0..4).map(|k| (key(k), reply.clone())).collect();
                     let batch = SpaceMsg::Batch {
-                        replies: entries.clone(),
+                        replies: entries.clone().into(),
                     };
                     if groups > 1 {
                         // The oracle bypasses the Batch arm's shard
@@ -2321,7 +2493,7 @@ mod tests {
         );
         assert_eq!(
             SpaceMsg::<()>::Batch {
-                replies: vec![(key(0), ()), (key(1), ())]
+                replies: vec![(key(0), ()), (key(1), ())].into(),
             }
             .payload_count(),
             2
@@ -2444,6 +2616,508 @@ mod tests {
                     }
                 }
                 assert_eq!(out, want, "{case}: step {i}");
+            }
+        }
+    }
+
+    // ---- Standing join answers ------------------------------------------
+
+    /// The `Batch` a responder answered `from`'s inquiry with.
+    fn batch_to<M: Clone + fmt::Debug, V: fmt::Debug>(
+        effects: &[SpaceEffect<SpaceMsg<M>, V>],
+        from: NodeId,
+    ) -> Entries<M> {
+        match effects {
+            [SpaceEffect::Send {
+                to,
+                msg: SpaceMsg::Batch { replies },
+            }] if *to == from => Rc::clone(replies),
+            other => panic!("expected one Batch to {from:?}, got {other:?}"),
+        }
+    }
+
+    fn sync_inquiry(full: bool) -> SpaceMsg<SyncMsg<u64>> {
+        SpaceMsg::JoinAll {
+            inner: SyncMsg::Inquiry,
+            full,
+        }
+    }
+
+    fn remote_write(k: u32, value: u64, sn: i64) -> SpaceMsg<SyncMsg<u64>> {
+        SpaceMsg::Keyed {
+            key: key(k),
+            inner: SyncMsg::Write { value, sn },
+        }
+    }
+
+    #[test]
+    fn a_reply_in_flight_keeps_its_entries() {
+        let reply = |value, sn| SyncMsg::Reply {
+            value: Some(value),
+            sn,
+        };
+        let mut s = bootstrap_space(0, 5);
+        let first = batch_to(
+            &s.on_message(Time::at(1), nid(7), sync_inquiry(false)),
+            nid(7),
+        );
+        let sent = first.to_vec();
+        // Key 2 adopts a WRITE while `first` is still on the wire.
+        s.on_message_into(Time::at(2), nid(1), remote_write(2, 77, 5), &mut Vec::new());
+        let second = batch_to(
+            &s.on_message(Time::at(3), nid(8), sync_inquiry(false)),
+            nid(8),
+        );
+        assert!(
+            !Rc::ptr_eq(&first, &second),
+            "a shared slice is not written"
+        );
+        assert_eq!(first.to_vec(), sent, "the reply in flight is what was sent");
+        let changed: Vec<usize> = (0..5).filter(|&i| first[i] != second[i]).collect();
+        assert_eq!(changed, vec![2]);
+        assert_eq!(second[2], (key(2), reply(77, 5)));
+        // Nothing stepped since: the next inquirer gets the same allocation.
+        drop(first);
+        let third = batch_to(
+            &s.on_message(Time::at(4), nid(9), sync_inquiry(false)),
+            nid(9),
+        );
+        assert!(Rc::ptr_eq(&second, &third));
+        // With every reply delivered and dropped the slice is the space's
+        // alone again, and the next dirty key is patched in place. (A copy
+        // would be allocated while this one is still alive, so it could not
+        // reuse the address.)
+        let at = Rc::as_ptr(&third).cast::<()>();
+        drop((second, third));
+        s.on_message_into(Time::at(5), nid(1), remote_write(4, 78, 6), &mut Vec::new());
+        let fourth = batch_to(
+            &s.on_message(Time::at(6), nid(7), sync_inquiry(false)),
+            nid(7),
+        );
+        assert_eq!(Rc::as_ptr(&fourth).cast::<()>(), at);
+        assert_eq!(fourth[2], (key(2), reply(77, 5)));
+        assert_eq!(fourth[4], (key(4), reply(78, 6)));
+    }
+
+    #[test]
+    fn inputs_the_standing_answer_cannot_serve_behave_as_before() {
+        // A still-joining responder whose stripe is all active answers with
+        // one Batch, but a joining space's flush has more to say: no answer.
+        let mut joining = mixed_sync_space(6, 1, &[0, 1, 2, 3, 4]);
+        for _ in 0..2 {
+            let got = joining.on_message(Time::at(7), nid(77), sync_inquiry(false));
+            assert_eq!(batch_to(&got, nid(77)).len(), 5);
+            assert!(joining
+                .regs
+                .take_answer(&SyncMsg::Inquiry, (0, 1))
+                .is_none());
+        }
+        // A 1-key space batches nothing and keeps nothing.
+        let mut one = bootstrap_space(0, 1);
+        for _ in 0..2 {
+            let got = one.on_message(Time::at(1), nid(9), sync_inquiry(false));
+            let [SpaceEffect::Send {
+                msg: SpaceMsg::Keyed { .. },
+                ..
+            }] = got.as_slice()
+            else {
+                panic!("expected one Keyed reply, got {got:?}");
+            };
+            assert!(one.regs.take_answer(&SyncMsg::Inquiry, (0, 1)).is_none());
+        }
+        // A one-key stripe under G > 1 is a forced one-entry Batch, kept
+        // like any other; a full inquiry is another stripe and replaces it.
+        let mut striped = sharded_bootstrap(0, 4, 4);
+        let mine = striped.responder_shard();
+        let a = batch_to(
+            &striped.on_message(Time::at(1), nid(9), sync_inquiry(false)),
+            nid(9),
+        );
+        let b = batch_to(
+            &striped.on_message(Time::at(2), nid(8), sync_inquiry(false)),
+            nid(8),
+        );
+        assert!(Rc::ptr_eq(&a, &b));
+        assert_eq!(a.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [key(mine)]);
+        let full = batch_to(
+            &striped.on_message(Time::at(3), nid(8), sync_inquiry(true)),
+            nid(8),
+        );
+        assert_eq!(full.len(), 4);
+        assert!(striped
+            .regs
+            .take_answer(&SyncMsg::Inquiry, (0, 1))
+            .is_some());
+    }
+
+    /// A sync instance that logs the key of every message it is stepped
+    /// with.
+    #[derive(Debug)]
+    struct Logged {
+        key: u32,
+        log: Rc<std::cell::RefCell<Vec<u32>>>,
+        inner: SyncRegister<u64>,
+    }
+
+    impl RegisterProcess for Logged {
+        type Msg = SyncMsg<u64>;
+        type Val = u64;
+
+        fn id(&self) -> NodeId {
+            self.inner.id()
+        }
+
+        fn is_active(&self) -> bool {
+            self.inner.is_active()
+        }
+
+        fn on_enter(&mut self, now: Time) -> Vec<Effect<SyncMsg<u64>, u64>> {
+            self.inner.on_enter(now)
+        }
+
+        fn on_message_into(
+            &mut self,
+            now: Time,
+            from: NodeId,
+            msg: SyncMsg<u64>,
+            out: &mut Vec<Effect<SyncMsg<u64>, u64>>,
+        ) {
+            self.log.borrow_mut().push(self.key);
+            self.inner.on_message_into(now, from, msg, out);
+        }
+
+        fn on_timer(&mut self, now: Time, tag: u64) -> Vec<Effect<SyncMsg<u64>, u64>> {
+            self.inner.on_timer(now, tag)
+        }
+
+        fn on_read(&mut self, now: Time, op: OpId) -> Vec<Effect<SyncMsg<u64>, u64>> {
+            self.inner.on_read(now, op)
+        }
+
+        fn on_write(&mut self, now: Time, op: OpId, value: u64) -> Vec<Effect<SyncMsg<u64>, u64>> {
+            self.inner.on_write(now, op, value)
+        }
+    }
+
+    #[test]
+    fn beyond_64_keys_a_dirty_key_resteps_the_keys_sharing_its_bit() {
+        let log = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let regs = (0..130).map(|k| Logged {
+            key: k,
+            log: Rc::clone(&log),
+            inner: SyncRegister::new_bootstrap(nid(0), cfg(), u64::from(k)),
+        });
+        let mut s = RegisterSpace::new_bootstrap(regs.collect());
+        let first = batch_to(
+            &s.on_message(Time::at(1), nid(9), sync_inquiry(false)),
+            nid(9),
+        );
+        assert_eq!(first.len(), 130);
+        drop(first);
+        // Debug builds re-step the whole stripe to check each answer handed
+        // out; the steps counted here are the ones before that check.
+        let stepped = |s: &mut RegisterSpace<Logged>, at: u64| {
+            log.borrow_mut().clear();
+            let got = s.on_message(Time::at(at), nid(9), sync_inquiry(false));
+            let checked = if cfg!(debug_assertions) { 130 } else { 0 };
+            let mut steps = log.borrow().clone();
+            steps.truncate(steps.len() - checked);
+            (steps, batch_to(&got, nid(9)))
+        };
+        assert_eq!(stepped(&mut s, 2).0, [0u32; 0], "clean: a pointer copy");
+        s.on_message_into(
+            Time::at(3),
+            nid(1),
+            remote_write(3, 500, 9),
+            &mut Vec::new(),
+        );
+        let (steps, batch) = stepped(&mut s, 4);
+        assert_eq!(steps, [3, 67]);
+        let fresh = SyncMsg::Reply {
+            value: Some(500),
+            sn: 9,
+        };
+        assert_eq!(batch[3], (key(3), fresh));
+        assert_eq!(stepped(&mut s, 5).0, [0u32; 0]);
+    }
+
+    /// What the standing-answer properties need of a protocol: how the
+    /// rest of the system talks to one of its active instances.
+    trait Wire: RegisterProcess<Val = u64> + Clone {
+        fn bootstrap(initial: u64) -> Self;
+        fn inquiry(r_sn: u64) -> Self::Msg;
+        /// A remote writer's `WRITE`.
+        fn write(from: u64, sn: u64) -> Self::Msg;
+        /// An unsolicited (late, duplicate) join reply.
+        fn reply(from: u64, sn: u64) -> Self::Msg;
+        /// What node `from` answers to this process's broadcast, if anything.
+        fn answer(broadcast: &Self::Msg, from: u64) -> Option<Self::Msg>;
+    }
+
+    impl Wire for SyncRegister<u64> {
+        fn bootstrap(initial: u64) -> Self {
+            SyncRegister::new_bootstrap(nid(0), cfg(), initial)
+        }
+
+        fn inquiry(_r_sn: u64) -> SyncMsg<u64> {
+            SyncMsg::Inquiry
+        }
+
+        fn write(from: u64, sn: u64) -> SyncMsg<u64> {
+            SyncMsg::Write {
+                value: 10 * sn + from,
+                sn: sn as i64,
+            }
+        }
+
+        fn reply(from: u64, sn: u64) -> SyncMsg<u64> {
+            SyncMsg::Reply {
+                value: Some(from),
+                sn: sn as i64,
+            }
+        }
+
+        fn answer(_broadcast: &SyncMsg<u64>, _from: u64) -> Option<SyncMsg<u64>> {
+            None
+        }
+    }
+
+    impl Wire for EsRegister<u64> {
+        fn bootstrap(initial: u64) -> Self {
+            EsRegister::new_bootstrap(nid(0), EsConfig::new(3), initial)
+        }
+
+        fn inquiry(r_sn: u64) -> EsMsg<u64> {
+            EsMsg::Inquiry { r_sn }
+        }
+
+        fn write(from: u64, sn: u64) -> EsMsg<u64> {
+            let ts = Timestamp {
+                sn: sn as i64,
+                writer: from,
+            };
+            EsMsg::Write {
+                value: 10 * sn + from,
+                ts,
+            }
+        }
+
+        fn reply(from: u64, sn: u64) -> EsMsg<u64> {
+            EsMsg::Reply {
+                value: Some(from),
+                ts: Timestamp::INITIAL,
+                r_sn: sn % 3,
+            }
+        }
+
+        fn answer(broadcast: &EsMsg<u64>, from: u64) -> Option<EsMsg<u64>> {
+            match broadcast {
+                EsMsg::Read { r_sn } => Some(EsMsg::Reply {
+                    value: Some(from),
+                    ts: Timestamp {
+                        sn: from as i64,
+                        writer: from,
+                    },
+                    r_sn: *r_sn,
+                }),
+                EsMsg::Write { ts, .. } => Some(EsMsg::Ack { ts: *ts }),
+                _ => None,
+            }
+        }
+    }
+
+    /// What the rest of the system still owes the space under test.
+    enum Owed<M> {
+        Timer(u64),
+        Msg(u64, RegisterId, M),
+    }
+
+    /// A join-done space driven the way a runtime drives it: one client
+    /// operation at a time, its broadcasts answered by nodes 1 and 2, its
+    /// timers and those answers delivered when the schedule says so.
+    struct Rig<P: Wire> {
+        space: RegisterSpace<P>,
+        owed: std::collections::VecDeque<Owed<P::Msg>>,
+        busy: bool,
+        now: u64,
+    }
+
+    /// One generated step: `(kind, key, node, x, flag)`.
+    type RigStep = (u32, u32, u64, u64, bool);
+
+    fn rig_steps() -> impl Strategy<Value = Vec<RigStep>> {
+        let step = (0u32..8, 0u32..130, 0u64..4, 0u64..6, prop::bool::ANY);
+        prop::collection::vec(step, 1..48)
+    }
+
+    impl<P: Wire> Rig<P> {
+        fn new(keys: u32, groups: u32) -> Rig<P> {
+            let regs = (0..keys).map(|k| P::bootstrap(u64::from(100 + k)));
+            let space =
+                RegisterSpace::new_bootstrap(regs.collect()).with_shards(ShardConfig::new(groups));
+            Rig {
+                space,
+                owed: std::collections::VecDeque::new(),
+                busy: false,
+                now: 0,
+            }
+        }
+
+        fn absorb(&mut self, effects: Vec<SpaceEffect<SpaceMsg<P::Msg>, u64>>) {
+            for effect in effects {
+                match effect {
+                    SpaceEffect::SetTimer { tag, .. } => self.owed.push_back(Owed::Timer(tag)),
+                    SpaceEffect::OpComplete { .. } => self.busy = false,
+                    SpaceEffect::Broadcast {
+                        msg: SpaceMsg::Keyed { key, inner },
+                    } => {
+                        let answers = [1, 2].map(|from| (from, P::answer(&inner, from)));
+                        for (from, answer) in answers {
+                            self.owed.extend(answer.map(|m| Owed::Msg(from, key, m)));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        /// Runs every step but an inquiry; an inquiry (kinds 6–7) is left
+        /// to the caller, as `(from, msg)`.
+        fn step(
+            &mut self,
+            (kind, k, node, x, flag): RigStep,
+        ) -> Option<(NodeId, SpaceMsg<P::Msg>)> {
+            self.now += 1;
+            let (now, k) = (Time::at(self.now), key(k % self.space.key_count()));
+            let op = oid(self.now);
+            let effects = match kind {
+                0 | 1 => {
+                    let inner = P::write(node, x);
+                    self.space
+                        .on_message(now, nid(node), SpaceMsg::Keyed { key: k, inner })
+                }
+                2 if !self.busy => {
+                    self.busy = true;
+                    self.space.on_read(now, k, op)
+                }
+                3 if !self.busy => {
+                    self.busy = true;
+                    self.space.on_write(now, k, op, 1000 + self.now)
+                }
+                2..=5 => match self.owed.pop_front() {
+                    None => Vec::new(),
+                    Some(Owed::Timer(tag)) => self.space.on_timer(now, tag),
+                    Some(Owed::Msg(from, key, inner)) if kind == 5 => {
+                        // Inside a Batch, beside a stray reply on key `k`.
+                        let replies = vec![(key, inner), (k, P::reply(node, x))];
+                        let msg = SpaceMsg::Batch {
+                            replies: replies.into(),
+                        };
+                        self.space.on_message(now, nid(from), msg)
+                    }
+                    Some(Owed::Msg(from, key, inner)) => {
+                        self.space
+                            .on_message(now, nid(from), SpaceMsg::Keyed { key, inner })
+                    }
+                },
+                _ => {
+                    let inner = P::inquiry(x % 2);
+                    return Some((nid(10 + node), SpaceMsg::JoinAll { inner, full: flag }));
+                }
+            };
+            self.absorb(effects);
+            None
+        }
+    }
+
+    fn standing_matches_fresh<P: Wire>(
+        keys: u32,
+        groups: u32,
+        steps: &[RigStep],
+    ) -> Result<(), TestCaseError> {
+        let mut rig = Rig::<P>::new(keys, groups);
+        let mut handed_out = Vec::new();
+        for &step in steps {
+            let Some((from, inquiry)) = rig.step(step) else {
+                continue;
+            };
+            // The oracle: the same instances in a space that never kept an
+            // answer.
+            let mut fresh = RegisterSpace::new_bootstrap(rig.space.regs.to_vec())
+                .with_shards(ShardConfig::new(groups));
+            let now = Time::at(rig.now);
+            let got = rig.space.on_message(now, from, inquiry.clone());
+            prop_assert_eq!(&got, &fresh.on_message(now, from, inquiry));
+            prop_assert_eq!(
+                format!("{:?}", &*rig.space.regs),
+                format!("{:?}", &*fresh.regs)
+            );
+            // Some replies stay in flight (here: forever), some are dropped.
+            if !rig.now.is_multiple_of(3) {
+                handed_out.push(got.clone());
+            }
+            rig.absorb(got);
+        }
+        Ok(())
+    }
+
+    fn answering_is_pure<P: Wire>(steps: &[RigStep]) -> Result<(), TestCaseError> {
+        let mut rig = Rig::<P>::new(3, 1);
+        for &step in steps {
+            let Some((from, SpaceMsg::JoinAll { inner, .. })) = rig.step(step) else {
+                continue;
+            };
+            for reg in rig.space.regs.iter() {
+                let (before, mut reg) = (format!("{reg:?}"), reg.clone());
+                let answer = reg.on_message(Time::at(rig.now), from, inner.clone());
+                if before.contains("reading: true") {
+                    // An ES reader adds `DL_PREV`: never a standing entry.
+                    prop_assert_eq!(answer.len(), 2);
+                } else {
+                    let one_send = matches!(answer.as_slice(),
+                        [Effect::Send { to, .. }] if *to == from);
+                    prop_assert!(one_send, "an active instance answers {answer:?}");
+                    prop_assert_eq!(format!("{reg:?}"), before);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever happened since an answer was kept — remote writes,
+        /// client operations in any phase, timers, late replies inside
+        /// batches, replies still in flight — an inquiry is answered as a
+        /// space that never kept one answers it, and leaves the same state.
+        #[test]
+        fn standing_answer_matches_a_fresh_space(
+            shape in prop::sample::select(vec![(2u32, 1u32), (5, 1), (5, 4), (64, 1), (64, 4), (130, 1), (130, 4)]),
+            es in prop::bool::ANY,
+            steps in rig_steps(),
+        ) {
+            let (keys, groups) = shape;
+            if es {
+                standing_matches_fresh::<EsRegister<u64>>(keys, groups, &steps)?;
+            } else {
+                standing_matches_fresh::<SyncRegister<u64>>(keys, groups, &steps)?;
+            }
+        }
+
+        /// Handshake contract 3, both protocols: an active instance that
+        /// answers an inquiry with its one `Send` changes no state, and an
+        /// ES instance in a read — which must not become a standing entry —
+        /// answers with two.
+        #[test]
+        fn answering_an_inquiry_while_active_changes_no_state(
+            es in prop::bool::ANY,
+            steps in rig_steps(),
+        ) {
+            if es {
+                answering_is_pure::<EsRegister<u64>>(&steps)?;
+            } else {
+                answering_is_pure::<SyncRegister<u64>>(&steps)?;
             }
         }
     }

@@ -404,7 +404,7 @@ mod tests {
         );
         assert_eq!(
             <SpaceOf<SyncFactory> as SpaceFactory>::space_msg_label(&SpaceMsg::Batch {
-                replies: vec![]
+                replies: vec![].into()
             }),
             "BATCH"
         );
