@@ -3,10 +3,9 @@
 //! [`ledger`] is the paper-facing half: every claim of the paper with its
 //! measured value and computed verdict, printed by `exp_paper_tables` as
 //! `docs/REPRODUCTION.md`. The other binaries (`exp_phase_diagram`,
-//! `exp_scenario_run`, `exp_perf_soak`, `exp_space_throughput`) take flags
-//! and parse them through [`Cli`], which turns every malformed invocation
-//! into a one-line usage error on stderr and exit code 2 (never an unwrap
-//! backtrace).
+//! `exp_scenario_run`, `exp_space_throughput`) take flags and parse them
+//! through [`Cli`], which turns every malformed invocation into a one-line
+//! usage error on stderr and exit code 2 (never an unwrap backtrace).
 
 #![warn(missing_docs)]
 

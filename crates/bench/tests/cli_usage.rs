@@ -50,7 +50,6 @@ fn flagged_experiments_reject_bad_values() {
         &["--scale", "huge"],
     );
     assert_usage_error(env!("CARGO_BIN_EXE_exp_phase_diagram"), &["--threads", "0"]);
-    assert_usage_error(env!("CARGO_BIN_EXE_exp_perf_soak"), &["--ticks", "-3"]);
     assert_usage_error(
         env!("CARGO_BIN_EXE_exp_space_throughput"),
         &["--shards", "0"],

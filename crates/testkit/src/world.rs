@@ -17,6 +17,11 @@
 //! | `JoinComplete` | flip presence to active, complete the join (every key) in the history |
 //! | `OpComplete` | complete the read/write in its key's history, free the process |
 //!
+//! A delivery run drains in two phases (see `Pending`): **phase A** only
+//! steps each copy's recipient into one run-wide effect buffer, so the
+//! copies' cache misses on slots and per-key state overlap; **phase B**
+//! then gives each copy, in order, its hooks, trace entry and effects.
+//!
 //! Per time unit the world (1) applies churn decisions — departures first,
 //! then fresh joiners, matching the paper's "replaced within the time unit"
 //! accounting — and (2) asks the workload for client operations on idle
@@ -100,12 +105,13 @@ const CLASS_DELIVER: u8 = 0;
 const CLASS_TIMER: u8 = 1;
 const CLASS_TICK: u8 = 2;
 
-/// One queued unicast copy, stripped to what delivery needs (the instant
+/// What delivery needs of a queued copy besides its payload (the instant
 /// lives in the queue key; keeping the full [`Envelope`] here would move
 /// two redundant timestamps through every wheel bucket).
 ///
 /// [`Envelope`]: dynareg_net::Envelope
-struct Unicast<M> {
+#[derive(Clone, Copy)]
+struct Head {
     from: NodeId,
     to: NodeId,
     /// The recipient's slab slot; `to` doubles as a generation check
@@ -115,13 +121,15 @@ struct Unicast<M> {
     /// The network's sequence id for this copy (links the delivery to its
     /// send in the observability layer; inert otherwise).
     seq: u64,
-    msg: M,
 }
+
+/// The effects a space step emits, in the world's value type.
+type Effects<F> = Vec<SpaceEffect<<<F as SpaceFactory>::Proc as RegisterSpaceProcess>::Msg, Val>>;
 
 /// Events on the world's queue. Messages travel in **delivery runs**: one
 /// queue entry holds every copy that would otherwise sit in consecutive
-/// entries of one `(instant, CLASS_DELIVER)` lane, and is drained copy by
-/// copy when it fires. Every *count* stays per copy (see
+/// entries of one `(instant, CLASS_DELIVER)` lane, and is drained as a
+/// whole when it fires. Every *count* stays per copy (see
 /// [`World::events_processed`]).
 ///
 /// Runs keep the delivery order bit for bit, for one reason: the queue is
@@ -133,10 +141,22 @@ struct Unicast<M> {
 /// Whatever a handler schedules while a run drains lands behind the run's
 /// remaining copies, exactly as it landed behind their separate entries —
 /// they were all queued before it.
+///
+/// A run drains in two phases, and that keeps the order too: phase B does
+/// per copy all a copy-at-a-time drain did (trace entries, sequence ids,
+/// latency draws, queue appends, completions, in the same order); only
+/// the steps move ahead of the run's first effect, and no step can tell:
+/// - phase A reaches nothing but one slot's `proc_` and the buffer (the
+///   signature of `on_message_into`);
+/// - liveness cannot change inside a run: membership changes only in
+///   `CLASS_TICK`;
+/// - `apply_effects` never touches a `proc_`;
+/// - same-slot repeats (the `n` `REPLY`s to one joiner) stay sequential in
+///   phase A.
 enum Pending<M> {
     /// A unicast run: consecutive sends landing at one instant, in send
     /// order. A lone unicast is a run of one.
-    UnicastRun(Vec<Unicast<M>>),
+    UnicastRun(Vec<(Head, M)>),
     /// A broadcast run: the copies of one broadcast landing at one
     /// instant, as `(index into fan.recipients, recipient slot)` in
     /// recipient-id order. The payload lives once inside the shared
@@ -159,9 +179,9 @@ enum Pending<M> {
 /// loop is generic over it: with [`NoClock`] the calls compile to nothing,
 /// so an unprofiled run reads no clock and keeps no account.
 trait PhaseClock {
-    /// The loop enters `phase`: once per delivery or timer event, once per
-    /// sub-phase of a tick.
-    fn enter(&mut self, phase: TickPhase);
+    /// The loop enters `phase` for `events` events: once per delivery run
+    /// (one event per copy) or timer, once per sub-phase of a tick.
+    fn enter(&mut self, phase: TickPhase, events: u64);
 }
 
 /// The unprofiled run's clock.
@@ -169,7 +189,7 @@ struct NoClock;
 
 impl PhaseClock for NoClock {
     #[inline(always)]
-    fn enter(&mut self, _phase: TickPhase) {}
+    fn enter(&mut self, _phase: TickPhase, _events: u64) {}
 }
 
 /// The tick profiler: reads the wall-clock only where the phase *changes*.
@@ -212,7 +232,7 @@ impl WallClock {
 }
 
 impl PhaseClock for WallClock {
-    fn enter(&mut self, phase: TickPhase) {
+    fn enter(&mut self, phase: TickPhase, events: u64) {
         if phase != self.phase {
             self.stamp(phase);
             if phase == TickPhase::Churn {
@@ -220,7 +240,7 @@ impl PhaseClock for WallClock {
                 self.profile.ticks += 1;
             }
         }
-        self.events += 1;
+        self.events += events;
     }
 }
 
@@ -344,7 +364,7 @@ pub struct World<F: SpaceFactory> {
     surplus_done: u64,
     /// Drained runs' buffers, reused last in, first out, so a lone unicast
     /// or a one-instant broadcast costs no allocation.
-    free_unicasts: Vec<Vec<Unicast<<F::Proc as RegisterSpaceProcess>::Msg>>>,
+    free_unicasts: Vec<Vec<(Head, <F::Proc as RegisterSpaceProcess>::Msg)>>,
     free_copies: Vec<Vec<(u32, u32)>>,
     /// Scratch for bucketing one broadcast's copies by delivery instant,
     /// sorted by instant; empty between broadcasts.
@@ -373,9 +393,11 @@ pub struct World<F: SpaceFactory> {
     /// measurable at 40M+ events); folded into `net.delivered` on
     /// [`World::into_outputs`].
     delivered_msgs: u64,
-    /// Reused scratch for `on_message_into` — one buffer for all
-    /// deliveries instead of one allocation each.
-    effects_buf: Vec<SpaceEffect<<F::Proc as RegisterSpaceProcess>::Msg, Val>>,
+    /// Reused scratch between a run's two phases, empty between runs:
+    /// every copy's effects back to back, and each copy with where its
+    /// effects end in that buffer (`None`: the recipient left in flight).
+    effects_buf: Effects<F>,
+    stepped: Vec<(Head, Option<u32>)>,
     rng_workload: DetRng,
     rng_churn: DetRng,
     /// Active processes with no operation in flight on *any* key, in id
@@ -487,6 +509,7 @@ where
             metrics: Metrics::new(),
             delivered_msgs: 0,
             effects_buf: Vec::new(),
+            stepped: Vec::new(),
             rng_workload,
             rng_churn,
             idle_active,
@@ -634,8 +657,12 @@ where
     }
 
     /// Runs the world until (and including) `end`. Resumable: a later call
-    /// with a later `end` continues the same run, tick chain included.
+    /// with a later `end` continues the same run, tick chain included. An
+    /// `end` before [`World::now`] is a no-op: clock, tick and queue stay put.
     pub fn run_until(&mut self, end: Time) {
+        if end < self.now {
+            return;
+        }
         self.end = end;
         if let Some(tick) = self.parked_tick.take_if(|t| *t <= end) {
             self.queue.schedule_class(tick, CLASS_TICK, Pending::Tick);
@@ -663,24 +690,37 @@ where
             self.now = ev.time;
             match ev.payload {
                 Pending::UnicastRun(mut run) => {
-                    self.run_popped(run.len());
-                    for copy in run.drain(..) {
-                        clock.enter(TickPhase::Deliver);
-                        self.handle_unicast(copy);
-                    }
+                    clock.enter(TickPhase::Deliver, run.len() as u64);
+                    self.drain_run(|w, stepped, buf| {
+                        for (head, msg) in run.drain(..) {
+                            stepped.push((head, w.step(head, || msg, buf)));
+                        }
+                    });
                     self.free_unicasts.push(run);
                 }
                 Pending::FanRun { fan, mut copies } => {
-                    self.run_popped(copies.len());
-                    for &(idx, slot) in &copies {
-                        clock.enter(TickPhase::Deliver);
-                        self.handle_fan(&fan, idx, slot);
-                    }
+                    clock.enter(TickPhase::Deliver, copies.len() as u64);
+                    self.drain_run(|w, stepped, buf| {
+                        let (from, label) = (fan.from, fan.label);
+                        for &(idx, slot) in &copies {
+                            let (to, _, seq) = fan.recipients[idx as usize];
+                            let head = Head {
+                                from,
+                                to,
+                                slot,
+                                label,
+                                seq,
+                            };
+                            // Cloned lazily: a recipient that left in flight
+                            // never costs a copy.
+                            stepped.push((head, w.step(head, || fan.msg.clone(), buf)));
+                        }
+                    });
                     copies.clear();
                     self.free_copies.push(copies);
                 }
                 Pending::Timer { node, slot, tag } => {
-                    clock.enter(TickPhase::Timer);
+                    clock.enter(TickPhase::Timer, 1);
                     self.handle_timer(node, slot, tag);
                 }
                 Pending::Tick => self.handle_tick(clock),
@@ -689,85 +729,65 @@ where
         self.now = end;
     }
 
-    /// Moves a popped run of `copies` from the queued to the processed
-    /// account (the queue itself counted one event for it).
-    fn run_popped(&mut self, copies: usize) {
-        debug_assert!(copies > 0, "runs are never empty");
-        self.surplus_queued -= copies - 1;
-        self.surplus_done += (copies - 1) as u64;
-    }
-
-    fn handle_fan(
+    /// Drains one delivery run (see `Pending`): `phase_a` steps its copies
+    /// via [`World::step`], then phase B applies them one by one, in order.
+    fn drain_run(
         &mut self,
-        fan: &Fanout<<F::Proc as RegisterSpaceProcess>::Msg>,
-        idx: u32,
-        slot: u32,
+        phase_a: impl FnOnce(&mut Self, &mut Vec<(Head, Option<u32>)>, &mut Effects<F>),
     ) {
-        let (to, _, seq) = fan.recipients[idx as usize];
-        // Clone lazily: a recipient that left in flight never costs a copy.
-        if self.live_slot(to, slot).is_none() {
-            self.drop_delivery(to, fan.label, seq);
-            return;
-        }
-        let msg = fan.msg.clone();
-        self.deliver_to_live_slot(fan.from, to, slot, fan.label, seq, msg);
-    }
-
-    fn drop_delivery(&mut self, to: NodeId, label: &'static str, seq: u64) {
-        self.network.note_dropped_departed();
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.note_drop_departed(seq, self.now);
-        }
-        self.trace.record(self.now, TraceEvent::Drop { to, label });
-    }
-
-    fn handle_unicast(&mut self, copy: Unicast<<F::Proc as RegisterSpaceProcess>::Msg>) {
-        if self.live_slot(copy.to, copy.slot).is_none() {
-            self.drop_delivery(copy.to, copy.label, copy.seq);
-            return;
-        }
-        self.deliver_to_live_slot(
-            copy.from, copy.to, copy.slot, copy.label, copy.seq, copy.msg,
-        );
-    }
-
-    /// Delivery core; the caller has already verified `slot` is live for
-    /// `to` (fan deliveries check before cloning the shared payload, so
-    /// checking again here would double the hottest lookup in the run).
-    fn deliver_to_live_slot(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        slot: u32,
-        label: &'static str,
-        seq: u64,
-        msg: <F::Proc as RegisterSpaceProcess>::Msg,
-    ) {
-        let now = self.now;
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.note_delivered(seq, to, label, now);
-            // Sends the handler emits inherit this delivery's attribution.
-            let op = obs.op_of_seq(seq);
-            obs.cause = Cause::Deliver(seq, op);
-        }
-        // Reuse one effects buffer across all deliveries (the protocols'
-        // `on_message_into` fast path): zero allocations per message.
+        let mut stepped = std::mem::take(&mut self.stepped);
         let mut buf = std::mem::take(&mut self.effects_buf);
-        debug_assert!(buf.is_empty());
-        self.slots[slot as usize]
-            .as_mut()
-            .expect("caller verified the slot is live")
-            .proc_
-            .on_message_into(now, from, msg, &mut buf);
-        self.trace
-            .record(now, TraceEvent::Deliver { to, from, label });
-        self.delivered_msgs += 1;
-        self.apply_effects(to, slot, &mut buf);
-        buf.clear();
-        self.effects_buf = buf;
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.cause = Cause::None;
+        phase_a(self, &mut stepped, &mut buf);
+        // The queue counted the run as one event; count its other copies.
+        let surplus = stepped.len() - 1;
+        self.surplus_queued -= surplus;
+        self.surplus_done += surplus as u64;
+        let now = self.now;
+        let mut effects = buf.drain(..);
+        let mut start = 0;
+        for (head, effects_end) in stepped.drain(..) {
+            let (from, to, slot, label, seq) =
+                (head.from, head.to, head.slot, head.label, head.seq);
+            let Some(end) = effects_end else {
+                self.network.note_dropped_departed();
+                if let Some(obs) = self.obs.as_deref_mut() {
+                    obs.note_drop_departed(seq, now);
+                }
+                self.trace.record(now, TraceEvent::Drop { to, label });
+                continue;
+            };
+            if let Some(obs) = self.obs.as_deref_mut() {
+                obs.note_delivered(seq, to, label, now);
+                // Sends the handler emits inherit this delivery's attribution.
+                let op = obs.op_of_seq(seq);
+                obs.cause = Cause::Deliver(seq, op);
+            }
+            self.trace
+                .record(now, TraceEvent::Deliver { to, from, label });
+            self.delivered_msgs += 1;
+            let count = (end - start) as usize;
+            self.apply_effects(to, slot, effects.by_ref().take(count));
+            start = end;
+            if let Some(obs) = self.obs.as_deref_mut() {
+                obs.cause = Cause::None;
+            }
         }
+        drop(effects);
+        (self.stepped, self.effects_buf) = (stepped, buf);
+    }
+
+    /// Phase A for one copy: steps its recipient, if still in its slot, on
+    /// `msg()` into `buf`, and returns where the copy's effects end.
+    fn step(
+        &mut self,
+        head: Head,
+        msg: impl FnOnce() -> <F::Proc as RegisterSpaceProcess>::Msg,
+        buf: &mut Effects<F>,
+    ) -> Option<u32> {
+        let now = self.now;
+        let s = self.live_slot(head.to, head.slot)?;
+        s.proc_.on_message_into(now, head.from, msg(), buf);
+        Some(buf.len() as u32)
     }
 
     fn handle_timer(&mut self, node: NodeId, slot: u32, tag: u64) {
@@ -799,21 +819,21 @@ where
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.cause = Cause::Timer(anchor);
         }
-        self.apply_effects(node, slot, &mut effects);
+        self.apply_effects(node, slot, effects.drain(..));
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.cause = Cause::None;
         }
     }
 
     fn handle_tick<C: PhaseClock>(&mut self, clock: &mut C) {
-        clock.enter(TickPhase::Churn);
+        clock.enter(TickPhase::Churn, 1);
         self.apply_scripted_membership();
         if self.now > Time::ZERO {
             self.apply_churn();
         }
-        clock.enter(TickPhase::Workload);
+        clock.enter(TickPhase::Workload, 1);
         self.apply_workload();
-        clock.enter(TickPhase::Sample);
+        clock.enter(TickPhase::Sample, 1);
         self.sample_gauges();
         self.obs_tick_row();
         self.chain_tick();
@@ -1005,7 +1025,7 @@ where
             .binary_search_by_key(&id, |&(n, _)| n)
             .expect_err("fresh id cannot already hold a slot");
         self.present_slots.insert(i, (id, slot_idx));
-        self.apply_effects(id, slot_idx, &mut effects);
+        self.apply_effects(id, slot_idx, effects.drain(..));
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.cause = Cause::None;
         }
@@ -1110,7 +1130,7 @@ where
                     .expect("interned slot")
                     .proc_
                     .on_read(now, key, op);
-                self.apply_effects(node, slot_idx, &mut effects);
+                self.apply_effects(node, slot_idx, effects.drain(..));
                 if let Some(obs) = self.obs.as_deref_mut() {
                     obs.cause = Cause::None;
                 }
@@ -1159,7 +1179,7 @@ where
                     .expect("interned slot")
                     .proc_
                     .on_write(now, key, op, value);
-                self.apply_effects(node, slot_idx, &mut effects);
+                self.apply_effects(node, slot_idx, effects.drain(..));
                 if let Some(obs) = self.obs.as_deref_mut() {
                     obs.cause = Cause::None;
                 }
@@ -1198,9 +1218,9 @@ where
         &mut self,
         node: NodeId,
         slot_idx: u32,
-        effects: &mut Vec<SpaceEffect<<F::Proc as RegisterSpaceProcess>::Msg, Val>>,
+        effects: impl Iterator<Item = SpaceEffect<<F::Proc as RegisterSpaceProcess>::Msg, Val>>,
     ) {
-        for effect in effects.drain(..) {
+        for effect in effects {
             match effect {
                 SpaceEffect::Send { to, msg } => {
                     let label = F::space_msg_label(&msg);
@@ -1248,14 +1268,14 @@ where
                             deliver_at: Some(env.deliver_at),
                         },
                     );
-                    let copy = Unicast {
+                    let head = Head {
                         from: env.from,
                         to: env.to,
                         slot: rslot,
                         label: env.label,
                         seq: env.seq,
-                        msg: env.msg,
                     };
+                    let copy = (head, env.msg);
                     // Join the run at the tail of this instant's lane, or
                     // open one (see `Pending` for why that keeps the order).
                     match self.queue.back_mut(env.deliver_at, CLASS_DELIVER) {
@@ -1594,6 +1614,7 @@ mod tests {
     use dynareg_core::es::EsConfig;
     use dynareg_core::sync::SyncConfig;
     use dynareg_net::delay::Synchronous;
+    use dynareg_sim::trace::TraceEntry;
     use dynareg_sim::IdSource;
     use dynareg_verify::{LivenessChecker, RegularityChecker};
 
@@ -1802,6 +1823,31 @@ mod tests {
         );
         assert_eq!(fingerprint(&split), fingerprint(&whole));
 
+        // Stopping at `b`, then asking for the earlier `a`, leaves the
+        // world at `b`: a write invoked next completes exactly as in a
+        // world that never asked (the workload stopped at 180, so the
+        // writer is idle).
+        let write_then_run = |w: &mut World<SyncFactory>| {
+            w.invoke(NodeId::from_raw(0), OpAction::Write(1_000_000));
+            w.run_until(b + Span::ticks(20));
+        };
+        let mut forward = sync_world(20, 3, 0.05, 2);
+        forward.run_until(b);
+        write_then_run(&mut forward);
+        let mut back = sync_world(20, 3, 0.05, 2);
+        back.run_until(b);
+        let at_b = (back.now(), back.parked_tick, back.inflight());
+        back.run_until(a);
+        assert_eq!((back.now(), back.parked_tick, back.inflight()), at_b);
+        write_then_run(&mut back);
+        let last_write = back.history().writes().last().expect("a write");
+        assert_eq!(
+            (last_write.invoked_at, last_write.node),
+            (b, NodeId::from_raw(0))
+        );
+        assert!(last_write.completed_at.is_some(), "the write completed");
+        assert_eq!(fingerprint(&back), fingerprint(&forward));
+
         let mut whole = es_world(10, 3, 5);
         whole.run_until(b);
         let mut split = es_world(10, 3, 5);
@@ -1983,6 +2029,100 @@ mod tests {
                 .any(|&(t, node, ok)| t == at && node > to && ok)
         });
         assert!(resumed, "{attempts:?}");
+    }
+
+    #[test]
+    fn a_runs_copies_are_applied_one_by_one() {
+        // δ = 1: one read's READ broadcast lands as one fan run, and the
+        // `n` REPLYs it provokes as one unicast run at the next instant.
+        let (n, majority) = (9, 5);
+        let reader = NodeId::from_raw(4);
+        let script =
+            crate::workload::ScriptedWorkload::new().at(Time::at(2), reader, OpAction::Read);
+        let mut w = World::new(
+            EsFactory::new(EsConfig::new(n)),
+            WorldConfig {
+                n,
+                initial: 0,
+                delay: Box::new(Synchronous::new(Span::ticks(1))),
+                churn: ChurnDriver::new(
+                    Box::new(NoChurn),
+                    LeaveSelector::Random,
+                    IdSource::starting_at(n as u64),
+                ),
+                workload: Box::new(script),
+                seed: 3,
+                trace: true,
+                writer_policy: WriterPolicy::FixedProtected,
+                writers: 1,
+            },
+        );
+        w.set_obs(ObsConfig {
+            spans: true,
+            tick_profile: true,
+            ..ObsConfig::off()
+        });
+        w.run_until(Time::at(3));
+        assert_eq!((w.queue.len(), w.inflight()), (1, n), "one REPLY run");
+        w.run_until(Time::at(10));
+        let trace: Vec<&TraceEntry> = w.trace().entries().collect();
+        let deliver = |e: &TraceEntry, want: &str| match e.event {
+            TraceEvent::Deliver { to, from, label } if label == want => Some((e.time, to, from)),
+            _ => None,
+        };
+        let sent = |e: &TraceEntry| match e.event {
+            TraceEvent::Send {
+                from, to, label, ..
+            } => Some((from, to, label)),
+            _ => None,
+        };
+        // Each READ copy is followed by its own REPLY before the next copy.
+        let reads: Vec<usize> = (0..trace.len())
+            .filter(|&i| deliver(trace[i], "READ").is_some())
+            .collect();
+        assert_eq!(reads.len(), n);
+        for &i in &reads {
+            let (_, to, _) = deliver(trace[i], "READ").expect("a READ");
+            assert_eq!(sent(trace[i + 1]), Some((to, Some(reader), "REPLY")));
+        }
+        // The REPLY run: the first `majority` copies are each followed by
+        // their own ACK, the read completes right after the last of them —
+        // between two deliveries of the run — and later copies apply
+        // nothing.
+        let replies: Vec<usize> = (0..trace.len())
+            .filter(|&i| deliver(trace[i], "REPLY").is_some())
+            .collect();
+        assert_eq!(replies.len(), n);
+        let run_at = trace[replies[0]].time;
+        for (k, &i) in replies.iter().enumerate() {
+            let (at, to, from) = deliver(trace[i], "REPLY").expect("a REPLY");
+            assert_eq!((at, to), (run_at, reader));
+            let next = trace.get(i + 1).copied().and_then(sent);
+            if k < majority {
+                assert_eq!(next, Some((reader, Some(from), "ACK")));
+            } else {
+                assert_eq!(next, None, "a copy past the quorum sends nothing");
+            }
+        }
+        let completed = replies[majority - 1] + 2;
+        assert!(
+            matches!(trace[completed].event, TraceEvent::Complete { node, .. } if node == reader)
+        );
+        assert_eq!(completed + 1, replies[majority]);
+        // Counts stay per copy: READs, REPLYs, then the ACKs.
+        let attempts = 2 * n + majority;
+        let ticks = 11;
+        assert_eq!(w.events_processed(), (attempts + ticks) as u64);
+        let profile = w
+            .take_obs_report()
+            .and_then(|r| r.tick_profile)
+            .expect("profiled");
+        assert_eq!(
+            (profile.deliver_events, profile.ticks),
+            (attempts as u64, ticks as u64)
+        );
+        let (_h, _p, metrics, _t, _n) = w.into_outputs();
+        assert_eq!(metrics.counter("net.delivered"), attempts as u64);
     }
 
     #[test]
