@@ -1,12 +1,13 @@
 //! SCENARIO — deterministic replay of one scenario file.
 //!
-//! Loads a `scenarios/*.dyn` file (see `dynareg_testkit::parse_scenario`
-//! for the format), optionally overrides the seed and duration, runs the
-//! world, and prints the per-key verdicts, the fault-drop accounting, the
-//! **scenario hash** (FNV-1a over the file bytes and the effective seed)
-//! and the **run digest** (the fleet event-stream digest). Replays are
-//! byte-identical: the same file and seed always print the same hash and
-//! digest, which is what the CI `scenario-corpus` job `cmp`-gates.
+//! Loads a `scenarios/*.dyn` file (format: `docs/FORMATS.md`), optionally
+//! overrides the seed and duration, runs the world, and prints the per-key
+//! verdicts, the fault-drop accounting, the **scenario hash** (FNV-1a over
+//! the file bytes — plus a `duration T` line under `--duration-ticks T` —
+//! and the effective seed) and the **run digest** (the fleet event-stream
+//! digest). Replays are byte-identical: the same file and seed always
+//! print the same hash and digest, which is what the CI `scenario-corpus`
+//! job `cmp`-gates.
 //!
 //! With `--obs` (implied by `--trace-out` / `--timeseries-out`) the run
 //! carries the observability layer: causal op spans with per-message
@@ -24,7 +25,6 @@
 
 use dynareg_bench::Cli;
 use dynareg_fleet::run_digest;
-use dynareg_sim::Span;
 use dynareg_testkit::{parse_scenario, scenario_hash, ObsConfig, RunReport};
 
 const USAGE: &str = "exp_scenario_run <scenario.dyn> [--seed S] [--duration-ticks T] \
@@ -111,19 +111,24 @@ fn main() {
     let args = parse_args();
     let cli = Cli::new(Vec::new(), USAGE);
 
-    let text = match std::fs::read_to_string(&args.path) {
+    let mut text = match std::fs::read_to_string(&args.path) {
         Ok(text) => text,
         Err(e) => cli.fail(&format!("cannot read `{}`: {e}", args.path)),
     };
+    // The duration override is a directive appended to the text (later
+    // duplicates win), so the hashed bytes describe the run exactly.
+    if let Some(ticks) = args.duration_ticks {
+        if !text.ends_with('\n') {
+            text.push('\n');
+        }
+        text.push_str(&format!("duration {ticks}\n"));
+    }
     let mut spec = match parse_scenario(&text) {
         Ok(spec) => spec,
         Err(e) => cli.fail(&format!("{}:{}", args.path, e)),
     };
     if let Some(seed) = args.seed {
         spec.seed = seed;
-    }
-    if let Some(ticks) = args.duration_ticks {
-        spec.duration = Span::ticks(ticks);
     }
     let hash = scenario_hash(&text, spec.seed);
 

@@ -144,8 +144,8 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>, seed: u64) -> u64 {
     h
 }
 
-/// Churn model wrapper going quiet at `stop_at` (mirrors the scenario
-/// builder's drain behaviour without pulling in `Scenario`).
+/// Churn model wrapper going quiet at `stop_at` (mirrors the drain window
+/// `ScenarioSpec::run` applies, which `testkit` keeps private).
 #[derive(Debug)]
 struct StopAfter {
     inner: ConstantRate,

@@ -22,8 +22,8 @@ use dynareg_sim::{IdSource, NodeId, Span, Time};
 use dynareg_testkit::experiment::{run_seeds, Aggregate};
 use dynareg_testkit::table::{fnum, Table};
 use dynareg_testkit::{
-    scenario_hash, write_scenario, OpAction, RunReport, Scenario, ScriptedWorkload, SyncFactory,
-    World, WorldConfig, WriterPolicy,
+    scenario_hash, write_scenario, ChurnChoice, NetClass, OpAction, RunReport, ScenarioSpec,
+    ScriptedWorkload, SyncFactory, World, WorldConfig, WriterPolicy,
 };
 use dynareg_verify::{LivenessChecker, OpKind, RegularityChecker};
 
@@ -271,9 +271,8 @@ fn frac(k: usize, of: usize) -> String {
     format!("{k}/{of}")
 }
 
-fn describe(scenario: Scenario) -> String {
-    let spec = scenario.into_spec();
-    let text = write_scenario(&spec).expect("ledger scenarios carry no script");
+fn describe(spec: &ScenarioSpec) -> String {
+    let text = write_scenario(spec).expect("ledger scenarios carry no script");
     let directives = text.trim_end().replace('\n', " · ");
     format!(
         "`{directives}` (hash `{:#018x}`)",
@@ -290,8 +289,14 @@ struct Cell {
     mean_active: f64,
 }
 
-fn measure(seeds: Range<u64>, scenario: &Scenario) -> Cell {
-    let reports = run_seeds(seeds, |seed| scenario.clone().seed(seed).run());
+fn measure(seeds: Range<u64>, scenario: &ScenarioSpec) -> Cell {
+    let reports = run_seeds(seeds, |seed| {
+        ScenarioSpec {
+            seed,
+            ..scenario.clone()
+        }
+        .run()
+    });
     let gauges = || {
         reports
             .iter()
@@ -342,11 +347,14 @@ impl Sheet {
         &mut self,
         label: String,
         seeds: Range<u64>,
-        scenario: Scenario,
+        scenario: ScenarioSpec,
         judge: impl FnOnce(&Cell) -> (Verdict, Vec<String>),
     ) -> Cell {
         if self.cells == 0 {
-            self.scenario = describe(scenario.clone().seed(seeds.start));
+            self.scenario = describe(&ScenarioSpec {
+                seed: seeds.start,
+                ..scenario.clone()
+            });
         }
         let cell = measure(seeds, &scenario);
         let (verdict, own) = judge(&cell);
@@ -408,20 +416,25 @@ fn variants() -> &'static (Vec<Aggregate>, usize, Sheet) {
         let mut sheet = Sheet::new(&["runs with inversions", "atomic-OK runs"]);
         let (mut aggs, mut atomic_ok) = (Vec::new(), 0);
         for (name, base) in [
-            ("sync (Figs. 1–2), regular", Scenario::synchronous(n, delta)),
+            (
+                "sync (Figs. 1–2), regular",
+                ScenarioSpec::synchronous(n, delta),
+            ),
             (
                 "es (Figs. 4–6), regular",
-                Scenario::eventually_synchronous(n, delta, gst),
+                ScenarioSpec::eventually_synchronous(n, delta, gst),
             ),
             (
                 "es + write-back, atomic",
-                Scenario::es_atomic(n, delta, gst),
+                ScenarioSpec::es_atomic(n, delta, gst),
             ),
         ] {
-            let scenario = base
-                .duration(Span::ticks(400))
-                .reads_per_tick(5.0)
-                .write_every(Span::ticks(12));
+            let scenario = ScenarioSpec {
+                duration: Span::ticks(400),
+                reads_per_tick: 5.0,
+                write_every: Some(Span::ticks(12)),
+                ..base
+            };
             let cell = sheet.add(name.to_string(), 0..8, scenario, |c| {
                 let inverted = c.reports.iter().filter(|r| r.inversions() > 0).count();
                 atomic_ok = c.reports.iter().filter(|r| r.atomicity.is_ok()).count();
@@ -468,10 +481,11 @@ pub fn sync_costs(a: &Aggregate, delta: u64) -> Verdict {
 fn e2() -> Evidence {
     let mut sheet = Sheet::new(&["c"]);
     for (n, d) in [(20, 2), (20, 5), (20, 10), (100, 2), (100, 5), (100, 10)] {
-        let scenario = Scenario::synchronous(n, Span::ticks(d))
-            .churn_fraction_of_bound(0.5)
-            .duration(Span::ticks(500))
-            .reads_per_tick(2.0);
+        let scenario = ScenarioSpec {
+            duration: Span::ticks(500),
+            reads_per_tick: 2.0,
+            ..ScenarioSpec::synchronous(n, Span::ticks(d)).churn_fraction_of_bound(0.5)
+        };
         sheet.add(format!("n={n} δ={d}"), 0..6, scenario, |c| {
             let churn = format!("{:.4}", c.reports[0].churn_rate);
             (sync_costs(&c.a, d), vec![churn])
@@ -549,18 +563,19 @@ fn e3() -> Evidence {
     }
     let mut sheet = Sheet::new(&[]);
     let [with, without] = [
-        ("with wait", Scenario::synchronous(20, delta)),
+        ("with wait", ScenarioSpec::synchronous(20, delta)),
         (
             "without wait",
-            Scenario::synchronous_without_join_wait(20, delta),
+            ScenarioSpec::synchronous_without_join_wait(20, delta),
         ),
     ]
     .map(|(name, base)| {
-        let scenario = base
-            .churn_fraction_of_bound(0.8)
-            .write_every(Span::ticks(6))
-            .duration(Span::ticks(400))
-            .reads_per_tick(3.0);
+        let scenario = ScenarioSpec {
+            write_every: Some(Span::ticks(6)),
+            duration: Span::ticks(400),
+            reads_per_tick: 3.0,
+            ..base.churn_fraction_of_bound(0.8)
+        };
         let observed = |_: &Cell| (Verdict::Holds, vec![]);
         sheet.add(name.to_string(), 0..8, scenario, observed).a
     });
@@ -608,12 +623,14 @@ fn e4() -> Evidence {
         let (from, to) = (Time::at(10 * d), Time::at(50 * d));
         for fraction in [0.25, 0.5, 0.75, 1.0] {
             for selector in [LeaveSelector::ActiveFirst, LeaveSelector::Random] {
-                let scenario = Scenario::synchronous(n, delta)
-                    .worst_case_delays()
-                    .migrating_writer()
-                    .churn_fraction_of_bound(fraction)
-                    .leave_selector(selector)
-                    .duration(Span::ticks(60 * d));
+                let scenario = ScenarioSpec {
+                    net: NetClass::SynchronousWorstCase,
+                    migrating_writer: true,
+                    writer_churns: true,
+                    selector,
+                    duration: Span::ticks(60 * d),
+                    ..ScenarioSpec::synchronous(n, delta).churn_fraction_of_bound(fraction)
+                };
                 let label = format!("δ={d} c/c*={} {selector:?}", fnum(fraction));
                 sheet.add(label, 1..2, scenario, |c| {
                     let (rate, presence) = (c.reports[0].churn_rate, &c.reports[0].presence);
@@ -669,13 +686,15 @@ fn e5() -> Evidence {
     let (n, mut base_reads) = (30, None);
     let mut sheet = Sheet::new(&["predicted actives n(1−3δc)", "joins done"]);
     for fraction in [0.25, 0.5, 0.75, 0.9, 1.0, 1.25, 1.5, 2.0, 4.0] {
-        let scenario = Scenario::synchronous(n, Span::ticks(4))
-            .worst_case_delays()
-            .migrating_writer()
-            .churn_fraction_of_bound(fraction)
-            .leave_selector(LeaveSelector::ActiveFirst)
-            .duration(Span::ticks(400))
-            .reads_per_tick(2.0);
+        let scenario = ScenarioSpec {
+            net: NetClass::SynchronousWorstCase,
+            migrating_writer: true,
+            writer_churns: true,
+            selector: LeaveSelector::ActiveFirst,
+            duration: Span::ticks(400),
+            reads_per_tick: 2.0,
+            ..ScenarioSpec::synchronous(n, Span::ticks(4)).churn_fraction_of_bound(fraction)
+        };
         let predicted = (n as f64 * (1.0 - fraction)).max(0.0); // n(1−3δc) at c = fraction·c*
         sheet.add(format!("c/c*={}", fnum(fraction)), 0..6, scenario, |c| {
             let joins = |r: &RunReport| r.metrics.counter("ops.join_completed");
@@ -708,10 +727,11 @@ fn e6() -> Evidence {
     let (n, delta, victim) = (15, Span::ticks(3), NodeId::from_raw(0));
     let mut horn1 = Sheet::new(&[]);
     for cap in [1, 2, 4, 8, 16] {
-        let scenario = Scenario::synchronous_over_async(n, delta, cap)
-            .churn_fraction_of_bound(0.8)
-            .duration(Span::ticks(400))
-            .reads_per_tick(2.0);
+        let scenario = ScenarioSpec {
+            duration: Span::ticks(400),
+            reads_per_tick: 2.0,
+            ..ScenarioSpec::synchronous_over_async(n, delta, cap).churn_fraction_of_bound(0.8)
+        };
         let judge = |c: &Cell| (timeout_horn(cap, &c.a), vec![]);
         horn1.add(format!("tail cap {cap}×δ̂"), 0..8, scenario, judge);
     }
@@ -723,12 +743,13 @@ fn e6() -> Evidence {
         ("victim starved", FaultPlan::none().with(starve)),
     ] {
         let starved = faults != FaultPlan::none();
-        let scenario = Scenario::es_over_async(n, delta, 10)
-            .churn_fraction_of_bound(1.0)
-            .duration(Span::ticks(600))
-            .drain(Span::ticks(200))
-            .reads_per_tick(1.0)
-            .faults(faults);
+        let scenario = ScenarioSpec {
+            duration: Span::ticks(600),
+            drain: Some(Span::ticks(200)),
+            reads_per_tick: 1.0,
+            faults: Some(faults),
+            ..ScenarioSpec::es_over_async(n, delta, 10).churn_fraction_of_bound(1.0)
+        };
         horn2.add(name.to_string(), 0..6, scenario, |c| {
             let of_victim = |r: &RunReport| {
                 let stuck = r.liveness.stuck_ops.iter();
@@ -768,11 +789,13 @@ fn e7() -> Evidence {
     let mut sheet = Sheet::new(&[]);
     for n in [20, 100] {
         for gst in [0, 200, 400] {
-            let scenario = Scenario::eventually_synchronous(n, Span::ticks(4), Time::at(gst))
-                .churn_fraction_of_bound(0.5)
-                .duration(Span::ticks(800))
-                .drain(Span::ticks(250))
-                .reads_per_tick(1.0);
+            let scenario = ScenarioSpec {
+                duration: Span::ticks(800),
+                drain: Some(Span::ticks(250)),
+                reads_per_tick: 1.0,
+                ..ScenarioSpec::eventually_synchronous(n, Span::ticks(4), Time::at(gst))
+                    .churn_fraction_of_bound(0.5)
+            };
             let judge = |c: &Cell| (es_costs(&c.a, 4), vec![]);
             sheet.add(format!("n={n} GST=t{gst}"), 0..6, scenario, judge);
         }
@@ -790,12 +813,14 @@ pub fn blocks_never_lies(a: &Aggregate, majority_held: bool, within_bound: bool)
 fn e8() -> Evidence {
     let (n, majority, mut sheet) = (15, 8, Sheet::new(&["majority held?"]));
     for multiple in [0.5, 1.0, 4.0, 16.0, 48.0, 96.0] {
-        let scenario = Scenario::eventually_synchronous(n, Span::ticks(3), Time::ZERO)
-            .churn_fraction_of_bound(multiple)
-            .leave_selector(LeaveSelector::ActiveFirst)
-            .duration(Span::ticks(600))
-            .drain(Span::ticks(150))
-            .reads_per_tick(1.0);
+        let scenario = ScenarioSpec {
+            selector: LeaveSelector::ActiveFirst,
+            duration: Span::ticks(600),
+            drain: Some(Span::ticks(150)),
+            reads_per_tick: 1.0,
+            ..ScenarioSpec::eventually_synchronous(n, Span::ticks(3), Time::ZERO)
+                .churn_fraction_of_bound(multiple)
+        };
         let label = format!("c={}/(3δn)", fnum(multiple));
         sheet.add(label, 0..6, scenario, |c| {
             let held = c.min_active >= majority;
@@ -821,14 +846,19 @@ fn e9() -> Evidence {
     let delta = Span::ticks(4);
     for n in [10, 25, 50, 100, 200] {
         for (name, base) in [
-            ("sync", Scenario::synchronous(n, delta)),
-            ("es", Scenario::eventually_synchronous(n, delta, Time::ZERO)),
+            ("sync", ScenarioSpec::synchronous(n, delta)),
+            (
+                "es",
+                ScenarioSpec::eventually_synchronous(n, delta, Time::ZERO),
+            ),
         ] {
-            let scenario = base
-                .churn_rate(0.001)
-                .duration(Span::ticks(500))
-                .reads_per_tick(1.0)
-                .write_every(Span::ticks(16));
+            let scenario = ScenarioSpec {
+                churn: ChurnChoice::Constant(0.001),
+                duration: Span::ticks(500),
+                reads_per_tick: 1.0,
+                write_every: Some(Span::ticks(16)),
+                ..base
+            };
             sheet.add(format!("n={n} {name}"), 0..4, scenario, |c| {
                 // A read's messages are the READ broadcast and its REPLYs;
                 // the synchronous protocol sends no READ, its REPLYs answer joins.

@@ -35,10 +35,10 @@ pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// (invocations, responses, values), the membership totals and the message
 /// count. Two runs with equal digests executed the same event stream for
 /// every purpose the checkers care about; the fleet determinism suite
-/// compares fleet-run digests against standalone [`Scenario`] runs of the
-/// same point.
+/// compares fleet-run digests against standalone [`ScenarioSpec`] runs of
+/// the same point.
 ///
-/// [`Scenario`]: dynareg_testkit::Scenario
+/// [`ScenarioSpec`]: dynareg_testkit::ScenarioSpec
 pub fn run_digest(report: &RunReport) -> u64 {
     let ops = format!("{:?}", report.history.ops());
     let mut h = fnv1a(ops.bytes(), FNV_OFFSET);
@@ -360,7 +360,7 @@ pub fn reduce_cells(outcomes: &[PointOutcome]) -> Vec<Cell> {
 mod tests {
     use super::*;
     use dynareg_sim::Span;
-    use dynareg_testkit::Scenario;
+    use dynareg_testkit::ScenarioSpec;
     use proptest::prelude::*;
 
     fn outcome(delta: u64, fraction: f64, stuck: u64, joins: u64, arrivals: u64) -> PointOutcome {
@@ -484,11 +484,12 @@ mod tests {
     #[test]
     fn digest_separates_runs_and_is_stable() {
         let run = |seed| {
-            Scenario::synchronous(8, Span::ticks(2))
-                .churn_fraction_of_bound(0.4)
-                .duration(Span::ticks(120))
-                .seed(seed)
-                .run()
+            ScenarioSpec {
+                duration: Span::ticks(120),
+                seed,
+                ..ScenarioSpec::synchronous(8, Span::ticks(2)).churn_fraction_of_bound(0.4)
+            }
+            .run()
         };
         let a1 = run_digest(&run(1));
         let a2 = run_digest(&run(1));

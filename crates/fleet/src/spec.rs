@@ -11,7 +11,7 @@
 use dynareg_churn::LeaveSelector;
 use dynareg_net::FaultPlan;
 use dynareg_sim::{DetRng, Span, Time};
-use dynareg_testkit::{ProtocolChoice, Scenario, ScenarioSpec};
+use dynareg_testkit::{NetClass, ProtocolChoice, ScenarioSpec};
 
 /// The sampled region of the `(c, δ)` plane.
 #[derive(Debug, Clone, PartialEq)]
@@ -270,7 +270,10 @@ impl SweepSpec {
     /// Expands the sweep into its full, indexed run list.
     ///
     /// # Panics
-    /// Panics on empty axes, a zero population, or a zero delta.
+    /// Panics on empty axes, or on `worst_case` over a protocol whose
+    /// network is not synchronous. A point whose spec breaks
+    /// [`ScenarioSpec::validate`] (a zero population or delta, more
+    /// writers than processes, …) panics when it runs.
     pub fn points(&self) -> Vec<RunPoint> {
         assert!(!self.populations.is_empty(), "populations axis is empty");
         assert!(!self.gsts.is_empty(), "gsts axis is empty");
@@ -332,44 +335,47 @@ impl SweepSpec {
         // to the key count), so cells and frontiers are never labeled
         // with a G that did not actually run.
         let shards = shards.clamp(1, keys.max(1));
-        let delta_span = Span::ticks(delta);
-        let mut sc = match self.protocol {
-            ProtocolChoice::Synchronous => Scenario::synchronous(n, delta_span),
+        let (delta_span, gst_time) = (Span::ticks(delta), Time::at(gst));
+        let base = match self.protocol {
+            ProtocolChoice::Synchronous => ScenarioSpec::synchronous(n, delta_span),
             ProtocolChoice::SynchronousNoWait => {
-                Scenario::synchronous_without_join_wait(n, delta_span)
+                ScenarioSpec::synchronous_without_join_wait(n, delta_span)
             }
             ProtocolChoice::EventuallySynchronous => {
-                Scenario::eventually_synchronous(n, delta_span, Time::at(gst))
+                ScenarioSpec::eventually_synchronous(n, delta_span, gst_time)
             }
-            ProtocolChoice::EsAtomic => Scenario::es_atomic(n, delta_span, Time::at(gst)),
+            ProtocolChoice::EsAtomic => ScenarioSpec::es_atomic(n, delta_span, gst_time),
         };
-        if self.worst_case {
-            sc = sc.worst_case_delays();
-        }
-        if self.migrating_writer {
-            sc = sc.migrating_writer();
-        }
+        assert!(
+            !self.worst_case || base.net == NetClass::Synchronous,
+            "worst-case delays only apply to synchronous networks"
+        );
+        let seed = run_seed(self.master_seed, index);
+        let mut spec = ScenarioSpec {
+            net: if self.worst_case {
+                NetClass::SynchronousWorstCase
+            } else {
+                base.net
+            },
+            // A migrating writer is never protected from churn.
+            migrating_writer: self.migrating_writer,
+            writer_churns: self.migrating_writer,
+            selector: self.selector,
+            duration: self.duration,
+            reads_per_tick: self.reads_per_tick,
+            seed,
+            write_every: self.write_every,
+            faults: self.faults.clone(),
+            shards,
+            ..base.churn_fraction_of_bound(fraction)
+        };
+        // Key counts and rosters below 2 leave the single-key, single-writer
+        // defaults in place.
         if keys > 1 {
-            sc = sc.keys(keys).zipf(self.zipf_exponent);
-        }
-        if shards > 1 {
-            sc = sc.join_shards(shards);
+            (spec.keys, spec.zipf_exponent) = (keys, self.zipf_exponent);
         }
         if writers > 1 {
-            sc = sc.writers(writers);
-        }
-        let seed = run_seed(self.master_seed, index);
-        sc = sc
-            .leave_selector(self.selector)
-            .duration(self.duration)
-            .reads_per_tick(self.reads_per_tick)
-            .churn_fraction_of_bound(fraction)
-            .seed(seed);
-        if let Some(period) = self.write_every {
-            sc = sc.write_every(period);
-        }
-        if let Some(faults) = &self.faults {
-            sc = sc.faults(faults.clone());
+            spec.writers = writers;
         }
         RunPoint {
             index,
@@ -381,7 +387,7 @@ impl SweepSpec {
             shards,
             writers,
             seed,
-            spec: sc.into_spec(),
+            spec,
         }
     }
 }

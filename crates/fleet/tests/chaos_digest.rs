@@ -16,7 +16,7 @@
 use dynareg_fleet::run_digest;
 use dynareg_net::{DelayFault, DropRule, FaultAction, FaultPlan, NodeSet, Partition};
 use dynareg_sim::{DetRng, NodeId, Span, Time};
-use dynareg_testkit::{parse_scenario, Scenario};
+use dynareg_testkit::{parse_scenario, ChurnChoice, ScenarioSpec};
 use proptest::prelude::*;
 
 #[test]
@@ -27,11 +27,12 @@ fn chaos_free_scenario_file_matches_programmatic_spec() {
     );
     let text = std::fs::read_to_string(path).expect("paper_baseline.dyn is committed");
     let from_file = parse_scenario(&text).expect("baseline corpus file parses");
-    let programmatic = Scenario::synchronous(20, Span::ticks(3))
-        .churn_rate(0.02)
-        .duration(Span::ticks(400))
-        .seed(12)
-        .into_spec();
+    let programmatic = ScenarioSpec {
+        churn: ChurnChoice::Constant(0.02),
+        duration: Span::ticks(400),
+        seed: 12,
+        ..ScenarioSpec::synchronous(20, Span::ticks(3))
+    };
     assert_eq!(
         from_file, programmatic,
         "the baseline corpus file must pin the paper's programmatic spec"
@@ -111,12 +112,14 @@ fn plan_from(delays: &[DelayFault], drops: &[DropRule], partitions: &[Partition]
 }
 
 fn digest_with(plan: FaultPlan, seed: u64) -> u64 {
-    let report = Scenario::synchronous(10, Span::ticks(3))
-        .churn_rate(0.01)
-        .duration(Span::ticks(150))
-        .seed(seed)
-        .faults(plan)
-        .run();
+    let report = ScenarioSpec {
+        churn: ChurnChoice::Constant(0.01),
+        duration: Span::ticks(150),
+        seed,
+        faults: Some(plan),
+        ..ScenarioSpec::synchronous(10, Span::ticks(3))
+    }
+    .run();
     run_digest(&report)
 }
 

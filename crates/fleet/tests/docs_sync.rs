@@ -8,7 +8,8 @@
 //! * **Version pinning** — every on-disk format's version string quoted
 //!   in `docs/FORMATS.md` must equal the constant in the owning module,
 //!   so bumping a schema in code without updating the spec (or vice
-//!   versa) fails CI.
+//!   versa) fails CI; the scenario grammar's directive list and defaults
+//!   must be what `write_scenario` prints.
 //! * **Dead links** — every `[text](target)` link in `README.md`,
 //!   `PAPER.md` and `docs/*.md` must resolve: relative paths to files
 //!   that exist, `#anchors` to headings that exist in the target
@@ -25,8 +26,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use dynareg_fleet::PHASE_SCHEMA;
+use dynareg_net::{DelayFault, DropRule, FaultPlan, Partition, RegionMatrix};
 use dynareg_sim::obs::TIMESERIES_SCHEMA;
-use dynareg_testkit::{FLIGHT_SCHEMA, FORMAT_LINE};
+use dynareg_sim::{Span, Time};
+use dynareg_testkit::{write_scenario, ScenarioSpec, FLIGHT_SCHEMA, FORMAT_LINE};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -92,6 +95,73 @@ fn formats_spec_pins_the_code_version_strings() {
             spec.contains(&format!("`{tag}`")),
             "docs/FORMATS.md must show `{tag}` as a code span"
         );
+    }
+}
+
+/// `docs/FORMATS.md`'s scenario directive block names exactly the
+/// directives `write_scenario` prints for a spec that sets every optional
+/// one, and every default it states is the one `ScenarioSpec::new` prints.
+#[test]
+fn formats_spec_lists_exactly_the_printed_scenario_directives() {
+    let doc = read(&repo_root().join("docs/FORMATS.md"));
+    let block = doc
+        .split("Directives (defaults in parentheses")
+        .nth(1)
+        .and_then(|rest| rest.split("```text\n").nth(1))
+        .and_then(|rest| rest.split("```").next())
+        .expect("docs/FORMATS.md has the directive block");
+    // A directive is a line's first word; `fault` lines also their second.
+    let name = |line: &str| {
+        let words: Vec<&str> = line.split_whitespace().take(2).collect();
+        if words[0] == "fault" {
+            words.join(" ")
+        } else {
+            words[0].to_string()
+        }
+    };
+    let documented: Vec<&str> = block
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('|'))
+        .collect();
+    let faults = FaultPlan::none()
+        .with(DelayFault::slow_everything(
+            Time::ZERO,
+            Time::MAX,
+            Span::UNIT,
+        ))
+        .with_partition(Partition::even_odd(Time::ZERO, Time::MAX))
+        .with_drop(DropRule::lossy_everything(Time::ZERO, Time::MAX, 0.5))
+        .with_region(RegionMatrix::new(2).with_link(0, 1, Span::UNIT));
+    let every = ScenarioSpec {
+        drain: Some(Span::UNIT),
+        write_every: Some(Span::UNIT),
+        write_quiesce: Some(Span::UNIT),
+        trace: true,
+        faults: Some(faults),
+        ..ScenarioSpec::synchronous(1, Span::UNIT)
+    };
+    let printed = write_scenario(&every).expect("no script");
+    let mut in_doc: Vec<String> = documented.iter().map(|l| name(l)).collect();
+    let mut in_code: Vec<String> = printed.lines().skip(1).map(name).collect();
+    for names in [&mut in_doc, &mut in_code] {
+        names.sort();
+        names.dedup();
+    }
+    assert_eq!(in_doc, in_code, "docs/FORMATS.md vs write_scenario");
+
+    let defaults = write_scenario(&ScenarioSpec::synchronous(1, Span::UNIT)).expect("no script");
+    for line in documented {
+        let Some((_, default)) = line.split_once("# (") else {
+            continue;
+        };
+        let (directive, default) = (name(line), default.trim_end().trim_end_matches(')'));
+        if let Some(printed) = defaults.lines().find(|l| name(l) == directive) {
+            assert_eq!(
+                printed,
+                format!("{directive} {default}"),
+                "default of `{directive}`"
+            );
+        }
     }
 }
 

@@ -2,12 +2,12 @@
 //!
 //! 1. A sweep run at 1 thread and at N threads produces **byte-identical**
 //!    aggregate reports (JSON, tables, phase grid, fleet digest);
-//! 2. every run inside a fleet matches a standalone [`Scenario`] run of
-//!    the same parameter point, event stream for event stream.
+//! 2. every run inside a fleet matches a standalone [`ScenarioSpec`] run
+//!    of the same parameter point, event stream for event stream.
 
 use dynareg_fleet::{run_digest, run_points, run_sweep, PhaseReport, SweepDomain, SweepSpec};
 use dynareg_sim::Span;
-use dynareg_testkit::Scenario;
+use dynareg_testkit::{NetClass, ScenarioSpec};
 use proptest::prelude::*;
 
 /// A sweep small enough to run many times in a test, large enough to put
@@ -48,17 +48,20 @@ fn fleet_runs_match_standalone_scenario_runs() {
     let outcomes = run_points(&points, 4);
     assert_eq!(outcomes.len(), points.len());
     for (point, outcome) in points.iter().zip(&outcomes) {
-        // Rebuild the very same point through the public Scenario builder
-        // and run it inline, single-threaded.
-        let standalone = Scenario::synchronous(point.n, Span::ticks(point.delta))
-            .worst_case_delays()
-            .migrating_writer()
-            .leave_selector(spec.selector)
-            .duration(spec.duration)
-            .reads_per_tick(spec.reads_per_tick)
-            .churn_fraction_of_bound(point.fraction)
-            .seed(point.seed)
-            .run();
+        // Rebuild the very same point as a spec of its own and run it
+        // inline, single-threaded.
+        let standalone = ScenarioSpec {
+            net: NetClass::SynchronousWorstCase,
+            migrating_writer: true,
+            writer_churns: true,
+            selector: spec.selector,
+            duration: spec.duration,
+            reads_per_tick: spec.reads_per_tick,
+            seed: point.seed,
+            ..ScenarioSpec::synchronous(point.n, Span::ticks(point.delta))
+                .churn_fraction_of_bound(point.fraction)
+        }
+        .run();
         assert_eq!(
             outcome.digest,
             run_digest(&standalone),
@@ -124,20 +127,21 @@ fn sharded_keyed_sweep_is_thread_count_invariant_and_renders_shards() {
     let points = spec.points();
     let outcomes = run_points(&points, 3);
     for (point, outcome) in points.iter().zip(&outcomes) {
-        let mut sc = Scenario::synchronous(point.n, Span::ticks(point.delta))
-            .worst_case_delays()
-            .migrating_writer()
-            .leave_selector(spec.selector)
-            .duration(spec.duration)
-            .reads_per_tick(spec.reads_per_tick)
-            .keys(point.keys)
-            .zipf(spec.zipf_exponent)
-            .churn_fraction_of_bound(point.fraction)
-            .seed(point.seed);
-        if point.shards > 1 {
-            sc = sc.join_shards(point.shards);
+        let standalone = ScenarioSpec {
+            net: NetClass::SynchronousWorstCase,
+            migrating_writer: true,
+            writer_churns: true,
+            selector: spec.selector,
+            duration: spec.duration,
+            reads_per_tick: spec.reads_per_tick,
+            keys: point.keys,
+            zipf_exponent: spec.zipf_exponent,
+            shards: point.shards,
+            seed: point.seed,
+            ..ScenarioSpec::synchronous(point.n, Span::ticks(point.delta))
+                .churn_fraction_of_bound(point.fraction)
         }
-        let standalone = sc.run();
+        .run();
         assert_eq!(
             standalone.shards, point.shards,
             "RunPoint records the effective G"

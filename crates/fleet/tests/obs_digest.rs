@@ -12,7 +12,7 @@ use dynareg_fleet::run_digest;
 use dynareg_net::{DelayFault, DropRule, FaultAction, FaultPlan, NodeSet, Partition};
 use dynareg_sim::obs::ObsConfig;
 use dynareg_sim::{DetRng, NodeId, Span, Time};
-use dynareg_testkit::Scenario;
+use dynareg_testkit::{ChurnChoice, ScenarioSpec};
 use proptest::prelude::*;
 
 /// One randomized chaos plan (same shape as `chaos_digest.rs`): additive
@@ -63,14 +63,23 @@ fn arb_plan(rng: &mut DetRng) -> FaultPlan {
 /// The scenario under test: protocol family and churn chosen by the
 /// seed so the property covers synchronous, eventually-synchronous, and
 /// the ES atomic variant, quiet and churning.
-fn scenario(seed: u64) -> Scenario {
+fn scenario(seed: u64, faults: FaultPlan) -> ScenarioSpec {
     let base = match seed % 3 {
-        0 => Scenario::synchronous(10, Span::ticks(3)),
-        1 => Scenario::eventually_synchronous(10, Span::ticks(3), Time::at(40)),
-        _ => Scenario::es_atomic(10, Span::ticks(3), Time::at(40)),
+        0 => ScenarioSpec::synchronous(10, Span::ticks(3)),
+        1 => ScenarioSpec::eventually_synchronous(10, Span::ticks(3), Time::at(40)),
+        _ => ScenarioSpec::es_atomic(10, Span::ticks(3), Time::at(40)),
     };
-    let churn = if seed.is_multiple_of(2) { 0.01 } else { 0.0 };
-    base.churn_rate(churn).duration(Span::ticks(150)).seed(seed)
+    ScenarioSpec {
+        churn: if seed.is_multiple_of(2) {
+            ChurnChoice::Constant(0.01)
+        } else {
+            ChurnChoice::None
+        },
+        duration: Span::ticks(150),
+        seed,
+        faults: Some(faults),
+        ..base
+    }
 }
 
 proptest! {
@@ -81,10 +90,10 @@ proptest! {
     #[test]
     fn full_observability_never_changes_the_run_digest(seed in 0u64..1_000_000) {
         let mut rng = DetRng::seed(seed ^ 0x0B5E_0000);
-        let plan = arb_plan(&mut rng);
 
-        let plain = scenario(seed).faults(plan.clone()).run();
-        let observed = scenario(seed).faults(plan).run_observed(ObsConfig::full());
+        let spec = scenario(seed, arb_plan(&mut rng));
+        let plain = spec.run();
+        let observed = spec.run_observed(ObsConfig::full());
 
         prop_assert!(observed.obs.is_some(), "observed run carries its report");
         prop_assert_eq!(

@@ -156,14 +156,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Scenario;
+    use crate::scenario::ScenarioSpec;
     use dynareg_sim::Span;
 
     fn quick(seed: u64) -> RunReport {
-        Scenario::synchronous(8, Span::ticks(2))
-            .duration(Span::ticks(80))
-            .seed(seed)
-            .run()
+        ScenarioSpec {
+            duration: Span::ticks(80),
+            seed,
+            ..ScenarioSpec::synchronous(8, Span::ticks(2))
+        }
+        .run()
     }
 
     #[test]

@@ -14,25 +14,27 @@
 //! * [`Workload`] — who reads/writes which key when ([`RateWorkload`] for
 //!   steady single-register load, [`ZipfWorkload`] for Zipf-keyed space
 //!   traffic, [`ScriptedWorkload`] for figure-exact reproductions);
-//! * [`Scenario`] — one-stop builder mapping paper parameters
-//!   `(n, δ, c, GST, seed, …)` to a full run + [`RunReport`] with safety,
-//!   atomicity and liveness verdicts. Its plain-data core,
-//!   [`ScenarioSpec`], is `Send + Clone` — the unit of work
-//!   `dynareg-fleet` fans out across threads;
+//! * [`ScenarioSpec`] — the one scenario type: paper parameters
+//!   `(n, δ, c, GST, seed, …)` as plain `Send + Clone` data, run into a
+//!   [`RunReport`] with safety, atomicity and liveness verdicts. It is the
+//!   unit of work `dynareg-fleet` fans out across threads, and what a
+//!   scenario file ([`parse_scenario`] / [`write_scenario`]) holds;
 //! * [`experiment`] — multi-seed aggregation and markdown/CSV tables for
 //!   the experiment binaries in `dynareg-bench`.
 //!
 //! # Example
 //!
 //! ```
-//! use dynareg_testkit::Scenario;
 //! use dynareg_sim::Span;
+//! use dynareg_testkit::ScenarioSpec;
 //!
-//! let report = Scenario::synchronous(20, Span::ticks(4))
-//!     .churn_fraction_of_bound(0.5) // c = 0.5 · 1/(3δ)
-//!     .duration(Span::ticks(300))
-//!     .seed(7)
-//!     .run();
+//! let report = ScenarioSpec {
+//!     duration: Span::ticks(300),
+//!     seed: 7,
+//!     // c = 0.5 · 1/(3δ)
+//!     ..ScenarioSpec::synchronous(20, Span::ticks(4)).churn_fraction_of_bound(0.5)
+//! }
+//! .run();
 //! assert!(report.safety.is_ok());
 //! assert!(report.liveness.is_ok());
 //! ```
@@ -57,7 +59,7 @@ pub use obs::{
     MsgFate, MsgInfo, ObsConfig, ObsReport, OpPhase, OpSpan, PhaseEvent, WhyStuck, FLIGHT_SCHEMA,
 };
 pub use scenario::{
-    ChurnChoice, KeyReport, NetClass, ProtocolChoice, RunReport, Scenario, ScenarioSpec,
+    ChurnChoice, KeyReport, NetClass, ProtocolChoice, RunReport, ScenarioSpec, SpecError,
 };
 pub use scenfile::{parse_scenario, scenario_hash, write_scenario, ScenError, FORMAT_LINE};
 pub use workload::{

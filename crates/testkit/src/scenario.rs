@@ -1,21 +1,22 @@
-//! One-stop scenario builder: paper parameters in, verdicts out.
+//! One scenario type: paper parameters in, verdicts out.
 //!
-//! Two layers:
-//!
-//! * [`ScenarioSpec`] — a **plain-data, `Send + Clone`** description of a
-//!   run. It holds no boxed models; the delay model, churn driver and
-//!   workload are constructed *from* the data at run time. This is what
-//!   crosses threads in `dynareg-fleet`'s sweep engine: a spec can be
-//!   cloned into any worker and [`ScenarioSpec::run`] on any thread
-//!   reproduces the exact same run.
-//! * [`Scenario`] — the ergonomic builder over a spec, unchanged API.
+//! [`ScenarioSpec`] is a **plain-data, `Send + Clone`** description of a
+//! run. It holds no boxed models; the delay model, churn driver and
+//! workload are constructed *from* the data at run time. This is what
+//! crosses threads in `dynareg-fleet`'s sweep engine: a spec can be cloned
+//! into any worker and [`ScenarioSpec::run`] on any thread reproduces the
+//! exact same run. [`ScenarioSpec::new`] holds every default, struct-update
+//! syntax over it (or over one of the named constructors) sets the rest,
+//! and [`ScenarioSpec::validate`] holds every rule a spec must meet.
 
 use dynareg_churn::{
     analysis, BurstChurn, ChurnDriver, ChurnModel, ConstantRate, DiurnalChurn, FlashCrowd,
     LeaveSelector, NoChurn, SessionChurn,
 };
 use dynareg_core::es::EsConfig;
-use dynareg_core::space::{RegisterSpaceProcess, RetransmitConfig, ShardConfig};
+use dynareg_core::space::{
+    RegisterSpace, RegisterSpaceProcess, RetransmitConfig, ShardConfig, SoloSpace,
+};
 use dynareg_core::sync::SyncConfig;
 use dynareg_net::delay::{Asynchronous, EventuallySynchronous, Synchronous};
 use dynareg_net::{DelayModel, FaultPlan, Presence};
@@ -24,7 +25,7 @@ use dynareg_sim::trace::TraceLog;
 use dynareg_sim::{DetRng, IdSource, NodeId, RegisterId, Span, Time};
 use dynareg_verify::{ConsistencyReport, History, LivenessReport, SpaceReport};
 
-use crate::factory::{EsFactory, SpaceFactory, SpaceOf, SyncFactory};
+use crate::factory::{EsFactory, ProtocolFactory, SpaceFactory, SpaceOf, SyncFactory};
 use crate::obs::{ObsConfig, ObsReport};
 use crate::workload::{RateWorkload, ScriptedWorkload, Workload, ZipfKeys, ZipfWorkload};
 use crate::world::{Val, World, WorldConfig, WriterPolicy};
@@ -65,6 +66,9 @@ pub enum NetClass {
         cap_factor: u64,
     },
 }
+
+/// A consistency verdict over the register's values.
+type Checked = ConsistencyReport<Option<Val>>;
 
 /// One non-anchor key's verdicts and history in a keyed run.
 #[derive(Debug)]
@@ -208,6 +212,15 @@ impl RunReport {
         self.metrics.keyed_histogram("latency.read", key.as_raw())
     }
 
+    /// `f` summed over the anchor key's verdicts and every other key's.
+    fn over_keys(&self, f: impl Fn(&Checked, &Checked, &LivenessReport) -> usize) -> usize {
+        let others = self.extra_keys.iter();
+        let rest: usize = others
+            .map(|k| f(&k.safety, &k.atomicity, &k.liveness))
+            .sum();
+        f(&self.safety, &self.atomicity, &self.liveness) + rest
+    }
+
     /// Whether every key of the space satisfies regularity.
     pub fn all_keys_safe(&self) -> bool {
         self.safety.is_ok() && self.extra_keys.iter().all(|k| k.safety.is_ok())
@@ -220,42 +233,22 @@ impl RunReport {
 
     /// Reads checked across the whole key space.
     pub fn total_reads_checked(&self) -> usize {
-        self.safety.checked_reads
-            + self
-                .extra_keys
-                .iter()
-                .map(|k| k.safety.checked_reads)
-                .sum::<usize>()
+        self.over_keys(|s, _, _| s.checked_reads)
     }
 
     /// Regularity violations across the whole key space.
     pub fn total_violations(&self) -> usize {
-        self.safety.violation_count()
-            + self
-                .extra_keys
-                .iter()
-                .map(|k| k.safety.violation_count())
-                .sum::<usize>()
+        self.over_keys(|s, _, _| s.violation_count())
     }
 
     /// New/old inversions across the whole key space.
     pub fn total_inversions(&self) -> usize {
-        self.atomicity.inversions
-            + self
-                .extra_keys
-                .iter()
-                .map(|k| k.atomicity.inversions)
-                .sum::<usize>()
+        self.over_keys(|_, a, _| a.inversions)
     }
 
     /// Stuck (liveness-violating) operations across the whole key space.
     pub fn total_stuck(&self) -> usize {
-        self.liveness.incomplete_stayer_count()
-            + self
-                .extra_keys
-                .iter()
-                .map(|k| k.liveness.incomplete_stayer_count())
-                .sum::<usize>()
+        self.over_keys(|_, _, l| l.incomplete_stayer_count())
     }
 
     /// The worst key of the space: `(key, violations, stuck)` — most
@@ -395,7 +388,7 @@ impl ChurnChoice {
     ///
     /// # Panics
     /// Panics if the parameters are invalid for the chosen model (rates
-    /// outside `[0, 1]`, zero periods, …).
+    /// outside `[0, 1]`, zero periods, …; see [`ScenarioSpec::validate`]).
     pub fn build(self) -> Box<dyn ChurnModel> {
         match self {
             ChurnChoice::None => Box::new(NoChurn),
@@ -430,7 +423,68 @@ impl ChurnChoice {
             )),
         }
     }
+
+    /// What makes the parameters invalid for the chosen model, if anything:
+    /// exactly the cases in which [`ChurnChoice::build`] panics.
+    fn problem(self) -> Option<&'static str> {
+        let rate = |c: f64| c.is_finite() && (0.0..=1.0).contains(&c);
+        let (ok, rule) = match self {
+            ChurnChoice::None => (true, ""),
+            ChurnChoice::Constant(c) | ChurnChoice::Poisson(c) => {
+                (rate(c), "churn rate must be in [0,1]")
+            }
+            ChurnChoice::Burst {
+                on,
+                on_ticks,
+                off,
+                off_ticks,
+            } => (
+                rate(on) && rate(off) && on_ticks > 0 && off_ticks > 0,
+                "burst rates must be in [0,1] and its phases positive",
+            ),
+            ChurnChoice::Diurnal {
+                peak,
+                trough,
+                period,
+            } => (
+                rate(peak) && rate(trough) && trough <= peak && period > 0,
+                "diurnal rates must be in [0,1] with trough <= peak, its period positive",
+            ),
+            ChurnChoice::Sessions { alpha, min_ticks } => (
+                alpha.is_finite() && alpha > 0.0 && min_ticks > 0,
+                "sessions need alpha > 0 and a positive minimum",
+            ),
+            ChurnChoice::FlashCrowd {
+                base,
+                wave_every,
+                wave_ticks,
+                ..
+            } => (
+                rate(base) && wave_ticks > 0 && (wave_every == 0 || wave_every >= wave_ticks),
+                "flash-crowd base rate must be in [0,1], waves positive and not overlapping",
+            ),
+        };
+        (!ok).then_some(rule)
+    }
 }
+
+/// A rule a [`ScenarioSpec`] breaks (see [`ScenarioSpec::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpecError {
+    /// The scenario-file directive that sets the offending field
+    /// (`"writers"`, `"churn"`, …).
+    pub directive: &'static str,
+    /// What is wrong with it.
+    pub msg: &'static str,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "`{}`: {}", self.directive, self.msg)
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 /// Plain-data description of a complete simulated run.
 ///
@@ -441,9 +495,23 @@ impl ChurnChoice {
 /// Running the same spec twice — on any two threads — produces identical
 /// [`RunReport`]s.
 ///
-/// Most users construct specs through the [`Scenario`] builder and extract
-/// them with [`Scenario::into_spec`]; the fields are public so sweep
-/// engines can also assemble them directly.
+/// Start from [`ScenarioSpec::new`] (the one place defaults live) or one
+/// of the named constructors, and set further fields with struct-update
+/// syntax. A spec is checked by [`ScenarioSpec::validate`] when it runs.
+///
+/// # Example
+///
+/// ```
+/// use dynareg_sim::Span;
+/// use dynareg_testkit::ScenarioSpec;
+///
+/// let report = ScenarioSpec {
+///     duration: Span::ticks(120),
+///     ..ScenarioSpec::synchronous(10, Span::ticks(3))
+/// }
+/// .run();
+/// assert!(report.safety.is_ok());
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Protocol variant to run.
@@ -460,22 +528,26 @@ pub struct ScenarioSpec {
     pub selector: LeaveSelector,
     /// Total run length.
     pub duration: Span,
-    /// Drain window (`None` = default `12δ`).
+    /// Drain window: churn and workload stop this long before the end so
+    /// in-flight operations can finish (`None` = `12δ`).
     pub drain: Option<Span>,
     /// Master seed.
     pub seed: u64,
-    /// Write period (`None` = default `3δ`).
+    /// Write period (`None` = `3δ`).
     pub write_every: Option<Span>,
     /// Extra margin by which **writes** stop before the general workload
     /// stop (`None` = writes run to the stop like reads). A non-zero
     /// margin leaves a write-quiescent read suffix — what the multi-writer
-    /// convergence checks observe. See [`Scenario::quiesce_writes`].
+    /// convergence checks observe. 1-key runs only.
     pub write_quiesce: Option<Span>,
     /// Expected reads per tick.
     pub reads_per_tick: f64,
-    /// Whether churn may evict the designated writer.
+    /// Whether churn may evict the writer roster.
     pub writer_churns: bool,
-    /// Whether the writer role migrates to the oldest active process.
+    /// Whether the *oldest active* processes write instead of a fixed
+    /// roster. With `writer_churns` no process is immortal — what the
+    /// churn-threshold experiments need, since a protected writer would
+    /// serve fresh values forever and mask the bound.
     pub migrating_writer: bool,
     /// Record a full trace.
     pub trace: bool,
@@ -485,21 +557,162 @@ pub struct ScenarioSpec {
     pub faults: Option<FaultPlan>,
     /// Number of registers in the key space (1 = the classic
     /// single-register run; >1 runs a [`crate::SpaceOf`] world under a
-    /// [`ZipfWorkload`]).
+    /// [`ZipfWorkload`]: one protocol instance per key per process behind
+    /// a shared join handshake).
     pub keys: u32,
     /// Zipf key-popularity exponent for keyed workloads (`0` uniform,
     /// `~1` classic skew); ignored when `keys == 1`.
     pub zipf_exponent: f64,
-    /// Join-reply shard groups `G` (clamped to `keys`; `1`, the default
-    /// = the full-reply handshake). See [`Scenario::join_shards`].
+    /// Join-reply shard groups `G` (clamped to `keys`; `1` = the
+    /// full-reply handshake): each responder answers a join only for its
+    /// own key shard. A too-large `G` starves shard quorums; watch
+    /// [`RunReport::inquiry_full`].
     pub shards: u32,
     /// Writer roster size and per-key concurrent-write cap (`1` = the
-    /// paper's single-writer model). See [`Scenario::writers`].
+    /// paper's single-writer model): the roster is the first `writers`
+    /// bootstrap members (with `migrating_writer`, the oldest active
+    /// processes), and up to `writers` writes may race on one key.
     pub writers: usize,
 }
 
 impl ScenarioSpec {
+    /// A run of `protocol` over `net` with `n` processes and delay bound
+    /// `delta`, every other field at its default: no churn, random victim
+    /// selection, a [`RateWorkload`] writing every `3δ` with one read per
+    /// tick, duration `300` ticks, drain `12δ`, seed `0`, one protected
+    /// writer, one key, no tracing, no faults.
+    pub fn new(protocol: ProtocolChoice, net: NetClass, n: usize, delta: Span) -> ScenarioSpec {
+        ScenarioSpec {
+            protocol,
+            net,
+            n,
+            delta,
+            churn: ChurnChoice::None,
+            selector: LeaveSelector::Random,
+            duration: Span::ticks(300),
+            drain: None,
+            seed: 0,
+            write_every: None,
+            write_quiesce: None,
+            reads_per_tick: 1.0,
+            writer_churns: false,
+            migrating_writer: false,
+            trace: false,
+            script: None,
+            faults: None,
+            keys: 1,
+            zipf_exponent: 1.0,
+            shards: 1,
+            writers: 1,
+        }
+    }
+
+    /// The synchronous protocol on a synchronous network with bound `delta`.
+    pub fn synchronous(n: usize, delta: Span) -> ScenarioSpec {
+        Self::new(ProtocolChoice::Synchronous, NetClass::Synchronous, n, delta)
+    }
+
+    /// The Figure 3(a) ablation: synchronous protocol *without* the join
+    /// wait, on the same network.
+    pub fn synchronous_without_join_wait(n: usize, delta: Span) -> ScenarioSpec {
+        let protocol = ProtocolChoice::SynchronousNoWait;
+        Self::new(protocol, NetClass::Synchronous, n, delta)
+    }
+
+    /// The synchronous protocol configured for bound `delta` but running on
+    /// a **fully asynchronous** network (Theorem 2's safety face): actual
+    /// delays are heavy-tailed up to `cap_factor · δ`.
+    pub fn synchronous_over_async(n: usize, delta: Span, cap_factor: u64) -> ScenarioSpec {
+        let net = NetClass::FullyAsynchronous { cap_factor };
+        Self::new(ProtocolChoice::Synchronous, net, n, delta)
+    }
+
+    /// The eventually synchronous protocol; the network stabilizes at
+    /// `gst` with post-GST bound `delta`.
+    pub fn eventually_synchronous(n: usize, delta: Span, gst: Time) -> ScenarioSpec {
+        let net = NetClass::EventuallySynchronous { gst };
+        Self::new(ProtocolChoice::EventuallySynchronous, net, n, delta)
+    }
+
+    /// The ES protocol on a **never-synchronous** network (Theorem 2's
+    /// liveness face).
+    pub fn es_over_async(n: usize, delta: Span, cap_factor: u64) -> ScenarioSpec {
+        let net = NetClass::FullyAsynchronous { cap_factor };
+        Self::new(ProtocolChoice::EventuallySynchronous, net, n, delta)
+    }
+
+    /// The atomic extension (ES + read write-back), network stabilizing at
+    /// `gst`.
+    pub fn es_atomic(n: usize, delta: Span, gst: Time) -> ScenarioSpec {
+        let net = NetClass::EventuallySynchronous { gst };
+        Self::new(ProtocolChoice::EsAtomic, net, n, delta)
+    }
+
+    /// Constant churn at `fraction` of the protocol's proven threshold
+    /// (`1/(3δ)` for sync, `1/(3δn)` for ES) — `1.0` sits exactly on the
+    /// bound, `>1.0` violates it. The rate is capped at 1, and a zero rate
+    /// is no churn.
+    pub fn churn_fraction_of_bound(self, fraction: f64) -> ScenarioSpec {
+        let threshold = match self.protocol {
+            ProtocolChoice::Synchronous | ProtocolChoice::SynchronousNoWait => {
+                analysis::sync_churn_threshold(self.delta)
+            }
+            ProtocolChoice::EventuallySynchronous | ProtocolChoice::EsAtomic => {
+                analysis::es_churn_threshold(self.delta, self.n)
+            }
+        };
+        let c = (fraction * threshold).min(1.0);
+        let churn = if c == 0.0 {
+            ChurnChoice::None
+        } else {
+            ChurnChoice::Constant(c)
+        };
+        ScenarioSpec { churn, ..self }
+    }
+
+    /// Checks every rule a runnable spec meets:
+    ///
+    /// * `n`, `δ`, `keys`, `shards` and `writers` are positive, and
+    ///   `writers ≤ n`;
+    /// * the write period, when set, is positive;
+    /// * the read rate and the Zipf exponent are finite and non-negative;
+    /// * `write_quiesce` is set only on 1-key runs (keyed workloads have
+    ///   no write stop of their own);
+    /// * the churn choice's parameters are in range for its model.
+    ///
+    /// A spec that passes cannot panic the model constructors at run time.
+    ///
+    /// # Errors
+    /// Returns the first rule broken, naming the offending field by its
+    /// scenario-file directive.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let rule = |ok: bool, directive, msg| match ok {
+            true => Ok(()),
+            false => Err(SpecError { directive, msg }),
+        };
+        let finite_non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        rule(self.n > 0, "n", "system size must be positive")?;
+        rule(!self.delta.is_zero(), "delta", "delta must be positive")?;
+        rule(self.keys > 0, "keys", "key count must be positive")?;
+        rule(self.shards > 0, "shards", "shard count must be positive")?;
+        let roster = (1..=self.n).contains(&self.writers);
+        rule(roster, "writers", "writer count must be in 1..=n")?;
+        let period = self.write_every.is_none_or(|p| !p.is_zero());
+        rule(period, "write-every", "write period must be positive")?;
+        let reads = finite_non_negative(self.reads_per_tick);
+        rule(reads, "reads-per-tick", "read rate must be finite, >= 0")?;
+        let zipf = finite_non_negative(self.zipf_exponent);
+        rule(zipf, "zipf", "zipf exponent must be finite, >= 0")?;
+        let quiesce = self.write_quiesce.is_none() || self.keys == 1;
+        rule(quiesce, "write-quiesce", "write quiescence needs 1 key")?;
+        let churn = self.churn.problem();
+        rule(churn.is_none(), "churn", churn.unwrap_or_default())
+    }
+
     /// The churn rate this spec will run with.
+    ///
+    /// # Panics
+    /// Panics if the churn choice is invalid (see [`ScenarioSpec::validate`]).
     pub fn effective_churn_rate(&self) -> f64 {
         match self.churn {
             ChurnChoice::None => 0.0,
@@ -576,6 +789,9 @@ impl ScenarioSpec {
     /// Single-key specs run the solo fast path — raw protocol messages,
     /// byte-identical to the pre-register-space engine; keyed specs run a
     /// [`SpaceOf`] world under Zipf traffic.
+    ///
+    /// # Panics
+    /// Panics if [`ScenarioSpec::validate`] rejects the spec.
     pub fn run(&self) -> RunReport {
         self.dispatch(false, ObsConfig::off())
     }
@@ -584,6 +800,9 @@ impl ScenarioSpec {
     /// for one key. The equivalence oracle hook: a 1-key `run_spaced()`
     /// must produce the same observable run as `run()` (the property tests
     /// compare their digests), while exercising the `SpaceMsg` wire layer.
+    ///
+    /// # Panics
+    /// Panics if [`ScenarioSpec::validate`] rejects the spec.
     pub fn run_spaced(&self) -> RunReport {
         self.dispatch(true, ObsConfig::off())
     }
@@ -594,6 +813,9 @@ impl ScenarioSpec {
     /// byte-identical to [`ScenarioSpec::run`]'s — observability never
     /// consumes randomness or reorders events (the digest-identity
     /// property tests pin this).
+    ///
+    /// # Panics
+    /// Panics if [`ScenarioSpec::validate`] rejects the spec.
     pub fn run_observed(&self, obs: ObsConfig) -> RunReport {
         self.dispatch(false, obs)
     }
@@ -608,7 +830,9 @@ impl ScenarioSpec {
     }
 
     fn dispatch(&self, force_space: bool, obs: ObsConfig) -> RunReport {
-        assert!(self.keys > 0, "a register space needs at least one key");
+        if let Err(e) = self.validate() {
+            panic!("invalid scenario: {e}");
+        }
         let end = Time::ZERO + self.duration;
         let drain = self.drain.unwrap_or(self.delta.times(12));
         let stop_at = Time::at(
@@ -618,35 +842,16 @@ impl ScenarioSpec {
                 .max(1),
         );
         let spaced = force_space || self.keys > 1;
-        let shards = self.effective_shards();
+        let retransmit = self.retransmit_config();
         match self.protocol {
-            ProtocolChoice::Synchronous => {
-                let f = SyncFactory::new(SyncConfig::new(self.delta))
-                    .with_retransmit(self.retransmit_config());
-                if spaced {
-                    self.run_world(
-                        SpaceOf::new(f, self.keys).with_shards(self.shard_config()),
-                        end,
-                        stop_at,
-                        obs,
-                    )
+            ProtocolChoice::Synchronous | ProtocolChoice::SynchronousNoWait => {
+                let cfg = if self.protocol == ProtocolChoice::Synchronous {
+                    SyncConfig::new(self.delta)
                 } else {
-                    self.run_world(f, end, stop_at, obs)
-                }
-            }
-            ProtocolChoice::SynchronousNoWait => {
-                let f = SyncFactory::new(SyncConfig::without_join_wait(self.delta))
-                    .with_retransmit(self.retransmit_config());
-                if spaced {
-                    self.run_world(
-                        SpaceOf::new(f, self.keys).with_shards(self.shard_config()),
-                        end,
-                        stop_at,
-                        obs,
-                    )
-                } else {
-                    self.run_world(f, end, stop_at, obs)
-                }
+                    SyncConfig::without_join_wait(self.delta)
+                };
+                let f = SyncFactory::new(cfg).with_retransmit(retransmit);
+                self.run_factory(f, spaced, end, stop_at, obs)
             }
             ProtocolChoice::EventuallySynchronous | ProtocolChoice::EsAtomic => {
                 let mut cfg = if self.protocol == ProtocolChoice::EsAtomic {
@@ -657,6 +862,7 @@ impl ScenarioSpec {
                 if self.trace {
                     cfg = cfg.with_notes();
                 }
+                let shards = self.effective_shards();
                 if shards > 1 {
                     // A sharded join only hears the `≈ n/G` responders of
                     // one shard: size the join quorum to the shard (the
@@ -666,18 +872,32 @@ impl ScenarioSpec {
                     let shard_size = (self.n / shards as usize).max(1);
                     cfg = cfg.with_join_quorum(shard_size / 2 + 1);
                 }
-                let f = EsFactory::new(cfg).with_retransmit(self.retransmit_config());
-                if spaced {
-                    self.run_world(
-                        SpaceOf::new(f, self.keys).with_shards(self.shard_config()),
-                        end,
-                        stop_at,
-                        obs,
-                    )
-                } else {
-                    self.run_world(f, end, stop_at, obs)
-                }
+                let f = EsFactory::new(cfg).with_retransmit(retransmit);
+                self.run_factory(f, spaced, end, stop_at, obs)
             }
+        }
+    }
+
+    /// Runs `f`'s protocol on the solo fast path, or lifted to a
+    /// `keys`-key [`SpaceOf`] space when `spaced`.
+    fn run_factory<F>(
+        &self,
+        f: F,
+        spaced: bool,
+        end: Time,
+        stop_at: Time,
+        obs: ObsConfig,
+    ) -> RunReport
+    where
+        F: ProtocolFactory,
+        SoloSpace<F::Proc>: RegisterSpaceProcess<Val = Val>,
+        RegisterSpace<F::Proc>: RegisterSpaceProcess<Val = Val>,
+    {
+        if spaced {
+            let space = SpaceOf::new(f, self.keys).with_shards(self.shard_config());
+            self.run_world(space, end, stop_at, obs)
+        } else {
+            self.run_world(f, end, stop_at, obs)
         }
     }
 
@@ -773,350 +993,6 @@ impl ScenarioSpec {
     }
 }
 
-/// Builder for a complete simulated run.
-///
-/// Defaults: no churn, random victim selection, a [`RateWorkload`] writing
-/// every `3δ` with one read per tick, duration `300` ticks, drain `12δ`,
-/// seed `0`, protected writer, no tracing.
-///
-/// # Example
-///
-/// ```
-/// use dynareg_testkit::Scenario;
-/// use dynareg_sim::Span;
-///
-/// let report = Scenario::synchronous(10, Span::ticks(3))
-///     .duration(Span::ticks(120))
-///     .run();
-/// assert!(report.safety.is_ok());
-/// ```
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    spec: ScenarioSpec,
-}
-
-impl Scenario {
-    fn base(protocol: ProtocolChoice, net: NetClass, n: usize, delta: Span) -> Scenario {
-        assert!(n > 0, "system size must be positive");
-        assert!(!delta.is_zero(), "delta must be at least one tick");
-        Scenario {
-            spec: ScenarioSpec {
-                protocol,
-                net,
-                n,
-                delta,
-                churn: ChurnChoice::None,
-                selector: LeaveSelector::Random,
-                duration: Span::ticks(300),
-                drain: None,
-                seed: 0,
-                write_every: None,
-                write_quiesce: None,
-                reads_per_tick: 1.0,
-                writer_churns: false,
-                migrating_writer: false,
-                trace: false,
-                script: None,
-                faults: None,
-                keys: 1,
-                zipf_exponent: 1.0,
-                shards: 1,
-                writers: 1,
-            },
-        }
-    }
-
-    /// The synchronous protocol on a synchronous network with bound `delta`.
-    pub fn synchronous(n: usize, delta: Span) -> Scenario {
-        Scenario::base(ProtocolChoice::Synchronous, NetClass::Synchronous, n, delta)
-    }
-
-    /// The Figure 3(a) ablation: synchronous protocol *without* the join
-    /// wait, on the same network.
-    pub fn synchronous_without_join_wait(n: usize, delta: Span) -> Scenario {
-        Scenario::base(
-            ProtocolChoice::SynchronousNoWait,
-            NetClass::Synchronous,
-            n,
-            delta,
-        )
-    }
-
-    /// The synchronous protocol configured for bound `delta` but running on
-    /// a **fully asynchronous** network (Theorem 2's safety face): actual
-    /// delays are heavy-tailed up to `cap_factor · δ`.
-    pub fn synchronous_over_async(n: usize, delta: Span, cap_factor: u64) -> Scenario {
-        Scenario::base(
-            ProtocolChoice::Synchronous,
-            NetClass::FullyAsynchronous { cap_factor },
-            n,
-            delta,
-        )
-    }
-
-    /// The eventually synchronous protocol; the network stabilizes at
-    /// `gst` with post-GST bound `delta`.
-    pub fn eventually_synchronous(n: usize, delta: Span, gst: Time) -> Scenario {
-        Scenario::base(
-            ProtocolChoice::EventuallySynchronous,
-            NetClass::EventuallySynchronous { gst },
-            n,
-            delta,
-        )
-    }
-
-    /// The ES protocol on a **never-synchronous** network (Theorem 2's
-    /// liveness face).
-    pub fn es_over_async(n: usize, delta: Span, cap_factor: u64) -> Scenario {
-        Scenario::base(
-            ProtocolChoice::EventuallySynchronous,
-            NetClass::FullyAsynchronous { cap_factor },
-            n,
-            delta,
-        )
-    }
-
-    /// The atomic extension (ES + read write-back), network stabilizing at
-    /// `gst`.
-    pub fn es_atomic(n: usize, delta: Span, gst: Time) -> Scenario {
-        Scenario::base(
-            ProtocolChoice::EsAtomic,
-            NetClass::EventuallySynchronous { gst },
-            n,
-            delta,
-        )
-    }
-
-    /// Constant churn at rate `c` (the paper's model).
-    pub fn churn_rate(mut self, c: f64) -> Scenario {
-        self.spec.churn = if c == 0.0 {
-            ChurnChoice::None
-        } else {
-            ChurnChoice::Constant(c)
-        };
-        self
-    }
-
-    /// Constant churn at `fraction` of the protocol's proven threshold
-    /// (`1/(3δ)` for sync, `1/(3δn)` for ES) — `1.0` sits exactly on the
-    /// bound, `>1.0` violates it.
-    pub fn churn_fraction_of_bound(self, fraction: f64) -> Scenario {
-        let threshold = match self.spec.protocol {
-            ProtocolChoice::Synchronous | ProtocolChoice::SynchronousNoWait => {
-                analysis::sync_churn_threshold(self.spec.delta)
-            }
-            ProtocolChoice::EventuallySynchronous | ProtocolChoice::EsAtomic => {
-                analysis::es_churn_threshold(self.spec.delta, self.spec.n)
-            }
-        };
-        self.churn_rate((fraction * threshold).min(1.0))
-    }
-
-    /// Poisson churn with mean rate `c` (extension model).
-    pub fn churn_poisson(mut self, c: f64) -> Scenario {
-        self.spec.churn = ChurnChoice::Poisson(c);
-        self
-    }
-
-    /// Any churn-model choice, including the extension models
-    /// ([`ChurnChoice::Burst`], [`ChurnChoice::Diurnal`],
-    /// [`ChurnChoice::Sessions`], [`ChurnChoice::FlashCrowd`]).
-    pub fn churn_choice(mut self, choice: ChurnChoice) -> Scenario {
-        self.spec.churn = choice;
-        self
-    }
-
-    /// Victim selection policy.
-    pub fn leave_selector(mut self, selector: LeaveSelector) -> Scenario {
-        self.spec.selector = selector;
-        self
-    }
-
-    /// Total run length.
-    pub fn duration(mut self, duration: Span) -> Scenario {
-        self.spec.duration = duration;
-        self
-    }
-
-    /// Drain window: churn and workload stop this long before the end so
-    /// in-flight operations can finish (default `12δ`).
-    pub fn drain(mut self, drain: Span) -> Scenario {
-        self.spec.drain = Some(drain);
-        self
-    }
-
-    /// Master seed.
-    pub fn seed(mut self, seed: u64) -> Scenario {
-        self.spec.seed = seed;
-        self
-    }
-
-    /// Stops the stochastic writes `margin` before the general workload
-    /// stop, leaving reads running over a write-quiescent suffix (the
-    /// default: writes and reads stop together).
-    pub fn quiesce_writes(mut self, margin: Span) -> Scenario {
-        self.spec.write_quiesce = Some(margin);
-        self
-    }
-
-    /// Write period (default `3δ`).
-    pub fn write_every(mut self, period: Span) -> Scenario {
-        self.spec.write_every = Some(period);
-        self
-    }
-
-    /// Expected reads per tick (default 1.0).
-    pub fn reads_per_tick(mut self, rate: f64) -> Scenario {
-        self.spec.reads_per_tick = rate;
-        self
-    }
-
-    /// Allow churn to evict the designated writer (default: protected).
-    pub fn writer_churns(mut self, yes: bool) -> Scenario {
-        self.spec.writer_churns = yes;
-        self
-    }
-
-    /// Writes are issued by the current *oldest active* process instead of
-    /// a fixed protected writer; the role migrates as churn evicts its
-    /// holder. No process is immortal — required for the churn-threshold
-    /// experiments, where a protected writer would serve fresh values
-    /// forever and mask the bound.
-    pub fn migrating_writer(mut self) -> Scenario {
-        self.spec.migrating_writer = true;
-        self.spec.writer_churns = true;
-        self
-    }
-
-    /// Runs a **keyed register space** of `keys` registers instead of the
-    /// single paper register: one protocol instance per key per process
-    /// behind a shared join handshake, client traffic addressing
-    /// `(key, action)` pairs with Zipf-distributed key popularity (see
-    /// [`Scenario::zipf`]). `keys == 1` is the classic single-register run.
-    ///
-    /// # Panics
-    /// Panics if `keys` is zero.
-    pub fn keys(mut self, keys: u32) -> Scenario {
-        assert!(keys > 0, "a register space needs at least one key");
-        self.spec.keys = keys;
-        self
-    }
-
-    /// Zipf key-popularity exponent for keyed runs (`0` uniform, `~1`
-    /// classic web/cache skew; default `1.0`). Ignored for 1-key runs.
-    pub fn zipf(mut self, exponent: f64) -> Scenario {
-        assert!(exponent >= 0.0, "Zipf exponent must be non-negative");
-        self.spec.zipf_exponent = exponent;
-        self
-    }
-
-    /// Shards join replies over `groups` responder groups: each responder
-    /// answers a join inquiry only for its own key shard
-    /// (`hash(node) mod G`), cutting the per-join state transfer from
-    /// `K·n` to `K·n/G` payload entries, at the price of a per-shard
-    /// reply-quorum liveness argument (shards still short when the join
-    /// timer fires are re-inquired with a full-reply fallback). `1` (the
-    /// default) is the full-reply handshake; the group count is clamped
-    /// to the key count.
-    ///
-    /// Responder shards are **hash-assigned**, so their populations are
-    /// multinomial around `n/G`: an unlucky (or too-large) `G` can leave
-    /// a shard permanently below its quorum, in which case every join
-    /// pays the re-inquiry latency and degrades to the `G = 1` full-state
-    /// transfer. Watch the `INQUIRY_FULL` message counter — a high count
-    /// means the configuration is defeating the payload saving.
-    ///
-    /// # Panics
-    /// Panics if `groups` is zero.
-    pub fn join_shards(mut self, groups: u32) -> Scenario {
-        assert!(groups > 0, "shard groups must be positive");
-        self.spec.shards = groups;
-        self
-    }
-
-    /// Runs `count` concurrent writers: the roster is the first `count`
-    /// bootstrap members (or, with [`Scenario::migrating_writer`], the
-    /// `count` oldest active processes), and up to `count` writes may
-    /// race on one key while writes to other keys pipeline freely. `1`
-    /// (the default) is the paper's single-writer model.
-    ///
-    /// # Panics
-    /// Panics if `count` is zero or exceeds the system size.
-    pub fn writers(mut self, count: usize) -> Scenario {
-        assert!(
-            (1..=self.spec.n).contains(&count),
-            "writer roster must have between 1 and n members"
-        );
-        self.spec.writers = count;
-        self
-    }
-
-    /// Record a full trace.
-    pub fn trace(mut self, yes: bool) -> Scenario {
-        self.spec.trace = yes;
-        self
-    }
-
-    /// Replace the stochastic workload with an exact script.
-    pub fn scripted(mut self, script: ScriptedWorkload) -> Scenario {
-        self.spec.script = Some(script);
-        self
-    }
-
-    /// Install a delay-fault adversary.
-    pub fn faults(mut self, faults: FaultPlan) -> Scenario {
-        self.spec.faults = Some(faults);
-        self
-    }
-
-    /// Worst-case synchronous delays: every message takes exactly `δ`
-    /// instead of uniform `[1, δ]`. This is the adversary the paper's
-    /// bounds are stated against; combined with
-    /// [`LeaveSelector::ActiveFirst`] it makes the Theorem 1 churn
-    /// threshold empirically sharp.
-    ///
-    /// # Panics
-    /// Panics if the scenario's network is not synchronous.
-    pub fn worst_case_delays(mut self) -> Scenario {
-        assert!(
-            matches!(
-                self.spec.net,
-                NetClass::Synchronous | NetClass::SynchronousWorstCase
-            ),
-            "worst-case delays only apply to synchronous networks"
-        );
-        self.spec.net = NetClass::SynchronousWorstCase;
-        self
-    }
-
-    /// The churn rate this scenario will run with.
-    pub fn effective_churn_rate(&self) -> f64 {
-        self.spec.effective_churn_rate()
-    }
-
-    /// The underlying plain-data spec (read-only).
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
-    /// Decomposes the builder into its `Send + Clone` spec, ready to cross
-    /// threads (the `dynareg-fleet` entry point).
-    pub fn into_spec(self) -> ScenarioSpec {
-        self.spec
-    }
-
-    /// Runs the scenario to completion and checks the result.
-    pub fn run(self) -> RunReport {
-        self.spec.run()
-    }
-
-    /// Runs the scenario with the observability layer on (see
-    /// [`ScenarioSpec::run_observed`]).
-    pub fn run_observed(self, obs: ObsConfig) -> RunReport {
-        self.spec.run_observed(obs)
-    }
-}
-
 /// Churn model wrapper that goes quiet at `stop_at` (the drain window).
 #[derive(Debug)]
 struct StopAfter {
@@ -1152,11 +1028,12 @@ mod tests {
 
     #[test]
     fn synchronous_scenario_under_bound_is_clean() {
-        let report = Scenario::synchronous(15, Span::ticks(3))
-            .churn_fraction_of_bound(0.5)
-            .duration(Span::ticks(250))
-            .seed(1)
-            .run();
+        let report = ScenarioSpec {
+            duration: Span::ticks(250),
+            seed: 1,
+            ..ScenarioSpec::synchronous(15, Span::ticks(3)).churn_fraction_of_bound(0.5)
+        }
+        .run();
         assert_eq!(report.protocol, "sync");
         assert!(report.safety.is_ok(), "{}", report.safety);
         assert!(report.liveness.is_ok(), "{}", report.liveness);
@@ -1166,11 +1043,13 @@ mod tests {
 
     #[test]
     fn es_scenario_synchronous_from_start_is_clean() {
-        let report = Scenario::eventually_synchronous(11, Span::ticks(3), Time::ZERO)
-            .churn_fraction_of_bound(0.5)
-            .duration(Span::ticks(400))
-            .seed(2)
-            .run();
+        let base = ScenarioSpec::eventually_synchronous(11, Span::ticks(3), Time::ZERO);
+        let report = ScenarioSpec {
+            duration: Span::ticks(400),
+            seed: 2,
+            ..base.churn_fraction_of_bound(0.5)
+        }
+        .run();
         assert_eq!(report.protocol, "es");
         assert!(report.safety.is_ok(), "{}", report.safety);
         assert!(report.liveness.is_ok(), "{}", report.liveness);
@@ -1178,11 +1057,13 @@ mod tests {
 
     #[test]
     fn atomic_scenario_has_no_inversions() {
-        let report = Scenario::es_atomic(9, Span::ticks(2), Time::ZERO)
-            .duration(Span::ticks(300))
-            .reads_per_tick(2.0)
-            .seed(3)
-            .run();
+        let report = ScenarioSpec {
+            duration: Span::ticks(300),
+            reads_per_tick: 2.0,
+            seed: 3,
+            ..ScenarioSpec::es_atomic(9, Span::ticks(2), Time::ZERO)
+        }
+        .run();
         assert_eq!(report.protocol, "es-atomic");
         assert!(report.atomicity.is_ok(), "{}", report.atomicity);
         assert_eq!(report.inversions(), 0);
@@ -1190,9 +1071,11 @@ mod tests {
 
     #[test]
     fn summary_is_one_line() {
-        let report = Scenario::synchronous(5, Span::ticks(2))
-            .duration(Span::ticks(60))
-            .run();
+        let report = ScenarioSpec {
+            duration: Span::ticks(60),
+            ..ScenarioSpec::synchronous(5, Span::ticks(2))
+        }
+        .run();
         let s = report.summary();
         assert!(s.contains("sync"));
         assert!(!s.contains('\n'));
@@ -1200,17 +1083,19 @@ mod tests {
 
     #[test]
     fn flash_crowd_scenario_grows_population_and_stays_safe() {
-        let report = Scenario::synchronous(12, Span::ticks(3))
-            .churn_choice(ChurnChoice::FlashCrowd {
+        let report = ScenarioSpec {
+            churn: ChurnChoice::FlashCrowd {
                 base: 0.02,
                 wave_at: 60,
                 wave_every: 0,
                 wave_joins: 4,
                 wave_ticks: 3,
-            })
-            .duration(Span::ticks(300))
-            .seed(9)
-            .run();
+            },
+            duration: Span::ticks(300),
+            seed: 9,
+            ..ScenarioSpec::synchronous(12, Span::ticks(3))
+        }
+        .run();
         assert!(report.safety.is_ok(), "{}", report.safety);
         assert!(report.liveness.is_ok(), "{}", report.liveness);
         // 12 unpaired arrivals on top of the balanced refreshes.
@@ -1223,25 +1108,30 @@ mod tests {
 
     #[test]
     fn extension_churn_choices_report_their_long_run_rate() {
-        let burst = Scenario::synchronous(10, Span::ticks(5)).churn_choice(ChurnChoice::Burst {
+        let with = |churn| ScenarioSpec {
+            churn,
+            ..ScenarioSpec::synchronous(10, Span::ticks(5))
+        };
+        let burst = with(ChurnChoice::Burst {
             on: 0.2,
             on_ticks: 10,
             off: 0.0,
             off_ticks: 40,
         });
         assert!((burst.effective_churn_rate() - 0.04).abs() < 1e-12);
-        let sessions =
-            Scenario::synchronous(10, Span::ticks(5)).churn_choice(ChurnChoice::Sessions {
-                alpha: 1.5,
-                min_ticks: 20,
-            });
+        let sessions = with(ChurnChoice::Sessions {
+            alpha: 1.5,
+            min_ticks: 20,
+        });
         assert!((sessions.effective_churn_rate() - 1.0 / 60.0).abs() < 1e-12);
     }
 
     #[test]
     fn effective_churn_rate_reflects_fraction() {
-        let s = Scenario::synchronous(10, Span::ticks(5)).churn_fraction_of_bound(1.0);
+        let s = ScenarioSpec::synchronous(10, Span::ticks(5)).churn_fraction_of_bound(1.0);
         assert!((s.effective_churn_rate() - 1.0 / 15.0).abs() < 1e-12);
+        let still = ScenarioSpec::synchronous(10, Span::ticks(5)).churn_fraction_of_bound(0.0);
+        assert_eq!(still.churn, ChurnChoice::None);
     }
 
     #[test]
@@ -1252,31 +1142,30 @@ mod tests {
 
     #[test]
     fn spec_runs_reproduce_the_builder_run() {
-        let build = || {
-            Scenario::synchronous(12, Span::ticks(3))
-                .churn_fraction_of_bound(0.6)
-                .duration(Span::ticks(200))
-                .seed(11)
+        let spec = ScenarioSpec {
+            duration: Span::ticks(200),
+            seed: 11,
+            ..ScenarioSpec::synchronous(12, Span::ticks(3)).churn_fraction_of_bound(0.6)
         };
-        let via_builder = build().run();
-        let spec = build().into_spec();
+        let here = spec.run();
         // The same spec runs identically on another thread.
-        let via_spec = std::thread::spawn(move || spec.run()).join().unwrap();
+        let there = std::thread::spawn(move || spec.run()).join().unwrap();
         assert_eq!(
-            format!("{:?}", via_builder.history.ops()),
-            format!("{:?}", via_spec.history.ops())
+            format!("{:?}", here.history.ops()),
+            format!("{:?}", there.history.ops())
         );
-        assert_eq!(via_builder.total_messages, via_spec.total_messages);
-        assert_eq!(via_builder.messages, via_spec.messages);
+        assert_eq!(here.total_messages, there.total_messages);
+        assert_eq!(here.messages, there.messages);
     }
 
     #[test]
     fn spec_fields_round_trip_through_builder() {
-        let spec = Scenario::eventually_synchronous(9, Span::ticks(4), Time::at(50))
-            .churn_rate(0.01)
-            .reads_per_tick(2.5)
-            .seed(77)
-            .into_spec();
+        let spec = ScenarioSpec {
+            churn: ChurnChoice::Constant(0.01),
+            reads_per_tick: 2.5,
+            seed: 77,
+            ..ScenarioSpec::eventually_synchronous(9, Span::ticks(4), Time::at(50))
+        };
         assert_eq!(spec.protocol, ProtocolChoice::EventuallySynchronous);
         assert_eq!(
             spec.net,
@@ -1285,5 +1174,35 @@ mod tests {
         assert_eq!(spec.n, 9);
         assert_eq!(spec.churn, ChurnChoice::Constant(0.01));
         assert_eq!(spec.seed, 77);
+        assert_eq!(spec.duration, Span::ticks(300), "defaults hold");
+    }
+
+    #[test]
+    fn validate_names_the_offending_directive() {
+        let ok = ScenarioSpec::synchronous(3, Span::ticks(2));
+        assert_eq!(ok.validate(), Ok(()));
+        let broken = |edit: fn(&mut ScenarioSpec)| {
+            let mut spec = ok.clone();
+            edit(&mut spec);
+            spec.validate().unwrap_err().directive
+        };
+        assert_eq!(broken(|s| s.n = 0), "n");
+        assert_eq!(broken(|s| s.writers = 4), "writers");
+        assert_eq!(broken(|s| s.keys = 0), "keys");
+        assert_eq!(broken(|s| s.reads_per_tick = f64::NAN), "reads-per-tick");
+        let keyed = |s: &mut ScenarioSpec| (s.keys, s.write_quiesce) = (8, Some(Span::UNIT));
+        assert_eq!(broken(keyed), "write-quiesce");
+        let rate = |s: &mut ScenarioSpec| s.churn = ChurnChoice::Poisson(1.5);
+        assert_eq!(broken(rate), "churn");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid scenario: `writers`")]
+    fn run_refuses_an_invalid_spec() {
+        ScenarioSpec {
+            writers: 5,
+            ..ScenarioSpec::synchronous(3, Span::ticks(2))
+        }
+        .run();
     }
 }

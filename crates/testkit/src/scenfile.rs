@@ -1,54 +1,15 @@
 //! Scenario files: a hand-rolled text format for [`ScenarioSpec`].
 //!
 //! The workspace is air-gapped (no serde), so scenarios are stored in a
-//! line-oriented plain-text format, one directive per line, in the spirit
-//! of the hand-written JSON in `dynareg-fleet`'s reports: a tiny grammar,
-//! written and parsed by this module alone, with a round-trip guarantee —
+//! line-oriented plain-text format, one directive per line, written and
+//! parsed by this module alone, with a round-trip guarantee —
 //! [`parse_scenario`]`(`[`write_scenario`]`(spec)) == spec` for every
-//! serializable spec (anything without a [`ScriptedWorkload`] attached).
+//! valid spec without a [`ScriptedWorkload`] attached.
 //!
-//! # Format
-//!
-//! The first non-comment line must be the format tag `dynareg-scenario/1`.
-//! Blank lines are ignored and `#` starts a comment anywhere on a line.
-//! Every other line is `directive arg…`, whitespace-separated; later
-//! duplicates win. Times are in ticks, `max` meaning "forever"; endpoints
-//! are raw node ids, `any` meaning "unfiltered".
-//!
-//! ```text
-//! dynareg-scenario/1
-//! protocol sync|sync-nowait|es|es-atomic
-//! net sync|sync-worst | net es <gst> | net async <cap_factor>
-//! n <count>                    # required, > 0
-//! delta <ticks>                # required, > 0
-//! duration <ticks>             # default 300
-//! drain <ticks>                # optional (default 12δ at run time)
-//! seed <u64>                   # default 0
-//! churn none | constant <c> | poisson <c>
-//!       | burst <on> <on_ticks> <off> <off_ticks>
-//!       | diurnal <peak> <trough> <period>
-//!       | sessions <alpha> <min_ticks>
-//!       | flash-crowd <base> <wave_at> <wave_every> <wave_joins> <wave_ticks>
-//! selector random|oldest-first|newest-first|active-first
-//! write-every <ticks>          # optional (default 3δ at run time)
-//! write-quiesce <ticks>        # optional
-//! reads-per-tick <rate>        # default 1
-//! writer-churns true|false     # default false
-//! migrating-writer true|false  # default false
-//! trace true                   # default false
-//! keys <count>                 # default 1
-//! zipf <exponent>              # default 1
-//! shards <count>               # default 1
-//! writers <count>              # default 1
-//! fault delay <from|any> <to|any> <t0> <t1|max> add|set <ticks>
-//! fault partition <t0> <t1|max> mod <m> <r> | ids <id,id,…> | first <k>
-//! fault drop <from|any> <to|any> <t0> <t1|max> <probability>
-//! regions <count>
-//! region-delay <a> <b> <ticks> # directed; requires a prior `regions`
-//! ```
-//!
-//! [`scenario_hash`] fingerprints `(file content, seed)` with FNV-1a so a
-//! replay can assert it is running the very bytes a report referenced.
+//! The grammar, its defaults and the [`scenario_hash`] rule are specified
+//! once, in [`docs/FORMATS.md`](../../../docs/FORMATS.md#scenario-files-dynareg-scenario1);
+//! `dynareg-fleet`'s `docs_sync` test pins that directive list, and its
+//! defaults, to what [`write_scenario`] prints.
 //!
 //! [`ScriptedWorkload`]: crate::ScriptedWorkload
 
@@ -110,6 +71,25 @@ pub fn scenario_hash(text: &str, seed: u64) -> u64 {
     h
 }
 
+/// The keywords of `protocol` and `selector`, for printing and parsing.
+const PROTOCOLS: [(ProtocolChoice, &str); 4] = [
+    (ProtocolChoice::Synchronous, "sync"),
+    (ProtocolChoice::SynchronousNoWait, "sync-nowait"),
+    (ProtocolChoice::EventuallySynchronous, "es"),
+    (ProtocolChoice::EsAtomic, "es-atomic"),
+];
+const SELECTORS: [(LeaveSelector, &str); 4] = [
+    (LeaveSelector::Random, "random"),
+    (LeaveSelector::OldestFirst, "oldest-first"),
+    (LeaveSelector::NewestFirst, "newest-first"),
+    (LeaveSelector::ActiveFirst, "active-first"),
+];
+
+fn keyword_of<T: PartialEq>(table: &[(T, &'static str)], value: &T) -> &'static str {
+    let found = table.iter().find(|(v, _)| v == value);
+    found.expect("every variant has a keyword").1
+}
+
 fn time_str(t: Time) -> String {
     if t == Time::MAX {
         "max".to_string()
@@ -143,12 +123,7 @@ pub fn write_scenario(spec: &ScenarioSpec) -> Result<String, ScenError> {
     line(FORMAT_LINE.to_string());
     line(format!(
         "protocol {}",
-        match spec.protocol {
-            ProtocolChoice::Synchronous => "sync",
-            ProtocolChoice::SynchronousNoWait => "sync-nowait",
-            ProtocolChoice::EventuallySynchronous => "es",
-            ProtocolChoice::EsAtomic => "es-atomic",
-        }
+        keyword_of(&PROTOCOLS, &spec.protocol)
     ));
     line(match spec.net {
         NetClass::Synchronous => "net sync".to_string(),
@@ -191,12 +166,7 @@ pub fn write_scenario(spec: &ScenarioSpec) -> Result<String, ScenError> {
     });
     line(format!(
         "selector {}",
-        match spec.selector {
-            LeaveSelector::Random => "random",
-            LeaveSelector::OldestFirst => "oldest-first",
-            LeaveSelector::NewestFirst => "newest-first",
-            LeaveSelector::ActiveFirst => "active-first",
-        }
+        keyword_of(&SELECTORS, &spec.selector)
     ));
     if let Some(we) = spec.write_every {
         line(format!("write-every {}", we.as_ticks()));
@@ -271,22 +241,30 @@ pub fn write_scenario(spec: &ScenarioSpec) -> Result<String, ScenError> {
     Ok(out)
 }
 
-fn expect_args<'a>(
-    lineno: usize,
-    toks: &'a [&'a str],
-    n: usize,
-    usage: &str,
-) -> Result<&'a [&'a str], ScenError> {
-    if toks.len() - 1 == n {
-        Ok(&toks[1..])
-    } else {
-        Err(ScenError::new(lineno, format!("usage: {usage}")))
-    }
+/// `(line number, tokens)` of every line of `text` left once `#` comments
+/// and blanks are gone: the format line, then the directives.
+fn lines(text: &str) -> impl Iterator<Item = (usize, Vec<&str>)> {
+    text.lines().enumerate().filter_map(|(idx, raw)| {
+        let code = raw.split('#').next().unwrap_or("");
+        let toks: Vec<&str> = code.split_whitespace().collect();
+        (!toks.is_empty()).then_some((idx + 1, toks))
+    })
 }
 
 fn num<T: std::str::FromStr>(lineno: usize, s: &str, what: &str) -> Result<T, ScenError> {
     s.parse()
         .map_err(|_| ScenError::new(lineno, format!("bad {what} `{s}`")))
+}
+
+/// The one argument of a `directive <what>` line.
+fn arg<T: std::str::FromStr>(lineno: usize, toks: &[&str], what: &str) -> Result<T, ScenError> {
+    match *toks {
+        [_, a] => num(lineno, a, what),
+        _ => Err(ScenError::new(
+            lineno,
+            format!("usage: {} <{what}>", toks[0]),
+        )),
+    }
 }
 
 fn time_of(lineno: usize, s: &str) -> Result<Time, ScenError> {
@@ -305,450 +283,237 @@ fn node_of(lineno: usize, s: &str) -> Result<Option<NodeId>, ScenError> {
     }
 }
 
-fn bool_of(lineno: usize, s: &str) -> Result<bool, ScenError> {
-    match s {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        _ => Err(ScenError::new(lineno, format!("bad bool `{s}`"))),
-    }
+/// The keyword argument of a `directive <keyword>` line, one of `table`'s.
+fn keyword<T: Copy>(lineno: usize, toks: &[&str], table: &[(T, &str)]) -> Result<T, ScenError> {
+    let words: Vec<&str> = table.iter().map(|&(_, name)| name).collect();
+    let word: String = arg(lineno, toks, &words.join("|"))?;
+    let found = table.iter().find(|&&(_, name)| name == word);
+    let unknown = || ScenError::new(lineno, format!("unknown {} `{word}`", toks[0]));
+    found.map(|&(value, _)| value).ok_or_else(unknown)
 }
 
-fn rate_of(lineno: usize, s: &str, what: &str) -> Result<f64, ScenError> {
-    let v: f64 = num(lineno, s, what)?;
-    if v.is_finite() && (0.0..=1.0).contains(&v) {
-        Ok(v)
-    } else {
-        Err(ScenError::new(lineno, format!("{what} must be in [0,1]")))
-    }
-}
-
-/// Parses scenario-file text into a [`ScenarioSpec`].
-///
-/// Unknown directives, malformed values and out-of-range parameters are
-/// reported with their 1-based line number; nothing in a parsed spec can
-/// panic the model constructors at run time.
+/// Parses scenario-file text into a [`ScenarioSpec`]: the defaults of
+/// [`ScenarioSpec::new`] overwritten by each directive in turn, then
+/// checked by [`ScenarioSpec::validate`]. A spec it returns runs without
+/// panicking.
 ///
 /// # Errors
-/// Returns a [`ScenError`] naming the offending line.
+/// Returns a [`ScenError`] naming the offending line: the line itself for
+/// a malformed directive, the line of the directive that last set the
+/// offending field for a spec that `validate` rejects.
 pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, ScenError> {
-    let mut protocol = None;
-    let mut net = None;
-    let mut n: Option<usize> = None;
-    let mut delta: Option<Span> = None;
-    let mut duration = Span::ticks(300);
-    let mut drain = None;
-    let mut seed = 0u64;
-    let mut churn = ChurnChoice::None;
-    let mut selector = LeaveSelector::Random;
-    let mut write_every = None;
-    let mut write_quiesce = None;
-    let mut reads_per_tick = 1.0f64;
-    let mut writer_churns = false;
-    let mut migrating_writer = false;
-    let mut trace = false;
-    let mut keys = 1u32;
-    let mut zipf_exponent = 1.0f64;
-    let mut shards = 1u32;
-    let mut writers = 1usize;
-    let mut plan = FaultPlan::default();
-    let mut plan_touched = false;
-    let mut saw_format = false;
-
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        // `#` starts a comment anywhere on a line.
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
+    let mut directives = lines(text);
+    match directives.next() {
+        Some((_, toks)) if toks == [FORMAT_LINE] => {}
+        Some((lineno, _)) => {
+            let msg = format!("expected format line `{FORMAT_LINE}`");
+            return Err(ScenError::new(lineno, msg));
         }
-        if !saw_format {
-            if line != FORMAT_LINE {
-                return Err(ScenError::new(
-                    lineno,
-                    format!("expected format line `{FORMAT_LINE}`"),
-                ));
-            }
-            saw_format = true;
-            continue;
+        None => {
+            let msg = format!("empty file: expected `{FORMAT_LINE}`");
+            return Err(ScenError::new(0, msg));
         }
-        let toks: Vec<&str> = line.split_whitespace().collect();
+    }
+    // `protocol`, `net`, `n` and `delta` are required: these four are
+    // placeholders until their directives overwrite them.
+    let (protocol, net) = (ProtocolChoice::Synchronous, NetClass::Synchronous);
+    let mut spec = ScenarioSpec::new(protocol, net, 0, Span::ZERO);
+    for (lineno, toks) in directives {
+        let ticks = |what| arg(lineno, &toks, what).map(Span::ticks);
         match toks[0] {
-            "protocol" => {
-                let a = expect_args(lineno, &toks, 1, "protocol sync|sync-nowait|es|es-atomic")?;
-                protocol = Some(match a[0] {
-                    "sync" => ProtocolChoice::Synchronous,
-                    "sync-nowait" => ProtocolChoice::SynchronousNoWait,
-                    "es" => ProtocolChoice::EventuallySynchronous,
-                    "es-atomic" => ProtocolChoice::EsAtomic,
-                    other => {
-                        return Err(ScenError::new(
-                            lineno,
-                            format!("unknown protocol `{other}`"),
-                        ))
-                    }
-                });
-            }
+            "protocol" => spec.protocol = keyword(lineno, &toks, &PROTOCOLS)?,
             "net" => {
-                net = Some(match toks.get(1).copied() {
-                    Some("sync") if toks.len() == 2 => NetClass::Synchronous,
-                    Some("sync-worst") if toks.len() == 2 => NetClass::SynchronousWorstCase,
-                    Some("es") if toks.len() == 3 => NetClass::EventuallySynchronous {
-                        gst: time_of(lineno, toks[2])?,
+                spec.net = match toks[1..] {
+                    ["sync"] => NetClass::Synchronous,
+                    ["sync-worst"] => NetClass::SynchronousWorstCase,
+                    ["es", gst] => NetClass::EventuallySynchronous {
+                        gst: time_of(lineno, gst)?,
                     },
-                    Some("async") if toks.len() == 3 => NetClass::FullyAsynchronous {
-                        cap_factor: num(lineno, toks[2], "cap factor")?,
+                    ["async", cap] => NetClass::FullyAsynchronous {
+                        cap_factor: num(lineno, cap, "cap factor")?,
                     },
                     _ => {
-                        return Err(ScenError::new(
-                            lineno,
-                            "usage: net sync|sync-worst | net es <gst> | net async <cap>",
-                        ))
-                    }
-                });
-            }
-            "n" => {
-                let a = expect_args(lineno, &toks, 1, "n <count>")?;
-                let count: usize = num(lineno, a[0], "system size")?;
-                if count == 0 {
-                    return Err(ScenError::new(lineno, "system size must be positive"));
-                }
-                n = Some(count);
-            }
-            "delta" => {
-                let a = expect_args(lineno, &toks, 1, "delta <ticks>")?;
-                let ticks: u64 = num(lineno, a[0], "delta")?;
-                if ticks == 0 {
-                    return Err(ScenError::new(lineno, "delta must be at least one tick"));
-                }
-                delta = Some(Span::ticks(ticks));
-            }
-            "duration" => {
-                let a = expect_args(lineno, &toks, 1, "duration <ticks>")?;
-                duration = Span::ticks(num(lineno, a[0], "duration")?);
-            }
-            "drain" => {
-                let a = expect_args(lineno, &toks, 1, "drain <ticks>")?;
-                drain = Some(Span::ticks(num(lineno, a[0], "drain")?));
-            }
-            "seed" => {
-                let a = expect_args(lineno, &toks, 1, "seed <u64>")?;
-                seed = num(lineno, a[0], "seed")?;
-            }
-            "churn" => {
-                churn = parse_churn(lineno, &toks)?;
-            }
-            "selector" => {
-                let a = expect_args(
-                    lineno,
-                    &toks,
-                    1,
-                    "selector random|oldest-first|newest-first|active-first",
-                )?;
-                selector = match a[0] {
-                    "random" => LeaveSelector::Random,
-                    "oldest-first" => LeaveSelector::OldestFirst,
-                    "newest-first" => LeaveSelector::NewestFirst,
-                    "active-first" => LeaveSelector::ActiveFirst,
-                    other => {
-                        return Err(ScenError::new(
-                            lineno,
-                            format!("unknown selector `{other}`"),
-                        ))
+                        let usage = "usage: net sync|sync-worst | net es <gst> | net async <cap>";
+                        return Err(ScenError::new(lineno, usage));
                     }
                 };
             }
-            "write-every" => {
-                let a = expect_args(lineno, &toks, 1, "write-every <ticks>")?;
-                let ticks: u64 = num(lineno, a[0], "write period")?;
-                if ticks == 0 {
-                    return Err(ScenError::new(lineno, "write period must be positive"));
-                }
-                write_every = Some(Span::ticks(ticks));
-            }
-            "write-quiesce" => {
-                let a = expect_args(lineno, &toks, 1, "write-quiesce <ticks>")?;
-                write_quiesce = Some(Span::ticks(num(lineno, a[0], "write quiesce")?));
-            }
-            "reads-per-tick" => {
-                let a = expect_args(lineno, &toks, 1, "reads-per-tick <rate>")?;
-                let rate: f64 = num(lineno, a[0], "read rate")?;
-                if !rate.is_finite() || rate < 0.0 {
-                    return Err(ScenError::new(lineno, "read rate must be non-negative"));
-                }
-                reads_per_tick = rate;
-            }
-            "writer-churns" => {
-                let a = expect_args(lineno, &toks, 1, "writer-churns true|false")?;
-                writer_churns = bool_of(lineno, a[0])?;
-            }
-            "migrating-writer" => {
-                let a = expect_args(lineno, &toks, 1, "migrating-writer true|false")?;
-                migrating_writer = bool_of(lineno, a[0])?;
-            }
-            "trace" => {
-                let a = expect_args(lineno, &toks, 1, "trace true|false")?;
-                trace = bool_of(lineno, a[0])?;
-            }
-            "keys" => {
-                let a = expect_args(lineno, &toks, 1, "keys <count>")?;
-                let count: u32 = num(lineno, a[0], "key count")?;
-                if count == 0 {
-                    return Err(ScenError::new(lineno, "key count must be positive"));
-                }
-                keys = count;
-            }
-            "zipf" => {
-                let a = expect_args(lineno, &toks, 1, "zipf <exponent>")?;
-                let s: f64 = num(lineno, a[0], "zipf exponent")?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err(ScenError::new(lineno, "zipf exponent must be non-negative"));
-                }
-                zipf_exponent = s;
-            }
-            "shards" => {
-                let a = expect_args(lineno, &toks, 1, "shards <count>")?;
-                let count: u32 = num(lineno, a[0], "shard count")?;
-                if count == 0 {
-                    return Err(ScenError::new(lineno, "shard count must be positive"));
-                }
-                shards = count;
-            }
-            "writers" => {
-                let a = expect_args(lineno, &toks, 1, "writers <count>")?;
-                let count: usize = num(lineno, a[0], "writer count")?;
-                if count == 0 {
-                    return Err(ScenError::new(lineno, "writer count must be positive"));
-                }
-                writers = count;
-            }
+            "n" => spec.n = arg(lineno, &toks, "system size")?,
+            "delta" => spec.delta = ticks("delta")?,
+            "duration" => spec.duration = ticks("duration")?,
+            "drain" => spec.drain = Some(ticks("drain")?),
+            "seed" => spec.seed = arg(lineno, &toks, "seed")?,
+            "churn" => spec.churn = parse_churn(lineno, &toks[1..])?,
+            "selector" => spec.selector = keyword(lineno, &toks, &SELECTORS)?,
+            "write-every" => spec.write_every = Some(ticks("write period")?),
+            "write-quiesce" => spec.write_quiesce = Some(ticks("write quiesce")?),
+            "reads-per-tick" => spec.reads_per_tick = arg(lineno, &toks, "read rate")?,
+            "writer-churns" => spec.writer_churns = arg(lineno, &toks, "bool")?,
+            "migrating-writer" => spec.migrating_writer = arg(lineno, &toks, "bool")?,
+            "trace" => spec.trace = arg(lineno, &toks, "bool")?,
+            "keys" => spec.keys = arg(lineno, &toks, "key count")?,
+            "zipf" => spec.zipf_exponent = arg(lineno, &toks, "zipf exponent")?,
+            "shards" => spec.shards = arg(lineno, &toks, "shard count")?,
+            "writers" => spec.writers = arg(lineno, &toks, "writer count")?,
             "fault" => {
-                parse_fault(lineno, &toks, &mut plan)?;
-                plan_touched = true;
+                let plan = spec.faults.get_or_insert_with(FaultPlan::default);
+                parse_fault(lineno, &toks[1..], plan)?;
             }
             "regions" => {
-                let a = expect_args(lineno, &toks, 1, "regions <count>")?;
-                let count: u32 = num(lineno, a[0], "region count")?;
+                let count: u32 = arg(lineno, &toks, "region count")?;
                 if count == 0 {
                     return Err(ScenError::new(lineno, "region count must be positive"));
                 }
+                let plan = spec.faults.get_or_insert_with(FaultPlan::default);
                 plan.set_region(Some(RegionMatrix::new(count)));
-                plan_touched = true;
             }
             "region-delay" => {
-                let a = expect_args(lineno, &toks, 3, "region-delay <a> <b> <ticks>")?;
-                let ra: u32 = num(lineno, a[0], "region")?;
-                let rb: u32 = num(lineno, a[1], "region")?;
-                let ticks: u64 = num(lineno, a[2], "region delay")?;
-                let Some(region) = plan.region_mut() else {
-                    return Err(ScenError::new(
-                        lineno,
-                        "region-delay requires a prior `regions` directive",
-                    ));
+                let [_, a, b, extra] = toks[..] else {
+                    let usage = "usage: region-delay <a> <b> <ticks>";
+                    return Err(ScenError::new(lineno, usage));
+                };
+                let ra: u32 = num(lineno, a, "region")?;
+                let rb: u32 = num(lineno, b, "region")?;
+                let extra = Span::ticks(num(lineno, extra, "region delay")?);
+                let Some(region) = spec.faults.as_mut().and_then(FaultPlan::region_mut) else {
+                    let msg = "region-delay requires a prior `regions` directive";
+                    return Err(ScenError::new(lineno, msg));
                 };
                 if ra >= region.regions() || rb >= region.regions() {
                     return Err(ScenError::new(lineno, "region out of range"));
                 }
-                region.set(ra, rb, Span::ticks(ticks));
+                region.set(ra, rb, extra);
             }
             other => {
-                return Err(ScenError::new(
-                    lineno,
-                    format!("unknown directive `{other}`"),
-                ));
+                let msg = format!("unknown directive `{other}`");
+                return Err(ScenError::new(lineno, msg));
             }
         }
     }
-
-    if !saw_format {
-        return Err(ScenError::new(
-            0,
-            format!("empty file: expected `{FORMAT_LINE}`"),
-        ));
+    let last_line = |directive: &str| lines(text).filter(|(_, t)| t[0] == directive).last();
+    for required in ["protocol", "net", "n", "delta"] {
+        if last_line(required).is_none() {
+            let msg = format!("missing required directive `{required}`");
+            return Err(ScenError::new(0, msg));
+        }
     }
-    let missing = |what: &str| ScenError::new(0, format!("missing required directive `{what}`"));
-    Ok(ScenarioSpec {
-        protocol: protocol.ok_or_else(|| missing("protocol"))?,
-        net: net.ok_or_else(|| missing("net"))?,
-        n: n.ok_or_else(|| missing("n"))?,
-        delta: delta.ok_or_else(|| missing("delta"))?,
-        churn,
-        selector,
-        duration,
-        drain,
-        seed,
-        write_every,
-        write_quiesce,
-        reads_per_tick,
-        writer_churns,
-        migrating_writer,
-        trace,
-        script: None,
-        faults: plan_touched.then_some(plan),
-        keys,
-        zipf_exponent,
-        shards,
-        writers,
+    match spec.validate() {
+        Ok(()) => Ok(spec),
+        Err(e) => Err(ScenError::new(
+            last_line(e.directive).map_or(0, |(lineno, _)| lineno),
+            e.msg,
+        )),
+    }
+}
+
+/// The arguments of a `churn` line; their ranges are
+/// [`ScenarioSpec::validate`]'s.
+fn parse_churn(lineno: usize, args: &[&str]) -> Result<ChurnChoice, ScenError> {
+    Ok(match *args {
+        ["none"] => ChurnChoice::None,
+        ["constant", c] => ChurnChoice::Constant(num(lineno, c, "churn rate")?),
+        ["poisson", c] => ChurnChoice::Poisson(num(lineno, c, "churn rate")?),
+        ["burst", on, on_ticks, off, off_ticks] => ChurnChoice::Burst {
+            on: num(lineno, on, "storm rate")?,
+            on_ticks: num(lineno, on_ticks, "storm length")?,
+            off: num(lineno, off, "quiet rate")?,
+            off_ticks: num(lineno, off_ticks, "quiet length")?,
+        },
+        ["diurnal", peak, trough, period] => ChurnChoice::Diurnal {
+            peak: num(lineno, peak, "peak rate")?,
+            trough: num(lineno, trough, "trough rate")?,
+            period: num(lineno, period, "period")?,
+        },
+        ["sessions", alpha, min_ticks] => ChurnChoice::Sessions {
+            alpha: num(lineno, alpha, "alpha")?,
+            min_ticks: num(lineno, min_ticks, "minimum session")?,
+        },
+        ["flash-crowd", base, wave_at, wave_every, wave_joins, wave_ticks] => {
+            ChurnChoice::FlashCrowd {
+                base: num(lineno, base, "base rate")?,
+                wave_at: num(lineno, wave_at, "wave start")?,
+                wave_every: num(lineno, wave_every, "wave period")?,
+                wave_joins: num(lineno, wave_joins, "wave joins")?,
+                wave_ticks: num(lineno, wave_ticks, "wave length")?,
+            }
+        }
+        _ => {
+            let usage =
+                "usage: churn none|constant <c>|poisson <c>|burst …|diurnal …|sessions …|flash-crowd …";
+            return Err(ScenError::new(lineno, usage));
+        }
     })
 }
 
-fn parse_churn(lineno: usize, toks: &[&str]) -> Result<ChurnChoice, ScenError> {
-    let usage = "churn none|constant <c>|poisson <c>|burst …|diurnal …|sessions …|flash-crowd …";
-    match toks.get(1).copied() {
-        Some("none") if toks.len() == 2 => Ok(ChurnChoice::None),
-        Some("constant") if toks.len() == 3 => Ok(ChurnChoice::Constant(rate_of(
-            lineno,
-            toks[2],
-            "churn rate",
-        )?)),
-        Some("poisson") if toks.len() == 3 => Ok(ChurnChoice::Poisson(rate_of(
-            lineno,
-            toks[2],
-            "churn rate",
-        )?)),
-        Some("burst") if toks.len() == 6 => {
-            let choice = ChurnChoice::Burst {
-                on: rate_of(lineno, toks[2], "storm rate")?,
-                on_ticks: num(lineno, toks[3], "storm length")?,
-                off: rate_of(lineno, toks[4], "quiet rate")?,
-                off_ticks: num(lineno, toks[5], "quiet length")?,
-            };
-            if let ChurnChoice::Burst {
-                on_ticks,
-                off_ticks,
-                ..
-            } = choice
-            {
-                if on_ticks == 0 || off_ticks == 0 {
-                    return Err(ScenError::new(lineno, "burst phases must be positive"));
-                }
-            }
-            Ok(choice)
-        }
-        Some("diurnal") if toks.len() == 5 => {
-            let peak = rate_of(lineno, toks[2], "peak rate")?;
-            let trough = rate_of(lineno, toks[3], "trough rate")?;
-            let period: u64 = num(lineno, toks[4], "period")?;
-            if trough > peak {
-                return Err(ScenError::new(lineno, "need trough <= peak"));
-            }
-            if period == 0 {
-                return Err(ScenError::new(lineno, "period must be positive"));
-            }
-            Ok(ChurnChoice::Diurnal {
-                peak,
-                trough,
-                period,
-            })
-        }
-        Some("sessions") if toks.len() == 4 => {
-            let alpha: f64 = num(lineno, toks[2], "alpha")?;
-            let min_ticks: u64 = num(lineno, toks[3], "minimum session")?;
-            if !alpha.is_finite() || alpha <= 0.0 {
-                return Err(ScenError::new(lineno, "alpha must be positive"));
-            }
-            if min_ticks == 0 {
-                return Err(ScenError::new(lineno, "minimum session must be positive"));
-            }
-            Ok(ChurnChoice::Sessions { alpha, min_ticks })
-        }
-        Some("flash-crowd") if toks.len() == 7 => {
-            let base = rate_of(lineno, toks[2], "base rate")?;
-            let wave_at: u64 = num(lineno, toks[3], "wave start")?;
-            let wave_every: u64 = num(lineno, toks[4], "wave period")?;
-            let wave_joins: u32 = num(lineno, toks[5], "wave joins")?;
-            let wave_ticks: u64 = num(lineno, toks[6], "wave length")?;
-            if wave_ticks == 0 {
-                return Err(ScenError::new(lineno, "wave length must be positive"));
-            }
-            if wave_every != 0 && wave_every < wave_ticks {
-                return Err(ScenError::new(lineno, "repeating waves must not overlap"));
-            }
-            Ok(ChurnChoice::FlashCrowd {
-                base,
-                wave_at,
-                wave_every,
-                wave_joins,
-                wave_ticks,
-            })
-        }
-        _ => Err(ScenError::new(lineno, format!("usage: {usage}"))),
-    }
-}
-
-fn parse_fault(lineno: usize, toks: &[&str], plan: &mut FaultPlan) -> Result<(), ScenError> {
-    match toks.get(1).copied() {
-        Some("delay") if toks.len() == 8 => {
-            let action = match toks[6] {
-                "add" => FaultAction::AddDelay(Span::ticks(num(lineno, toks[7], "delay")?)),
-                "set" => FaultAction::SetDelay(Span::ticks(num(lineno, toks[7], "delay")?)),
+/// The arguments of a `fault` line, appended to `plan`.
+fn parse_fault(lineno: usize, args: &[&str], plan: &mut FaultPlan) -> Result<(), ScenError> {
+    match *args {
+        ["delay", from, to, t0, t1, verb, extra] => {
+            let action = match verb {
+                "add" => FaultAction::AddDelay,
+                "set" => FaultAction::SetDelay,
                 other => {
-                    return Err(ScenError::new(
-                        lineno,
-                        format!("unknown delay action `{other}` (want add|set)"),
-                    ))
+                    let msg = format!("unknown delay action `{other}` (want add|set)");
+                    return Err(ScenError::new(lineno, msg));
                 }
             };
             plan.push(DelayFault {
-                from: node_of(lineno, toks[2])?,
-                to: node_of(lineno, toks[3])?,
-                from_time: time_of(lineno, toks[4])?,
-                until_time: time_of(lineno, toks[5])?,
-                action,
+                action: action(Span::ticks(num(lineno, extra, "delay")?)),
+                from: node_of(lineno, from)?,
+                to: node_of(lineno, to)?,
+                from_time: time_of(lineno, t0)?,
+                until_time: time_of(lineno, t1)?,
             });
-            Ok(())
         }
-        Some("partition") if toks.len() >= 5 => {
-            let from_time = time_of(lineno, toks[2])?;
-            let until_time = time_of(lineno, toks[3])?;
-            let side_a =
-                match (toks[4], toks.len()) {
-                    ("mod", 7) => {
-                        let modulo: u64 = num(lineno, toks[5], "modulo")?;
-                        if modulo == 0 {
-                            return Err(ScenError::new(lineno, "modulo must be positive"));
-                        }
-                        NodeSet::Modulo {
-                            modulo,
-                            residue: num(lineno, toks[6], "residue")?,
-                        }
+        ["partition", t0, t1, ref side @ ..] => {
+            let side_a = match *side {
+                ["mod", modulo, residue] => {
+                    let modulo: u64 = num(lineno, modulo, "modulo")?;
+                    if modulo == 0 {
+                        return Err(ScenError::new(lineno, "modulo must be positive"));
                     }
-                    ("first", 6) => NodeSet::FirstRaw(num(lineno, toks[5], "bound")?),
-                    ("ids", 6) => {
-                        let mut ids = Vec::new();
-                        for part in toks[5].split(',') {
-                            ids.push(NodeId::from_raw(num(lineno, part, "node id")?));
-                        }
-                        NodeSet::Ids(ids)
-                    }
-                    _ => return Err(ScenError::new(
-                        lineno,
-                        "usage: fault partition <t0> <t1|max> mod <m> <r> | ids <csv> | first <k>",
-                    )),
-                };
+                    let residue = num(lineno, residue, "residue")?;
+                    NodeSet::Modulo { modulo, residue }
+                }
+                ["first", bound] => NodeSet::FirstRaw(num(lineno, bound, "bound")?),
+                ["ids", csv] => {
+                    let ids = csv.split(',').map(|id| num(lineno, id, "node id"));
+                    let ids: Result<Vec<u64>, ScenError> = ids.collect();
+                    NodeSet::Ids(ids?.into_iter().map(NodeId::from_raw).collect())
+                }
+                _ => {
+                    let usage =
+                        "usage: fault partition <t0> <t1|max> mod <m> <r> | ids <csv> | first <k>";
+                    return Err(ScenError::new(lineno, usage));
+                }
+            };
+            let (from_time, until_time) = (time_of(lineno, t0)?, time_of(lineno, t1)?);
             plan.push_partition(Partition::new(side_a, from_time, until_time));
-            Ok(())
         }
-        Some("drop") if toks.len() == 7 => {
+        ["drop", from, to, t0, t1, probability] => {
+            let probability: f64 = num(lineno, probability, "drop probability")?;
+            if !(probability.is_finite() && (0.0..=1.0).contains(&probability)) {
+                return Err(ScenError::new(lineno, "drop probability must be in [0,1]"));
+            }
             plan.push_drop(DropRule {
-                from: node_of(lineno, toks[2])?,
-                to: node_of(lineno, toks[3])?,
-                from_time: time_of(lineno, toks[4])?,
-                until_time: time_of(lineno, toks[5])?,
-                probability: rate_of(lineno, toks[6], "drop probability")?,
+                from: node_of(lineno, from)?,
+                to: node_of(lineno, to)?,
+                from_time: time_of(lineno, t0)?,
+                until_time: time_of(lineno, t1)?,
+                probability,
             });
-            Ok(())
         }
-        _ => Err(ScenError::new(
-            lineno,
-            "usage: fault delay …|partition …|drop …",
-        )),
+        _ => {
+            let usage = "usage: fault delay …|partition …|drop …";
+            return Err(ScenError::new(lineno, usage));
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scenario;
 
     fn kitchen_sink() -> ScenarioSpec {
         let plan = FaultPlan::default()
@@ -780,27 +545,27 @@ mod tests {
                     .with_link(0, 1, Span::ticks(4))
                     .with_link(1, 2, Span::ticks(6)),
             );
-        let mut spec = Scenario::eventually_synchronous(24, Span::ticks(3), Time::at(60))
-            .churn_choice(ChurnChoice::FlashCrowd {
+        ScenarioSpec {
+            churn: ChurnChoice::FlashCrowd {
                 base: 0.01,
                 wave_at: 50,
                 wave_every: 100,
                 wave_joins: 6,
                 wave_ticks: 4,
-            })
-            .duration(Span::ticks(600))
-            .drain(Span::ticks(50))
-            .seed(42)
-            .reads_per_tick(1.5)
-            .into_spec();
-        spec.write_every = Some(Span::ticks(9));
-        spec.write_quiesce = Some(Span::ticks(30));
-        spec.keys = 8;
-        spec.zipf_exponent = 0.8;
-        spec.shards = 2;
-        spec.writers = 3;
-        spec.faults = Some(plan);
-        spec
+            },
+            duration: Span::ticks(600),
+            drain: Some(Span::ticks(50)),
+            seed: 42,
+            reads_per_tick: 1.5,
+            write_every: Some(Span::ticks(9)),
+            write_quiesce: Some(Span::ticks(30)),
+            trace: true,
+            zipf_exponent: 0.8,
+            shards: 2,
+            writers: 3,
+            faults: Some(plan),
+            ..ScenarioSpec::eventually_synchronous(24, Span::ticks(3), Time::at(60))
+        }
     }
 
     #[test]
@@ -815,11 +580,12 @@ mod tests {
 
     #[test]
     fn golden_format_is_pinned() {
-        let spec = Scenario::synchronous(10, Span::ticks(3))
-            .churn_rate(0.01)
-            .duration(Span::ticks(200))
-            .seed(7)
-            .into_spec();
+        let spec = ScenarioSpec {
+            churn: ChurnChoice::Constant(0.01),
+            duration: Span::ticks(200),
+            seed: 7,
+            ..ScenarioSpec::synchronous(10, Span::ticks(3))
+        };
         let expected = "\
 dynareg-scenario/1
 protocol sync
@@ -885,12 +651,31 @@ seed 2      # last one wins
             "dynareg-scenario/1\nprotocol sync\nnet sync\nn 5\ndelta 2\nregion-delay 0 1 4\n";
         let err = parse_scenario(orphan).unwrap_err();
         assert!(err.msg.contains("regions"), "{err}");
+
+        // A rule between two fields is reported at the directive that set
+        // the offending one — the roster, not the population.
+        let roster = "dynareg-scenario/1\nprotocol sync\nnet sync\nn 3\nwriters 5\ndelta 2\n";
+        let err = parse_scenario(roster).unwrap_err();
+        assert_eq!(err.line, 5);
+        assert!(err.msg.contains("writer"), "{err}");
+
+        let keyed = "dynareg-scenario/1\nprotocol sync\nnet sync\nn 9\ndelta 2\nkeys 8\n\
+                     write-quiesce 30\nkeys 4\n";
+        let err = parse_scenario(keyed).unwrap_err();
+        assert_eq!(err.line, 7);
+        assert!(err.msg.contains("1 key"), "{err}");
+
+        let rate = "dynareg-scenario/1\nprotocol sync\nnet sync\nn 9\ndelta 2\n\
+                    churn constant 0.1\nchurn constant 1.5\nseed 3\n";
+        assert_eq!(parse_scenario(rate).unwrap_err().line, 7);
     }
 
     #[test]
     fn scripted_specs_refuse_to_serialize() {
-        let mut spec = Scenario::synchronous(5, Span::ticks(2)).into_spec();
-        spec.script = Some(crate::ScriptedWorkload::default());
+        let spec = ScenarioSpec {
+            script: Some(crate::ScriptedWorkload::default()),
+            ..ScenarioSpec::synchronous(5, Span::ticks(2))
+        };
         let err = write_scenario(&spec).unwrap_err();
         assert_eq!(err.line, 0);
         assert!(err.msg.contains("scripted"), "{err}");

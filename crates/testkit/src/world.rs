@@ -346,7 +346,7 @@ type NodeMap<V> = LookupMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
 
 /// The deterministic simulation world for the spaces `F` builds.
 ///
-/// Most users go through [`crate::Scenario`]; `World` is public for tests
+/// Most users go through [`crate::ScenarioSpec`]; `World` is public for tests
 /// and experiments needing fine-grained control (scripted fault injection,
 /// mid-run probes). `World<SyncFactory>` / `World<EsFactory>` drive the
 /// paper's single-register protocols unchanged (1-key spaces);

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use dynareg_net::{FaultPlan, Partition};
 use dynareg_sim::{Span, Time};
-use dynareg_testkit::{parse_scenario, write_scenario, Scenario};
+use dynareg_testkit::{parse_scenario, write_scenario, ChurnChoice, ScenarioSpec};
 
 /// Mirror of `scenarios/partition_heal.dyn`: an even/odd partition cuts
 /// a synchronous system in half for ticks [150, 250). Regularity breaks
@@ -19,13 +19,17 @@ use dynareg_testkit::{parse_scenario, write_scenario, Scenario};
 fn partition_and_heal_confines_violations_to_the_window() {
     let window_start = Time::at(150);
     let window_end = Time::at(250);
-    let report = Scenario::synchronous(20, Span::ticks(3))
-        .churn_rate(0.01)
-        .duration(Span::ticks(500))
-        .drain(Span::ticks(60))
-        .seed(7)
-        .faults(FaultPlan::default().with_partition(Partition::even_odd(window_start, window_end)))
-        .run();
+    let report = ScenarioSpec {
+        churn: ChurnChoice::Constant(0.01),
+        duration: Span::ticks(500),
+        drain: Some(Span::ticks(60)),
+        seed: 7,
+        faults: Some(
+            FaultPlan::default().with_partition(Partition::even_odd(window_start, window_end)),
+        ),
+        ..ScenarioSpec::synchronous(20, Span::ticks(3))
+    }
+    .run();
 
     assert!(
         report.fault_drops > 0,

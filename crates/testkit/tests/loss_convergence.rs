@@ -10,7 +10,7 @@ use std::fs;
 
 use dynareg_net::{DropRule, FaultPlan};
 use dynareg_sim::{Span, Time};
-use dynareg_testkit::{parse_scenario, RunReport, Scenario};
+use dynareg_testkit::{parse_scenario, ChurnChoice, RunReport, ScenarioSpec};
 use dynareg_verify::OpKind;
 
 /// The stuck operations of a run that are *joins* — the ops the
@@ -60,17 +60,19 @@ fn es_joiners_converge_after_any_seeded_loss_window_ends() {
     let delta = Span::ticks(4);
     let mut total_retransmits = 0;
     for (seed, probability, window_end) in drop_cases() {
-        let report = Scenario::eventually_synchronous(15, delta, Time::ZERO)
-            .churn_rate(0.005)
-            .duration(Span::ticks(window_end + 250))
-            .drain(Span::ticks(150))
-            .seed(seed)
-            .faults(FaultPlan::default().with_drop(DropRule::lossy_everything(
+        let report = ScenarioSpec {
+            churn: ChurnChoice::Constant(0.005),
+            duration: Span::ticks(window_end + 250),
+            drain: Some(Span::ticks(150)),
+            seed,
+            faults: Some(FaultPlan::default().with_drop(DropRule::lossy_everything(
                 Time::ZERO,
                 Time::at(window_end),
                 probability,
-            )))
-            .run();
+            ))),
+            ..ScenarioSpec::eventually_synchronous(15, delta, Time::ZERO)
+        }
+        .run();
         let stuck = stuck_joins(&report);
         assert!(
             stuck.is_empty(),
@@ -95,17 +97,19 @@ fn sync_joiners_converge_after_any_seeded_loss_window_ends() {
     // never delays it past the retry budget.
     let delta = Span::ticks(4);
     for (seed, probability, window_end) in drop_cases() {
-        let report = Scenario::synchronous(15, delta)
-            .churn_rate(0.005)
-            .duration(Span::ticks(window_end + 250))
-            .drain(Span::ticks(150))
-            .seed(seed)
-            .faults(FaultPlan::default().with_drop(DropRule::lossy_everything(
+        let report = ScenarioSpec {
+            churn: ChurnChoice::Constant(0.005),
+            duration: Span::ticks(window_end + 250),
+            drain: Some(Span::ticks(150)),
+            seed,
+            faults: Some(FaultPlan::default().with_drop(DropRule::lossy_everything(
                 Time::ZERO,
                 Time::at(window_end),
                 probability,
-            )))
-            .run();
+            ))),
+            ..ScenarioSpec::synchronous(15, delta)
+        }
+        .run();
         assert!(
             report.liveness.is_ok(),
             "seed {seed}: {probability} loss until {window_end} left \

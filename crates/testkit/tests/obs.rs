@@ -4,7 +4,7 @@
 
 use dynareg_sim::obs::{ObsConfig, Timeseries, TIMESERIES_SCHEMA};
 use dynareg_sim::{Span, Time};
-use dynareg_testkit::{parse_scenario, OpPhase, Scenario};
+use dynareg_testkit::{parse_scenario, ChurnChoice, OpPhase, ScenarioSpec};
 
 /// A total-loss variant of the lossy-ES corpus scenario: with every
 /// message dropped for the whole run, joiners wedge no matter how often
@@ -83,11 +83,13 @@ fn why_stuck_names_the_dropped_join_messages_in_the_lossy_es_wedge() {
 /// completed join observed quorum progress.
 #[test]
 fn clean_run_spans_complete_with_ordered_phases() {
-    let report = Scenario::eventually_synchronous(10, Span::ticks(3), Time::at(0))
-        .churn_rate(0.01)
-        .duration(Span::ticks(200))
-        .seed(3)
-        .run_observed(ObsConfig::full());
+    let report = ScenarioSpec {
+        churn: ChurnChoice::Constant(0.01),
+        duration: Span::ticks(200),
+        seed: 3,
+        ..ScenarioSpec::eventually_synchronous(10, Span::ticks(3), Time::at(0))
+    }
+    .run_observed(ObsConfig::full());
     assert!(report.liveness.is_ok(), "healthy scenario stays live");
 
     let obs = report.obs.as_ref().expect("observed run carries a report");
@@ -126,15 +128,17 @@ fn clean_run_spans_complete_with_ordered_phases() {
 /// lossless JSONL round-trip.
 #[test]
 fn timeseries_jsonl_round_trips_and_matches_golden_header() {
-    let report = Scenario::synchronous(5, Span::ticks(2))
-        .duration(Span::ticks(20))
-        .seed(9)
-        .run_observed(ObsConfig {
-            spans: false,
-            timeseries_every: Some(5),
-            flight_recorder: None,
-            tick_profile: false,
-        });
+    let report = ScenarioSpec {
+        duration: Span::ticks(20),
+        seed: 9,
+        ..ScenarioSpec::synchronous(5, Span::ticks(2))
+    }
+    .run_observed(ObsConfig {
+        spans: false,
+        timeseries_every: Some(5),
+        flight_recorder: None,
+        tick_profile: false,
+    });
     let obs = report.obs.as_ref().expect("observed run carries a report");
     let ts = obs.timeseries.as_ref().expect("recorder was on");
 
@@ -160,16 +164,18 @@ fn timeseries_jsonl_round_trips_and_matches_golden_header() {
 /// counts every eviction.
 #[test]
 fn flight_ring_bounds_retained_trace_and_counts_evictions() {
-    let report = Scenario::synchronous(10, Span::ticks(3))
-        .churn_rate(0.01)
-        .duration(Span::ticks(150))
-        .seed(5)
-        .run_observed(ObsConfig {
-            spans: false,
-            timeseries_every: None,
-            flight_recorder: Some(64),
-            tick_profile: false,
-        });
+    let report = ScenarioSpec {
+        churn: ChurnChoice::Constant(0.01),
+        duration: Span::ticks(150),
+        seed: 5,
+        ..ScenarioSpec::synchronous(10, Span::ticks(3))
+    }
+    .run_observed(ObsConfig {
+        spans: false,
+        timeseries_every: None,
+        flight_recorder: Some(64),
+        tick_profile: false,
+    });
     assert_eq!(report.trace.len(), 64, "ring fills to its capacity");
     assert!(
         report.trace.dropped() > 0,

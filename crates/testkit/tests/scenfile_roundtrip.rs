@@ -2,7 +2,9 @@
 //! `parse(write(spec)) == spec` over the full serializable spec space —
 //! every protocol, network class, churn model, selector, and fault block
 //! (delay rules, partitions over every `NodeSet` shape, probabilistic
-//! drops, region matrices), with awkward floats from the raw unit stream.
+//! drops, region matrices), with awkward floats from the raw unit stream —
+//! and for the parser's validity rules being exactly
+//! `ScenarioSpec::validate`'s.
 
 use dynareg_churn::LeaveSelector;
 use dynareg_net::{DelayFault, DropRule, FaultAction, FaultPlan, NodeSet, Partition, RegionMatrix};
@@ -132,9 +134,54 @@ fn arb_churn(rng: &mut DetRng) -> ChurnChoice {
     }
 }
 
-fn arb_spec(seed: u64) -> ScenarioSpec {
+/// A churn choice outside its model's parameter range.
+fn arb_bad_churn(rng: &mut DetRng) -> ChurnChoice {
+    match rng.pick(6) {
+        0 => ChurnChoice::Constant(1.0 + rng.unit()),
+        1 => ChurnChoice::Poisson(f64::NAN),
+        2 => ChurnChoice::Burst {
+            on: 0.1,
+            on_ticks: 0,
+            off: 0.0,
+            off_ticks: 10,
+        },
+        3 => ChurnChoice::Diurnal {
+            peak: 0.1,
+            trough: 0.2,
+            period: 50,
+        },
+        4 => ChurnChoice::Sessions {
+            alpha: -rng.unit(),
+            min_ticks: 5,
+        },
+        _ => ChurnChoice::FlashCrowd {
+            base: 0.01,
+            wave_at: 10,
+            wave_every: 2,
+            wave_ticks: 5,
+            wave_joins: 3,
+        },
+    }
+}
+
+/// A spec from the whole serializable space. With `valid`, it keeps every
+/// rule of `ScenarioSpec::validate`; without, each rule is broken about
+/// one draw in sixteen, so about half the specs are invalid.
+fn arb_spec(seed: u64, valid: bool) -> ScenarioSpec {
     let mut rng = DetRng::seed(seed);
     let rng = &mut rng;
+    let broken = |rng: &mut DetRng| !valid && rng.chance(1.0 / 16.0);
+    let n = if broken(rng) {
+        0
+    } else {
+        1 + rng.pick(100) as usize
+    };
+    let keys = match rng.pick(3) {
+        _ if broken(rng) => 0,
+        0 => 1 + rng.pick(16) as u32,
+        _ => 1,
+    };
+    let bad_float = |rng: &mut DetRng| [-0.5, f64::NAN, f64::INFINITY][rng.pick(3) as usize];
     ScenarioSpec {
         protocol: match rng.pick(4) {
             0 => ProtocolChoice::Synchronous,
@@ -150,9 +197,13 @@ fn arb_spec(seed: u64) -> ScenarioSpec {
                 cap_factor: 1 + rng.pick(10),
             },
         },
-        n: 1 + rng.pick(100) as usize,
-        delta: Span::ticks(1 + rng.pick(12)),
-        churn: arb_churn(rng),
+        n,
+        delta: Span::ticks(if broken(rng) { 0 } else { 1 + rng.pick(12) }),
+        churn: if broken(rng) {
+            arb_bad_churn(rng)
+        } else {
+            arb_churn(rng)
+        },
         selector: match rng.pick(4) {
             0 => LeaveSelector::Random,
             1 => LeaveSelector::OldestFirst,
@@ -162,9 +213,16 @@ fn arb_spec(seed: u64) -> ScenarioSpec {
         duration: Span::ticks(rng.pick(2000)),
         drain: rng.chance(0.5).then(|| Span::ticks(rng.pick(100))),
         seed: rng.pick(u64::MAX),
-        write_every: rng.chance(0.5).then(|| Span::ticks(1 + rng.pick(30))),
-        write_quiesce: rng.chance(0.5).then(|| Span::ticks(rng.pick(60))),
-        reads_per_tick: rng.unit() * 4.0,
+        write_every: rng
+            .chance(0.5)
+            .then(|| Span::ticks(if broken(rng) { 0 } else { 1 + rng.pick(30) })),
+        write_quiesce: (rng.chance(0.5) && (keys == 1 || broken(rng)))
+            .then(|| Span::ticks(rng.pick(60))),
+        reads_per_tick: if broken(rng) {
+            bad_float(rng)
+        } else {
+            rng.unit() * 4.0
+        },
         writer_churns: rng.chance(0.5),
         migrating_writer: rng.chance(0.5),
         trace: rng.chance(0.2),
@@ -175,10 +233,22 @@ fn arb_spec(seed: u64) -> ScenarioSpec {
             .chance(0.6)
             .then(|| arb_plan(rng))
             .filter(|p| !p.is_empty()),
-        keys: 1 + rng.pick(16) as u32,
-        zipf_exponent: rng.unit() * 2.0,
-        shards: 1 + rng.pick(8) as u32,
-        writers: 1 + rng.pick(5) as usize,
+        keys,
+        zipf_exponent: if broken(rng) {
+            bad_float(rng)
+        } else {
+            rng.unit() * 2.0
+        },
+        shards: if broken(rng) {
+            0
+        } else {
+            1 + rng.pick(8) as u32
+        },
+        writers: if broken(rng) {
+            [0, n + 1][rng.pick(2) as usize]
+        } else {
+            1 + rng.pick(n.clamp(1, 5) as u64) as usize
+        },
     }
 }
 
@@ -189,7 +259,7 @@ proptest! {
     /// point — writing the reparsed spec reproduces it byte for byte.
     #[test]
     fn write_parse_round_trips(seed in 0u64..1_000_000_000) {
-        let spec = arb_spec(seed);
+        let spec = arb_spec(seed, true);
         let text = write_scenario(&spec).expect("scriptless specs serialize");
         let parsed = match parse_scenario(&text) {
             Ok(parsed) => parsed,
@@ -199,10 +269,27 @@ proptest! {
         prop_assert_eq!(write_scenario(&parsed).unwrap(), text);
     }
 
+    /// The parser adds no rule and drops none: the printed text of any
+    /// spec parses exactly when `validate` accepts the spec, and then back
+    /// into the same spec.
+    #[test]
+    fn parsing_accepts_exactly_the_valid_specs(seed in 0u64..1_000_000_000) {
+        let spec = arb_spec(seed, false);
+        let text = write_scenario(&spec).expect("scriptless specs serialize");
+        match (parse_scenario(&text), spec.validate()) {
+            (Ok(parsed), Ok(())) => prop_assert_eq!(parsed, spec),
+            (Err(_), Err(_)) => {}
+            (parsed, valid) => {
+                let msg = format!("parse {parsed:?} vs validate {valid:?}\n--- text ---\n{text}");
+                return Err(TestCaseError::fail(msg));
+            }
+        }
+    }
+
     /// The scenario hash separates content from seed and is stable.
     #[test]
     fn hash_is_stable_and_sensitive(seed in 0u64..1_000_000_000) {
-        let spec = arb_spec(seed);
+        let spec = arb_spec(seed, true);
         let text = write_scenario(&spec).unwrap();
         let h = scenario_hash(&text, spec.seed);
         prop_assert_eq!(h, scenario_hash(&text, spec.seed));

@@ -21,7 +21,7 @@ use dynareg::churn::LeaveSelector;
 use dynareg::sim::Span;
 use dynareg::testkit::experiment::run_seeds;
 use dynareg::testkit::table::{fnum, Table};
-use dynareg::testkit::Scenario;
+use dynareg::testkit::{NetClass, ScenarioSpec};
 
 fn main() {
     let n = 30;
@@ -43,15 +43,17 @@ fn main() {
     ]);
     for fraction in [0.25, 0.5, 0.75, 1.0, 1.5, 2.0] {
         let reports = run_seeds(0..6, |seed| {
-            Scenario::synchronous(n, delta)
-                .worst_case_delays()
-                .migrating_writer()
-                .churn_fraction_of_bound(fraction)
-                .leave_selector(LeaveSelector::ActiveFirst)
-                .duration(Span::ticks(400))
-                .reads_per_tick(2.0)
-                .seed(seed)
-                .run()
+            ScenarioSpec {
+                net: NetClass::SynchronousWorstCase,
+                migrating_writer: true,
+                writer_churns: true,
+                selector: LeaveSelector::ActiveFirst,
+                duration: Span::ticks(400),
+                reads_per_tick: 2.0,
+                seed,
+                ..ScenarioSpec::synchronous(n, delta).churn_fraction_of_bound(fraction)
+            }
+            .run()
         });
         let mean_active: f64 = reports
             .iter()

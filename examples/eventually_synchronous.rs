@@ -12,7 +12,7 @@
 use dynareg::sim::{Span, Time};
 use dynareg::testkit::experiment::{run_seeds, Aggregate};
 use dynareg::testkit::table::{fnum, Table};
-use dynareg::testkit::Scenario;
+use dynareg::testkit::ScenarioSpec;
 
 fn main() {
     let n = 21; // quorum = 11
@@ -32,13 +32,15 @@ fn main() {
     ]);
     for gst_ticks in [0u64, 200, 400] {
         let reports = run_seeds(0..6, |seed| {
-            Scenario::eventually_synchronous(n, delta, Time::at(gst_ticks))
-                .churn_fraction_of_bound(0.5)
-                .duration(Span::ticks(800))
-                .drain(Span::ticks(200)) // generous: drain must outlast GST turbulence
-                .reads_per_tick(1.0)
-                .seed(seed)
-                .run()
+            ScenarioSpec {
+                duration: Span::ticks(800),
+                drain: Some(Span::ticks(200)), // generous: drain must outlast GST turbulence
+                reads_per_tick: 1.0,
+                seed,
+                ..ScenarioSpec::eventually_synchronous(n, delta, Time::at(gst_ticks))
+                    .churn_fraction_of_bound(0.5)
+            }
+            .run()
         });
         let agg = Aggregate::from_reports(&reports);
         table.row([

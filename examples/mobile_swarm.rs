@@ -14,7 +14,7 @@
 use dynareg::churn::LeaveSelector;
 use dynareg::sim::Span;
 use dynareg::testkit::table::Table;
-use dynareg::testkit::Scenario;
+use dynareg::testkit::{ChurnChoice, ScenarioSpec};
 use dynareg::verify::OpKind;
 
 fn main() {
@@ -34,13 +34,15 @@ fn main() {
         "safety",
     ]);
     for seed in 0..6 {
-        let report = Scenario::synchronous(n, delta)
-            .churn_poisson(0.04) // mean c·n = 1.6 refreshes/tick, bursty
-            .leave_selector(LeaveSelector::NewestFirst)
-            .duration(Span::ticks(500))
-            .reads_per_tick(1.5)
-            .seed(seed)
-            .run();
+        let report = ScenarioSpec {
+            churn: ChurnChoice::Poisson(0.04), // mean c·n = 1.6 refreshes/tick, bursty
+            selector: LeaveSelector::NewestFirst,
+            duration: Span::ticks(500),
+            reads_per_tick: 1.5,
+            seed,
+            ..ScenarioSpec::synchronous(n, delta)
+        }
+        .run();
 
         // Joins cut short: the node left the zone before its join returned.
         let cut_short = report

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use dynareg::sim::Span;
-use dynareg::testkit::Scenario;
+use dynareg::testkit::ScenarioSpec;
 
 fn main() {
     let n = 50;
@@ -18,12 +18,14 @@ fn main() {
     println!("system: n = {n}, δ = {delta}, churn c = ½ · 1/(3δ)");
     println!();
 
-    let report = Scenario::synchronous(n, delta)
-        .churn_fraction_of_bound(0.5) // c = 0.5 · 1/(3δ): inside Theorem 1
-        .duration(Span::ticks(600))
-        .reads_per_tick(2.0)
-        .seed(2009) // ICDCS 2009 — any seed reproduces its exact run
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(600),
+        reads_per_tick: 2.0,
+        seed: 2009, // ICDCS 2009 — any seed reproduces its exact run
+        // c = 0.5 · 1/(3δ): inside Theorem 1
+        ..ScenarioSpec::synchronous(n, delta).churn_fraction_of_bound(0.5)
+    }
+    .run();
 
     println!(
         "churn: {} processes joined, {} left, population constant",

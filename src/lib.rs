@@ -18,20 +18,22 @@
 //! # Quickstart
 //!
 //! ```
-//! use dynareg::testkit::{Scenario, ProtocolChoice};
 //! use dynareg::sim::Span;
+//! use dynareg::testkit::{ProtocolChoice, ScenarioSpec};
 //!
 //! // A small synchronous system: n = 20, δ = 4 ticks, churn at half the
-//! // paper's bound c = 1/(3δ), one writer, readers everywhere.
-//! let report = Scenario::synchronous(20, Span::ticks(4))
-//!     .churn_fraction_of_bound(0.5)
-//!     .duration(Span::ticks(400))
-//!     .seed(1)
-//!     .run();
+//! // paper's bound c = 1/(3δ), one writer, readers everywhere. Every field
+//! // not named here keeps its `ScenarioSpec::new` default.
+//! let spec = ScenarioSpec {
+//!     duration: Span::ticks(400),
+//!     seed: 1,
+//!     ..ScenarioSpec::synchronous(20, Span::ticks(4)).churn_fraction_of_bound(0.5)
+//! };
+//! assert_eq!(spec.protocol, ProtocolChoice::Synchronous);
+//! let report = spec.run();
 //!
 //! assert!(report.safety.is_ok(), "regularity must hold under the bound");
 //! assert_eq!(report.liveness.incomplete_stayer_count(), 0);
-//! # let _ = ProtocolChoice::Synchronous; // re-export smoke-use
 //! ```
 //!
 //! # Building & testing

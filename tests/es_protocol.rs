@@ -2,17 +2,19 @@
 //! Theorems 3 & 4).
 
 use dynareg::sim::{Span, Time};
-use dynareg::testkit::Scenario;
+use dynareg::testkit::ScenarioSpec;
 
 /// Theorems 3 + 4 with GST = 0 (synchronous from the start): safe and live.
 #[test]
 fn regular_and_live_when_synchronous_from_start() {
     for &n in &[9usize, 15, 21] {
-        let report = Scenario::eventually_synchronous(n, Span::ticks(3), Time::ZERO)
-            .churn_fraction_of_bound(0.5)
-            .duration(Span::ticks(400))
-            .seed(n as u64)
-            .run();
+        let report = ScenarioSpec {
+            duration: Span::ticks(400),
+            seed: n as u64,
+            ..ScenarioSpec::eventually_synchronous(n, Span::ticks(3), Time::ZERO)
+                .churn_fraction_of_bound(0.5)
+        }
+        .run();
         assert!(report.safety.is_ok(), "n={n}: {}", report.safety);
         assert!(report.liveness.is_ok(), "n={n}: {}", report.liveness);
     }
@@ -23,12 +25,14 @@ fn regular_and_live_when_synchronous_from_start() {
 #[test]
 fn safety_never_depends_on_gst() {
     for gst in [0u64, 100, 300] {
-        let report = Scenario::eventually_synchronous(15, Span::ticks(3), Time::at(gst))
-            .churn_fraction_of_bound(0.5)
-            .duration(Span::ticks(700))
-            .drain(Span::ticks(250))
-            .seed(2)
-            .run();
+        let report = ScenarioSpec {
+            duration: Span::ticks(700),
+            drain: Some(Span::ticks(250)),
+            seed: 2,
+            ..ScenarioSpec::eventually_synchronous(15, Span::ticks(3), Time::at(gst))
+                .churn_fraction_of_bound(0.5)
+        }
+        .run();
         assert!(report.safety.is_ok(), "gst={gst}: {}", report.safety);
     }
 }
@@ -37,12 +41,14 @@ fn safety_never_depends_on_gst() {
 /// stabilizes (given a generous post-GST drain).
 #[test]
 fn liveness_resumes_after_gst() {
-    let report = Scenario::eventually_synchronous(15, Span::ticks(3), Time::at(200))
-        .churn_fraction_of_bound(0.5)
-        .duration(Span::ticks(700))
-        .drain(Span::ticks(300))
-        .seed(4)
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(700),
+        drain: Some(Span::ticks(300)),
+        seed: 4,
+        ..ScenarioSpec::eventually_synchronous(15, Span::ticks(3), Time::at(200))
+            .churn_fraction_of_bound(0.5)
+    }
+    .run();
     assert!(report.liveness.is_ok(), "{}", report.liveness);
     assert!(report.liveness.completed > 50);
 }
@@ -51,11 +57,13 @@ fn liveness_resumes_after_gst() {
 /// REPLY messages on the wire (contrast with the synchronous protocol).
 #[test]
 fn reads_cost_a_quorum_round() {
-    let report = Scenario::eventually_synchronous(11, Span::ticks(3), Time::ZERO)
-        .duration(Span::ticks(300))
-        .reads_per_tick(1.0)
-        .seed(5)
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(300),
+        reads_per_tick: 1.0,
+        seed: 5,
+        ..ScenarioSpec::eventually_synchronous(11, Span::ticks(3), Time::ZERO)
+    }
+    .run();
     assert!(report.liveness.read_latency.min().unwrap() >= 1);
     let labels: Vec<&str> = report.messages.iter().map(|(l, _)| *l).collect();
     assert!(labels.contains(&"READ"));
@@ -67,11 +75,14 @@ fn reads_cost_a_quorum_round() {
 /// overlap (Lemma 5's termination channel).
 #[test]
 fn dl_prev_flows_between_concurrent_joiners() {
-    let report = Scenario::eventually_synchronous(15, Span::ticks(3), Time::ZERO)
-        .churn_fraction_of_bound(1.0) // more concurrent joins
-        .duration(Span::ticks(500))
-        .seed(6)
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(500),
+        seed: 6,
+        // More concurrent joins.
+        ..ScenarioSpec::eventually_synchronous(15, Span::ticks(3), Time::ZERO)
+            .churn_fraction_of_bound(1.0)
+    }
+    .run();
     let dl_prev = report
         .messages
         .iter()
@@ -85,10 +96,12 @@ fn dl_prev_flows_between_concurrent_joiners() {
 /// quorum rounds: write latency is at least twice the read latency floor.
 #[test]
 fn writes_cost_two_quorum_rounds() {
-    let report = Scenario::eventually_synchronous(11, Span::ticks(3), Time::ZERO)
-        .duration(Span::ticks(400))
-        .seed(7)
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(400),
+        seed: 7,
+        ..ScenarioSpec::eventually_synchronous(11, Span::ticks(3), Time::ZERO)
+    }
+    .run();
     let read_min = report.liveness.read_latency.min().unwrap();
     let write_min = report.liveness.write_latency.min().unwrap();
     assert!(
@@ -101,12 +114,14 @@ fn writes_cost_two_quorum_rounds() {
 /// reads cost two rounds (ABD shape).
 #[test]
 fn atomic_extension_kills_inversions() {
-    let atomic = Scenario::es_atomic(9, Span::ticks(2), Time::ZERO)
-        .duration(Span::ticks(400))
-        .reads_per_tick(3.0)
-        .write_every(Span::ticks(4))
-        .seed(8)
-        .run();
+    let atomic = ScenarioSpec {
+        duration: Span::ticks(400),
+        reads_per_tick: 3.0,
+        write_every: Some(Span::ticks(4)),
+        seed: 8,
+        ..ScenarioSpec::es_atomic(9, Span::ticks(2), Time::ZERO)
+    }
+    .run();
     assert!(atomic.atomicity.is_ok(), "{}", atomic.atomicity);
     assert_eq!(atomic.inversions(), 0);
     assert!(
@@ -125,12 +140,14 @@ fn atomic_extension_kills_inversions() {
 fn regular_registers_admit_inversions_where_atomic_does_not() {
     let mut sync_inversions = 0;
     for seed in 0..10 {
-        let report = Scenario::synchronous(10, Span::ticks(6))
-            .duration(Span::ticks(300))
-            .reads_per_tick(5.0)
-            .write_every(Span::ticks(12))
-            .seed(seed)
-            .run();
+        let report = ScenarioSpec {
+            duration: Span::ticks(300),
+            reads_per_tick: 5.0,
+            write_every: Some(Span::ticks(12)),
+            seed,
+            ..ScenarioSpec::synchronous(10, Span::ticks(6))
+        }
+        .run();
         // Regular semantics must still hold even when inversions occur.
         assert!(report.safety.is_ok(), "seed={seed}: {}", report.safety);
         sync_inversions += report.inversions();
@@ -142,12 +159,14 @@ fn regular_registers_admit_inversions_where_atomic_does_not() {
 
     let mut atomic_inversions = 0;
     for seed in 0..5 {
-        let report = Scenario::es_atomic(10, Span::ticks(6), Time::ZERO)
-            .duration(Span::ticks(300))
-            .reads_per_tick(5.0)
-            .write_every(Span::ticks(12))
-            .seed(seed)
-            .run();
+        let report = ScenarioSpec {
+            duration: Span::ticks(300),
+            reads_per_tick: 5.0,
+            write_every: Some(Span::ticks(12)),
+            seed,
+            ..ScenarioSpec::es_atomic(10, Span::ticks(6), Time::ZERO)
+        }
+        .run();
         atomic_inversions += report.inversions();
     }
     assert_eq!(
@@ -160,11 +179,13 @@ fn regular_registers_admit_inversions_where_atomic_does_not() {
 #[test]
 fn es_same_seed_same_run() {
     let run = |seed| {
-        Scenario::eventually_synchronous(11, Span::ticks(3), Time::at(50))
-            .churn_fraction_of_bound(0.5)
-            .duration(Span::ticks(400))
-            .seed(seed)
-            .run()
+        ScenarioSpec {
+            duration: Span::ticks(400),
+            seed,
+            ..ScenarioSpec::eventually_synchronous(11, Span::ticks(3), Time::at(50))
+                .churn_fraction_of_bound(0.5)
+        }
+        .run()
     };
     let (a, b) = (run(12), run(12));
     assert_eq!(a.total_messages, b.total_messages);

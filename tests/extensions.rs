@@ -6,7 +6,7 @@
 use dynareg::core::es::{EsConfig, EsMsg, EsRegister, Timestamp};
 use dynareg::core::{completions, OpOutcome, RegisterProcess};
 use dynareg::sim::{NodeId, OpId, Span, Time};
-use dynareg::testkit::Scenario;
+use dynareg::testkit::ScenarioSpec;
 
 fn nid(i: u64) -> NodeId {
     NodeId::from_raw(i)
@@ -100,12 +100,14 @@ fn interleaved_multi_writer_rounds_serialize() {
 fn writer_crash_mid_write_is_survivable() {
     let mut clean = 0;
     for seed in 0..6 {
-        let report = Scenario::synchronous(20, Span::ticks(4))
-            .migrating_writer() // writers are evictable (after their write returns)
-            .churn_fraction_of_bound(0.8)
-            .duration(Span::ticks(400))
-            .seed(seed)
-            .run();
+        let report = ScenarioSpec {
+            migrating_writer: true,
+            writer_churns: true, // writers are evictable (after their write returns)
+            duration: Span::ticks(400),
+            seed,
+            ..ScenarioSpec::synchronous(20, Span::ticks(4)).churn_fraction_of_bound(0.8)
+        }
+        .run();
         assert!(report.safety.is_ok(), "seed={seed}: {}", report.safety);
         clean += 1;
     }
@@ -132,12 +134,13 @@ fn timestamp_algebra() {
 /// while members come and go.
 #[test]
 fn atomic_extension_survives_churn() {
-    let report = Scenario::es_atomic(11, Span::ticks(3), Time::ZERO)
-        .churn_fraction_of_bound(0.5)
-        .duration(Span::ticks(500))
-        .reads_per_tick(2.0)
-        .seed(13)
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(500),
+        reads_per_tick: 2.0,
+        seed: 13,
+        ..ScenarioSpec::es_atomic(11, Span::ticks(3), Time::ZERO).churn_fraction_of_bound(0.5)
+    }
+    .run();
     assert!(report.atomicity.is_ok(), "{}", report.atomicity);
     assert_eq!(report.inversions(), 0);
     assert!(report.presence.total_arrivals() > 11, "churn actually ran");

@@ -8,7 +8,7 @@
 //! the paper under unbounded delays and watch each fail on its own side.
 
 use dynareg::sim::{Span, Time};
-use dynareg::testkit::Scenario;
+use dynareg::testkit::ScenarioSpec;
 
 /// Safety face: the synchronous protocol configured for bound `δ̂` but run
 /// over heavy-tailed delays (up to 8·δ̂) serves stale or ⊥ values — its
@@ -17,12 +17,14 @@ use dynareg::testkit::Scenario;
 fn timeout_protocol_loses_safety_under_async_delays() {
     let mut total_violations = 0;
     for seed in 0..10 {
-        let report = Scenario::synchronous_over_async(15, Span::ticks(3), 8)
-            .churn_fraction_of_bound(0.8)
-            .duration(Span::ticks(400))
-            .reads_per_tick(2.0)
-            .seed(seed)
-            .run();
+        let report = ScenarioSpec {
+            duration: Span::ticks(400),
+            reads_per_tick: 2.0,
+            seed,
+            ..ScenarioSpec::synchronous_over_async(15, Span::ticks(3), 8)
+                .churn_fraction_of_bound(0.8)
+        }
+        .run();
         total_violations += report.safety.violation_count();
     }
     assert!(
@@ -36,12 +38,13 @@ fn timeout_protocol_loses_safety_under_async_delays() {
 #[test]
 fn control_run_on_synchronous_network_is_clean() {
     for seed in 0..10 {
-        let report = Scenario::synchronous(15, Span::ticks(3))
-            .churn_fraction_of_bound(0.8)
-            .duration(Span::ticks(400))
-            .reads_per_tick(2.0)
-            .seed(seed)
-            .run();
+        let report = ScenarioSpec {
+            duration: Span::ticks(400),
+            reads_per_tick: 2.0,
+            seed,
+            ..ScenarioSpec::synchronous(15, Span::ticks(3)).churn_fraction_of_bound(0.8)
+        }
+        .run();
         assert!(report.safety.is_ok(), "seed={seed}: {}", report.safety);
     }
 }
@@ -56,18 +59,19 @@ fn quorum_protocol_loses_liveness_under_async_starvation() {
     use dynareg::sim::NodeId;
 
     let victim = NodeId::from_raw(0); // churn-protected: stays forever
-    let report = Scenario::es_over_async(15, Span::ticks(3), 10)
-        .churn_fraction_of_bound(1.0)
-        .duration(Span::ticks(600))
-        .drain(Span::ticks(200))
-        .faults(FaultPlan::none().with(DelayFault::starve_recipient(
+    let report = ScenarioSpec {
+        duration: Span::ticks(600),
+        drain: Some(Span::ticks(200)),
+        faults: Some(FaultPlan::none().with(DelayFault::starve_recipient(
             victim,
             Time::ZERO,
             Time::MAX,
             Span::ticks(1_000_000),
-        )))
-        .seed(3)
-        .run();
+        ))),
+        seed: 3,
+        ..ScenarioSpec::es_over_async(15, Span::ticks(3), 10).churn_fraction_of_bound(1.0)
+    }
+    .run();
     // Safety still holds — quorums cannot be wrong, only late…
     assert!(report.safety.is_ok(), "{}", report.safety);
     // …but the starved victim's operation never completes.
@@ -88,12 +92,13 @@ fn quorum_protocol_loses_liveness_under_async_starvation() {
 /// terminating (slowly). The impossibility needs the adversary.
 #[test]
 fn stochastic_asynchrony_alone_is_survivable() {
-    let report = Scenario::es_over_async(15, Span::ticks(3), 10)
-        .churn_fraction_of_bound(1.0)
-        .duration(Span::ticks(600))
-        .drain(Span::ticks(200))
-        .seed(3)
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(600),
+        drain: Some(Span::ticks(200)),
+        seed: 3,
+        ..ScenarioSpec::es_over_async(15, Span::ticks(3), 10).churn_fraction_of_bound(1.0)
+    }
+    .run();
     assert!(report.safety.is_ok(), "{}", report.safety);
     assert!(report.liveness.is_ok(), "{}", report.liveness);
 }
@@ -101,12 +106,14 @@ fn stochastic_asynchrony_alone_is_survivable() {
 /// The ES protocol's control run: same churn, synchronous network ⇒ live.
 #[test]
 fn quorum_control_run_is_live() {
-    let report = Scenario::eventually_synchronous(15, Span::ticks(3), Time::ZERO)
-        .churn_fraction_of_bound(0.5)
-        .duration(Span::ticks(500))
-        .reads_per_tick(1.0)
-        .seed(3)
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(500),
+        reads_per_tick: 1.0,
+        seed: 3,
+        ..ScenarioSpec::eventually_synchronous(15, Span::ticks(3), Time::ZERO)
+            .churn_fraction_of_bound(0.5)
+    }
+    .run();
     assert!(report.liveness.is_ok(), "{}", report.liveness);
 }
 
@@ -119,14 +126,16 @@ fn no_finite_bound_is_enough() {
     let violations_at = |cap: u64| -> usize {
         (0..8)
             .map(|seed| {
-                Scenario::synchronous_over_async(15, Span::ticks(3), cap)
-                    .churn_fraction_of_bound(0.8)
-                    .duration(Span::ticks(400))
-                    .reads_per_tick(2.0)
-                    .seed(seed)
-                    .run()
-                    .safety
-                    .violation_count()
+                ScenarioSpec {
+                    duration: Span::ticks(400),
+                    reads_per_tick: 2.0,
+                    seed,
+                    ..ScenarioSpec::synchronous_over_async(15, Span::ticks(3), cap)
+                        .churn_fraction_of_bound(0.8)
+                }
+                .run()
+                .safety
+                .violation_count()
             })
             .sum()
     };

@@ -4,7 +4,7 @@
 
 use dynareg::churn::{analysis, LeaveSelector};
 use dynareg::sim::{Span, Time};
-use dynareg::testkit::Scenario;
+use dynareg::testkit::{NetClass, ScenarioSpec};
 
 fn measured_window_min(
     c_fraction: f64,
@@ -14,14 +14,16 @@ fn measured_window_min(
     seed: u64,
 ) -> (usize, f64) {
     let delta = Span::ticks(delta);
-    let report = Scenario::synchronous(n, delta)
-        .worst_case_delays()
-        .migrating_writer()
-        .churn_fraction_of_bound(c_fraction)
-        .leave_selector(selector)
-        .duration(Span::ticks(400))
-        .seed(seed)
-        .run();
+    let report = ScenarioSpec {
+        net: NetClass::SynchronousWorstCase,
+        migrating_writer: true,
+        writer_churns: true,
+        selector,
+        duration: Span::ticks(400),
+        seed,
+        ..ScenarioSpec::synchronous(n, delta).churn_fraction_of_bound(c_fraction)
+    }
+    .run();
     let window = delta.times(3);
     // Skip the warmup (bootstrap is all-active) and the drain (churn quiet):
     // measure the steady interval.
@@ -63,14 +65,16 @@ fn paper_bound_holds_at_the_origin() {
     for fraction in [0.25, 0.5, 0.75] {
         for seed in 0..3 {
             let delta = Span::ticks(4);
-            let report = Scenario::synchronous(30, delta)
-                .worst_case_delays()
-                .migrating_writer()
-                .churn_fraction_of_bound(fraction)
-                .leave_selector(LeaveSelector::ActiveFirst)
-                .duration(Span::ticks(100))
-                .seed(seed)
-                .run();
+            let report = ScenarioSpec {
+                net: NetClass::SynchronousWorstCase,
+                migrating_writer: true,
+                writer_churns: true,
+                selector: LeaveSelector::ActiveFirst,
+                duration: Span::ticks(100),
+                seed,
+                ..ScenarioSpec::synchronous(30, delta).churn_fraction_of_bound(fraction)
+            }
+            .run();
             let at_origin = report
                 .presence
                 .active_count_throughout(Time::ZERO, Time::ZERO + delta.times(3));
@@ -122,11 +126,12 @@ fn threshold_formulas() {
 /// exact, fractional accumulation included).
 #[test]
 fn realized_churn_matches_nominal() {
-    let report = Scenario::synchronous(30, Span::ticks(4))
-        .churn_fraction_of_bound(0.7)
-        .duration(Span::ticks(400))
-        .seed(9)
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(400),
+        seed: 9,
+        ..ScenarioSpec::synchronous(30, Span::ticks(4)).churn_fraction_of_bound(0.7)
+    }
+    .run();
     let realized = analysis::realized_churn_rate(&report.presence, 30, Time::at(1), Time::at(300));
     let nominal = report.churn_rate;
     assert!(

@@ -4,7 +4,7 @@
 
 use dynareg::churn::LeaveSelector;
 use dynareg::sim::{NodeId, OpId, Span, Time};
-use dynareg::testkit::Scenario;
+use dynareg::testkit::{ChurnChoice, ScenarioSpec};
 use dynareg::verify::{History, RegularityChecker, SafeChecker};
 use proptest::prelude::*;
 
@@ -20,11 +20,12 @@ proptest! {
         frac in 0.1f64..0.8,
         seed in 0u64..1_000_000,
     ) {
-        let report = Scenario::synchronous(n, Span::ticks(delta))
-            .churn_fraction_of_bound(frac)
-            .duration(Span::ticks(200))
-            .seed(seed)
-            .run();
+        let report = ScenarioSpec {
+            duration: Span::ticks(200),
+            seed,
+            ..ScenarioSpec::synchronous(n, Span::ticks(delta)).churn_fraction_of_bound(frac)
+        }
+        .run();
         prop_assert!(report.safety.is_ok(), "{}", report.safety);
         prop_assert!(report.liveness.is_ok(), "{}", report.liveness);
     }
@@ -38,11 +39,13 @@ proptest! {
         gst in 0u64..300,
         seed in 0u64..1_000_000,
     ) {
-        let report = Scenario::eventually_synchronous(n, Span::ticks(3), Time::at(gst))
-            .churn_fraction_of_bound(0.5)
-            .duration(Span::ticks(350))
-            .seed(seed)
-            .run();
+        let base = ScenarioSpec::eventually_synchronous(n, Span::ticks(3), Time::at(gst));
+        let report = ScenarioSpec {
+            duration: Span::ticks(350),
+            seed,
+            ..base.churn_fraction_of_bound(0.5)
+        }
+        .run();
         prop_assert!(report.safety.is_ok(), "{}", report.safety);
     }
 
@@ -60,12 +63,14 @@ proptest! {
         ]),
         seed in 0u64..1_000_000,
     ) {
-        let report = Scenario::synchronous(n, Span::ticks(3))
-            .churn_rate(c)
-            .leave_selector(sel)
-            .duration(Span::ticks(150))
-            .seed(seed)
-            .run();
+        let report = ScenarioSpec {
+            churn: ChurnChoice::Constant(c),
+            selector: sel,
+            duration: Span::ticks(150),
+            seed,
+            ..ScenarioSpec::synchronous(n, Span::ticks(3))
+        }
+        .run();
         let gauge = report.metrics.histogram("gauge.present").unwrap();
         prop_assert_eq!(gauge.min(), Some(n as u64));
         prop_assert_eq!(gauge.max(), Some(n as u64));
@@ -79,11 +84,12 @@ proptest! {
         frac in 0.0f64..1.0,
         seed in 0u64..1_000_000,
     ) {
-        let go = || Scenario::synchronous(n, Span::ticks(3))
-            .churn_fraction_of_bound(frac)
-            .duration(Span::ticks(120))
-            .seed(seed)
-            .run();
+        let go = || ScenarioSpec {
+            duration: Span::ticks(120),
+            seed,
+            ..ScenarioSpec::synchronous(n, Span::ticks(3)).churn_fraction_of_bound(frac)
+        }
+        .run();
         let (a, b) = (go(), go());
         prop_assert_eq!(a.total_messages, b.total_messages);
         prop_assert_eq!(a.messages, b.messages);
@@ -150,11 +156,12 @@ proptest! {
 /// scripted-arrival ids (documented contract of `World::schedule_join`).
 #[test]
 fn scripted_arrival_ids_are_distinct_from_churn_ids() {
-    let report = Scenario::synchronous(20, Span::ticks(3))
-        .churn_fraction_of_bound(1.0)
-        .duration(Span::ticks(500))
-        .seed(0)
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(500),
+        seed: 0,
+        ..ScenarioSpec::synchronous(20, Span::ticks(3)).churn_fraction_of_bound(1.0)
+    }
+    .run();
     // Churn arrivals stay far below the 1_000_000 scripted-id base.
     let max_id = report
         .presence

@@ -1,19 +1,20 @@
 //! Smoke test for the facade's documented quickstart path: the
-//! `Scenario::synchronous(…).run()` example from `dynareg`'s crate docs
+//! `ScenarioSpec { …, ..ScenarioSpec::synchronous(…) }.run()` example from `dynareg`'s crate docs
 //! must succeed, and — because every stochastic choice flows through the
 //! seeded [`dynareg::sim::DetRng`] — two runs with the same seed must be
 //! bit-identical in every reported quantity.
 
 use dynareg::sim::Span;
-use dynareg::testkit::Scenario;
+use dynareg::testkit::ScenarioSpec;
 
 fn quickstart() -> dynareg::testkit::RunReport {
     // Keep in lockstep with the doc example in src/lib.rs.
-    Scenario::synchronous(20, Span::ticks(4))
-        .churn_fraction_of_bound(0.5)
-        .duration(Span::ticks(400))
-        .seed(1)
-        .run()
+    ScenarioSpec {
+        duration: Span::ticks(400),
+        seed: 1,
+        ..ScenarioSpec::synchronous(20, Span::ticks(4)).churn_fraction_of_bound(0.5)
+    }
+    .run()
 }
 
 /// The crate-docs example holds: regular and live under half the bound.
@@ -46,11 +47,12 @@ fn quickstart_is_deterministic_across_runs() {
 #[test]
 fn quickstart_seed_matters() {
     let a = quickstart();
-    let c = Scenario::synchronous(20, Span::ticks(4))
-        .churn_fraction_of_bound(0.5)
-        .duration(Span::ticks(400))
-        .seed(2)
-        .run();
+    let c = ScenarioSpec {
+        duration: Span::ticks(400),
+        seed: 2,
+        ..ScenarioSpec::synchronous(20, Span::ticks(4)).churn_fraction_of_bound(0.5)
+    }
+    .run();
     assert_ne!(
         (a.total_messages, a.liveness.completed),
         (c.total_messages, c.liveness.completed),

@@ -7,7 +7,7 @@
 //! per responder.
 
 use dynareg::sim::{RegisterId, Span};
-use dynareg::testkit::{OpAction, Scenario};
+use dynareg::testkit::{ChurnChoice, OpAction, ScenarioSpec};
 use dynareg::verify::SpaceReport;
 
 /// 256 keys × 1000 nodes under churn: every key's register is regular and
@@ -16,14 +16,16 @@ use dynareg::verify::SpaceReport;
 /// heavy version.)
 #[test]
 fn zipf_256_keys_on_a_churning_1000_node_world_is_regular_per_key() {
-    let report = Scenario::synchronous(1000, Span::ticks(3))
-        .keys(256)
-        .zipf(1.0)
-        .churn_rate(0.0004) // ≈ 0.4 joins/tick in absolute terms
-        .reads_per_tick(6.0)
-        .duration(Span::ticks(90))
-        .seed(0xBA1D)
-        .run();
+    let report = ScenarioSpec {
+        keys: 256,
+        zipf_exponent: 1.0,
+        churn: ChurnChoice::Constant(0.0004), // ≈ 0.4 joins/tick in absolute terms
+        reads_per_tick: 6.0,
+        duration: Span::ticks(90),
+        seed: 0xBA1D,
+        ..ScenarioSpec::synchronous(1000, Span::ticks(3))
+    }
+    .run();
     assert_eq!(report.keys, 256);
     assert_eq!(report.extra_keys.len(), 255);
     assert!(
@@ -56,14 +58,16 @@ fn zipf_256_keys_on_a_churning_1000_node_world_is_regular_per_key() {
 #[test]
 fn shared_join_handshake_keeps_message_count_key_independent() {
     let run = |keys: u32| {
-        Scenario::synchronous(30, Span::ticks(3))
-            .keys(keys)
-            .churn_rate(0.01)
-            .reads_per_tick(0.0)
-            .write_every(Span::ticks(1_000_000)) // joins only: isolate the handshake
-            .duration(Span::ticks(120))
-            .seed(7)
-            .run()
+        ScenarioSpec {
+            keys,
+            churn: ChurnChoice::Constant(0.01),
+            reads_per_tick: 0.0,
+            write_every: Some(Span::ticks(1_000_000)), // joins only: isolate the handshake
+            duration: Span::ticks(120),
+            seed: 7,
+            ..ScenarioSpec::synchronous(30, Span::ticks(3))
+        }
+        .run()
     };
     let one = run(1);
     let sixteen = run(16);
@@ -169,14 +173,16 @@ fn keyed_scripted_invocations_land_on_their_registers() {
 #[test]
 fn keyed_es_space_is_regular_per_key() {
     use dynareg::sim::Time;
-    let report = Scenario::eventually_synchronous(11, Span::ticks(3), Time::ZERO)
-        .keys(8)
-        .zipf(0.8)
-        .churn_fraction_of_bound(0.5)
-        .reads_per_tick(2.0)
-        .duration(Span::ticks(400))
-        .seed(2)
-        .run();
+    let report = ScenarioSpec {
+        keys: 8,
+        zipf_exponent: 0.8,
+        reads_per_tick: 2.0,
+        duration: Span::ticks(400),
+        seed: 2,
+        ..ScenarioSpec::eventually_synchronous(11, Span::ticks(3), Time::ZERO)
+            .churn_fraction_of_bound(0.5)
+    }
+    .run();
     assert_eq!(report.keys, 8);
     assert!(report.all_keys_safe(), "{}", report.summary());
     assert!(report.all_keys_live(), "{}", report.summary());

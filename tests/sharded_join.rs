@@ -12,8 +12,8 @@ use dynareg::churn::{ChurnDriver, LeaveSelector, NoChurn};
 use dynareg::net::delay::{Asynchronous, EventuallySynchronous, Synchronous};
 use dynareg::sim::{IdSource, NodeId, RegisterId, Span, Time};
 use dynareg::testkit::{
-    shard_of_node, EsFactory, OpAction, RateWorkload, Scenario, ShardConfig, SpaceOf, SyncFactory,
-    World, WorldConfig, WriterPolicy,
+    shard_of_node, ChurnChoice, EsFactory, OpAction, RateWorkload, ScenarioSpec, ShardConfig,
+    SpaceOf, SyncFactory, World, WorldConfig, WriterPolicy,
 };
 use dynareg::verify::{OpKind, SpaceReport};
 use dynareg_core::es::EsConfig;
@@ -214,15 +214,17 @@ fn es_sharded_join_starved_pre_gst_completes_after_gst() {
 /// inquiry, one — smaller — reply per responder).
 #[test]
 fn sharded_scenarios_under_churn_stay_green_per_key() {
-    let report = Scenario::synchronous(60, Span::ticks(3))
-        .keys(16)
-        .join_shards(4)
-        .zipf(1.0)
-        .churn_rate(0.005)
-        .reads_per_tick(2.0)
-        .duration(Span::ticks(180))
-        .seed(0xBA1D)
-        .run();
+    let report = ScenarioSpec {
+        keys: 16,
+        shards: 4,
+        zipf_exponent: 1.0,
+        churn: ChurnChoice::Constant(0.005),
+        reads_per_tick: 2.0,
+        duration: Span::ticks(180),
+        seed: 0xBA1D,
+        ..ScenarioSpec::synchronous(60, Span::ticks(3))
+    }
+    .run();
     assert_eq!(report.keys, 16);
     assert_eq!(report.shards, 4);
     assert!(report.presence.total_arrivals() > 60, "churn ran");
@@ -257,15 +259,17 @@ fn sharded_scenarios_under_churn_stay_green_per_key() {
 /// churn (quorum-per-shard joins, majority reads).
 #[test]
 fn sharded_es_scenario_under_churn_stays_green_per_key() {
-    let report = Scenario::eventually_synchronous(12, Span::ticks(3), Time::ZERO)
-        .keys(8)
-        .join_shards(2)
-        .zipf(0.8)
-        .churn_fraction_of_bound(0.5)
-        .reads_per_tick(1.5)
-        .duration(Span::ticks(360))
-        .seed(7)
-        .run();
+    let report = ScenarioSpec {
+        keys: 8,
+        shards: 2,
+        zipf_exponent: 0.8,
+        reads_per_tick: 1.5,
+        duration: Span::ticks(360),
+        seed: 7,
+        ..ScenarioSpec::eventually_synchronous(12, Span::ticks(3), Time::ZERO)
+            .churn_fraction_of_bound(0.5)
+    }
+    .run();
     assert_eq!(report.shards, 2);
     assert!(report.all_keys_safe(), "{}", report.summary());
     assert!(report.all_keys_live(), "{}", report.summary());
@@ -320,15 +324,17 @@ fn sharded_reply_payload_is_k_over_g_on_the_wire() {
 #[test]
 fn sharded_replies_shrink_payload_not_message_count() {
     let run = |shards: u32| {
-        Scenario::synchronous(30, Span::ticks(3))
-            .keys(16)
-            .join_shards(shards)
-            .churn_rate(0.01)
-            .reads_per_tick(0.0)
-            .write_every(Span::ticks(1_000_000)) // joins only
-            .duration(Span::ticks(120))
-            .seed(7)
-            .run()
+        ScenarioSpec {
+            keys: 16,
+            shards,
+            churn: ChurnChoice::Constant(0.01),
+            reads_per_tick: 0.0,
+            write_every: Some(Span::ticks(1_000_000)), // joins only
+            duration: Span::ticks(120),
+            seed: 7,
+            ..ScenarioSpec::synchronous(30, Span::ticks(3))
+        }
+        .run()
     };
     let full = run(1);
     let sharded = run(4);

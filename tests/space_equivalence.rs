@@ -13,7 +13,7 @@ use dynareg::churn::LeaveSelector;
 use dynareg::fleet::run_digest;
 use dynareg::net::{DropRule, FaultPlan};
 use dynareg::sim::{Span, Time};
-use dynareg::testkit::{RunReport, Scenario};
+use dynareg::testkit::{ChurnChoice, RunReport, ScenarioSpec};
 use proptest::prelude::*;
 
 /// Full observable equality, not just the digest: histories render
@@ -68,17 +68,20 @@ proptest! {
         churn_plan in 0usize..3,
         seed in 0u64..1_000_000,
     ) {
-        let base = Scenario::synchronous(n, Span::ticks(delta))
-            .duration(Span::ticks(180))
-            .seed(seed);
-        let base = match churn_plan {
+        let base = ScenarioSpec {
+            duration: Span::ticks(180),
+            seed,
+            ..ScenarioSpec::synchronous(n, Span::ticks(delta))
+        };
+        let spec = match churn_plan {
             0 => base,                                    // static membership
             1 => base.churn_fraction_of_bound(0.5),       // the paper's model
-            _ => base
-                .churn_poisson(0.01)
-                .leave_selector(LeaveSelector::ActiveFirst), // bursty adversary
+            _ => ScenarioSpec {
+                churn: ChurnChoice::Poisson(0.01),
+                selector: LeaveSelector::ActiveFirst,
+                ..base
+            }, // bursty adversary
         };
-        let spec = base.into_spec();
         assert_equivalent(&spec.run(), &spec.run_spaced());
     }
 
@@ -91,11 +94,12 @@ proptest! {
         churn in 0usize..2,
         seed in 0u64..1_000_000,
     ) {
-        let base = Scenario::eventually_synchronous(n, Span::ticks(3), Time::at(gst))
-            .duration(Span::ticks(300))
-            .seed(seed);
-        let base = if churn == 0 { base } else { base.churn_fraction_of_bound(0.5) };
-        let spec = base.into_spec();
+        let base = ScenarioSpec {
+            duration: Span::ticks(300),
+            seed,
+            ..ScenarioSpec::eventually_synchronous(n, Span::ticks(3), Time::at(gst))
+        };
+        let spec = if churn == 0 { base } else { base.churn_fraction_of_bound(0.5) };
         assert_equivalent(&spec.run(), &spec.run_spaced());
     }
 }
@@ -110,20 +114,23 @@ fn one_key_lossy_space_equals_legacy_world_through_retransmits() {
     let delta = Span::ticks(4);
     // Sync intercepts only an expiry that gathered *zero* replies, so its
     // window is near-total; ES re-fires on any silent beat.
-    let sync = (Scenario::synchronous(15, delta), 0.9);
-    let es = (Scenario::eventually_synchronous(15, delta, Time::ZERO), 0.4);
+    let sync = (ScenarioSpec::synchronous(15, delta), 0.9);
+    let es = (
+        ScenarioSpec::eventually_synchronous(15, delta, Time::ZERO),
+        0.4,
+    );
     for (base, loss) in [sync, es] {
         let mut retransmits = 0;
         for seed in 0..4 {
             let window = DropRule::lossy_everything(Time::ZERO, Time::at(180), loss);
-            let spec = base
-                .clone()
-                .churn_rate(0.005)
-                .duration(Span::ticks(400))
-                .drain(Span::ticks(150))
-                .seed(seed)
-                .faults(FaultPlan::default().with_drop(window))
-                .into_spec();
+            let spec = ScenarioSpec {
+                churn: ChurnChoice::Constant(0.005),
+                duration: Span::ticks(400),
+                drain: Some(Span::ticks(150)),
+                seed,
+                faults: Some(FaultPlan::default().with_drop(window)),
+                ..base.clone()
+            };
             let (solo, spaced) = (spec.run(), spec.run_spaced());
             assert_eq!(solo.join_retransmits(), spaced.join_retransmits());
             assert_equivalent(&solo, &spaced);
@@ -201,7 +208,7 @@ mod multi_writer {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// Explicitly requesting one writer must not perturb a single
-        /// event: the digest pins `writers(1) ≡ default` across seeds and
+        /// event: the digest pins `writers = 1 ≡ default` across seeds and
         /// churn plans (CI additionally `cmp`s the bench digests).
         #[test]
         fn one_writer_request_is_digest_identical_to_default(
@@ -210,19 +217,18 @@ mod multi_writer {
             churn_plan in 0usize..3,
             seed in 0u64..1_000_000,
         ) {
-            let base = || {
-                let b = Scenario::synchronous(n, Span::ticks(delta))
-                    .duration(Span::ticks(160))
-                    .seed(seed);
-                match churn_plan {
-                    0 => b,
-                    1 => b.churn_fraction_of_bound(0.5),
-                    _ => b.churn_poisson(0.01),
-                }
+            let b = ScenarioSpec {
+                duration: Span::ticks(160),
+                seed,
+                ..ScenarioSpec::synchronous(n, Span::ticks(delta))
             };
-            let default = base().into_spec().run();
-            let pinned = base().writers(1).into_spec().run();
-            prop_assert_eq!(run_digest(&default), run_digest(&pinned));
+            let default = match churn_plan {
+                0 => b,
+                1 => b.churn_fraction_of_bound(0.5),
+                _ => ScenarioSpec { churn: ChurnChoice::Poisson(0.01), ..b },
+            };
+            let pinned = ScenarioSpec { writers: 1, ..default.clone() };
+            prop_assert_eq!(run_digest(&default.run()), run_digest(&pinned.run()));
         }
 
         /// N concurrent ES writers on one key: regularity holds under the
@@ -234,19 +240,21 @@ mod multi_writer {
             churn_plan in 0usize..3,
             seed in 0u64..1_000_000,
         ) {
-            let base = Scenario::eventually_synchronous(10, Span::ticks(3), Time::ZERO)
-                .duration(Span::ticks(320))
-                .reads_per_tick(2.0)
-                .write_every(Span::ticks(4))
-                .quiesce_writes(Span::ticks(40))
-                .writers(writers)
-                .seed(seed);
-            let base = match churn_plan {
+            let base = ScenarioSpec {
+                duration: Span::ticks(320),
+                reads_per_tick: 2.0,
+                write_every: Some(Span::ticks(4)),
+                write_quiesce: Some(Span::ticks(40)),
+                writers,
+                seed,
+                ..ScenarioSpec::eventually_synchronous(10, Span::ticks(3), Time::ZERO)
+            };
+            let spec = match churn_plan {
                 0 => base,
                 1 => base.churn_fraction_of_bound(0.4),
-                _ => base.churn_poisson(0.005),
+                _ => ScenarioSpec { churn: ChurnChoice::Poisson(0.005), ..base },
             };
-            let report = base.into_spec().run();
+            let report = spec.run();
             if churn_plan == 0 {
                 // Static membership: the whole roster is present, so the
                 // drive really is multi-writer.
@@ -274,16 +282,17 @@ mod multi_writer {
         let mut exercised = 0;
         for writers in 2usize..5 {
             for seed in 0..6u64 {
-                let report = Scenario::eventually_synchronous(10, Span::ticks(3), Time::ZERO)
-                    .duration(Span::ticks(320))
-                    .reads_per_tick(2.0)
-                    .write_every(Span::ticks(4))
-                    .quiesce_writes(Span::ticks(40))
-                    .writers(writers)
-                    .churn_fraction_of_bound(0.4)
-                    .seed(seed)
-                    .into_spec()
-                    .run();
+                let report = ScenarioSpec {
+                    duration: Span::ticks(320),
+                    reads_per_tick: 2.0,
+                    write_every: Some(Span::ticks(4)),
+                    write_quiesce: Some(Span::ticks(40)),
+                    writers,
+                    seed,
+                    ..ScenarioSpec::eventually_synchronous(10, Span::ticks(3), Time::ZERO)
+                        .churn_fraction_of_bound(0.4)
+                }
+                .run();
                 match assert_converged(&report) {
                     Ok(true) => exercised += 1,
                     Ok(false) => {}
@@ -303,11 +312,12 @@ mod multi_writer {
 #[test]
 fn one_key_atomic_space_equals_legacy_world() {
     for seed in 0..4 {
-        let spec = Scenario::es_atomic(9, Span::ticks(2), Time::ZERO)
-            .duration(Span::ticks(250))
-            .reads_per_tick(2.0)
-            .seed(seed)
-            .into_spec();
+        let spec = ScenarioSpec {
+            duration: Span::ticks(250),
+            reads_per_tick: 2.0,
+            seed,
+            ..ScenarioSpec::es_atomic(9, Span::ticks(2), Time::ZERO)
+        };
         assert_equivalent(&spec.run(), &spec.run_spaced());
     }
 }
@@ -317,11 +327,12 @@ fn one_key_atomic_space_equals_legacy_world() {
 #[test]
 fn one_key_nowait_space_equals_legacy_world() {
     for seed in 0..4 {
-        let spec = Scenario::synchronous_without_join_wait(10, Span::ticks(3))
-            .churn_fraction_of_bound(0.4)
-            .duration(Span::ticks(200))
-            .seed(seed)
-            .into_spec();
+        let spec = ScenarioSpec {
+            duration: Span::ticks(200),
+            seed,
+            ..ScenarioSpec::synchronous_without_join_wait(10, Span::ticks(3))
+                .churn_fraction_of_bound(0.4)
+        };
         assert_equivalent(&spec.run(), &spec.run_spaced());
     }
 }

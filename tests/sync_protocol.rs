@@ -2,7 +2,7 @@
 
 use dynareg::churn::LeaveSelector;
 use dynareg::sim::Span;
-use dynareg::testkit::Scenario;
+use dynareg::testkit::{NetClass, ScenarioSpec};
 
 /// Theorem 1: under `c ≤ 1/(3δ)` the protocol implements a regular
 /// register — across deltas, sizes and seeds.
@@ -10,12 +10,13 @@ use dynareg::testkit::Scenario;
 fn regular_and_live_under_the_bound() {
     for &(n, delta) in &[(10usize, 2u64), (25, 4), (40, 6)] {
         for seed in 0..3 {
-            let report = Scenario::synchronous(n, Span::ticks(delta))
-                .churn_fraction_of_bound(0.5)
-                .duration(Span::ticks(300))
-                .reads_per_tick(1.5)
-                .seed(seed)
-                .run();
+            let report = ScenarioSpec {
+                duration: Span::ticks(300),
+                reads_per_tick: 1.5,
+                seed,
+                ..ScenarioSpec::synchronous(n, Span::ticks(delta)).churn_fraction_of_bound(0.5)
+            }
+            .run();
             assert!(
                 report.safety.is_ok(),
                 "n={n} δ={delta} seed={seed}: {}",
@@ -34,12 +35,13 @@ fn regular_and_live_under_the_bound() {
 /// label never appears on the wire.
 #[test]
 fn reads_are_free() {
-    let report = Scenario::synchronous(20, Span::ticks(4))
-        .churn_fraction_of_bound(0.5)
-        .duration(Span::ticks(300))
-        .reads_per_tick(3.0)
-        .seed(7)
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(300),
+        reads_per_tick: 3.0,
+        seed: 7,
+        ..ScenarioSpec::synchronous(20, Span::ticks(4)).churn_fraction_of_bound(0.5)
+    }
+    .run();
     assert!(report.reads_checked() > 100);
     assert_eq!(report.liveness.read_latency.max(), Some(0));
     assert!(report.messages.iter().all(|(label, _)| *label != "READ"));
@@ -51,11 +53,12 @@ fn reads_are_free() {
 #[test]
 fn operation_latencies_match_figure_1_and_2() {
     let delta = 5u64;
-    let report = Scenario::synchronous(20, Span::ticks(delta))
-        .churn_fraction_of_bound(0.5)
-        .duration(Span::ticks(400))
-        .seed(3)
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(400),
+        seed: 3,
+        ..ScenarioSpec::synchronous(20, Span::ticks(delta)).churn_fraction_of_bound(0.5)
+    }
+    .run();
     let w = &report.liveness.write_latency;
     assert_eq!((w.min(), w.max()), (Some(delta), Some(delta)));
     let joins = &report.liveness.join_latency;
@@ -81,11 +84,12 @@ fn operation_latencies_match_figure_1_and_2() {
 #[test]
 fn population_is_constant_with_real_turnover() {
     let n = 24;
-    let report = Scenario::synchronous(n, Span::ticks(3))
-        .churn_fraction_of_bound(0.8)
-        .duration(Span::ticks(500))
-        .seed(5)
-        .run();
+    let report = ScenarioSpec {
+        duration: Span::ticks(500),
+        seed: 5,
+        ..ScenarioSpec::synchronous(n, Span::ticks(3)).churn_fraction_of_bound(0.8)
+    }
+    .run();
     let present = report.metrics.histogram("gauge.present").unwrap();
     assert_eq!(present.min(), Some(n as u64));
     assert_eq!(present.max(), Some(n as u64));
@@ -104,14 +108,16 @@ fn adversarial_selectors_below_bound_are_safe() {
         LeaveSelector::NewestFirst,
         LeaveSelector::ActiveFirst,
     ] {
-        let report = Scenario::synchronous(20, Span::ticks(4))
-            .worst_case_delays()
-            .migrating_writer()
-            .churn_fraction_of_bound(0.75)
-            .leave_selector(selector)
-            .duration(Span::ticks(400))
-            .seed(11)
-            .run();
+        let report = ScenarioSpec {
+            net: NetClass::SynchronousWorstCase,
+            migrating_writer: true,
+            writer_churns: true,
+            selector,
+            duration: Span::ticks(400),
+            seed: 11,
+            ..ScenarioSpec::synchronous(20, Span::ticks(4)).churn_fraction_of_bound(0.75)
+        }
+        .run();
         assert!(
             report.safety.is_ok(),
             "selector {selector:?}: {}",
@@ -125,22 +131,26 @@ fn adversarial_selectors_below_bound_are_safe() {
 /// the join pipeline swallows the system.
 #[test]
 fn beyond_bound_availability_collapses() {
-    let below = Scenario::synchronous(30, Span::ticks(4))
-        .worst_case_delays()
-        .migrating_writer()
-        .churn_fraction_of_bound(0.5)
-        .leave_selector(LeaveSelector::ActiveFirst)
-        .duration(Span::ticks(400))
-        .seed(1)
-        .run();
-    let above = Scenario::synchronous(30, Span::ticks(4))
-        .worst_case_delays()
-        .migrating_writer()
-        .churn_fraction_of_bound(2.0)
-        .leave_selector(LeaveSelector::ActiveFirst)
-        .duration(Span::ticks(400))
-        .seed(1)
-        .run();
+    let below = ScenarioSpec {
+        net: NetClass::SynchronousWorstCase,
+        migrating_writer: true,
+        writer_churns: true,
+        selector: LeaveSelector::ActiveFirst,
+        duration: Span::ticks(400),
+        seed: 1,
+        ..ScenarioSpec::synchronous(30, Span::ticks(4)).churn_fraction_of_bound(0.5)
+    }
+    .run();
+    let above = ScenarioSpec {
+        net: NetClass::SynchronousWorstCase,
+        migrating_writer: true,
+        writer_churns: true,
+        selector: LeaveSelector::ActiveFirst,
+        duration: Span::ticks(400),
+        seed: 1,
+        ..ScenarioSpec::synchronous(30, Span::ticks(4)).churn_fraction_of_bound(2.0)
+    }
+    .run();
     let mean = |r: &dynareg::testkit::RunReport| {
         r.metrics.histogram("gauge.active").unwrap().mean().unwrap()
     };
@@ -159,11 +169,12 @@ fn beyond_bound_availability_collapses() {
 #[test]
 fn same_seed_same_everything() {
     let run = |seed| {
-        Scenario::synchronous(15, Span::ticks(3))
-            .churn_fraction_of_bound(0.6)
-            .duration(Span::ticks(250))
-            .seed(seed)
-            .run()
+        ScenarioSpec {
+            duration: Span::ticks(250),
+            seed,
+            ..ScenarioSpec::synchronous(15, Span::ticks(3)).churn_fraction_of_bound(0.6)
+        }
+        .run()
     };
     let (a, b) = (run(99), run(99));
     assert_eq!(a.total_messages, b.total_messages);

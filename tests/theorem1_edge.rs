@@ -22,7 +22,8 @@ use dynareg::core::sync::SyncConfig;
 use dynareg::net::delay::Fixed;
 use dynareg::sim::{IdSource, NodeId, Span, Time};
 use dynareg::testkit::{
-    OpAction, Scenario, ScriptedWorkload, SyncFactory, World, WorldConfig, WriterPolicy,
+    NetClass, OpAction, ScenarioSpec, ScriptedWorkload, SyncFactory, World, WorldConfig,
+    WriterPolicy,
 };
 use dynareg::verify::{ConsistencyReport, RegularityChecker};
 
@@ -102,15 +103,17 @@ fn bound_is_sharp_in_the_deterministic_worst_case() {
 fn safety_holds_at_the_bound_end_to_end() {
     for &(n, delta) in &[(15usize, 3u64), (24, 4), (30, 5)] {
         for seed in 0..3 {
-            let report = Scenario::synchronous(n, Span::ticks(delta))
-                .worst_case_delays()
-                .migrating_writer()
-                .leave_selector(LeaveSelector::ActiveFirst)
-                .churn_fraction_of_bound(1.0)
-                .duration(Span::ticks(300))
-                .reads_per_tick(2.0)
-                .seed(seed)
-                .run();
+            let report = ScenarioSpec {
+                net: NetClass::SynchronousWorstCase,
+                migrating_writer: true,
+                writer_churns: true,
+                selector: LeaveSelector::ActiveFirst,
+                duration: Span::ticks(300),
+                reads_per_tick: 2.0,
+                seed,
+                ..ScenarioSpec::synchronous(n, Span::ticks(delta)).churn_fraction_of_bound(1.0)
+            }
+            .run();
             assert!(
                 report.safety.is_ok(),
                 "n={n} δ={delta} seed={seed}: {}",
