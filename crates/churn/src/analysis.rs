@@ -7,6 +7,15 @@
 //! measures the left-hand side from a finished run's [`Presence`] record and
 //! [`lemma2_bound`] computes the right-hand side, letting experiments plot
 //! measured-vs-bound across `c` and `δ` sweeps.
+//!
+//! Both time-series queries are one sweep over the life records, not one
+//! scan per tick: a record active over `[a, l)` is in `A(τ, τ+w)` exactly
+//! for window starts `τ ∈ [a, l − w − 1]` (to the end of the run if it
+//! never left), so each record adds `+1`/`−1` at the two ends of that
+//! range in a difference array and one prefix-sum pass reads every
+//! window's count. That is O(records + ticks) for the whole run, where a
+//! per-start scan is O(records × ticks): every fleet worker pays it once
+//! per run.
 
 use dynareg_net::Presence;
 use dynareg_sim::{Span, Time};
@@ -14,9 +23,7 @@ use dynareg_sim::{Span, Time};
 /// Per-tick time series of `|A(τ)|` over `[start, end]` (inclusive).
 pub fn active_series(presence: &Presence, start: Time, end: Time) -> Vec<usize> {
     assert!(start <= end, "interval must be ordered");
-    (start.ticks()..=end.ticks())
-        .map(|t| presence.active_set_at(Time::at(t)).len())
-        .collect()
+    window_counts(presence, start.ticks(), end.ticks(), 0).collect()
 }
 
 /// The minimum of `|A(τ, τ+window)|` over all `τ` in `[start, end − window]`:
@@ -34,9 +41,39 @@ pub fn window_active_minimum(
     if last_start < start.ticks() {
         return None;
     }
-    (start.ticks()..=last_start)
-        .map(|t| presence.active_count_throughout(Time::at(t), Time::at(t) + window))
-        .min()
+    window_counts(presence, start.ticks(), last_start, window.as_ticks()).min()
+}
+
+/// `|A(τ, τ+w)|` for every window start `τ ∈ [first, last]`, in order: the
+/// difference-array sweep of the module docs (`w = 0` is `|A(τ)|`).
+fn window_counts(
+    presence: &Presence,
+    first: u64,
+    last: u64,
+    w: u64,
+) -> impl Iterator<Item = usize> {
+    let len = (last - first + 1) as usize;
+    let mut diff = vec![0isize; len + 1];
+    for (_, r) in presence.records() {
+        let Some(a) = r.activated_at else { continue };
+        let lo = a.ticks().max(first);
+        let hi = match r.left_at {
+            Some(l) => match l.ticks().checked_sub(w + 1) {
+                Some(h) => h.min(last),
+                None => continue,
+            },
+            None => last,
+        };
+        if lo <= hi {
+            diff[(lo - first) as usize] += 1;
+            diff[(hi - first) as usize + 1] -= 1;
+        }
+    }
+    diff.truncate(len);
+    diff.into_iter().scan(0isize, |active, d| {
+        *active += d;
+        Some(*active as usize)
+    })
 }
 
 /// Lemma 2's analytical lower bound `n(1 − 3δc)`, clamped at zero.
@@ -100,9 +137,67 @@ fn presence_departures_in(presence: &Presence, start: Time, end: Time) -> usize 
 mod tests {
     use super::*;
     use dynareg_sim::NodeId;
+    use proptest::prelude::*;
 
     fn n(i: u64) -> NodeId {
         NodeId::from_raw(i)
+    }
+
+    /// The per-window scan the sweep replaced: every record examined once
+    /// per window start.
+    fn scan_minimum(presence: &Presence, start: Time, end: Time, window: Span) -> Option<usize> {
+        let last_start = end.ticks().checked_sub(window.as_ticks())?;
+        if last_start < start.ticks() {
+            return None;
+        }
+        (start.ticks()..=last_start)
+            .map(|t| presence.active_count_throughout(Time::at(t), Time::at(t) + window))
+            .min()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The difference-array sweep equals the per-window scan, and
+        /// `active_series` equals `|A(t)|` tick by tick. Lives draw
+        /// records that never activate, that leave while still listening,
+        /// that never leave, and departures in the same tick as the
+        /// activation; window 0 and windows longer than `[start, end]`
+        /// are checked on every case.
+        #[test]
+        fn sweep_equals_per_window_scan(
+            lives in prop::collection::vec(
+                (0u64..60, 0u64..30, 0u64..30, prop::bool::ANY, prop::bool::ANY),
+                0..25,
+            ),
+            start in 0u64..40,
+            len in 0u64..80,
+            window in 0u64..40,
+        ) {
+            let mut p = Presence::new();
+            for (i, &(enter, d1, d2, activates, leaves)) in lives.iter().enumerate() {
+                let id = n(i as u64);
+                p.enter(id, Time::at(enter));
+                let mut last = enter;
+                if activates {
+                    last += d1;
+                    p.activate(id, Time::at(last));
+                }
+                if leaves {
+                    p.leave(id, Time::at(last + d2));
+                }
+            }
+            let (s, e) = (Time::at(start), Time::at(start + len));
+            for w in [window, 0] {
+                let swept = window_active_minimum(&p, s, e, Span::ticks(w));
+                prop_assert_eq!(swept, scan_minimum(&p, s, e, Span::ticks(w)), "window {}", w);
+                prop_assert_eq!(swept.is_none(), w > len, "window {} over {} ticks", w, len);
+            }
+            let per_tick: Vec<usize> = (start..=start + len)
+                .map(|t| p.active_set_at(Time::at(t)).len())
+                .collect();
+            prop_assert_eq!(active_series(&p, s, e), per_tick);
+        }
     }
 
     /// Build: 4 bootstrap nodes; n1 leaves at t5; n10 enters t3, activates

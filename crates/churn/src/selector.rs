@@ -74,37 +74,18 @@ impl LeaveSelector {
             }
             return Some(present[k]);
         }
-        let eligible: Vec<NodeId> = presence
-            .present_nodes()
-            .into_iter()
-            .filter(|id| !protected.contains(id))
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        match self {
+        // One pass over the present table: the key is read off the row, so
+        // no per-candidate lookup and no copy of the present set.
+        let eligible = presence
+            .present_rows()
+            .filter(|r| !protected.contains(&r.id));
+        let victim = match self {
             LeaveSelector::Random => unreachable!("handled above"),
-            LeaveSelector::OldestFirst => eligible
-                .into_iter()
-                .min_by_key(|&id| (presence.record(id).expect("present").entered_at, id)),
-            LeaveSelector::NewestFirst => eligible
-                .into_iter()
-                .max_by_key(|&id| (presence.record(id).expect("present").entered_at, id)),
-            LeaveSelector::ActiveFirst => {
-                let actives: Vec<NodeId> = eligible
-                    .iter()
-                    .copied()
-                    .filter(|&id| presence.is_active(id))
-                    .collect();
-                let pool = if actives.is_empty() {
-                    eligible
-                } else {
-                    actives
-                };
-                pool.into_iter()
-                    .min_by_key(|&id| (presence.record(id).expect("present").entered_at, id))
-            }
-        }
+            LeaveSelector::OldestFirst => eligible.min_by_key(|r| (r.entered_at, r.id)),
+            LeaveSelector::NewestFirst => eligible.max_by_key(|r| (r.entered_at, r.id)),
+            LeaveSelector::ActiveFirst => eligible.min_by_key(|r| (!r.active, r.entered_at, r.id)),
+        };
+        victim.map(|r| r.id)
     }
 }
 
@@ -112,6 +93,7 @@ impl LeaveSelector {
 mod tests {
     use super::*;
     use dynareg_sim::Time;
+    use proptest::prelude::*;
 
     fn n(i: u64) -> NodeId {
         NodeId::from_raw(i)
@@ -220,6 +202,101 @@ mod tests {
                 };
                 assert_eq!(got, expect, "protected={protected:?} seed={seed}");
             }
+        }
+    }
+
+    /// The collect-and-look-up selection the one-pass pick replaced: copy
+    /// the present set, then one `record()` / `is_active()` lookup per
+    /// candidate.
+    fn lookup_pick(sel: LeaveSelector, p: &Presence, protected: &[NodeId]) -> Option<NodeId> {
+        let entered = |id: NodeId| p.record(id).expect("present").entered_at;
+        let eligible: Vec<NodeId> = p
+            .present_slice()
+            .iter()
+            .copied()
+            .filter(|id| !protected.contains(id))
+            .collect();
+        match sel {
+            LeaveSelector::Random => unreachable!("not a lookup pick"),
+            LeaveSelector::OldestFirst => eligible.into_iter().min_by_key(|&id| (entered(id), id)),
+            LeaveSelector::NewestFirst => eligible.into_iter().max_by_key(|&id| (entered(id), id)),
+            LeaveSelector::ActiveFirst => {
+                let actives: Vec<NodeId> = eligible
+                    .iter()
+                    .copied()
+                    .filter(|&id| p.is_active(id))
+                    .collect();
+                let pool = if actives.is_empty() {
+                    eligible
+                } else {
+                    actives
+                };
+                pool.into_iter().min_by_key(|&id| (entered(id), id))
+            }
+        }
+    }
+
+    /// The sort-everything `OldestActive` writer roster the one-pass
+    /// `Presence::oldest_active` replaced.
+    fn lookup_roster(p: &Presence, k: usize) -> Vec<NodeId> {
+        let mut active: Vec<(Time, NodeId)> = p
+            .active_nodes()
+            .into_iter()
+            .map(|id| (p.record(id).expect("active").entered_at, id))
+            .collect();
+        active.sort_unstable();
+        active.into_iter().take(k).map(|(_, id)| id).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass picks and roster equal the lookup oracles. Ids are
+        /// drawn out of entry order and entry times collide, so both halves
+        /// of every `(…, entered_at, id)` key decide some picks; protected
+        /// lists carry duplicates, absent ids, or every present id.
+        #[test]
+        fn one_pass_pick_matches_lookup_reference(
+            lives in prop::collection::vec(
+                (0u64..48, 0u64..6, prop::bool::ANY, prop::bool::ANY),
+                0..24,
+            ),
+            guard in prop::collection::vec(0u64..56, 0..8),
+            everyone in prop::bool::ANY,
+            k in 0usize..6,
+        ) {
+            let mut p = Presence::new();
+            for &(raw, entered, activates, leaves) in &lives {
+                let id = n(raw);
+                if p.record(id).is_some() {
+                    continue;
+                }
+                p.enter(id, Time::at(entered));
+                if activates {
+                    p.activate(id, Time::at(entered + 1));
+                }
+                if leaves {
+                    p.leave(id, Time::at(entered + 2));
+                }
+            }
+            let protected: Vec<NodeId> = if everyone {
+                p.present_slice().to_vec()
+            } else {
+                guard.into_iter().map(n).collect()
+            };
+            let mut rng = DetRng::seed(0);
+            for sel in [
+                LeaveSelector::OldestFirst,
+                LeaveSelector::NewestFirst,
+                LeaveSelector::ActiveFirst,
+            ] {
+                prop_assert_eq!(
+                    sel.pick(&p, &protected, &mut rng),
+                    lookup_pick(sel, &p, &protected),
+                    "{:?} protecting {:?}", sel, protected
+                );
+            }
+            prop_assert_eq!(p.oldest_active(k), lookup_roster(&p, k), "k = {}", k);
         }
     }
 

@@ -12,6 +12,8 @@
 //! and still produce byte-identical reports; never add an `f64` running
 //! sum to a cell.
 
+use std::fmt::{self, Write as _};
+
 use dynareg_churn::analysis;
 use dynareg_sim::metrics::Histogram;
 use dynareg_sim::Span;
@@ -31,6 +33,17 @@ pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>, seed: u64) -> u64 {
 
 pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
+/// An FNV-1a state that text is formatted straight into: the digest of
+/// the bytes `format!` would have produced, without building that string.
+struct FnvWriter(u64);
+
+impl fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a(s.bytes(), self.0);
+        Ok(())
+    }
+}
+
 /// Digest of everything observable about a run: the full operation history
 /// (invocations, responses, values), the membership totals and the message
 /// count. Two runs with equal digests executed the same event stream for
@@ -40,13 +53,15 @@ pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 ///
 /// [`ScenarioSpec`]: dynareg_testkit::ScenarioSpec
 pub fn run_digest(report: &RunReport) -> u64 {
-    let ops = format!("{:?}", report.history.ops());
-    let mut h = fnv1a(ops.bytes(), FNV_OFFSET);
+    const INFALLIBLE: &str = "an FnvWriter never fails";
+    let mut w = FnvWriter(FNV_OFFSET);
+    write!(w, "{:?}", report.history.ops()).expect(INFALLIBLE);
     // Keyed runs fold every further key's op stream in key order (a 1-key
     // run folds nothing extra, so single-register digests are unchanged).
     for key in &report.extra_keys {
-        h = fnv1a(format!("{:?}", key.history.ops()).bytes(), h);
+        write!(w, "{:?}", key.history.ops()).expect(INFALLIBLE);
     }
+    let mut h = w.0;
     for v in [
         report.presence.total_arrivals() as u64,
         report.presence.total_departures() as u64,
@@ -479,6 +494,47 @@ mod tests {
         let mut quiet = Cell::new(1, 1, 1, 3, 0.5);
         quiet.absorb(&outcome(3, 0.5, 0, 0, 0));
         assert!(quiet.feasible(), "no churn → availability is vacuous");
+    }
+
+    /// The digest before it was streamed: each key's `{:?}` text built as
+    /// a `String`, then hashed.
+    fn formatted_digest(report: &RunReport) -> u64 {
+        let ops = format!("{:?}", report.history.ops());
+        let mut h = fnv1a(ops.bytes(), FNV_OFFSET);
+        for key in &report.extra_keys {
+            h = fnv1a(format!("{:?}", key.history.ops()).bytes(), h);
+        }
+        for v in [
+            report.presence.total_arrivals() as u64,
+            report.presence.total_departures() as u64,
+            report.total_messages,
+            report.total_violations() as u64,
+            report.total_inversions() as u64,
+            report.total_stuck() as u64,
+        ] {
+            h = fnv1a(v.to_le_bytes(), h);
+        }
+        h
+    }
+
+    #[test]
+    fn streamed_digest_equals_formatted_digest() {
+        for keys in [1, 8] {
+            let report = ScenarioSpec {
+                duration: Span::ticks(120),
+                seed: 5,
+                keys,
+                ..ScenarioSpec::synchronous(8, Span::ticks(2)).churn_fraction_of_bound(0.4)
+            }
+            .run();
+            assert!(report.presence.total_departures() > 0, "churn ran");
+            assert_eq!(report.extra_keys.len(), keys as usize - 1);
+            assert_eq!(
+                run_digest(&report),
+                formatted_digest(&report),
+                "keys {keys}"
+            );
+        }
     }
 
     #[test]

@@ -424,7 +424,10 @@ impl PhaseReport {
             ));
         }
         out.push_str("  ]\n}\n");
-        out
+        // `out` grew by doubling, so up to half its buffer is slack; the
+        // copy is allocated at the text's exact length (`shrink_to_fit`
+        // may leave the block's size to the allocator).
+        out.as_str().to_owned()
     }
 }
 
@@ -497,6 +500,15 @@ mod tests {
             !json.contains("threads"),
             "no thread count in deterministic output"
         );
+    }
+
+    #[test]
+    fn json_is_allocated_at_its_exact_length() {
+        // A caller that keeps several reports' JSON (a benchmark comparing
+        // repeats) would otherwise hold up to twice the text per report,
+        // and its memory would grow with the repeat count.
+        let json = small_report().json();
+        assert_eq!(json.capacity(), json.len());
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //!
 //! * **Presence** (§2.1, Definition 1): every process is *listening* from the
 //!   instant its `join` begins, *active* from the instant `join` returns, and
-//!   gone forever once it leaves. [`Presence`] tracks the lifecycle and
-//!   answers the paper's `A(τ)` / `A(τ₁, τ₂)` active-set queries, which the
-//!   Lemma 2 experiment measures directly.
+//!   gone forever once it leaves. [`Presence`] keeps the processes now
+//!   present in one id-ordered table (routing, victim selection and the
+//!   writer roster read it) and the lifecycle history that answers the
+//!   paper's `A(τ)` / `A(τ₁, τ₂)` active-set queries, which the Lemma 2
+//!   experiment measures directly.
 //! * **Point-to-point channels** (§3.2): reliable — no loss, duplication or
 //!   corruption — with latency drawn from a [`DelayModel`]. A process may
 //!   send to any process it knows has entered the system.
@@ -38,4 +40,4 @@ pub use fault::{
     RegionMatrix,
 };
 pub use network::{Envelope, Fanout, MsgRecord, Network, SendFate};
-pub use presence::{LifeRecord, NodeStatus, Presence};
+pub use presence::{LifeRecord, NodeStatus, Presence, PresentRow};

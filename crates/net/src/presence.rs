@@ -6,12 +6,19 @@
 //! `A(τ₁, τ₂)` denotes the set of processes that are active during the whole
 //! interval `[τ₁, τ₂]`."*
 //!
-//! [`Presence`] keeps both the *current* listening/active sets (for message
-//! routing and churn victim selection) and the full per-node [`LifeRecord`]
-//! history (for `A(τ)` / `A(τ₁, τ₂)` measurements after the fact — the
-//! Lemma 2 experiment).
+//! [`Presence`] keeps two things:
+//!
+//! - the **present table**: one row per process now in the system, in id
+//!   order, carrying its entry time and whether it is active, with the
+//!   active count beside it. Message routing (`is_present`,
+//!   [`Presence::present_iter`]), the counts, the snapshots, churn victim
+//!   selection and the migrating writer roster all read this table, so a
+//!   departure's victim is one pass over contiguous rows and none of them
+//!   touches the history below;
+//! - the full per-node [`LifeRecord`] history, for `A(τ)` / `A(τ₁, τ₂)`
+//!   measurements after the fact (the Lemma 2 experiment).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use dynareg_sim::{NodeId, Time};
 
@@ -59,8 +66,33 @@ impl LifeRecord {
     }
 }
 
+/// One row of the present table: a process now in the system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PresentRow {
+    /// The process.
+    pub id: NodeId,
+    /// Instant it entered the system.
+    pub entered_at: Time,
+    /// Whether its join has returned (active) rather than still listening.
+    pub active: bool,
+}
+
+/// The non-id columns of one present-table row.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    entered_at: Time,
+    active: bool,
+}
+
 /// Tracks which processes are in the system, their mode, and the full
 /// lifecycle history of the run.
+///
+/// The processes now present live in one id-ordered table: ids in one
+/// column (which [`Presence::present_slice`] lends out), entry time and
+/// active bit in a second. Membership tests binary-search the ids;
+/// broadcast snapshots, victim selection and [`Presence::oldest_active`]
+/// walk the rows. The lifecycle history ([`Presence::records`]) backs
+/// [`Presence::status`], the totals and the after-the-fact `A(τ)` queries.
 ///
 /// # Example
 ///
@@ -86,15 +118,12 @@ pub struct Presence {
     // deterministic. Record access is one lookup per lifecycle event; the
     // history queries below iterate, which a hash map must never back.
     records: BTreeMap<NodeId, LifeRecord>,
-    listening: BTreeSet<NodeId>,
-    active: BTreeSet<NodeId>,
-    /// Sorted dense mirror of listening ∪ active. Broadcast snapshots and
-    /// churn victim selection walk the present set once per broadcast/
-    /// departure — a contiguous slice scan there is measurably cheaper
-    /// than a two-set union cursor at production populations, and churn
-    /// (one membership change per event) keeps the insert/remove cost
-    /// trivial.
-    present_sorted: Vec<NodeId>,
+    /// The present table's id column, sorted; `members[i]` is row `i`'s
+    /// other columns.
+    present: Vec<NodeId>,
+    members: Vec<Member>,
+    /// Rows of the table whose `active` bit is set.
+    active_count: usize,
 }
 
 impl Presence {
@@ -131,12 +160,18 @@ impl Presence {
             prev.is_none(),
             "{node} re-entered the system; ids are single-use"
         );
-        self.listening.insert(node);
         let i = self
-            .present_sorted
+            .present
             .binary_search(&node)
             .expect_err("fresh id cannot already be present");
-        self.present_sorted.insert(i, node);
+        self.present.insert(i, node);
+        self.members.insert(
+            i,
+            Member {
+                entered_at: t,
+                active: false,
+            },
+        );
     }
 
     /// Records that `node`'s join returned at `t`.
@@ -144,11 +179,13 @@ impl Presence {
     /// # Panics
     /// Panics if `node` is not currently listening.
     pub fn activate(&mut self, node: NodeId, t: Time) {
-        assert!(
-            self.listening.remove(&node),
-            "{node} activated while not listening"
-        );
-        self.active.insert(node);
+        let member = self
+            .row(node)
+            .map(|i| &mut self.members[i])
+            .filter(|m| !m.active)
+            .unwrap_or_else(|| panic!("{node} activated while not listening"));
+        member.active = true;
+        self.active_count += 1;
         let rec = self.records.get_mut(&node).expect("record exists");
         rec.activated_at = Some(t);
     }
@@ -159,15 +196,20 @@ impl Presence {
     /// # Panics
     /// Panics if `node` is not currently present.
     pub fn leave(&mut self, node: NodeId, t: Time) {
-        let was_present = self.listening.remove(&node) | self.active.remove(&node);
-        assert!(was_present, "{node} left while not present");
         let i = self
-            .present_sorted
-            .binary_search(&node)
-            .expect("present node is in the sorted mirror");
-        self.present_sorted.remove(i);
+            .row(node)
+            .unwrap_or_else(|| panic!("{node} left while not present"));
+        self.present.remove(i);
+        if self.members.remove(i).active {
+            self.active_count -= 1;
+        }
         let rec = self.records.get_mut(&node).expect("record exists");
         rec.left_at = Some(t);
+    }
+
+    /// Index of `node`'s row in the present table.
+    fn row(&self, node: NodeId) -> Option<usize> {
+        self.present.binary_search(&node).ok()
     }
 
     /// Current status of `node`, or `None` if it never entered.
@@ -184,54 +226,80 @@ impl Presence {
 
     /// Whether `node` is currently in the system (listening or active).
     pub fn is_present(&self, node: NodeId) -> bool {
-        self.listening.contains(&node) || self.active.contains(&node)
+        self.row(node).is_some()
     }
 
     /// Whether `node` is currently active.
     pub fn is_active(&self, node: NodeId) -> bool {
-        self.active.contains(&node)
+        self.row(node).is_some_and(|i| self.members[i].active)
     }
 
-    /// Currently present processes (listening ∪ active), in id order.
-    pub fn present_nodes(&self) -> Vec<NodeId> {
-        self.present_sorted.clone()
+    /// The present table, row by row in id order, without allocating —
+    /// what victim selection and the writer roster scan.
+    pub fn present_rows(&self) -> impl Iterator<Item = PresentRow> + '_ {
+        self.present
+            .iter()
+            .zip(&self.members)
+            .map(|(&id, m)| PresentRow {
+                id,
+                entered_at: m.entered_at,
+                active: m.active,
+            })
+    }
+
+    /// The up to `k` active processes that entered earliest, ordered by
+    /// `(entered_at, id)`: one pass over the present table keeping the `k`
+    /// best so far.
+    pub fn oldest_active(&self, k: usize) -> Vec<NodeId> {
+        let mut best: Vec<(Time, NodeId)> = Vec::with_capacity(k + 1);
+        for row in self.present_rows().filter(|r| r.active) {
+            let key = (row.entered_at, row.id);
+            if best.len() == k && best.last().is_none_or(|&worst| key > worst) {
+                continue;
+            }
+            best.insert(best.partition_point(|&b| b < key), key);
+            best.truncate(k);
+        }
+        best.into_iter().map(|(_, id)| id).collect()
     }
 
     /// Currently present processes as a sorted slice, without allocating —
-    /// the broadcast-snapshot and victim-selection hot path.
+    /// the broadcast-snapshot and random-victim hot path.
     pub fn present_slice(&self) -> &[NodeId] {
-        &self.present_sorted
+        &self.present
     }
 
     /// Iterates currently present processes (listening ∪ active) in id
     /// order without allocating.
     pub fn present_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.present_sorted.iter().copied()
+        self.present.iter().copied()
     }
 
     /// Currently active processes, in id order.
     pub fn active_nodes(&self) -> Vec<NodeId> {
-        self.active.iter().copied().collect()
+        self.present_rows()
+            .filter(|r| r.active)
+            .map(|r| r.id)
+            .collect()
     }
 
     /// Currently listening (joining) processes, in id order.
     pub fn listening_nodes(&self) -> Vec<NodeId> {
-        self.listening.iter().copied().collect()
+        self.present_rows()
+            .filter(|r| !r.active)
+            .map(|r| r.id)
+            .collect()
     }
 
     /// Number of present processes (the paper's constant `n`, if churn is
     /// balanced).
     pub fn present_count(&self) -> usize {
-        debug_assert_eq!(
-            self.present_sorted.len(),
-            self.listening.len() + self.active.len()
-        );
-        self.present_sorted.len()
+        self.present.len()
     }
 
     /// Number of active processes, `|A(now)|`.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.active_count
     }
 
     /// Lifecycle record for `node`, if it ever entered.
@@ -419,7 +487,7 @@ mod tests {
         let mut p = Presence::new();
         p.bootstrap([n(3), n(1)], Time::ZERO);
         p.enter(n(2), Time::at(1));
-        assert_eq!(p.present_nodes(), vec![n(1), n(2), n(3)]);
+        assert_eq!(p.present_slice(), [n(1), n(2), n(3)]);
         assert_eq!(p.active_nodes(), vec![n(1), n(3)]);
     }
 }

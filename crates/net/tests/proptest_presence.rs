@@ -1,7 +1,7 @@
 //! Property tests for the presence table's interval algebra — the Lemma 2
 //! measurements are only as good as `A(τ)` / `A(τ₁, τ₂)`.
 
-use dynareg_net::Presence;
+use dynareg_net::{NodeStatus, Presence, PresentRow};
 use dynareg_sim::{NodeId, Time};
 use proptest::prelude::*;
 
@@ -100,6 +100,64 @@ proptest! {
             p.present_count(),
             p.records().filter(|(_, r)| r.present_at(far)).count()
         );
+    }
+
+    /// The present table after any enter/activate/leave sequence is
+    /// exactly the history's present processes: `records` filtered by
+    /// `present_at(now)`, each row's active bit its status, and the
+    /// active count the number of set bits.
+    #[test]
+    fn present_table_matches_history(
+        steps in prop::collection::vec((0u8..3, 0usize..1000, 0u64..80, 0u64..3), 0..60),
+    ) {
+        let mut p = Presence::new();
+        let mut now = 0;
+        for (op, pick, raw, dt) in steps {
+            now += dt;
+            let t = Time::at(now);
+            match op {
+                0 => {
+                    let id = NodeId::from_raw(raw);
+                    if p.record(id).is_none() {
+                        p.enter(id, t);
+                    }
+                }
+                1 => {
+                    let listening = p.listening_nodes();
+                    if !listening.is_empty() {
+                        p.activate(listening[pick % listening.len()], t);
+                    }
+                }
+                _ => {
+                    let present = p.present_slice();
+                    if !present.is_empty() {
+                        p.leave(present[pick % present.len()], t);
+                    }
+                }
+            }
+        }
+        let now = Time::at(now);
+        let rows: Vec<PresentRow> = p.present_rows().collect();
+        let expect: Vec<PresentRow> = p
+            .records()
+            .filter(|(_, r)| r.present_at(now))
+            .map(|(id, r)| PresentRow {
+                id,
+                entered_at: r.entered_at,
+                active: r.activated_at.is_some(),
+            })
+            .collect();
+        prop_assert_eq!(&rows, &expect);
+        let ids: Vec<NodeId> = rows.iter().map(|r| r.id).collect();
+        prop_assert_eq!(p.present_slice(), &ids[..]);
+        for r in &rows {
+            let status = if r.active { NodeStatus::Active } else { NodeStatus::Listening };
+            prop_assert_eq!(p.status(r.id), Some(status));
+            prop_assert!(p.is_present(r.id));
+            prop_assert_eq!(p.is_active(r.id), r.active);
+        }
+        prop_assert_eq!(p.active_count(), rows.iter().filter(|r| r.active).count());
+        prop_assert_eq!(p.present_count(), rows.len());
     }
 
     /// Arrivals/departures bookkeeping is conserved.

@@ -589,18 +589,7 @@ where
                 .map(NodeId::from_raw)
                 .collect(),
             WriterPolicy::OldestActive => {
-                let mut active: Vec<(Time, NodeId)> = self
-                    .presence
-                    .active_nodes()
-                    .into_iter()
-                    .map(|id| (self.presence.record(id).expect("active").entered_at, id))
-                    .collect();
-                active.sort_unstable();
-                let roster: Vec<NodeId> = active
-                    .into_iter()
-                    .take(self.writer_cap as usize)
-                    .map(|(_, id)| id)
-                    .collect();
+                let roster = self.presence.oldest_active(self.writer_cap as usize);
                 if roster.is_empty() {
                     vec![self.writer]
                 } else {
