@@ -2,6 +2,13 @@
 //! paper reference, claimed value, the seeded scenarios that measure it
 //! and a predicate that turns the measured numbers into a [`Verdict`].
 //!
+//! A row runs on the phase diagram's machinery: every seed of every cell
+//! goes to `dynareg_fleet`'s pool in one call ([`run_cells`]), each cell's
+//! runs reduce into a [`Cell`] — exact integer totals and histograms —
+//! and every predicate judges `&Cell`. The few per-run facts a `Cell`
+//! does not carry (E4's two windows, E6's victim, E9's message labels,
+//! E1/E10's per-run verdicts) are read off each run next to it.
+//!
 //! [`render`] prints claims as markdown: a summary table, then one detail
 //! section per row. The full output of `exp_paper_tables` *is* the
 //! committed `docs/REPRODUCTION.md`; `tests/ledger.rs` and CI regenerate
@@ -16,10 +23,11 @@ use dynareg_churn::{analysis, ChurnDriver, LeaveSelector, NoChurn};
 use dynareg_core::es::{EsConfig, EsMsg, EsRegister, Timestamp};
 use dynareg_core::sync::SyncConfig;
 use dynareg_core::RegisterProcess;
+use dynareg_fleet::{default_threads, run_cells, Cell};
 use dynareg_net::delay::Fixed;
 use dynareg_net::{DelayFault, FaultAction, FaultPlan};
+use dynareg_sim::metrics::Histogram;
 use dynareg_sim::{IdSource, NodeId, Span, Time};
-use dynareg_testkit::experiment::{run_seeds, Aggregate};
 use dynareg_testkit::table::{fnum, Table};
 use dynareg_testkit::{
     scenario_hash, write_scenario, ChurnChoice, NetClass, OpAction, RunReport, ScenarioSpec,
@@ -267,8 +275,13 @@ pub const CLAIMS: [Claim; 10] = [
     },
 ];
 
-fn frac(k: usize, of: usize) -> String {
+fn frac(k: u64, of: u64) -> String {
     format!("{k}/{of}")
+}
+
+/// A histogram's mean, `0` when it is empty.
+fn mean(h: &Histogram) -> f64 {
+    h.mean().unwrap_or(0.0)
 }
 
 fn describe(spec: &ScenarioSpec) -> String {
@@ -280,34 +293,13 @@ fn describe(spec: &ScenarioSpec) -> String {
     )
 }
 
-/// One measured cell: a scenario run at every seed.
-struct Cell {
-    a: Aggregate,
-    reports: Vec<RunReport>,
-    /// Minimum and mean of the per-tick active-set gauge over all runs.
-    min_active: u64,
-    mean_active: f64,
-}
+/// A row's cells, each a scenario and the seeds it runs at.
+type Cells = [(ScenarioSpec, Range<u64>)];
 
-fn measure(seeds: Range<u64>, scenario: &ScenarioSpec) -> Cell {
-    let reports = run_seeds(seeds, |seed| {
-        ScenarioSpec {
-            seed,
-            ..scenario.clone()
-        }
-        .run()
-    });
-    let gauges = || {
-        reports
-            .iter()
-            .filter_map(|r| r.metrics.histogram("gauge.active"))
-    };
-    Cell {
-        a: Aggregate::from_reports(&reports),
-        min_active: gauges().filter_map(|h| h.min()).min().unwrap_or(0),
-        mean_active: gauges().filter_map(|h| h.mean()).sum::<f64>() / reports.len() as f64,
-        reports,
-    }
+/// Runs every seed of every cell of a row in one call to the fleet pool:
+/// each cell reduced, next to the per-run facts `fact` reads off its runs.
+fn measure<X: Send>(cells: &Cells, fact: impl Fn(&RunReport) -> X + Sync) -> Vec<(Cell, Vec<X>)> {
+    run_cells(cells, default_threads(), fact)
 }
 
 /// One detail table — the columns every scenario sweep shares, the row's
@@ -317,21 +309,26 @@ struct Sheet {
     scenario: String,
     cells: usize,
     held: usize,
-    runs: usize,
-    unsafe_runs: usize,
-    stuck_runs: usize,
+    runs: u64,
+    unsafe_runs: u64,
+    stuck_runs: u64,
     worst: Verdict,
 }
 
 impl Sheet {
-    fn new(own_columns: &[&'static str]) -> Sheet {
+    /// An empty sheet whose scenario is `cells`' first at its first seed.
+    fn new(own_columns: &[&'static str], cells: &Cells) -> Sheet {
         let shared =
             "cell | unsafe runs | violations | stuck runs | stuck ops | reads | inversions \
                       | read lat | write lat | join lat | msgs/run | min active | mean active";
         let own = own_columns.iter().copied().chain(["verdict"]);
+        let (first, seeds) = &cells[0];
         Sheet {
             table: Table::new(shared.split('|').map(str::trim).chain(own)),
-            scenario: String::new(),
+            scenario: describe(&ScenarioSpec {
+                seed: seeds.start,
+                ..first.clone()
+            }),
             cells: 0,
             held: 0,
             runs: 0,
@@ -341,48 +338,32 @@ impl Sheet {
         }
     }
 
-    /// Measures one cell, lets `judge` turn it into a verdict and the
-    /// row's own columns, and appends the table row.
-    fn add(
-        &mut self,
-        label: String,
-        seeds: Range<u64>,
-        scenario: ScenarioSpec,
-        judge: impl FnOnce(&Cell) -> (Verdict, Vec<String>),
-    ) -> Cell {
-        if self.cells == 0 {
-            self.scenario = describe(&ScenarioSpec {
-                seed: seeds.start,
-                ..scenario.clone()
-            });
-        }
-        let cell = measure(seeds, &scenario);
-        let (verdict, own) = judge(&cell);
-        let a = &cell.a;
+    /// Appends one judged cell: the shared columns, the row's `own`, the
+    /// verdict.
+    fn add(&mut self, label: String, c: &Cell, verdict: Verdict, own: Vec<String>) {
         self.cells += 1;
         self.held += usize::from(verdict == Verdict::Holds);
-        self.runs += a.runs;
-        self.unsafe_runs += a.unsafe_runs;
-        self.stuck_runs += a.stuck_runs;
+        self.runs += c.runs;
+        self.unsafe_runs += c.unsafe_runs;
+        self.stuck_runs += c.stuck_runs;
         self.worst = self.worst.max(verdict);
         let shared = [
             label,
-            frac(a.unsafe_runs, a.runs),
-            a.safety_violations.to_string(),
-            frac(a.stuck_runs, a.runs),
-            a.stuck_ops.to_string(),
-            a.reads_checked.to_string(),
-            a.inversions.to_string(),
-            fnum(a.mean_read_latency),
-            fnum(a.mean_write_latency),
-            fnum(a.mean_join_latency),
-            fnum(a.mean_messages),
-            cell.min_active.to_string(),
-            fnum(cell.mean_active),
+            frac(c.unsafe_runs, c.runs),
+            c.safety_violations.to_string(),
+            frac(c.stuck_runs, c.runs),
+            c.stuck_ops.to_string(),
+            c.reads_checked.to_string(),
+            c.inversions.to_string(),
+            fnum(mean(&c.read_latency)),
+            fnum(mean(&c.write_latency)),
+            fnum(mean(&c.join_latency)),
+            fnum(c.messages as f64 / c.runs as f64),
+            c.active.min().unwrap_or(0).to_string(),
+            fnum(mean(&c.active)),
         ];
         let verdict = [verdict.label().to_string()];
         self.table.row(shared.into_iter().chain(own).chain(verdict));
-        cell
     }
 
     fn totals(&self) -> String {
@@ -403,19 +384,17 @@ impl Sheet {
     }
 }
 
-fn safe_and_live(a: &Aggregate) -> bool {
-    a.unsafe_runs == 0 && a.stuck_runs == 0
+fn safe_and_live(c: &Cell) -> bool {
+    c.unsafe_runs == 0 && c.stuck_runs == 0
 }
 
 /// The 24 runs rows E1 and E10 both judge, run once: the `[sync, es, es +
-/// write-back]` aggregates, the last one's atomic-OK runs, the table.
-fn variants() -> &'static (Vec<Aggregate>, usize, Sheet) {
-    static RUNS: OnceLock<(Vec<Aggregate>, usize, Sheet)> = OnceLock::new();
+/// write-back]` cells, the last one's atomic-OK runs, the table.
+fn variants() -> &'static (Vec<Cell>, u64, Sheet) {
+    static RUNS: OnceLock<(Vec<Cell>, u64, Sheet)> = OnceLock::new();
     RUNS.get_or_init(|| {
         let (n, delta, gst) = (10, Span::ticks(6), Time::ZERO);
-        let mut sheet = Sheet::new(&["runs with inversions", "atomic-OK runs"]);
-        let (mut aggs, mut atomic_ok) = (Vec::new(), 0);
-        for (name, base) in [
+        let variants = [
             (
                 "sync (Figs. 1–2), regular",
                 ScenarioSpec::synchronous(n, delta),
@@ -428,35 +407,44 @@ fn variants() -> &'static (Vec<Aggregate>, usize, Sheet) {
                 "es + write-back, atomic",
                 ScenarioSpec::es_atomic(n, delta, gst),
             ),
-        ] {
+        ];
+        let cells = variants.clone().map(|(_, base)| {
             let scenario = ScenarioSpec {
                 duration: Span::ticks(400),
                 reads_per_tick: 5.0,
                 write_every: Some(Span::ticks(12)),
                 ..base
             };
-            let cell = sheet.add(name.to_string(), 0..8, scenario, |c| {
-                let inverted = c.reports.iter().filter(|r| r.inversions() > 0).count();
-                atomic_ok = c.reports.iter().filter(|r| r.atomicity.is_ok()).count();
-                let own = vec![frac(inverted, c.a.runs), frac(atomic_ok, c.a.runs)];
-                (Verdict::of(c.a.unsafe_runs == 0), own)
-            });
-            aggs.push(cell.a);
+            (scenario, 0..8)
+        });
+        let mut sheet = Sheet::new(&["runs with inversions", "atomic-OK runs"], &cells);
+        let (mut measured, mut atomic_ok) = (Vec::new(), 0);
+        let runs = measure(&cells, |r| (r.total_inversions() > 0, r.atomicity.is_ok()));
+        for ((name, _), (cell, facts)) in variants.into_iter().zip(runs) {
+            let count = |f: fn(&(bool, bool)) -> bool| facts.iter().filter(|x| f(x)).count() as u64;
+            atomic_ok = count(|&(_, atomic)| atomic);
+            let own = vec![
+                frac(count(|&(inverted, _)| inverted), cell.runs),
+                frac(atomic_ok, cell.runs),
+            ];
+            let verdict = Verdict::of(cell.unsafe_runs == 0);
+            sheet.add(name.to_string(), &cell, verdict, own);
+            measured.push(cell);
         }
-        (aggs, atomic_ok, sheet)
+        (measured, atomic_ok, sheet)
     })
 }
 
 /// E1: the regular synchronous protocol inverts, no run of any variant
 /// violates regularity, and the atomic variant never inverts.
-pub fn inversions_separate(sync: &Aggregate, es: &Aggregate, atomic: &Aggregate) -> Verdict {
-    let regular = [sync, es, atomic].iter().all(|a| a.unsafe_runs == 0);
+pub fn inversions_separate(sync: &Cell, es: &Cell, atomic: &Cell) -> Verdict {
+    let regular = [sync, es, atomic].iter().all(|c| c.unsafe_runs == 0);
     Verdict::of(sync.inversions > 0 && regular && atomic.inversions == 0)
 }
 
 fn e1() -> Evidence {
-    let (aggs, _, sheet) = variants();
-    let (sync, es, atomic) = (&aggs[0], &aggs[1], &aggs[2]);
+    let (cells, _, sheet) = variants();
+    let (sync, es, atomic) = (&cells[0], &cells[1], &cells[2]);
     let (inverted, reads, unsafe_runs) = (sync.inversions, sync.reads_checked, sheet.unsafe_runs);
     let (es_inverted, atomic_inverted, runs) = (es.inversions, atomic.inversions, sheet.runs);
     Evidence {
@@ -472,24 +460,26 @@ fn e1() -> Evidence {
 
 /// E2, one `(n, δ)` cell: nothing unsafe or stuck, reads local, writes
 /// exactly `δ`, mean join latency within `[δ, 3δ]`.
-pub fn sync_costs(a: &Aggregate, delta: u64) -> Verdict {
-    let (d, join) = (delta as f64, a.mean_join_latency);
-    let exact = a.mean_read_latency == 0.0 && a.mean_write_latency == d;
-    Verdict::of(safe_and_live(a) && exact && (d..=3.0 * d).contains(&join))
+pub fn sync_costs(c: &Cell, delta: u64) -> Verdict {
+    let (d, join) = (delta as f64, mean(&c.join_latency));
+    let exact = mean(&c.read_latency) == 0.0 && mean(&c.write_latency) == d;
+    Verdict::of(safe_and_live(c) && exact && (d..=3.0 * d).contains(&join))
 }
 
 fn e2() -> Evidence {
-    let mut sheet = Sheet::new(&["c"]);
-    for (n, d) in [(20, 2), (20, 5), (20, 10), (100, 2), (100, 5), (100, 10)] {
+    let grid = [(20, 2), (20, 5), (20, 10), (100, 2), (100, 5), (100, 10)];
+    let cells = grid.map(|(n, d)| {
         let scenario = ScenarioSpec {
             duration: Span::ticks(500),
             reads_per_tick: 2.0,
             ..ScenarioSpec::synchronous(n, Span::ticks(d)).churn_fraction_of_bound(0.5)
         };
-        sheet.add(format!("n={n} δ={d}"), 0..6, scenario, |c| {
-            let churn = format!("{:.4}", c.reports[0].churn_rate);
-            (sync_costs(&c.a, d), vec![churn])
-        });
+        (scenario, 0..6)
+    });
+    let mut sheet = Sheet::new(&["c"], &cells);
+    for ((n, d), (c, _)) in grid.into_iter().zip(measure(&cells, |_| ())) {
+        let churn = format!("{:.4}", c.churn_rate);
+        sheet.add(format!("n={n} δ={d}"), &c, sync_costs(&c, d), vec![churn]);
     }
     sheet.evidence()
 }
@@ -501,7 +491,7 @@ pub type Fig3Run = (Option<Option<u64>>, usize, u64);
 /// E3: the ablation must serve the stale `0` — flagged exactly once, its
 /// join `2δ` long — and the real protocol must return `1` after a `3δ`
 /// join; with the wait, random delays must stay clean too.
-pub fn wait_is_needed(a: Fig3Run, b: Fig3Run, delta: u64, with_wait: &Aggregate) -> Verdict {
+pub fn wait_is_needed(a: Fig3Run, b: Fig3Run, delta: u64, with_wait: &Cell) -> Verdict {
     let (stale, fresh) = ((Some(Some(0)), 1, 2 * delta), (Some(Some(1)), 0, 3 * delta));
     Verdict::of(a == stale && b == fresh && with_wait.unsafe_runs == 0)
 }
@@ -561,31 +551,32 @@ fn e3() -> Evidence {
         let (returned, join) = (format!("{returned:?}"), format!("{join} ticks"));
         scripted.row([name.to_string(), returned, violations.to_string(), join]);
     }
-    let mut sheet = Sheet::new(&[]);
-    let [with, without] = [
-        ("with wait", ScenarioSpec::synchronous(20, delta)),
-        (
-            "without wait",
-            ScenarioSpec::synchronous_without_join_wait(20, delta),
-        ),
+    let cells = [
+        ScenarioSpec::synchronous(20, delta),
+        ScenarioSpec::synchronous_without_join_wait(20, delta),
     ]
-    .map(|(name, base)| {
+    .map(|base| {
         let scenario = ScenarioSpec {
             write_every: Some(Span::ticks(6)),
             duration: Span::ticks(400),
             reads_per_tick: 3.0,
             ..base.churn_fraction_of_bound(0.8)
         };
-        let observed = |_: &Cell| (Verdict::Holds, vec![]);
-        sheet.add(name.to_string(), 0..8, scenario, observed).a
+        (scenario, 0..8)
     });
+    let mut sheet = Sheet::new(&[], &cells);
+    let measured = measure(&cells, |_| ());
+    for (name, (c, _)) in ["with wait", "without wait"].into_iter().zip(&measured) {
+        sheet.add(name.to_string(), c, Verdict::Holds, vec![]);
+    }
+    let (with, without) = (&measured[0].0, &measured[1].0);
     let (with_unsafe, without_unsafe) = (with.unsafe_runs, without.unsafe_runs);
     Evidence {
         measured: format!(
             "(read returned, violations, join ticks) = {a:?} in 3(a), {b:?} in 3(b); under random \
              delays {with_unsafe}/8 runs unsafe with the wait, {without_unsafe}/8 without"
         ),
-        verdict: wait_is_needed(a, b, delta.as_ticks(), &with),
+        verdict: wait_is_needed(a, b, delta.as_ticks(), with),
         scenario: sheet.scenario,
         tables: vec![
             ("Part 1 — the exact scripted schedule:", scripted),
@@ -598,9 +589,11 @@ fn e3() -> Evidence {
 }
 
 /// E4, one `(δ, c, selector)` cell: the `τ = 0` window must meet the
-/// paper's floor and every steady-state window the pipeline-corrected
-/// one; a steady-state minimum between the two is the pinned deviation.
-pub fn lemma2_window(paper: f64, steady: f64, origin: usize, steady_min: usize) -> Verdict {
+/// paper's floor `paper` and every steady-state window the cell's
+/// pipeline-corrected one; a steady-state minimum between the two is the
+/// pinned deviation.
+pub fn lemma2_window(c: &Cell, paper: f64, origin: u64, steady_min: u64) -> Verdict {
+    let steady = c.lemma2_steady_bound;
     if (origin as f64) < paper || (steady_min as f64) < steady {
         Verdict::Fails
     } else if (steady_min as f64) < paper {
@@ -611,16 +604,8 @@ pub fn lemma2_window(paper: f64, steady: f64, origin: usize, steady_min: usize) 
 }
 
 fn e4() -> Evidence {
-    let mut sheet = Sheet::new(&[
-        "paper floor n(1−3δc)",
-        "steady floor n(1−6δc)",
-        "A(0, 3δ)",
-        "steady min",
-    ]);
-    let (n, mut at_origin, mut below, mut reached) = (30, 0, 0, 0);
+    let (n, mut labels, mut cells) = (30, Vec::new(), Vec::new());
     for d in [2, 4, 8] {
-        let (delta, window) = (Span::ticks(d), Span::ticks(3 * d));
-        let (from, to) = (Time::at(10 * d), Time::at(50 * d));
         for fraction in [0.25, 0.5, 0.75, 1.0] {
             for selector in [LeaveSelector::ActiveFirst, LeaveSelector::Random] {
                 let scenario = ScenarioSpec {
@@ -629,29 +614,50 @@ fn e4() -> Evidence {
                     writer_churns: true,
                     selector,
                     duration: Span::ticks(60 * d),
-                    ..ScenarioSpec::synchronous(n, delta).churn_fraction_of_bound(fraction)
+                    ..ScenarioSpec::synchronous(n, Span::ticks(d)).churn_fraction_of_bound(fraction)
                 };
-                let label = format!("δ={d} c/c*={} {selector:?}", fnum(fraction));
-                sheet.add(label, 1..2, scenario, |c| {
-                    let (rate, presence) = (c.reports[0].churn_rate, &c.reports[0].presence);
-                    let paper = analysis::lemma2_bound(n, delta, rate);
-                    let steady = analysis::lemma2_steady_bound(n, delta, rate);
-                    let origin = presence.active_count_throughout(Time::ZERO, Time::ZERO + window);
-                    let min = analysis::window_active_minimum(presence, from, to, window);
-                    let min = min.expect("the run outlasts the window");
-                    at_origin += usize::from(origin as f64 >= paper);
-                    below += usize::from((min as f64) < paper);
-                    reached += usize::from(min as f64 - steady < 1.0);
-                    let own = vec![
-                        fnum(paper),
-                        fnum(steady),
-                        origin.to_string(),
-                        min.to_string(),
-                    ];
-                    (lemma2_window(paper, steady, origin, min), own)
-                });
+                labels.push(format!("δ={d} c/c*={} {selector:?}", fnum(fraction)));
+                cells.push((scenario, 1..2));
             }
         }
+    }
+    let mut sheet = Sheet::new(
+        &[
+            "paper floor n(1−3δc)",
+            "steady floor n(1−6δc)",
+            "A(0, 3δ)",
+            "steady min",
+        ],
+        &cells,
+    );
+    // A(0, 3δ) and the minimum over the steady-state windows in [10δ, 50δ).
+    let windows = |r: &RunReport| {
+        let (presence, d, window) = (&r.presence, r.delta.as_ticks(), r.delta.times(3));
+        let origin = presence.active_count_throughout(Time::ZERO, Time::ZERO + window);
+        let (from, to) = (Time::at(10 * d), Time::at(50 * d));
+        let min = analysis::window_active_minimum(presence, from, to, window);
+        let min = min.expect("the run outlasts the window");
+        (origin as u64, min as u64)
+    };
+    let (mut at_origin, mut below, mut reached) = (0, 0, 0);
+    for ((label, (spec, _)), (c, facts)) in
+        labels.into_iter().zip(&cells).zip(measure(&cells, windows))
+    {
+        let [(origin, min)] = facts[..] else {
+            unreachable!("one seed per cell")
+        };
+        let paper = analysis::lemma2_bound(n, spec.delta, c.churn_rate);
+        let steady = c.lemma2_steady_bound;
+        at_origin += usize::from(origin as f64 >= paper);
+        below += usize::from((min as f64) < paper);
+        reached += usize::from(min as f64 - steady < 1.0);
+        let own = vec![
+            fnum(paper),
+            fnum(steady),
+            origin.to_string(),
+            min.to_string(),
+        ];
+        sheet.add(label, &c, lemma2_window(&c, paper, origin, min), own);
     }
     let cells = sheet.cells;
     let measured = format!(
@@ -667,25 +673,20 @@ fn e4() -> Evidence {
 /// E5, one `c/c*` cell: never unsafe; below the threshold live with the
 /// active set on or above `n(1−3δc)`; at and beyond it the active set
 /// empties and reads fall under a tenth of the first cell's.
-pub fn threshold_cell(
-    fraction: f64,
-    predicted: f64,
-    a: &Aggregate,
-    (min_active, mean_active): (u64, f64),
-    base_reads: usize,
-) -> Verdict {
+pub fn threshold_cell(fraction: f64, predicted: f64, c: &Cell, base_reads: u64) -> Verdict {
+    let min_active = c.active.min().unwrap_or(0);
     Verdict::of(if fraction < 1.0 {
-        let floor = min_active as f64 >= predicted.floor() && mean_active >= predicted;
-        safe_and_live(a) && floor
+        let floor = min_active as f64 >= predicted.floor() && mean(&c.active) >= predicted;
+        safe_and_live(c) && floor
     } else {
-        a.unsafe_runs == 0 && min_active == 0 && a.reads_checked * 10 < base_reads
+        c.unsafe_runs == 0 && min_active == 0 && c.reads_checked * 10 < base_reads
     })
 }
 
 fn e5() -> Evidence {
-    let (n, mut base_reads) = (30, None);
-    let mut sheet = Sheet::new(&["predicted actives n(1−3δc)", "joins done"]);
-    for fraction in [0.25, 0.5, 0.75, 0.9, 1.0, 1.25, 1.5, 2.0, 4.0] {
+    let n = 30;
+    let fractions = [0.25, 0.5, 0.75, 0.9, 1.0, 1.25, 1.5, 2.0, 4.0];
+    let cells = fractions.map(|fraction| {
         let scenario = ScenarioSpec {
             net: NetClass::SynchronousWorstCase,
             migrating_writer: true,
@@ -695,72 +696,83 @@ fn e5() -> Evidence {
             reads_per_tick: 2.0,
             ..ScenarioSpec::synchronous(n, Span::ticks(4)).churn_fraction_of_bound(fraction)
         };
+        (scenario, 0..6)
+    });
+    let mut sheet = Sheet::new(&["predicted actives n(1−3δc)", "joins done"], &cells);
+    let measured = measure(&cells, |_| ());
+    let base_reads = measured[0].0.reads_checked;
+    for (fraction, (c, _)) in fractions.into_iter().zip(measured) {
         let predicted = (n as f64 * (1.0 - fraction)).max(0.0); // n(1−3δc) at c = fraction·c*
-        sheet.add(format!("c/c*={}", fnum(fraction)), 0..6, scenario, |c| {
-            let joins = |r: &RunReport| r.metrics.counter("ops.join_completed");
-            let joins: u64 = c.reports.iter().map(joins).sum();
-            let base = *base_reads.get_or_insert(c.a.reads_checked);
-            let active = (c.min_active, c.mean_active);
-            let verdict = threshold_cell(fraction, predicted, &c.a, active, base);
-            (verdict, vec![fnum(predicted), joins.to_string()])
-        });
+        let verdict = threshold_cell(fraction, predicted, &c, base_reads);
+        let own = vec![fnum(predicted), c.joins_completed.to_string()];
+        sheet.add(format!("c/c*={}", fnum(fraction)), &c, verdict, own);
     }
     sheet.evidence()
 }
 
 /// E6 horn 1, one tail cap: delays within the assumed bound are harmless,
 /// anything beyond makes every run unsafe; timers never block.
-pub fn timeout_horn(cap: u64, a: &Aggregate) -> Verdict {
-    let claimed_unsafe = if cap == 1 { 0 } else { a.runs };
-    Verdict::of(a.unsafe_runs == claimed_unsafe && a.stuck_runs == 0)
+pub fn timeout_horn(cap: u64, c: &Cell) -> Verdict {
+    let claimed_unsafe = if cap == 1 { 0 } else { c.runs };
+    Verdict::of(c.unsafe_runs == claimed_unsafe && c.stuck_runs == 0)
 }
 
 /// E6 horn 2: quorums never lie; unstarved they stay live; the starved
 /// victim is stuck in every run and every stuck operation is its own.
-pub fn quorum_horn(starved: bool, a: &Aggregate, victim_stuck: usize) -> Verdict {
-    let claimed_stuck = if starved { a.runs } else { 0 };
-    let stuck = a.stuck_runs == claimed_stuck && a.stuck_ops == victim_stuck;
-    Verdict::of(a.unsafe_runs == 0 && stuck)
+pub fn quorum_horn(starved: bool, c: &Cell, victim_stuck: u64) -> Verdict {
+    let claimed_stuck = if starved { c.runs } else { 0 };
+    let stuck = c.stuck_runs == claimed_stuck && c.stuck_ops == victim_stuck;
+    Verdict::of(c.unsafe_runs == 0 && stuck)
 }
 
 fn e6() -> Evidence {
     let (n, delta, victim) = (15, Span::ticks(3), NodeId::from_raw(0));
-    let mut horn1 = Sheet::new(&[]);
-    for cap in [1, 2, 4, 8, 16] {
-        let scenario = ScenarioSpec {
-            duration: Span::ticks(400),
-            reads_per_tick: 2.0,
-            ..ScenarioSpec::synchronous_over_async(n, delta, cap).churn_fraction_of_bound(0.8)
-        };
-        let judge = |c: &Cell| (timeout_horn(cap, &c.a), vec![]);
-        horn1.add(format!("tail cap {cap}×δ̂"), 0..8, scenario, judge);
-    }
-    let mut horn2 = Sheet::new(&["victim ops stuck", "other ops stuck"]);
+    let caps = [1, 2, 4, 8, 16];
+    let mut cells: Vec<_> = caps
+        .map(|cap| {
+            let scenario = ScenarioSpec {
+                duration: Span::ticks(400),
+                reads_per_tick: 2.0,
+                ..ScenarioSpec::synchronous_over_async(n, delta, cap).churn_fraction_of_bound(0.8)
+            };
+            (scenario, 0..8)
+        })
+        .into();
     let starve =
         DelayFault::starve_recipient(victim, Time::ZERO, Time::MAX, Span::ticks(1_000_000));
-    for (name, faults) in [
+    let plans = [
         ("stochastic only", FaultPlan::none()),
         ("victim starved", FaultPlan::none().with(starve)),
-    ] {
-        let starved = faults != FaultPlan::none();
+    ];
+    for (_, faults) in &plans {
         let scenario = ScenarioSpec {
             duration: Span::ticks(600),
             drain: Some(Span::ticks(200)),
             reads_per_tick: 1.0,
-            faults: Some(faults),
+            faults: Some(faults.clone()),
             ..ScenarioSpec::es_over_async(n, delta, 10).churn_fraction_of_bound(1.0)
         };
-        horn2.add(name.to_string(), 0..6, scenario, |c| {
-            let of_victim = |r: &RunReport| {
-                let stuck = r.liveness.stuck_ops.iter();
-                let issuers = stuck.filter_map(|op| r.history.get(*op)).map(|op| op.node);
-                issuers.filter(|&node| node == victim).count()
-            };
-            let of_victim: usize = c.reports.iter().map(of_victim).sum();
-            let others = c.a.stuck_ops - of_victim;
-            let verdict = quorum_horn(starved, &c.a, of_victim);
-            (verdict, vec![of_victim.to_string(), others.to_string()])
-        });
+        cells.push((scenario, 0..6));
+    }
+    let (horn1_cells, horn2_cells) = cells.split_at(caps.len());
+    let mut horn1 = Sheet::new(&[], horn1_cells);
+    let mut horn2 = Sheet::new(&["victim ops stuck", "other ops stuck"], horn2_cells);
+    // Stuck operations the victim issued.
+    let of_victim = |r: &RunReport| {
+        let stuck = r.liveness.stuck_ops.iter();
+        let issuers = stuck.filter_map(|op| r.history.get(*op)).map(|op| op.node);
+        issuers.filter(|&node| node == victim).count() as u64
+    };
+    let mut measured = measure(&cells, of_victim).into_iter();
+    for (cap, (c, _)) in caps.into_iter().zip(measured.by_ref()) {
+        let label = format!("tail cap {cap}×δ̂");
+        horn1.add(label, &c, timeout_horn(cap, &c), vec![]);
+    }
+    for ((name, faults), (c, facts)) in plans.into_iter().zip(measured) {
+        let of_victim: u64 = facts.iter().sum();
+        let verdict = quorum_horn(faults != FaultPlan::none(), &c, of_victim);
+        let own = vec![of_victim.to_string(), (c.stuck_ops - of_victim).to_string()];
+        horn2.add(name.to_string(), &c, verdict, own);
     }
     Evidence {
         measured: format!("horn 1: {}; horn 2: {}", horn1.totals(), horn2.totals()),
@@ -778,15 +790,15 @@ fn e6() -> Evidence {
 
 /// E7, one `(n, GST)` cell: safe and live; a read or join is one quorum
 /// round trip (2 to `2δ` ticks), a write two (1.5–2.5× the read).
-pub fn es_costs(a: &Aggregate, delta: u64) -> Verdict {
-    let (trip, read) = (2.0..=2.0 * delta as f64, a.mean_read_latency);
-    let one_trip = trip.contains(&read) && trip.contains(&a.mean_join_latency);
-    let two_trips = (1.5..=2.5).contains(&(a.mean_write_latency / read));
-    Verdict::of(safe_and_live(a) && one_trip && two_trips)
+pub fn es_costs(c: &Cell, delta: u64) -> Verdict {
+    let (trip, read) = (2.0..=2.0 * delta as f64, mean(&c.read_latency));
+    let one_trip = trip.contains(&read) && trip.contains(&mean(&c.join_latency));
+    let two_trips = (1.5..=2.5).contains(&(mean(&c.write_latency) / read));
+    Verdict::of(safe_and_live(c) && one_trip && two_trips)
 }
 
 fn e7() -> Evidence {
-    let mut sheet = Sheet::new(&[]);
+    let (mut labels, mut cells) = (Vec::new(), Vec::new());
     for n in [20, 100] {
         for gst in [0, 200, 400] {
             let scenario = ScenarioSpec {
@@ -796,23 +808,28 @@ fn e7() -> Evidence {
                 ..ScenarioSpec::eventually_synchronous(n, Span::ticks(4), Time::at(gst))
                     .churn_fraction_of_bound(0.5)
             };
-            let judge = |c: &Cell| (es_costs(&c.a, 4), vec![]);
-            sheet.add(format!("n={n} GST=t{gst}"), 0..6, scenario, judge);
+            labels.push(format!("n={n} GST=t{gst}"));
+            cells.push((scenario, 0..6));
         }
+    }
+    let mut sheet = Sheet::new(&[], &cells);
+    for (label, (c, _)) in labels.into_iter().zip(measure(&cells, |_| ())) {
+        sheet.add(label, &c, es_costs(&c, 4), vec![]);
     }
     sheet.evidence()
 }
 
 /// E8, one churn multiple: never unsafe; an operation is stuck only if
 /// the active majority was lost; within the paper's bound it never is.
-pub fn blocks_never_lies(a: &Aggregate, majority_held: bool, within_bound: bool) -> Verdict {
-    let blocked_for_cause = a.stuck_ops == 0 || !majority_held;
-    Verdict::of(a.unsafe_runs == 0 && blocked_for_cause && (majority_held || !within_bound))
+pub fn blocks_never_lies(c: &Cell, majority_held: bool, within_bound: bool) -> Verdict {
+    let blocked_for_cause = c.stuck_ops == 0 || !majority_held;
+    Verdict::of(c.unsafe_runs == 0 && blocked_for_cause && (majority_held || !within_bound))
 }
 
 fn e8() -> Evidence {
-    let (n, majority, mut sheet) = (15, 8, Sheet::new(&["majority held?"]));
-    for multiple in [0.5, 1.0, 4.0, 16.0, 48.0, 96.0] {
+    let (n, majority) = (15, 8);
+    let multiples = [0.5, 1.0, 4.0, 16.0, 48.0, 96.0];
+    let cells = multiples.map(|multiple| {
         let scenario = ScenarioSpec {
             selector: LeaveSelector::ActiveFirst,
             duration: Span::ticks(600),
@@ -821,37 +838,34 @@ fn e8() -> Evidence {
             ..ScenarioSpec::eventually_synchronous(n, Span::ticks(3), Time::ZERO)
                 .churn_fraction_of_bound(multiple)
         };
-        let label = format!("c={}/(3δn)", fnum(multiple));
-        sheet.add(label, 0..6, scenario, |c| {
-            let held = c.min_active >= majority;
-            let own = vec![if held { "yes" } else { "NO" }.to_string()];
-            (blocks_never_lies(&c.a, held, multiple <= 1.0), own)
-        });
+        (scenario, 0..6)
+    });
+    let mut sheet = Sheet::new(&["majority held?"], &cells);
+    for (multiple, (c, _)) in multiples.into_iter().zip(measure(&cells, |_| ())) {
+        let held = c.active.min().unwrap_or(0) >= majority;
+        let own = vec![if held { "yes" } else { "NO" }.to_string()];
+        let verdict = blocks_never_lies(&c, held, multiple <= 1.0);
+        sheet.add(format!("c={}/(3δn)", fnum(multiple)), &c, verdict, own);
     }
     sheet.evidence()
 }
 
 /// E9, one `(n, protocol)` cell: synchronous reads cost nothing; an ES
 /// read takes at least a round trip and between `n` and `3n` messages.
-pub fn read_costs(sync: bool, a: &Aggregate, msgs_per_read: f64, n: usize) -> Verdict {
+pub fn read_costs(sync: bool, c: &Cell, msgs_per_read: f64, n: usize) -> Verdict {
+    let read = mean(&c.read_latency);
     Verdict::of(if sync {
-        a.mean_read_latency == 0.0 && msgs_per_read == 0.0
+        read == 0.0 && msgs_per_read == 0.0
     } else {
-        a.mean_read_latency >= 2.0 && (n as f64..=3.0 * n as f64).contains(&msgs_per_read)
+        read >= 2.0 && (n as f64..=3.0 * n as f64).contains(&msgs_per_read)
     })
 }
 
 fn e9() -> Evidence {
-    let mut sheet = Sheet::new(&["msgs per read", "msgs per op (all)"]);
-    let delta = Span::ticks(4);
+    let (delta, mut grid, mut cells) = (Span::ticks(4), Vec::new(), Vec::new());
     for n in [10, 25, 50, 100, 200] {
-        for (name, base) in [
-            ("sync", ScenarioSpec::synchronous(n, delta)),
-            (
-                "es",
-                ScenarioSpec::eventually_synchronous(n, delta, Time::ZERO),
-            ),
-        ] {
+        let es = ScenarioSpec::eventually_synchronous(n, delta, Time::ZERO);
+        for (name, base) in [("sync", ScenarioSpec::synchronous(n, delta)), ("es", es)] {
             let scenario = ScenarioSpec {
                 churn: ChurnChoice::Constant(0.001),
                 duration: Span::ticks(500),
@@ -859,37 +873,45 @@ fn e9() -> Evidence {
                 write_every: Some(Span::ticks(16)),
                 ..base
             };
-            sheet.add(format!("n={n} {name}"), 0..4, scenario, |c| {
-                // A read's messages are the READ broadcast and its REPLYs;
-                // the synchronous protocol sends no READ, its REPLYs answer joins.
-                let sent = |label| -> u64 {
-                    let all = c.reports.iter().flat_map(|r| &r.messages);
-                    let labelled = all.filter(|(l, _)| *l == label);
-                    labelled.map(|(_, count)| count).sum()
-                };
-                let replies = if sent("READ") == 0 { 0 } else { sent("REPLY") };
-                let per_read = (sent("READ") + replies) as f64 / c.a.reads_checked.max(1) as f64;
-                let ops: usize = c.reports.iter().map(|r| r.liveness.completed).sum();
-                let per_op = c.a.mean_messages * c.a.runs as f64 / ops.max(1) as f64;
-                let verdict = read_costs(name == "sync", &c.a, per_read, n);
-                (verdict, vec![fnum(per_read), fnum(per_op)])
-            });
+            grid.push((n, name));
+            cells.push((scenario, 0..4));
         }
+    }
+    let mut sheet = Sheet::new(&["msgs per read", "msgs per op (all)"], &cells);
+    // READ and REPLY messages sent, and operations completed.
+    let counts = |r: &RunReport| {
+        let sent = |label| {
+            let labelled = r.messages.iter().filter(|(l, _)| *l == label);
+            labelled.map(|(_, count)| count).sum::<u64>()
+        };
+        [sent("READ"), sent("REPLY"), r.liveness.completed as u64]
+    };
+    for ((n, name), (c, facts)) in grid.into_iter().zip(measure(&cells, counts)) {
+        let total = |i: usize| facts.iter().map(|f| f[i]).sum::<u64>();
+        // A read's messages are the READ broadcast and its REPLYs;
+        // the synchronous protocol sends no READ, its REPLYs answer joins.
+        let (reads, ops) = (total(0), total(2));
+        let replies = if reads == 0 { 0 } else { total(1) };
+        let per_read = (reads + replies) as f64 / c.reads_checked.max(1) as f64;
+        let per_op = c.messages as f64 / ops.max(1) as f64;
+        let verdict = read_costs(name == "sync", &c, per_read, n);
+        let own = vec![fnum(per_read), fnum(per_op)];
+        sheet.add(format!("n={n} {name}"), &c, verdict, own);
     }
     sheet.evidence()
 }
 
 /// E10(a): write-back leaves no inversion, every run atomic, for about
 /// one more round trip per read than plain ES.
-pub fn write_back_costs(es: &Aggregate, atomic: &Aggregate, atomic_ok_runs: usize) -> Verdict {
-    let ratio = atomic.mean_read_latency / es.mean_read_latency;
+pub fn write_back_costs(es: &Cell, atomic: &Cell, atomic_ok_runs: u64) -> Verdict {
+    let ratio = mean(&atomic.read_latency) / mean(&es.read_latency);
     let atomic_ok = atomic.inversions == 0 && atomic_ok_runs == atomic.runs;
     Verdict::of(atomic_ok && (1.5..=2.5).contains(&ratio))
 }
 
 fn e10() -> Evidence {
-    let (aggs, atomic_ok, sheet) = variants();
-    let (es, atomic) = (&aggs[1], &aggs[2]);
+    let (cells, atomic_ok, sheet) = variants();
+    let (es, atomic) = (&cells[1], &cells[2]);
     let writes = [(3, 333), (7, 777)]; // concurrent: same sn, different writers
     let mut orders = Table::new(["delivery order", "replica value", "replica ts"]);
     let (mut ends, mut converged) = (Vec::new(), true);
@@ -907,7 +929,7 @@ fn e10() -> Evidence {
         ends.push(format!("{value} {ts}"));
     }
     let (inverted, ok, runs) = (atomic.inversions, atomic_ok, atomic.runs);
-    let (slow, fast) = (atomic.mean_read_latency, es.mean_read_latency);
+    let (slow, fast) = (mean(&atomic.read_latency), mean(&es.read_latency));
     let (ratio, ends) = (slow / fast, ends.join(" and "));
     let (slow, fast) = (fnum(slow), fnum(fast));
     Evidence {

@@ -55,6 +55,25 @@ fn scenario_runner_rejects_bad_invocations() {
     // more writers than processes.
     let roster = scenario_file("roster.dyn", &format!("{SMALL}writers 9\n"));
     assert_usage_error(bin, &[roster.to_str().expect("a UTF-8 path")]);
+    // Spans derived from delta that overflow a tick count.
+    for (name, text) in [
+        (
+            "huge_delta.dyn",
+            format!("{SMALL}delta 6148914691236517206\nduration 20\n"),
+        ),
+        (
+            "huge_cap.dyn",
+            format!("{SMALL}delta 3\nnet async 9223372036854775807\n"),
+        ),
+        (
+            "huge_es_delta.dyn",
+            "dynareg-scenario/1\nprotocol es\nnet es 0\nn 5\ndelta 2000000000000000000\n"
+                .to_string(),
+        ),
+    ] {
+        let file = scenario_file(name, &text);
+        assert_usage_error(bin, &[file.to_str().expect("a UTF-8 path")]);
+    }
 }
 
 /// `--duration-ticks T` hashes the text the run was parsed from: the file

@@ -4,48 +4,69 @@
 //! verdict to `FAILS`, which the binary turns into exit code 1.
 
 use dynareg_bench::ledger::{self, Claim, Evidence, Verdict, CLAIMS};
-use dynareg_testkit::experiment::Aggregate;
+use dynareg_fleet::Cell;
+use dynareg_sim::metrics::Histogram;
 use Verdict::{Deviates, Fails, Holds};
 
+/// A histogram of the given samples.
+fn samples(values: &[u64]) -> Histogram {
+    let mut h = Histogram::new();
+    values.iter().for_each(|&v| h.record(v));
+    h
+}
+
+/// Ten samples whose mean is `mean`, given to one decimal.
+fn with_mean(mean: f64) -> Histogram {
+    let tenths = (mean * 10.0).round() as u64;
+    let values: Vec<u64> = (0..10)
+        .map(|i| tenths / 10 + u64::from(i < tenths % 10))
+        .collect();
+    samples(&values)
+}
+
 /// A cell of `runs` clean runs: nothing unsafe, stuck or inverted.
-fn clean(runs: usize, read: f64, write: f64, join: f64) -> Aggregate {
-    Aggregate {
+fn clean(runs: u64, read: f64, write: f64, join: f64) -> Cell {
+    Cell {
         runs,
-        unsafe_runs: 0,
-        safety_violations: 0,
         reads_checked: 1000,
-        inversions: 0,
-        stuck_runs: 0,
-        stuck_ops: 0,
-        mean_read_latency: read,
-        mean_write_latency: write,
-        mean_join_latency: join,
-        mean_messages: 5000.0,
+        messages: 5000 * runs,
+        read_latency: with_mean(read),
+        write_latency: with_mean(write),
+        join_latency: with_mean(join),
+        ..Cell::new(1, 1, 1, 4, 0.5)
     }
 }
 
-/// `a` with `k` unsafe runs.
-fn lying(a: &Aggregate, k: usize) -> Aggregate {
-    Aggregate {
+/// `c` with `k` unsafe runs.
+fn lying(c: &Cell, k: u64) -> Cell {
+    Cell {
         unsafe_runs: k,
         safety_violations: 3 * k,
-        ..a.clone()
+        ..c.clone()
     }
 }
 
-/// `a` with `k` stuck runs of one stuck operation each.
-fn stuck(a: &Aggregate, k: usize) -> Aggregate {
-    Aggregate {
+/// `c` with `k` stuck runs of one stuck operation each.
+fn stuck(c: &Cell, k: u64) -> Cell {
+    Cell {
         stuck_runs: k,
         stuck_ops: k,
-        ..a.clone()
+        ..c.clone()
     }
 }
 
-fn inverting(a: &Aggregate, inversions: usize) -> Aggregate {
-    Aggregate {
+fn inverting(c: &Cell, inversions: u64) -> Cell {
+    Cell {
         inversions,
-        ..a.clone()
+        ..c.clone()
+    }
+}
+
+/// `c` whose per-tick active-set samples are `active`.
+fn active(c: &Cell, active: &[u64]) -> Cell {
+    Cell {
+        active: samples(active),
+        ..c.clone()
     }
 }
 
@@ -143,35 +164,33 @@ fn e3_wait_is_needed_is_its_own_negative_control() {
 
 #[test]
 fn e4_lemma2_window_pins_the_deviation_between_the_two_floors() {
-    assert_eq!(ledger::lemma2_window(22.5, 15.0, 23, 23), Holds);
-    assert_eq!(ledger::lemma2_window(22.5, 15.0, 23, 15), Deviates);
+    let c = Cell {
+        lemma2_steady_bound: 15.0,
+        ..Cell::new(1, 1, 1, 2, 0.25)
+    };
+    assert_eq!(ledger::lemma2_window(&c, 22.5, 23, 23), Holds);
+    assert_eq!(ledger::lemma2_window(&c, 22.5, 23, 15), Deviates);
     all_fail(&[
-        ledger::lemma2_window(22.5, 15.0, 23, 14), // below n(1−6δc)
-        ledger::lemma2_window(22.5, 15.0, 22, 23), // τ = 0 window below n(1−3δc)
+        ledger::lemma2_window(&c, 22.5, 23, 14), // below n(1−6δc)
+        ledger::lemma2_window(&c, 22.5, 22, 23), // τ = 0 window below n(1−3δc)
     ]);
 }
 
 #[test]
 fn e5_threshold_cell_can_fail() {
-    let live = clean(6, 0.0, 4.0, 11.0);
-    let gone = Aggregate {
+    let live = active(&clean(6, 0.0, 4.0, 11.0), &[15, 21]); // min 15, mean 18
+    let gone = Cell {
         reads_checked: 30,
-        ..live.clone()
+        ..active(&live, &[0, 7])
     };
-    assert_eq!(
-        ledger::threshold_cell(0.5, 15.0, &live, (15, 18.0), 1000),
-        Holds
-    );
-    assert_eq!(
-        ledger::threshold_cell(1.0, 0.0, &gone, (0, 3.7), 1000),
-        Holds
-    );
+    assert_eq!(ledger::threshold_cell(0.5, 15.0, &live, 1000), Holds);
+    assert_eq!(ledger::threshold_cell(1.0, 0.0, &gone, 1000), Holds);
     all_fail(&[
-        ledger::threshold_cell(0.5, 15.0, &live, (14, 18.0), 1000),
-        ledger::threshold_cell(0.5, 15.0, &stuck(&live, 1), (15, 18.0), 1000),
-        ledger::threshold_cell(1.0, 0.0, &gone, (1, 3.7), 1000), // somebody still active
-        ledger::threshold_cell(1.0, 0.0, &live, (0, 3.7), 1000), // reads held up
-        ledger::threshold_cell(1.5, 0.0, &lying(&gone, 1), (0, 1.0), 1000),
+        ledger::threshold_cell(0.5, 15.0, &active(&live, &[14, 22]), 1000),
+        ledger::threshold_cell(0.5, 15.0, &stuck(&live, 1), 1000),
+        ledger::threshold_cell(1.0, 0.0, &active(&gone, &[1, 6]), 1000), // somebody still active
+        ledger::threshold_cell(1.0, 0.0, &active(&live, &[0, 7]), 1000), // reads held up
+        ledger::threshold_cell(1.5, 0.0, &active(&lying(&gone, 1), &[0, 2]), 1000),
     ]);
 }
 

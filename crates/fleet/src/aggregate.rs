@@ -184,8 +184,9 @@ impl PointOutcome {
     }
 }
 
-/// One `(δ, c/c*)` cell of the phase diagram: all runs of all seeds (and
-/// populations) at that coordinate, reduced.
+/// One `(δ, c/c*)` cell of the phase diagram — all runs of all seeds (and
+/// populations) at that coordinate, reduced — and one cell of the paper
+/// ledger: a scenario's runs at its seeds ([`crate::run_cells`]).
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// Register-space key count.

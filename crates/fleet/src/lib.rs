@@ -22,6 +22,10 @@
 //!    byte-identical report** — JSON ([`PhaseReport::json`]), rendered
 //!    tables and the compact phase grid included.
 //!
+//! The paper ledger (`dynareg-bench`) and the examples run on the same
+//! pool through [`run_cells`]: each cell is one scenario at a list of
+//! seeds, reduced into the same [`Cell`] a phase-diagram point is.
+//!
 //! # Example
 //!
 //! ```
@@ -44,13 +48,17 @@
 
 #![warn(missing_docs)]
 
+use std::ops::Range;
+
+use dynareg_testkit::{RunReport, ScenarioSpec};
+
 mod aggregate;
 mod pool;
 mod report;
 mod spec;
 
 pub use aggregate::{cell_key, reduce_cells, run_digest, Cell, PointOutcome};
-pub use pool::{default_threads, run_points};
+pub use pool::{default_threads, run_points, run_points_with};
 pub use report::{Frontier, PhaseReport, BRACKET_TOL, PHASE_SCHEMA};
 pub use spec::{run_seed, RunPoint, SweepDomain, SweepSpec};
 
@@ -63,4 +71,49 @@ pub fn run_sweep(spec: &SweepSpec, threads: usize) -> PhaseReport {
     let points = spec.points();
     let outcomes = run_points(&points, threads);
     PhaseReport::from_outcomes(spec, &outcomes)
+}
+
+/// Runs each `(scenario, seeds)` cell at every one of its seeds — all
+/// cells' runs in one pool, so no cell waits for the slowest run of the
+/// one before — and reduces each cell's runs into a [`Cell`], next to what
+/// `fact` read off each of them, in seed order.
+///
+/// # Panics
+/// Panics if `threads` is zero or a cell has no seed.
+pub fn run_cells<X, F>(
+    cells: &[(ScenarioSpec, Range<u64>)],
+    threads: usize,
+    fact: F,
+) -> Vec<(Cell, Vec<X>)>
+where
+    X: Send,
+    F: Fn(&RunReport) -> X + Sync,
+{
+    let points: Vec<RunPoint> = cells
+        .iter()
+        .flat_map(|(spec, seeds)| {
+            seeds.clone().map(|seed| ScenarioSpec {
+                seed,
+                ..spec.clone()
+            })
+        })
+        .enumerate()
+        .map(|(index, spec)| RunPoint::of_spec(index as u64, spec))
+        .collect();
+    let summarise = |p: &RunPoint, r: &RunReport| (PointOutcome::from_run(p, r), fact(r));
+    let (outcomes, facts): (Vec<PointOutcome>, Vec<X>) =
+        run_points_with(&points, threads, summarise)
+            .into_iter()
+            .unzip();
+    let (mut facts, mut at) = (facts.into_iter(), 0);
+    cells
+        .iter()
+        .map(|(_, seeds)| {
+            let runs = seeds.clone().count();
+            let [cell] = <[Cell; 1]>::try_from(reduce_cells(&outcomes[at..at + runs]))
+                .expect("a cell runs one scenario at one or more seeds");
+            at += runs;
+            (cell, facts.by_ref().take(runs).collect())
+        })
+        .collect()
 }

@@ -3,10 +3,10 @@
 //! A sweep is an array of independent, internally deterministic worlds, so
 //! the pool is a classic work-stealing loop over a shared atomic cursor:
 //! every worker steals the next unclaimed run index, executes that world
-//! to completion on its own thread, summarizes it into a
-//! [`PointOutcome`], and goes back for more. Long points (high-`δ`,
-//! high-churn worlds are much slower than quiet ones) therefore never
-//! convoy behind a static partition.
+//! to completion on its own thread, summarizes it (into a
+//! [`PointOutcome`], for a sweep), and goes back for more. Long points
+//! (high-`δ`, high-churn worlds are much slower than quiet ones) therefore
+//! never convoy behind a static partition.
 //!
 //! Determinism: each world's randomness is fully determined by its
 //! [`RunPoint`]'s derived seed, and outcomes are stored by run index —
@@ -16,6 +16,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+use dynareg_testkit::RunReport;
 
 use crate::aggregate::PointOutcome;
 use crate::spec::RunPoint;
@@ -27,12 +29,27 @@ use crate::spec::RunPoint;
 /// Propagates a panic from any world (a panicking protocol invariant is a
 /// bug worth crashing the sweep for), and panics if `threads` is zero.
 pub fn run_points(points: &[RunPoint], threads: usize) -> Vec<PointOutcome> {
+    run_points_with(points, threads, PointOutcome::from_run)
+}
+
+/// The pool loop itself: executes every point on up to `threads` workers
+/// and returns, in run-index order, what `summarise` read off each
+/// finished run. [`run_points`] is the [`PointOutcome`] instance; a caller
+/// that needs a per-run fact `PointOutcome` lacks returns it next to one.
+///
+/// # Panics
+/// As [`run_points`].
+pub fn run_points_with<S, F>(points: &[RunPoint], threads: usize, summarise: F) -> Vec<S>
+where
+    S: Send,
+    F: Fn(&RunPoint, &RunReport) -> S + Sync,
+{
     assert!(threads > 0, "the pool needs at least one thread");
     if points.is_empty() {
         return Vec::new();
     }
     let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<PointOutcome>>> = points.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<S>>> = points.iter().map(|_| Mutex::new(None)).collect();
     let workers = threads.min(points.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -41,11 +58,10 @@ pub fn run_points(points: &[RunPoint], threads: usize) -> Vec<PointOutcome> {
                 let Some(point) = points.get(i) else {
                     break;
                 };
-                let report = point.spec.run();
-                let outcome = PointOutcome::from_run(point, &report);
+                let summary = summarise(point, &point.spec.run());
                 // The report (and its full history) drops here, worker-side:
                 // fleet memory is O(points), not O(events).
-                *slots[i].lock().expect("no poisoned outcome slot") = Some(outcome);
+                *slots[i].lock().expect("no poisoned outcome slot") = Some(summary);
             });
         }
     });
@@ -97,6 +113,13 @@ mod tests {
             assert_eq!(a.digest, b.digest, "point {} diverged", a.index);
             assert_eq!(a.messages, b.messages);
             assert_eq!(a.joins_completed, b.joins_completed);
+        }
+        // Any summary comes back in run-index order at any thread count.
+        let fact = |p: &RunPoint, r: &RunReport| (p.index, r.seed, r.liveness.completed);
+        let facts = run_points_with(&points, 1, fact);
+        assert_eq!(facts, run_points_with(&points, 3, fact));
+        for ((index, seed, _), p) in facts.iter().zip(&points) {
+            assert_eq!((*index, *seed), (p.index, p.seed));
         }
     }
 

@@ -126,6 +126,30 @@ pub struct RunPoint {
     pub spec: ScenarioSpec,
 }
 
+impl RunPoint {
+    /// The point that runs `spec` as it stands, at position `index` of its
+    /// run list. Every coordinate is read off the spec; `fraction` is its
+    /// churn rate over [`ScenarioSpec::churn_bound`].
+    pub fn of_spec(index: u64, spec: ScenarioSpec) -> RunPoint {
+        let gst = match spec.net {
+            NetClass::EventuallySynchronous { gst } => gst.ticks(),
+            _ => 0,
+        };
+        RunPoint {
+            index,
+            delta: spec.delta.as_ticks(),
+            fraction: spec.effective_churn_rate() / spec.churn_bound(),
+            n: spec.n,
+            gst,
+            keys: spec.keys,
+            shards: spec.effective_shards(),
+            writers: spec.writers,
+            seed: spec.seed,
+            spec,
+        }
+    }
+}
+
 /// One expansion coordinate of a sweep, pre-seed (every axis value of a
 /// single run).
 #[derive(Debug, Clone, Copy)]
@@ -448,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn run_seeds_differ_across_indices_and_masters() {
+    fn run_seed_differs_across_indices_and_masters() {
         let a = run_seed(1, 0);
         let b = run_seed(1, 1);
         let c = run_seed(2, 0);
@@ -577,5 +601,10 @@ mod tests {
         // Fraction → rate via the sync threshold 1/(3δ).
         let expect = (p.fraction / (3.0 * p.delta as f64)).min(1.0);
         assert!((p.spec.effective_churn_rate() - expect).abs() < 1e-12);
+        // …and a point read back off the spec has the same coordinates.
+        let q = RunPoint::of_spec(p.index, p.spec.clone());
+        let coords = |p: &RunPoint| (p.delta, p.n, p.gst, p.keys, p.shards, p.writers, p.seed);
+        assert_eq!(coords(&q), coords(p));
+        assert!((q.fraction - p.fraction).abs() < 1e-12);
     }
 }

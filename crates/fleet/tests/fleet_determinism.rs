@@ -69,7 +69,10 @@ fn fleet_runs_match_standalone_scenario_runs() {
             point.index
         );
         assert_eq!(outcome.messages, standalone.total_messages);
-        assert_eq!(outcome.reads_checked, standalone.reads_checked() as u64);
+        assert_eq!(
+            outcome.reads_checked,
+            standalone.total_reads_checked() as u64
+        );
         assert_eq!(
             outcome.joins_completed,
             standalone.metrics.counter("ops.join_completed")

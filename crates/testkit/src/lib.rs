@@ -1,4 +1,4 @@
-//! # dynareg-testkit — simulation world, scenarios and experiments
+//! # dynareg-testkit — simulation world, scenarios and result tables
 //!
 //! Glues the substrates together into runnable systems:
 //!
@@ -19,8 +19,9 @@
 //!   [`RunReport`] with safety, atomicity and liveness verdicts. It is the
 //!   unit of work `dynareg-fleet` fans out across threads, and what a
 //!   scenario file ([`parse_scenario`] / [`write_scenario`]) holds;
-//! * [`experiment`] — multi-seed aggregation and markdown/CSV tables for
-//!   the experiment binaries in `dynareg-bench`.
+//! * [`table`] — markdown/CSV tables for the paper ledger, the phase
+//!   report and the examples. Multi-seed runs and their reduction live in
+//!   `dynareg-fleet` (`run_cells`, `Cell`).
 //!
 //! # Example
 //!
@@ -41,7 +42,6 @@
 
 #![warn(missing_docs)]
 
-pub mod experiment;
 mod factory;
 pub mod obs;
 mod scenario;

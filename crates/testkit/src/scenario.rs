@@ -154,16 +154,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// New/old inversions observed (0 for an atomic run) on the anchor key.
-    pub fn inversions(&self) -> usize {
-        self.atomicity.inversions
-    }
-
-    /// Reads checked by the safety checker on the anchor key.
-    pub fn reads_checked(&self) -> usize {
-        self.safety.checked_reads
-    }
-
     /// Sharded-join full-re-inquiry messages sent (`INQUIRY_FULL` wave
     /// size × rounds) — the shard-starvation escalation traffic. Zero for
     /// unsharded runs.
@@ -187,29 +177,11 @@ impl RunReport {
         self.metrics.counter("join.retransmits")
     }
 
-    /// Wall-clock tick-phase profile, if the run was observed with
-    /// [`ObsConfig::tick_profile`] on.
-    pub fn tick_profile(&self) -> Option<&dynareg_sim::obs::TickProfile> {
-        self.obs.as_ref()?.tick_profile.as_ref()
-    }
-
     /// Completed reads attributed to one register (the key-attributed
     /// `ops.read_completed.rK` counter).
     pub fn key_reads_completed(&self, key: RegisterId) -> u64 {
         self.metrics
             .keyed_counter("ops.read_completed", key.as_raw())
-    }
-
-    /// Completed writes attributed to one register.
-    pub fn key_writes_completed(&self, key: RegisterId) -> u64 {
-        self.metrics
-            .keyed_counter("ops.write_completed", key.as_raw())
-    }
-
-    /// Read-latency histogram attributed to one register, if that key
-    /// completed any reads.
-    pub fn key_read_latency(&self, key: RegisterId) -> Option<&dynareg_sim::metrics::Histogram> {
-        self.metrics.keyed_histogram("latency.read", key.as_raw())
     }
 
     /// `f` summed over the anchor key's verdicts and every other key's.
@@ -301,9 +273,9 @@ impl RunReport {
                 self.churn_rate,
                 self.seed,
                 if self.safety.is_ok() { "OK" } else { "VIOLATED" },
-                self.inversions(),
+                self.total_inversions(),
                 if self.liveness.is_ok() { "OK" } else { "STUCK" },
-                self.reads_checked(),
+                self.total_reads_checked(),
                 self.total_messages,
             );
         }
@@ -653,15 +625,7 @@ impl ScenarioSpec {
     /// bound, `>1.0` violates it. The rate is capped at 1, and a zero rate
     /// is no churn.
     pub fn churn_fraction_of_bound(self, fraction: f64) -> ScenarioSpec {
-        let threshold = match self.protocol {
-            ProtocolChoice::Synchronous | ProtocolChoice::SynchronousNoWait => {
-                analysis::sync_churn_threshold(self.delta)
-            }
-            ProtocolChoice::EventuallySynchronous | ProtocolChoice::EsAtomic => {
-                analysis::es_churn_threshold(self.delta, self.n)
-            }
-        };
-        let c = (fraction * threshold).min(1.0);
+        let c = (fraction * self.churn_bound()).min(1.0);
         let churn = if c == 0.0 {
             ChurnChoice::None
         } else {
@@ -674,6 +638,9 @@ impl ScenarioSpec {
     ///
     /// * `n`, `δ`, `keys`, `shards` and `writers` are positive, and
     ///   `writers ≤ n`;
+    /// * every span a run derives from `δ` fits in a `u64` tick count:
+    ///   `12δ` (the longest, the default drain) and, on an asynchronous
+    ///   network, the tail cap `cap·δ`;
     /// * the write period, when set, is positive;
     /// * the read rate and the Zipf exponent are finite and non-negative;
     /// * `write_quiesce` is set only on 1-key runs (keyed workloads have
@@ -693,6 +660,11 @@ impl ScenarioSpec {
         let finite_non_negative = |x: f64| x.is_finite() && x >= 0.0;
         rule(self.n > 0, "n", "system size must be positive")?;
         rule(!self.delta.is_zero(), "delta", "delta must be positive")?;
+        let spans = |k: u64| self.delta.as_ticks().checked_mul(k).is_some();
+        rule(spans(12), "delta", "delta must be at most u64::MAX / 12")?;
+        if let NetClass::FullyAsynchronous { cap_factor } = self.net {
+            rule(spans(cap_factor), "net", "cap * delta overflows u64")?;
+        }
         rule(self.keys > 0, "keys", "key count must be positive")?;
         rule(self.shards > 0, "shards", "shard count must be positive")?;
         let roster = (1..=self.n).contains(&self.writers);
@@ -707,6 +679,19 @@ impl ScenarioSpec {
         rule(quiesce, "write-quiesce", "write quiescence needs 1 key")?;
         let churn = self.churn.problem();
         rule(churn.is_none(), "churn", churn.unwrap_or_default())
+    }
+
+    /// The protocol's proven churn threshold `c*`: `1/(3δ)` for sync,
+    /// `1/(3δn)` for ES.
+    pub fn churn_bound(&self) -> f64 {
+        match self.protocol {
+            ProtocolChoice::Synchronous | ProtocolChoice::SynchronousNoWait => {
+                analysis::sync_churn_threshold(self.delta)
+            }
+            ProtocolChoice::EventuallySynchronous | ProtocolChoice::EsAtomic => {
+                analysis::es_churn_threshold(self.delta, self.n)
+            }
+        }
     }
 
     /// The churn rate this spec will run with.
@@ -958,36 +943,28 @@ impl ScenarioSpec {
                 history,
             })
             .collect();
-        let safety = anchor.regularity;
-        let atomicity = anchor.atomicity;
-        let liveness = anchor.liveness;
-        let messages: Vec<(&'static str, u64)> = network.sent_by_label().collect();
-        let total_messages = network.total_sent();
-        let fault_drops = metrics.counter("net.dropped.fault");
-        let delta_overruns = network.delta_overruns();
-        let delta_overrun_example = network.first_delta_overrun();
         RunReport {
             protocol,
             n: self.n,
             delta: self.delta,
             churn_rate,
             seed: self.seed,
-            safety,
-            atomicity,
-            liveness,
+            safety: anchor.regularity,
+            atomicity: anchor.atomicity,
+            liveness: anchor.liveness,
+            fault_drops: metrics.counter("net.dropped.fault"),
             metrics,
             history,
             presence,
-            messages,
-            total_messages,
-            fault_drops,
+            messages: network.sent_by_label().collect(),
+            total_messages: network.total_sent(),
             trace,
             keys,
             shards,
             writers: self.writers,
             extra_keys,
-            delta_overruns,
-            delta_overrun_example,
+            delta_overruns: network.delta_overruns(),
+            delta_overrun_example: network.first_delta_overrun(),
             obs: obs_report,
         }
     }
@@ -1037,7 +1014,7 @@ mod tests {
         assert_eq!(report.protocol, "sync");
         assert!(report.safety.is_ok(), "{}", report.safety);
         assert!(report.liveness.is_ok(), "{}", report.liveness);
-        assert!(report.reads_checked() > 20);
+        assert!(report.total_reads_checked() > 20);
         assert!(report.presence.total_arrivals() > 15, "churn ran");
     }
 
@@ -1066,7 +1043,7 @@ mod tests {
         .run();
         assert_eq!(report.protocol, "es-atomic");
         assert!(report.atomicity.is_ok(), "{}", report.atomicity);
-        assert_eq!(report.inversions(), 0);
+        assert_eq!(report.total_inversions(), 0);
     }
 
     #[test]
@@ -1194,6 +1171,28 @@ mod tests {
         assert_eq!(broken(keyed), "write-quiesce");
         let rate = |s: &mut ScenarioSpec| s.churn = ChurnChoice::Poisson(1.5);
         assert_eq!(broken(rate), "churn");
+        let cap = |s: &mut ScenarioSpec| {
+            s.net = NetClass::FullyAsynchronous {
+                cap_factor: u64::MAX,
+            }
+        };
+        assert_eq!(broken(cap), "net");
+    }
+
+    #[test]
+    fn the_longest_derived_span_bounds_delta() {
+        let spec = |delta| ScenarioSpec {
+            duration: Span::ticks(20),
+            ..ScenarioSpec::synchronous(5, Span::ticks(delta))
+        };
+        assert!(
+            spec(u64::MAX / 12).run().safety.is_ok(),
+            "the largest delta runs"
+        );
+        assert_eq!(
+            spec(u64::MAX / 12 + 1).validate().unwrap_err().directive,
+            "delta"
+        );
     }
 
     #[test]

@@ -668,6 +668,18 @@ seed 2      # last one wins
         let rate = "dynareg-scenario/1\nprotocol sync\nnet sync\nn 9\ndelta 2\n\
                     churn constant 0.1\nchurn constant 1.5\nseed 3\n";
         assert_eq!(parse_scenario(rate).unwrap_err().line, 7);
+
+        // A span derived from delta that overflows, at the directive
+        // that set delta or the asynchronous tail cap.
+        let files = [
+            "protocol sync\nnet sync\nn 5\ndelta 6148914691236517206\nduration 20\n",
+            "protocol sync\nnet async 9223372036854775807\nn 5\ndelta 3\nduration 20\n",
+            "protocol es\nnet es 0\nn 5\ndelta 2000000000000000000\n",
+        ];
+        for (text, line) in files.into_iter().zip([5, 3, 5]) {
+            let err = parse_scenario(&format!("{FORMAT_LINE}\n{text}")).unwrap_err();
+            assert_eq!(err.line, line, "{err}");
+        }
     }
 
     #[test]

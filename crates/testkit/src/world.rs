@@ -391,7 +391,7 @@ pub struct World<F: SpaceFactory> {
     metrics: Metrics,
     /// Deliveries counted outside [`Metrics`] (a per-event map update is
     /// measurable at 40M+ events); folded into `net.delivered` on
-    /// [`World::into_outputs`].
+    /// [`World::into_space_outputs`].
     delivered_msgs: u64,
     /// Reused scratch between a run's two phases, empty between runs:
     /// every copy's effects back to back, and each copy with where its
@@ -597,12 +597,6 @@ where
                 }
             }
         }
-    }
-
-    /// The first roster writer — *the* designated writer of one-writer
-    /// configurations (multi-writer callers use [`World::writer_roster`]).
-    pub fn writer(&self) -> NodeId {
-        self.writer_roster()[0]
     }
 
     /// Current simulated time.
@@ -1520,7 +1514,7 @@ where
 
     /// Run metrics (read-only). The hot-path delivery counter
     /// (`net.delivered`) is folded in when the world is decomposed via
-    /// [`World::into_outputs`].
+    /// [`World::into_space_outputs`].
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -1531,22 +1525,8 @@ where
     }
 
     /// Decomposes the world into its observable outputs
-    /// `(history, presence, metrics, trace, network)` — the single-register
-    /// view: the history is the anchor key's (other keys, if any, are
-    /// dropped; keyed worlds decompose via
-    /// [`World::into_space_outputs`]).
-    pub fn into_outputs(self) -> (History<Option<Val>>, Presence, Metrics, TraceLog, Network) {
-        let (space, presence, metrics, trace, network) = self.into_space_outputs();
-        let history = space
-            .into_histories()
-            .into_iter()
-            .next()
-            .expect("a space has at least one key");
-        (history, presence, metrics, trace, network)
-    }
-
-    /// Decomposes the world into its observable outputs with the full
-    /// per-key history space.
+    /// `(histories, presence, metrics, trace, network)`, one history per
+    /// key.
     pub fn into_space_outputs(
         mut self,
     ) -> (
@@ -2110,7 +2090,7 @@ mod tests {
             (profile.deliver_events, profile.ticks),
             (attempts as u64, ticks as u64)
         );
-        let (_h, _p, metrics, _t, _n) = w.into_outputs();
+        let (_h, _p, metrics, _t, _n) = w.into_space_outputs();
         assert_eq!(metrics.counter("net.delivered"), attempts as u64);
     }
 
@@ -2249,7 +2229,7 @@ mod tests {
         w.run_until(Time::at(60));
         let events = w.events_processed();
         assert!(events > 60, "ticks plus messages were processed");
-        let (_h, _p, metrics, _t, _n) = w.into_outputs();
+        let (_h, _p, metrics, _t, _n) = w.into_space_outputs();
         assert!(metrics.counter("net.delivered") > 0);
     }
 }

@@ -119,7 +119,8 @@ fn clean_run_spans_complete_with_ordered_phases() {
 
     // The profiler ran (ObsConfig::full() turns it on) and accounted the
     // run's ticks.
-    let profile = report.tick_profile().expect("full obs profiles ticks");
+    let profile = report.obs.as_ref().and_then(|o| o.tick_profile.as_ref());
+    let profile = profile.expect("full obs profiles ticks");
     assert_eq!(profile.ticks, 201, "one profiled tick per instant 0..=200");
     assert!(profile.deliver_events > 0);
 }

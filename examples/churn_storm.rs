@@ -18,8 +18,8 @@
 //! Run with: `cargo run --example churn_storm`
 
 use dynareg::churn::LeaveSelector;
+use dynareg::fleet::{default_threads, run_cells};
 use dynareg::sim::Span;
-use dynareg::testkit::experiment::run_seeds;
 use dynareg::testkit::table::{fnum, Table};
 use dynareg::testkit::{NetClass, ScenarioSpec};
 
@@ -41,45 +41,31 @@ fn main() {
         "reads done",
         "safety",
     ]);
-    for fraction in [0.25, 0.5, 0.75, 1.0, 1.5, 2.0] {
-        let reports = run_seeds(0..6, |seed| {
-            ScenarioSpec {
-                net: NetClass::SynchronousWorstCase,
-                migrating_writer: true,
-                writer_churns: true,
-                selector: LeaveSelector::ActiveFirst,
-                duration: Span::ticks(400),
-                reads_per_tick: 2.0,
-                seed,
-                ..ScenarioSpec::synchronous(n, delta).churn_fraction_of_bound(fraction)
-            }
-            .run()
-        });
-        let mean_active: f64 = reports
-            .iter()
-            .filter_map(|r| r.metrics.histogram("gauge.active").and_then(|h| h.mean()))
-            .sum::<f64>()
-            / reports.len() as f64;
-        let min_active = reports
-            .iter()
-            .filter_map(|r| r.metrics.histogram("gauge.active").and_then(|h| h.min()))
-            .min()
-            .unwrap_or(0);
-        let joins: u64 = reports
-            .iter()
-            .map(|r| r.metrics.counter("ops.join_completed"))
-            .sum();
-        let reads: usize = reports.iter().map(|r| r.reads_checked()).sum();
-        let violations: usize = reports.iter().map(|r| r.safety.violation_count()).sum();
+    let fractions = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0];
+    let cells = fractions.map(|fraction| {
+        let scenario = ScenarioSpec {
+            net: NetClass::SynchronousWorstCase,
+            migrating_writer: true,
+            writer_churns: true,
+            selector: LeaveSelector::ActiveFirst,
+            duration: Span::ticks(400),
+            reads_per_tick: 2.0,
+            ..ScenarioSpec::synchronous(n, delta).churn_fraction_of_bound(fraction)
+        };
+        (scenario, 0..6)
+    });
+    let measured = run_cells(&cells, default_threads(), |_| ());
+    for (fraction, (cell, _)) in fractions.into_iter().zip(measured) {
         let bound =
             (n as f64 * (1.0 - 3.0 * delta.as_ticks() as f64 * fraction * threshold)).max(0.0);
+        let violations = cell.safety_violations;
         table.row([
             fnum(fraction),
             fnum(bound),
-            fnum(mean_active),
-            min_active.to_string(),
-            joins.to_string(),
-            reads.to_string(),
+            fnum(cell.active.mean().unwrap_or(0.0)),
+            cell.active.min().unwrap_or(0).to_string(),
+            cell.joins_completed.to_string(),
+            cell.reads_checked.to_string(),
             if violations == 0 {
                 "OK".to_string()
             } else {

@@ -9,8 +9,9 @@
 //!
 //! Run with: `cargo run --example eventually_synchronous`
 
+use dynareg::fleet::{default_threads, run_cells};
+use dynareg::sim::metrics::Histogram;
 use dynareg::sim::{Span, Time};
-use dynareg::testkit::experiment::{run_seeds, Aggregate};
 use dynareg::testkit::table::{fnum, Table};
 use dynareg::testkit::ScenarioSpec;
 
@@ -30,26 +31,27 @@ fn main() {
         "read lat (mean)",
         "write lat (mean)",
     ]);
-    for gst_ticks in [0u64, 200, 400] {
-        let reports = run_seeds(0..6, |seed| {
-            ScenarioSpec {
-                duration: Span::ticks(800),
-                drain: Some(Span::ticks(200)), // generous: drain must outlast GST turbulence
-                reads_per_tick: 1.0,
-                seed,
-                ..ScenarioSpec::eventually_synchronous(n, delta, Time::at(gst_ticks))
-                    .churn_fraction_of_bound(0.5)
-            }
-            .run()
-        });
-        let agg = Aggregate::from_reports(&reports);
+    let gsts = [0u64, 200, 400];
+    let cells = gsts.map(|gst_ticks| {
+        let scenario = ScenarioSpec {
+            duration: Span::ticks(800),
+            drain: Some(Span::ticks(200)), // generous: drain must outlast GST turbulence
+            reads_per_tick: 1.0,
+            ..ScenarioSpec::eventually_synchronous(n, delta, Time::at(gst_ticks))
+                .churn_fraction_of_bound(0.5)
+        };
+        (scenario, 0..6)
+    });
+    let measured = run_cells(&cells, default_threads(), |_| ());
+    for (gst_ticks, (cell, _)) in gsts.into_iter().zip(measured) {
+        let mean = |h: &Histogram| fnum(h.mean().unwrap_or(0.0));
         table.row([
             format!("t{gst_ticks}"),
-            format!("{}/{}", agg.unsafe_runs, agg.runs),
-            format!("{}/{}", agg.stuck_runs, agg.runs),
-            fnum(agg.mean_join_latency),
-            fnum(agg.mean_read_latency),
-            fnum(agg.mean_write_latency),
+            format!("{}/{}", cell.unsafe_runs, cell.runs),
+            format!("{}/{}", cell.stuck_runs, cell.runs),
+            mean(&cell.join_latency),
+            mean(&cell.read_latency),
+            mean(&cell.write_latency),
         ]);
     }
     println!("{table}");

@@ -34,7 +34,7 @@ fn main() {
     );
     println!(
         "operations: {} reads checked, {} messages sent",
-        report.reads_checked(),
+        report.total_reads_checked(),
         report.total_messages
     );
     println!();

@@ -64,8 +64,8 @@
 //! | [`churn`] | `dynareg-churn` | churn models and membership analytics |
 //! | [`verify`] | `dynareg-verify` | histories + regular/atomic/safe/liveness checkers |
 //! | [`core`] | `dynareg-core` | the paper's protocols and extensions |
-//! | [`testkit`] | `dynareg-testkit` | world runtime, scenarios, experiment sweeps |
-//! | [`fleet`] | `dynareg-fleet` | multi-threaded sweep orchestrator, phase diagrams |
+//! | [`testkit`] | `dynareg-testkit` | world runtime, scenarios, scenario files, result tables |
+//! | [`fleet`] | `dynareg-fleet` | multi-threaded run pool and cells: phase diagrams, the paper ledger |
 
 pub use dynareg_churn as churn;
 pub use dynareg_core as core;

@@ -123,7 +123,7 @@ fn atomic_extension_kills_inversions() {
     }
     .run();
     assert!(atomic.atomicity.is_ok(), "{}", atomic.atomicity);
-    assert_eq!(atomic.inversions(), 0);
+    assert_eq!(atomic.total_inversions(), 0);
     assert!(
         atomic.messages.iter().any(|(l, _)| *l == "WRITE_BACK"),
         "write-backs must appear on the wire"
@@ -150,7 +150,7 @@ fn regular_registers_admit_inversions_where_atomic_does_not() {
         .run();
         // Regular semantics must still hold even when inversions occur.
         assert!(report.safety.is_ok(), "seed={seed}: {}", report.safety);
-        sync_inversions += report.inversions();
+        sync_inversions += report.total_inversions();
     }
     assert!(
         sync_inversions > 0,
@@ -167,7 +167,7 @@ fn regular_registers_admit_inversions_where_atomic_does_not() {
             ..ScenarioSpec::es_atomic(10, Span::ticks(6), Time::ZERO)
         }
         .run();
-        atomic_inversions += report.inversions();
+        atomic_inversions += report.total_inversions();
     }
     assert_eq!(
         atomic_inversions, 0,

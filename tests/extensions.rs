@@ -142,6 +142,6 @@ fn atomic_extension_survives_churn() {
     }
     .run();
     assert!(report.atomicity.is_ok(), "{}", report.atomicity);
-    assert_eq!(report.inversions(), 0);
+    assert_eq!(report.total_inversions(), 0);
     assert!(report.presence.total_arrivals() > 11, "churn actually ran");
 }

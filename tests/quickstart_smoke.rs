@@ -23,7 +23,10 @@ fn quickstart_report_is_clean() {
     let report = quickstart();
     assert!(report.safety.is_ok(), "{}", report.safety);
     assert_eq!(report.liveness.incomplete_stayer_count(), 0);
-    assert!(report.reads_checked() > 0, "the workload issued reads");
+    assert!(
+        report.total_reads_checked() > 0,
+        "the workload issued reads"
+    );
 }
 
 /// Same seed, same everything: the quickstart run replays identically.
@@ -32,7 +35,7 @@ fn quickstart_is_deterministic_across_runs() {
     let (a, b) = (quickstart(), quickstart());
     assert_eq!(a.total_messages, b.total_messages);
     assert_eq!(a.messages, b.messages);
-    assert_eq!(a.reads_checked(), b.reads_checked());
+    assert_eq!(a.total_reads_checked(), b.total_reads_checked());
     assert_eq!(a.safety.violation_count(), b.safety.violation_count());
     assert_eq!(a.liveness.completed, b.liveness.completed);
     assert_eq!(

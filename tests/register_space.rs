@@ -34,7 +34,7 @@ fn zipf_256_keys_on_a_churning_1000_node_world_is_regular_per_key() {
         report.presence.total_arrivals()
     );
     // Zipf traffic reached a broad slice of the key space…
-    let touched = usize::from(report.reads_checked() > 0)
+    let touched = usize::from(report.safety.checked_reads > 0)
         + report
             .extra_keys
             .iter()

@@ -249,8 +249,9 @@ fn sharded_scenarios_under_churn_stay_green_per_key() {
         "Zipf favours the anchor key"
     );
     let lat = report
-        .key_read_latency(anchor)
-        .expect("anchor key read latency");
+        .metrics
+        .keyed_histogram("latency.read", anchor.as_raw());
+    let lat = lat.expect("anchor key read latency");
     assert_eq!(lat.count(), report.key_reads_completed(anchor));
     assert_eq!(lat.max(), Some(0), "sync reads are local at every key");
 }

@@ -44,7 +44,7 @@ fn assert_equivalent(solo: &RunReport, spaced: &RunReport) {
         spaced.presence.total_departures()
     );
     assert_eq!(solo.safety.is_ok(), spaced.safety.is_ok());
-    assert_eq!(solo.inversions(), spaced.inversions());
+    assert_eq!(solo.total_inversions(), spaced.total_inversions());
     assert_eq!(
         solo.liveness.incomplete_stayer_count(),
         spaced.liveness.incomplete_stayer_count()

@@ -42,7 +42,7 @@ fn reads_are_free() {
         ..ScenarioSpec::synchronous(20, Span::ticks(4)).churn_fraction_of_bound(0.5)
     }
     .run();
-    assert!(report.reads_checked() > 100);
+    assert!(report.total_reads_checked() > 100);
     assert_eq!(report.liveness.read_latency.max(), Some(0));
     assert!(report.messages.iter().all(|(label, _)| *label != "READ"));
 }
@@ -161,7 +161,7 @@ fn beyond_bound_availability_collapses() {
         Some(0),
         "the active set empties entirely"
     );
-    assert!(above.reads_checked() < below.reads_checked() / 5);
+    assert!(above.total_reads_checked() < below.total_reads_checked() / 5);
 }
 
 /// Determinism across the whole stack: same scenario + seed ⇒ identical
@@ -179,7 +179,7 @@ fn same_seed_same_everything() {
     let (a, b) = (run(99), run(99));
     assert_eq!(a.total_messages, b.total_messages);
     assert_eq!(a.messages, b.messages);
-    assert_eq!(a.reads_checked(), b.reads_checked());
+    assert_eq!(a.total_reads_checked(), b.total_reads_checked());
     assert_eq!(
         a.liveness.join_latency.mean(),
         b.liveness.join_latency.mean()
