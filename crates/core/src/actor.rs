@@ -69,6 +69,24 @@ pub enum Effect<M, V> {
     Note(String),
 }
 
+/// Where a protocol step writes its effects.
+///
+/// [`RegisterProcess::on_message_into`] pushes into a sink rather than
+/// returning a list, so the runtime decides where an effect lands: a
+/// `Vec<Effect>` keeps them as they are, and an adapter can convert each
+/// effect as it is pushed, so a delivery's effects are written once.
+pub trait EffectSink<M, V> {
+    /// Appends one effect.
+    fn push(&mut self, effect: Effect<M, V>);
+}
+
+impl<M, V> EffectSink<M, V> for Vec<Effect<M, V>> {
+    #[inline]
+    fn push(&mut self, effect: Effect<M, V>) {
+        Vec::push(self, effect);
+    }
+}
+
 /// A register protocol instance bound to one process.
 ///
 /// # Contract
@@ -117,16 +135,17 @@ pub trait RegisterProcess: fmt::Debug {
     /// The process enters the system and starts its `join` operation.
     fn on_enter(&mut self, now: Time) -> Vec<Effect<Self::Msg, Self::Val>>;
 
-    /// A message from `from` is delivered; its effects append to `out`.
-    /// The runtime calls this with a reused buffer (message delivery is
-    /// the simulator's hottest edge — tens of millions of calls in a
-    /// large-population run), so a delivery costs no allocation.
+    /// A message from `from` is delivered; its effects are pushed into
+    /// `out`, in order. Message delivery is the simulator's hottest edge
+    /// (tens of millions of calls in a large-population run), so the
+    /// runtime hands in its own buffer, or a sink that writes each effect
+    /// straight into it, and a delivery costs no allocation.
     fn on_message_into(
         &mut self,
         now: Time,
         from: NodeId,
         msg: Self::Msg,
-        out: &mut Vec<Effect<Self::Msg, Self::Val>>,
+        out: &mut impl EffectSink<Self::Msg, Self::Val>,
     );
 
     /// Allocating convenience form of

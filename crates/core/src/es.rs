@@ -55,12 +55,11 @@
 //!   classical ABD phase-2; this eliminates new/old inversions, lifting the
 //!   register from regular to atomic at one extra round-trip per read.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use dynareg_sim::{NodeId, OpId, Time};
 
-use crate::actor::{Effect, OpOutcome, RegisterProcess, Value};
+use crate::actor::{Effect, EffectSink, OpOutcome, RegisterProcess, Value};
 
 /// A logical timestamp ordering written values: lexicographic on
 /// `(sn, writer)`.
@@ -266,7 +265,8 @@ struct ReadCtx<V> {
 struct AckWait {
     op: OpId,
     ts: Timestamp,
-    acks: BTreeSet<NodeId>,
+    /// The distinct processes that acked `ts`, sorted.
+    acks: Vec<NodeId>,
     /// Whether completing delivers `WriteOk` (client write) or the read
     /// value (atomic read write-back).
     is_write: bool,
@@ -302,8 +302,11 @@ pub struct EsRegister<V> {
     reading: bool,
     /// `read_snᵢ` — 0 identifies the join; incremented per read request.
     read_sn: u64,
-    /// `repliesᵢ` — keyed by sender so a quorum counts distinct processes.
-    replies: BTreeMap<NodeId, (Option<V>, Timestamp)>,
+    /// `repliesᵢ` — one `(sender, value, ts)` entry per distinct sender,
+    /// sorted by sender, so a quorum counts distinct processes. Sized to
+    /// the quorum on the round's first reply and released when the round
+    /// completes: nothing reads a finished round.
+    replies: Vec<(NodeId, Option<V>, Timestamp)>,
     /// `reply_toᵢ` — (requester, its r_sn) pairs to answer upon activation.
     reply_to: Vec<(NodeId, u64)>,
     /// `dl_prevᵢ` — (promiser → requester, r_sn) pairs gathered from
@@ -329,7 +332,7 @@ impl<V: Value> EsRegister<V> {
             active: true,
             reading: false,
             read_sn: 0,
-            replies: BTreeMap::new(),
+            replies: Vec::new(),
             reply_to: Vec::new(),
             dl_prev: Vec::new(),
             pending_join: None,
@@ -349,7 +352,7 @@ impl<V: Value> EsRegister<V> {
             active: false,
             reading: false,
             read_sn: 0,
-            replies: BTreeMap::new(),
+            replies: Vec::new(),
             reply_to: Vec::new(),
             dl_prev: Vec::new(),
             pending_join: Some(join_op),
@@ -382,9 +385,26 @@ impl<V: Value> EsRegister<V> {
         }
     }
 
-    /// Figure 4/5 lines 05–06: adopt the freshest gathered reply.
+    /// Records a `REPLY` in `repliesᵢ`. A second reply from one sender
+    /// replaces its first, even when it is the older of the two
+    /// (`docs/PROTOCOL.md`, *Idempotent responders*).
+    fn record_reply(&mut self, from: NodeId, value: Option<V>, ts: Timestamp) {
+        match self.replies.binary_search_by_key(&from, |r| r.0) {
+            Ok(at) => self.replies[at] = (from, value, ts),
+            Err(at) => {
+                if self.replies.capacity() == 0 {
+                    self.replies.reserve_exact(self.reply_quorum());
+                }
+                self.replies.insert(at, (from, value, ts));
+            }
+        }
+    }
+
+    /// Figure 4/5 lines 05–06: adopt the freshest gathered reply (among
+    /// equal timestamps, the highest sender's), and release the round.
     fn adopt_best_reply(&mut self) {
-        if let Some((value, ts)) = self.replies.values().max_by_key(|(_, ts)| *ts).cloned() {
+        let replies = std::mem::take(&mut self.replies);
+        if let Some((_, value, ts)) = replies.into_iter().max_by_key(|r| r.2) {
             if ts > self.ts {
                 self.ts = ts;
                 self.register = value;
@@ -393,14 +413,14 @@ impl<V: Value> EsRegister<V> {
     }
 
     /// Figure 4 lines 07–11: become active and answer `reply_to ∪ dl_prev`.
-    fn finish_join(&mut self, out: &mut Vec<Effect<EsMsg<V>, V>>) {
+    fn finish_join(&mut self, out: &mut impl EffectSink<EsMsg<V>, V>) {
         debug_assert!(!self.active);
+        let heard = self.replies.len();
         self.adopt_best_reply();
         self.active = true; // line 07
         if self.config.notes {
             out.push(Effect::Note(format!(
-                "join quorum reached with {} replies, adopted ts {}",
-                self.replies.len(),
+                "join quorum reached with {heard} replies, adopted ts {}",
                 self.ts
             )));
         }
@@ -434,7 +454,7 @@ impl<V: Value> EsRegister<V> {
     }
 
     /// Figure 5 lines 05–07 (+ write phase 2 / write-back dispatch).
-    fn finish_quorum_read(&mut self, out: &mut Vec<Effect<EsMsg<V>, V>>) {
+    fn finish_quorum_read(&mut self, out: &mut impl EffectSink<EsMsg<V>, V>) {
         self.adopt_best_reply(); // lines 05–06
         self.reading = false; // line 07
         let ctx = self.pending_read.take().expect("read context");
@@ -447,7 +467,7 @@ impl<V: Value> EsRegister<V> {
                             self.pending_ack = Some(AckWait {
                                 op: ctx.op,
                                 ts: self.ts,
-                                acks: BTreeSet::new(),
+                                acks: Vec::with_capacity(self.config.quorum()),
                                 is_write: false,
                             });
                             out.push(Effect::Broadcast {
@@ -476,7 +496,7 @@ impl<V: Value> EsRegister<V> {
                 self.pending_ack = Some(AckWait {
                     op: ctx.op,
                     ts: self.ts,
-                    acks: BTreeSet::new(),
+                    acks: Vec::with_capacity(self.config.quorum()),
                     is_write: true,
                 });
                 out.push(Effect::Broadcast {
@@ -486,27 +506,28 @@ impl<V: Value> EsRegister<V> {
         }
     }
 
-    /// Quorum test shared by join and read reply collection. A joining
-    /// process waits for the (possibly shard-sized) join quorum; an active
-    /// reader always waits for the full majority.
-    fn reply_quorum_reached(&self) -> bool {
-        let quorum = if self.active {
+    /// The reply quorum of the round in flight. A joining process waits for
+    /// the (possibly shard-sized) join quorum; an active reader always
+    /// waits for the full majority.
+    fn reply_quorum(&self) -> usize {
+        if self.active {
             self.config.quorum()
         } else {
             self.config.effective_join_quorum()
-        };
-        self.replies.len() >= quorum
+        }
     }
 
     /// Handles an `ACK(ts)`: Figure 6 lines 09–10 (plus write-back acks).
-    fn on_ack(&mut self, from: NodeId, ts: Timestamp, out: &mut Vec<Effect<EsMsg<V>, V>>) {
+    fn on_ack(&mut self, from: NodeId, ts: Timestamp, out: &mut impl EffectSink<EsMsg<V>, V>) {
         let Some(wait) = self.pending_ack.as_mut() else {
             return;
         };
         if wait.ts != ts {
             return; // ack for an older write
         }
-        wait.acks.insert(from);
+        if let Err(at) = wait.acks.binary_search(&from) {
+            wait.acks.insert(at, from);
+        }
         if wait.acks.len() >= self.config.quorum() {
             let wait = self.pending_ack.take().expect("checked above");
             let outcome = if wait.is_write {
@@ -538,10 +559,10 @@ impl<V: Value> RegisterProcess for EsRegister<V> {
     }
 
     fn join_replies(&self) -> Option<usize> {
-        // `repliesᵢ` is keyed by sender, so duplicates from a retransmitted
-        // inquiry overwrite rather than inflate the count. After activation
-        // the same map serves quorum reads and must not be interpreted as
-        // join progress.
+        // `repliesᵢ` holds one entry per sender, so duplicates from a
+        // retransmitted inquiry overwrite rather than inflate the count.
+        // After activation the same list serves quorum reads and must not
+        // be interpreted as join progress.
         (!self.active).then_some(self.replies.len())
     }
 
@@ -565,15 +586,15 @@ impl<V: Value> RegisterProcess for EsRegister<V> {
 
     // Message delivery is the simulator's hottest edge (every INQUIRY/READ
     // broadcast lands here once per process, and an ES-heavy sweep delivers
-    // tens of millions of them); the buffered form makes the common cases —
-    // replying to a request, recording a reply, acking a write — append
-    // into the runtime's reused buffer with zero allocations.
+    // tens of millions of them); the sink form makes the common cases —
+    // replying to a request, recording a reply, acking a write — push
+    // into the runtime's buffer with zero allocations.
     fn on_message_into(
         &mut self,
         _now: Time,
         from: NodeId,
         msg: EsMsg<V>,
-        out: &mut Vec<Effect<EsMsg<V>, V>>,
+        out: &mut impl EffectSink<EsMsg<V>, V>,
     ) {
         match msg {
             // Figure 4 lines 12–17.
@@ -625,14 +646,14 @@ impl<V: Value> RegisterProcess for EsRegister<V> {
                 if !collecting {
                     return;
                 }
-                self.replies.insert(from, (value, ts));
+                self.record_reply(from, value, ts);
                 // Line 20: acknowledge the carried value — this is what
                 // lets an in-flight write count us (Lemma 7).
                 out.push(Effect::Send {
                     to: from,
                     msg: EsMsg::Ack { ts },
                 });
-                if self.reply_quorum_reached() {
+                if self.replies.len() >= self.reply_quorum() {
                     if !self.active {
                         self.finish_join(out);
                     } else if self.reading {
@@ -778,6 +799,89 @@ mod tests {
             p.on_message(Time::at(t), nid(0), reply(10, 1, 0));
         }
         assert!(!p.is_active(), "one replier, however chatty, is one vote");
+    }
+
+    #[test]
+    fn duplicate_acks_do_not_fake_a_quorum() {
+        // A write's acks, then an atomic read's write-back acks.
+        let mut writer = bootstrap(0);
+        writer.on_write(Time::ZERO, oid(1), 42);
+        let mut reader = EsRegister::new_bootstrap(nid(0), EsConfig::atomic(5), 0u64);
+        reader.on_read(Time::ZERO, oid(1));
+        for (mut p, outcome) in [
+            (writer, OpOutcome::WriteOk),
+            (reader, OpOutcome::Read(Some(9))),
+        ] {
+            for i in 1..=3 {
+                p.on_message(Time::at(1), nid(i), reply(9, 2, 1));
+            }
+            let ts = p.local_ts();
+            for t in 2..=6 {
+                let effects = p.on_message(Time::at(t), nid(1), EsMsg::Ack { ts });
+                assert!(completions(&effects).is_empty(), "one acker is one vote");
+            }
+            p.on_message(Time::at(7), nid(2), EsMsg::Ack { ts });
+            let done = p.on_message(Time::at(8), nid(3), EsMsg::Ack { ts });
+            assert_eq!(completions(&done), vec![(oid(1), outcome)]);
+        }
+    }
+
+    #[test]
+    fn a_later_reply_from_one_sender_replaces_its_first_even_when_older() {
+        // Two replies from one sender for one `r_sn` can arrive newest
+        // first: one promised by `DL_PREV` and sent at activation, then a
+        // direct one to a late `READ` (or one per retransmitted inquiry).
+        // The later-arriving entry stands, so this read adopts sn 3, where
+        // a running maximum over all replies would adopt sn 5.
+        let mut p = bootstrap(0);
+        p.on_read(Time::ZERO, oid(1));
+        p.on_message(Time::at(1), nid(1), reply(50, 5, 1));
+        p.on_message(Time::at(2), nid(1), reply(30, 3, 1));
+        p.on_message(Time::at(3), nid(2), reply(0, 0, 1));
+        let done = p.on_message(Time::at(4), nid(3), reply(0, 0, 1));
+        assert_eq!(
+            completions(&done),
+            vec![(oid(1), OpOutcome::Read(Some(30)))]
+        );
+        assert_eq!(p.local_ts().sn, 3);
+    }
+
+    #[test]
+    fn equal_timestamps_adopt_the_highest_senders_value() {
+        let mut p = bootstrap(0);
+        p.on_read(Time::ZERO, oid(1));
+        p.on_message(Time::at(1), nid(3), reply(33, 4, 1));
+        p.on_message(Time::at(1), nid(1), reply(11, 4, 1));
+        let done = p.on_message(Time::at(1), nid(2), reply(22, 4, 1));
+        assert_eq!(
+            completions(&done),
+            vec![(oid(1), OpOutcome::Read(Some(33)))]
+        );
+    }
+
+    #[test]
+    fn a_round_releases_its_replies_when_it_completes() {
+        let mut p = joiner(9);
+        p.on_enter(Time::ZERO);
+        for i in 0..3 {
+            p.on_message(Time::at(1), nid(i), reply(10, 1, 0));
+        }
+        assert!(p.is_active());
+        assert_eq!(p.replies.capacity(), 0, "the join's replies are released");
+        p.on_read(Time::at(2), oid(1));
+        p.on_message(Time::at(3), nid(0), reply(10, 1, 1));
+        assert_eq!(
+            p.replies.capacity(),
+            cfg().quorum(),
+            "sized to the quorum once"
+        );
+        p.on_message(Time::at(3), nid(1), reply(10, 1, 1));
+        p.on_message(Time::at(3), nid(2), reply(10, 1, 1));
+        assert!(!p.reading);
+        assert_eq!(p.replies.capacity(), 0, "the read's replies are released");
+        // A late reply to the finished read is not stored.
+        p.on_message(Time::at(4), nid(3), reply(10, 1, 1));
+        assert_eq!(p.replies.capacity(), 0);
     }
 
     #[test]

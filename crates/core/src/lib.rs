@@ -51,7 +51,7 @@ pub mod es;
 pub mod space;
 pub mod sync;
 
-pub use actor::{completions, Effect, OpOutcome, RegisterProcess, Value};
+pub use actor::{completions, Effect, EffectSink, OpOutcome, RegisterProcess, Value};
 pub use space::{
     shard_of_key, shard_of_node, RegisterSpace, RegisterSpaceProcess, ShardConfig, SoloSpace,
     SpaceEffect, SpaceMsg,

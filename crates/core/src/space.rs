@@ -137,7 +137,7 @@ use std::rc::Rc;
 
 use dynareg_sim::{NodeId, OpId, RegisterId, Span, Time};
 
-use crate::actor::{Effect, OpOutcome, RegisterProcess, Value};
+use crate::actor::{Effect, EffectSink, OpOutcome, RegisterProcess, Value};
 
 /// Wire messages of a register space over inner protocol messages `M`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -315,8 +315,6 @@ pub trait RegisterSpaceProcess: fmt::Debug {
 #[derive(Debug)]
 pub struct SoloSpace<P: RegisterProcess> {
     inner: P,
-    /// Reused scratch so the delivery fast path stays allocation-free.
-    scratch: Vec<Effect<P::Msg, P::Val>>,
     /// Join re-fire state; inert without a policy (the default of
     /// [`SoloSpace::new`]).
     refire: JoinRefire<P::Msg>,
@@ -327,7 +325,6 @@ impl<P: RegisterProcess> SoloSpace<P> {
     pub fn new(inner: P) -> SoloSpace<P> {
         SoloSpace {
             inner,
-            scratch: Vec::new(),
             refire: JoinRefire::new(),
         }
     }
@@ -369,6 +366,17 @@ impl<P: RegisterProcess> SoloSpace<P> {
         }
         let inner = &self.inner;
         self.refire.arm(|| inner.join_replies().unwrap_or(0), out);
+    }
+}
+
+/// A sink that lifts each single-register effect into the space's buffer
+/// as the protocol pushes it, so a solo delivery writes its effects once.
+struct Lifted<'a, M, V>(&'a mut Vec<SpaceEffect<M, V>>);
+
+impl<M, V> EffectSink<M, V> for Lifted<'_, M, V> {
+    #[inline]
+    fn push(&mut self, effect: Effect<M, V>) {
+        self.0.push(lift_effect(effect));
     }
 }
 
@@ -420,11 +428,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for SoloSpace<P> {
         msg: P::Msg,
         out: &mut Vec<SpaceEffect<P::Msg, P::Val>>,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        debug_assert!(scratch.is_empty());
-        self.inner.on_message_into(now, from, msg, &mut scratch);
-        out.extend(scratch.drain(..).map(lift_effect));
-        self.scratch = scratch;
+        self.inner.on_message_into(now, from, msg, &mut Lifted(out));
     }
 
     fn on_timer(&mut self, now: Time, tag: u64) -> Vec<SpaceEffect<P::Msg, P::Val>> {
@@ -1726,6 +1730,104 @@ mod tests {
         ));
     }
 
+    /// Delivers `deliveries` to a `SoloSpace` over `make()`, all into one
+    /// buffer that starts non-empty, and to a bare `make()` through
+    /// `on_message`: every step appends exactly the bare step's effects,
+    /// lifted, and leaves what the buffer held before it alone.
+    fn solo_delivery_lifts_on_message<P: RegisterProcess>(
+        make: impl Fn() -> P,
+        deliveries: Vec<(u64, P::Msg)>,
+    ) {
+        let (mut solo, mut bare) = (SoloSpace::new(make()), make());
+        let sentinel = SpaceEffect::Note {
+            key: RegisterId::ZERO,
+            text: "sentinel".into(),
+        };
+        let mut out = vec![sentinel.clone()];
+        let mut before = out.clone();
+        for (t, (from, msg)) in deliveries.into_iter().enumerate() {
+            let now = Time::at(t as u64);
+            let expected = bare.on_message(now, nid(from), msg.clone());
+            solo.on_message_into(now, nid(from), msg, &mut out);
+            before.extend(expected.into_iter().map(lift_effect));
+            assert_eq!(out, before, "delivery {t}");
+        }
+        assert!(out.len() > 1, "the sequence emits something");
+    }
+
+    #[test]
+    fn solo_delivery_appends_the_lifted_effects_sync() {
+        let write = |sn| SyncMsg::Write {
+            value: 40 + sn as u64,
+            sn,
+        };
+        solo_delivery_lifts_on_message(
+            || SyncRegister::<u64>::new_bootstrap(nid(0), cfg(), 5),
+            vec![
+                (7, SyncMsg::Inquiry),
+                (1, write(1)),
+                (8, SyncMsg::Inquiry),
+                (1, write(1)),
+                (
+                    2,
+                    SyncMsg::Reply {
+                        value: Some(3),
+                        sn: 9,
+                    },
+                ),
+                (9, SyncMsg::Inquiry),
+            ],
+        );
+    }
+
+    #[test]
+    fn solo_delivery_appends_the_lifted_effects_es() {
+        let reply = |sn, r_sn| EsMsg::Reply {
+            value: Some(10 * sn as u64),
+            ts: Timestamp { sn, writer: 0 },
+            r_sn,
+        };
+        let ts = Timestamp { sn: 2, writer: 0 };
+        // An atomic reader: replies, a write-back broadcast, noted acks and
+        // the read's completion.
+        solo_delivery_lifts_on_message(
+            || {
+                let mut p = EsRegister::new_bootstrap(nid(0), EsConfig::atomic(5).with_notes(), 0);
+                p.on_read(Time::ZERO, oid(1));
+                p
+            },
+            vec![
+                (9, EsMsg::Inquiry { r_sn: 0 }),
+                (1, reply(2, 1)),
+                (2, reply(0, 1)),
+                (
+                    2,
+                    EsMsg::Write {
+                        value: 7,
+                        ts: Timestamp { sn: 1, writer: 2 },
+                    },
+                ),
+                (3, reply(1, 1)),
+                (1, EsMsg::Ack { ts }),
+                (2, EsMsg::Ack { ts }),
+                (3, EsMsg::Ack { ts }),
+                (4, EsMsg::Read { r_sn: 6 }),
+            ],
+        );
+        // A joiner: DL_PREV promises, then activation answers them.
+        solo_delivery_lifts_on_message(
+            || EsRegister::new_joiner(nid(9), EsConfig::new(5).with_notes(), oid(2)),
+            vec![
+                (50, EsMsg::Inquiry { r_sn: 0 }),
+                (60, EsMsg::DlPrev { r_sn: 4 }),
+                (0, reply(1, 0)),
+                (1, reply(3, 0)),
+                (2, reply(2, 0)),
+                (50, EsMsg::Read { r_sn: 1 }),
+            ],
+        );
+    }
+
     fn sharded_bootstrap(id: u64, keys: u32, groups: u32) -> RegisterSpace<SyncRegister<u64>> {
         bootstrap_space(id, keys).with_shards(ShardConfig::new(groups))
     }
@@ -2780,7 +2882,7 @@ mod tests {
             now: Time,
             from: NodeId,
             msg: SyncMsg<u64>,
-            out: &mut Vec<Effect<SyncMsg<u64>, u64>>,
+            out: &mut impl EffectSink<SyncMsg<u64>, u64>,
         ) {
             self.log.borrow_mut().push(self.key);
             self.inner.on_message_into(now, from, msg, out);

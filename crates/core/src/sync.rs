@@ -33,7 +33,7 @@
 
 use dynareg_sim::{NodeId, OpId, Span, Time};
 
-use crate::actor::{Effect, OpOutcome, RegisterProcess, Value};
+use crate::actor::{Effect, EffectSink, OpOutcome, RegisterProcess, Value};
 
 /// Wire messages of the synchronous protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -353,14 +353,14 @@ impl<V: Value> RegisterProcess for SyncRegister<V> {
 
     /// Figure 1 lines 13–17 and Figure 2 lines 03–04. Message delivery is
     /// the simulator's hottest edge (every INQUIRY in a join wave lands here
-    /// once per process); appending into the runtime's reused buffer makes
-    /// it allocation-free.
+    /// once per process); pushing into the runtime's sink makes it
+    /// allocation-free.
     fn on_message_into(
         &mut self,
         _now: Time,
         from: NodeId,
         msg: SyncMsg<V>,
-        out: &mut Vec<Effect<SyncMsg<V>, V>>,
+        out: &mut impl EffectSink<SyncMsg<V>, V>,
     ) {
         match msg {
             // Figure 1, lines 13–16.

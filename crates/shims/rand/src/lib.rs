@@ -68,6 +68,24 @@ pub trait SampleUniform: Sized + Copy + PartialOrd {
     fn one_below(hi: Self) -> Self;
 }
 
+/// Uniform draw from `[0, bound)`: Lemire's debiased multiply-shift over a
+/// `u64` draw, which rejects a draw whose low product word is below
+/// `threshold = 2⁶⁴ mod bound`. `threshold < bound`, so the division that
+/// computes it is needed only when the low word is below `bound` (one draw
+/// in `2⁶⁴ / bound`), and the draws accepted are exactly those of testing
+/// every one against `threshold`.
+#[inline]
+fn below<R: Rng + ?Sized>(rng: &mut R, bound: u64) -> u64 {
+    let mut m = u128::from(rng.next_u64()) * u128::from(bound);
+    if (m as u64) < bound {
+        let threshold = bound.wrapping_neg() % bound;
+        while (m as u64) < threshold {
+            m = u128::from(rng.next_u64()) * u128::from(bound);
+        }
+    }
+    (m >> 64) as u64
+}
+
 macro_rules! impl_sample_uniform_int {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
@@ -77,16 +95,7 @@ macro_rules! impl_sample_uniform_int {
                 if span == u128::from(u64::MAX) {
                     return rng.next_u64() as $t;
                 }
-                // Debiased multiply-shift (Lemire) over a u64 draw.
-                let bound = (span as u64) + 1;
-                let threshold = bound.wrapping_neg() % bound;
-                loop {
-                    let x = rng.next_u64();
-                    let m = (x as u128) * (bound as u128);
-                    if (m as u64) >= threshold {
-                        return lo.wrapping_add((m >> 64) as $t);
-                    }
-                }
+                lo.wrapping_add(below(rng, (span as u64) + 1) as $t)
             }
             fn one_below(hi: Self) -> Self {
                 hi.checked_sub(1).expect("random_range: empty exclusive range")
@@ -243,6 +252,50 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let _: u64 = rng.random_range(0..u64::MAX);
         let _: u64 = rng.random_range(0..=u64::MAX);
+    }
+
+    /// Reference for `below`: the same rejection test, with the threshold
+    /// divided out before every draw.
+    fn below_with_division(rng: &mut SmallRng, bound: u64) -> u64 {
+        let threshold = bound.wrapping_neg() % bound;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(bound);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn draws_match_the_dividing_loop_draw_for_draw() {
+        let bounds = [
+            1,
+            2,
+            3,
+            4,
+            5,
+            7,
+            8,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            (1 << 63) + 1,
+            u64::MAX - 1,
+        ];
+        for seed in [0, 11, 424_242] {
+            for bound in bounds {
+                let mut fast = SmallRng::seed_from_u64(seed);
+                let mut reference = fast.clone();
+                for _ in 0..100_000 {
+                    let got: u64 = fast.random_range(0..bound);
+                    assert_eq!(got, below_with_division(&mut reference, bound));
+                }
+                assert_eq!(
+                    format!("{fast:?}"),
+                    format!("{reference:?}"),
+                    "bound {bound}, seed {seed}: generator states diverged"
+                );
+            }
+        }
     }
 
     #[test]
