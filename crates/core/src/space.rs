@@ -20,10 +20,11 @@
 //! * [`SoloSpace`] adapts a single [`RegisterProcess`] to the space trait
 //!   with **zero wire or behavioural overhead** — raw protocol messages,
 //!   no key tags. It is the 1-key fast path, chosen by the factory from
-//!   the key count: re-measured at PR 16 HEAD, after the `Keyed` fast
-//!   exit, `K = 1` through [`RegisterSpace`] still runs at 0.64–0.70× of
-//!   its events per second (dynabench `soak_scale`, `es_quorum`,
-//!   `churn_edge`), and the 1-key equivalence property tests hold the two
+//!   the key count: `K = 1` through [`RegisterSpace`] runs at 0.42–0.73×
+//!   of its dynabench events per second (`soak_scale` 0.42×, `es_quorum`
+//!   0.53×, `churn_edge` 0.61×, `chaos_loss` 0.73×; medians of three
+//!   alternating pairs at commit `89929dd`, seed 762320, 2-core Xeon
+//!   VM), and the 1-key equivalence property tests hold the two
 //!   digest-identical.
 //!
 //! # The shared handshake's contract
@@ -79,12 +80,12 @@
 //! `shard(p) = hash(node_id) mod G` ([`shard_of_node`]) and answers a
 //! (non-full) [`SpaceMsg::JoinAll`] only for the keys of *its* shard
 //! (`key mod G`), so one reply carries `K/G` entries. The joiner still
-//! broadcasts a single inquiry; it tracks, per shard, the distinct
-//! responders whose [`SpaceMsg::Batch`]es covered that shard's keys, and
-//! the shared join timer only activates the keys of shards that met the
-//! configured per-shard quorum — shards still short keep their instances
-//! joining and the timer **re-fires the inquiry** (re-arming itself) until
-//! every shard has answered. A re-inquiry is *full* (`full: true`): any
+//! broadcasts a single inquiry; it tracks, per shard, whether any
+//! responder's [`SpaceMsg::Batch`] covered that shard's keys, and the
+//! shared join timer only activates the keys of shards that have been
+//! heard from — shards still unheard keep their instances joining and the
+//! timer **re-fires the inquiry** (re-arming itself) until every shard has
+//! answered. A re-inquiry is *full* (`full: true`): any
 //! active process answers for all keys, so one starved shard degrades a
 //! join to the full-state transfer for one extra round instead of
 //! wedging it — availability falls back to the paper's argument while the
@@ -124,14 +125,13 @@
 //! [`SpaceEffect::Retransmit`] so the runtime can count
 //! `join.retransmits` without parsing wire labels. Responders are
 //! idempotent by construction: a re-received inquiry is re-answered from
-//! current state, and duplicate `Batch` replies never double-count a
-//! shard quorum (`shard_heard` is a set per shard).
+//! current state, and a duplicate `Batch` reply only re-marks a shard
+//! already heard from (`shard_heard` is one flag per shard).
 //!
 //! The full wire-level lifecycle (message grammar, shard striping, the
 //! retransmit state machine) is specified in `docs/PROTOCOL.md` at the
 //! repository root.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 
@@ -707,11 +707,6 @@ pub struct ShardConfig {
     /// the key count when a space is assembled (a shard with no keys
     /// answers nothing and gates nothing).
     pub groups: u32,
-    /// Distinct responders whose replies must cover a shard before the
-    /// shared join timer may activate that shard's keys (sync-style
-    /// timer-driven joins; quorum protocols gate on their own
-    /// `join_quorum` instead).
-    pub quorum: usize,
     /// Re-inquiry period for protocols that set no join timers (ES): while
     /// the shared join is incomplete the space re-broadcasts a full
     /// inquiry at this interval.
@@ -719,8 +714,7 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// Sharded replies over `groups` groups, per-shard quorum 1, re-inquiry
-    /// every 8 ticks.
+    /// Sharded replies over `groups` groups, re-inquiry every 8 ticks.
     ///
     /// # Panics
     /// Panics if `groups` is zero.
@@ -728,19 +722,8 @@ impl ShardConfig {
         assert!(groups > 0, "shard groups must be positive");
         ShardConfig {
             groups,
-            quorum: 1,
             reinquire_every: Span::ticks(8),
         }
-    }
-
-    /// Sets the per-shard responder quorum.
-    ///
-    /// # Panics
-    /// Panics if `quorum` is zero.
-    pub fn with_quorum(mut self, quorum: usize) -> ShardConfig {
-        assert!(quorum > 0, "a shard quorum must be positive");
-        self.quorum = quorum;
-        self
     }
 
     /// Sets the re-inquiry period for timer-less (quorum) protocols.
@@ -775,9 +758,9 @@ pub struct RegisterSpace<P: RegisterProcess> {
     shard: ShardConfig,
     /// This process's responder shard (`shard_of_node(id, groups)`).
     my_shard: u32,
-    /// Per-shard distinct responders whose batches covered that shard's
-    /// keys (joiner-side quorum tracking; empty unless `groups > 1`).
-    shard_heard: Vec<BTreeSet<NodeId>>,
+    /// Per shard, whether any responder's batch covered that shard's keys
+    /// (joiner-side tracking; empty unless `groups > 1`).
+    shard_heard: Vec<bool>,
     /// Join re-fire state; on the sharded pace while `groups > 1`.
     refire: JoinRefire<SpaceMsg<P::Msg>>,
 }
@@ -907,7 +890,7 @@ struct StepCtx<M, V> {
     /// Per-target send groups (fan-in batching); insertion-ordered.
     fan_sends: Option<Vec<FanGroup<M>>>,
     /// Emit single-entry fan-in groups as `Batch` anyway (sharded joins:
-    /// the joiner counts per-shard quorums by batch content, so join
+    /// the joiner marks shards heard from by batch content, so join
     /// replies must be identifiable on the wire even when a shard owns
     /// one key). Never set when `groups == 1`.
     force_batch: bool,
@@ -991,7 +974,7 @@ impl<P: RegisterProcess> RegisterSpace<P> {
         self.my_shard = shard_of_node(self.id, groups);
         self.refire.reinquire = (groups > 1).then_some(config.reinquire_every);
         self.shard_heard = if groups > 1 {
-            vec![BTreeSet::new(); groups as usize]
+            vec![false; groups as usize]
         } else {
             Vec::new()
         };
@@ -1329,7 +1312,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
                 if self.shard.groups > 1 && !self.join_done {
                     for (key, _) in replies.iter() {
                         let s = shard_of_key(*key, self.shard.groups) as usize;
-                        self.shard_heard[s].insert(from);
+                        self.shard_heard[s] = true;
                     }
                 }
                 let entries = replies.iter().cloned();
@@ -1352,7 +1335,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
             // A shared join-phase timer: dispatch to every still-joining
             // instance (exactly the requesters; module docs, contract 2) —
             // except, once the sharded inquiry is out, instances of shards
-            // still short of their reply quorum: those stay joining and the
+            // no responder has answered yet: those stay joining and the
             // timer re-fires the inquiry (full fallback) and re-arms.
             // Multi-instance step → per-target sends batch, so postponed
             // replies flushed at activation stay one message per inquirer.
@@ -1376,7 +1359,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
                     continue;
                 }
                 let shard = shard_of_key(RegisterId::from_raw(raw), groups) as usize;
-                if gate && self.shard_heard[shard].len() < self.shard.quorum {
+                if gate && !self.shard_heard[shard] {
                     withheld = true;
                     continue;
                 }
@@ -1992,79 +1975,6 @@ mod tests {
             };
             assert_eq!(s.register(key(k_raw)).local_value(), Some(&expect));
         }
-    }
-
-    #[test]
-    fn shard_quorum_counts_distinct_responders() {
-        let groups = 2;
-        let mut s =
-            sharded_joiner(9, 4, groups).with_shards(ShardConfig::new(groups).with_quorum(2));
-        let enter = s.on_enter(Time::ZERO);
-        let SpaceEffect::SetTimer { tag, .. } = enter[0] else {
-            panic!()
-        };
-        let inquire = s.on_timer(Time::at(3), tag);
-        let SpaceEffect::SetTimer { tag: t2, .. } = inquire[1] else {
-            panic!()
-        };
-        // One responder per shard — quorum 2 not met anywhere, even if the
-        // same responder repeats itself.
-        let in_shard = |g: u32| {
-            (0..64)
-                .find(|&i| shard_of_node(nid(i), groups) == g)
-                .unwrap()
-        };
-        for _ in 0..3 {
-            s.on_message_into(
-                Time::at(5),
-                nid(in_shard(0)),
-                shard_batch(in_shard(0), 4, groups, 7),
-                &mut Vec::new(),
-            );
-        }
-        let effects = s.on_timer(Time::at(9), t2);
-        assert!(!s.is_active(), "one chatty responder is one vote");
-        assert!(effects.iter().any(|e| matches!(
-            e,
-            SpaceEffect::Broadcast {
-                msg: SpaceMsg::JoinAll { full: true, .. }
-            }
-        )));
-        // A second distinct responder per shard satisfies quorum 2 — the
-        // full fallback reply covers both shards at once.
-        let extra = (0..64)
-            .find(|&i| i != in_shard(0) && i != in_shard(1))
-            .unwrap();
-        s.on_message_into(
-            Time::at(11),
-            nid(in_shard(1)),
-            shard_batch(in_shard(1), 4, groups, 8),
-            &mut Vec::new(),
-        );
-        let full_reply = SpaceMsg::Batch {
-            replies: (0..4)
-                .map(|k| {
-                    (
-                        key(k),
-                        SyncMsg::Reply {
-                            value: Some(9),
-                            sn: 1,
-                        },
-                    )
-                })
-                .collect(),
-        };
-        s.on_message_into(
-            Time::at(11),
-            nid(in_shard(0)),
-            full_reply.clone(),
-            &mut Vec::new(),
-        );
-        s.on_message_into(Time::at(11), nid(extra), full_reply, &mut Vec::new());
-        // The withheld expiry re-armed the same shared tag; its next firing
-        // finds every shard at quorum and completes the join.
-        let done = s.on_timer(Time::at(15), t2);
-        assert!(done.contains(&SpaceEffect::JoinComplete), "{done:?}");
     }
 
     #[test]

@@ -129,26 +129,6 @@ impl<M> Fanout<M> {
     pub fn is_empty(&self) -> bool {
         self.recipients.is_empty()
     }
-
-    /// Materializes per-recipient [`Envelope`]s, cloning the payload once
-    /// per recipient. Compatibility/inspection helper — the runtime's hot
-    /// path deliberately does *not* use it.
-    pub fn envelopes(&self) -> impl Iterator<Item = Envelope<M>> + '_
-    where
-        M: Clone,
-    {
-        self.recipients
-            .iter()
-            .map(move |&(to, deliver_at, seq)| Envelope {
-                seq,
-                from: self.from,
-                to,
-                sent_at: self.sent_at,
-                deliver_at,
-                label: self.label,
-                msg: self.msg.clone(),
-            })
-    }
 }
 
 /// The communication substrate: reliable point-to-point channels plus the
@@ -696,12 +676,7 @@ mod tests {
         let tos: Vec<NodeId> = fan.recipients.iter().map(|&(to, _, _)| to).collect();
         assert_eq!(tos, vec![n(0), n(1), n(2), n(9)], "snapshot in id order");
         assert_eq!(fan.len(), 4);
-        // Lazy expansion clones the payload per materialized envelope.
-        let envs: Vec<Envelope<u64>> = fan.envelopes().collect();
-        assert!(envs
-            .iter()
-            .all(|e| e.msg == 7 && e.label == "WRITE" && e.from == n(0)));
-        assert_eq!(envs.len(), 4);
+        assert_eq!((fan.msg, fan.label, fan.from), (7, "WRITE", n(0)));
     }
 
     #[test]

@@ -21,10 +21,6 @@ pub struct NodeId(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(u64);
 
-/// Identifier of a pending timer set by a protocol actor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(u64);
-
 /// Identifier of one register in a keyed register *space*.
 ///
 /// The paper implements a single anonymous register; the register-space
@@ -83,18 +79,6 @@ impl OpId {
     }
 }
 
-impl TimerId {
-    /// Builds a timer id from a raw index.
-    pub const fn from_raw(raw: u64) -> TimerId {
-        TimerId(raw)
-    }
-
-    /// The raw index behind this id.
-    pub const fn as_raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}", self.0)
@@ -104,12 +88,6 @@ impl fmt::Display for NodeId {
 impl fmt::Display for OpId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "op{}", self.0)
-    }
-}
-
-impl fmt::Display for TimerId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "timer{}", self.0)
     }
 }
 
@@ -159,16 +137,6 @@ impl IdSource {
     pub fn fresh_op(&mut self) -> OpId {
         OpId(self.bump())
     }
-
-    /// Issues a fresh timer id.
-    pub fn fresh_timer(&mut self) -> TimerId {
-        TimerId(self.bump())
-    }
-
-    /// The raw value the next issued id will carry.
-    pub fn peek_next(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -187,14 +155,13 @@ mod tests {
     fn starting_at_offsets_first_id() {
         let mut src = IdSource::starting_at(7);
         assert_eq!(src.fresh_node(), NodeId::from_raw(7));
-        assert_eq!(src.peek_next(), 8);
+        assert_eq!(src.fresh_node(), NodeId::from_raw(8));
     }
 
     #[test]
     fn display_forms() {
         assert_eq!(NodeId::from_raw(3).to_string(), "p3");
         assert_eq!(OpId::from_raw(4).to_string(), "op4");
-        assert_eq!(TimerId::from_raw(5).to_string(), "timer5");
         assert_eq!(RegisterId::from_raw(6).to_string(), "r6");
     }
 

@@ -42,7 +42,7 @@ mod time;
 pub mod trace;
 
 pub use event::{EventQueue, ScheduledEvent};
-pub use ids::{IdSource, NodeId, OpId, RegisterId, TimerId};
+pub use ids::{IdSource, NodeId, OpId, RegisterId};
 pub use lookup::LookupMap;
 pub use rng::DetRng;
 pub use time::{Span, Time};

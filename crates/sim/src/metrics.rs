@@ -253,11 +253,6 @@ impl Metrics {
         self.histograms.entry(name).or_default().record(value);
     }
 
-    /// Records a span sample in the named histogram.
-    pub fn sample_span(&mut self, name: &'static str, span: Span) {
-        self.sample(name, span.as_ticks());
-    }
-
     /// The named histogram, if it has any samples.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)

@@ -355,15 +355,6 @@ impl TickProfile {
         }
     }
 
-    /// Total measured seconds across all phases.
-    pub fn total_secs(&self) -> f64 {
-        self.deliver_secs
-            + self.timer_secs
-            + self.churn_secs
-            + self.workload_secs
-            + self.sample_secs
-    }
-
     /// One-line JSON object (no trailing newline) for embedding in bench
     /// artifacts.
     pub fn json(&self) -> String {
@@ -485,7 +476,11 @@ mod tests {
         p.ticks = 3;
         assert_eq!(p.deliver_events, 2);
         assert_eq!(p.timer_events, 1);
-        assert!((p.total_secs() - 0.015).abs() < 1e-9);
+        let secs = [p.deliver_secs, p.timer_secs, p.churn_secs, p.workload_secs];
+        assert!(secs
+            .iter()
+            .zip([0.003, 0.004, 0.008, 0.0])
+            .all(|(got, want)| (got - want).abs() < 1e-9));
         let json = p.json();
         assert!(json.contains("\"deliver_events\": 2"));
         assert!(json.contains("\"ticks\": 3"));

@@ -236,23 +236,6 @@ impl TraceLog {
         self.dropped
     }
 
-    /// Entries concerning a specific node (as actor or counterpart),
-    /// oldest first.
-    pub fn for_node(&self, node: NodeId) -> Vec<&TraceEntry> {
-        use TraceEvent::*;
-        self.entries()
-            .filter(|e| match &e.event {
-                Enter { node: n } | Activate { node: n } | Leave { node: n } => *n == node,
-                Send { from, to, .. } => *from == node || *to == Some(node),
-                Deliver { to, from, .. } => *to == node || *from == node,
-                Drop { to, .. } => *to == node,
-                Invoke { node: n, .. } | Complete { node: n, .. } | Note { node: n, .. } => {
-                    *n == node
-                }
-            })
-            .collect()
-    }
-
     /// Renders the whole trace, one entry per line. Deterministic given a
     /// deterministic run, so it doubles as a determinism test fixture.
     pub fn render(&self) -> String {
@@ -301,13 +284,10 @@ mod tests {
         assert_eq!(log.dropped(), 8);
         let times: Vec<Time> = log.entries().map(|e| e.time).collect();
         assert_eq!(times, vec![Time::at(8), Time::at(9), Time::at(10)]);
-        // render and for_node follow the same oldest-first order.
+        // render follows the same oldest-first order.
         let rendered = log.render();
         assert_eq!(rendered.lines().count(), 3);
         assert!(rendered.starts_with("[t8]"));
-        let hits = log.for_node(n(9));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].time, Time::at(9));
     }
 
     #[test]
@@ -317,32 +297,6 @@ mod tests {
         log.record(Time::at(2), TraceEvent::Enter { node: n(2) });
         assert!(log.is_empty());
         assert_eq!(log.dropped(), 2);
-    }
-
-    #[test]
-    fn for_node_filters_both_directions() {
-        let mut log = TraceLog::enabled();
-        log.record(
-            Time::at(1),
-            TraceEvent::Send {
-                from: n(1),
-                to: Some(n(2)),
-                label: "REPLY",
-                deliver_at: Some(Time::at(3)),
-            },
-        );
-        log.record(
-            Time::at(3),
-            TraceEvent::Deliver {
-                to: n(2),
-                from: n(1),
-                label: "REPLY",
-            },
-        );
-        log.record(Time::at(4), TraceEvent::Leave { node: n(3) });
-        assert_eq!(log.for_node(n(2)).len(), 2);
-        assert_eq!(log.for_node(n(3)).len(), 1);
-        assert_eq!(log.for_node(n(4)).len(), 0);
     }
 
     #[test]

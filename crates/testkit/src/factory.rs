@@ -82,9 +82,11 @@ pub trait SpaceFactory {
 /// in the transparent [`SoloSpace`] adapter, so the wire format (raw
 /// protocol messages, no key tags) and the event stream are byte-identical
 /// to driving the protocol directly — the 1-key fast path. (Lifting to a
-/// 1-key [`RegisterSpace`] instead measured 0.64–0.70× of the events per
-/// second at PR 16 HEAD on dynabench's `soak_scale`, `es_quorum` and
-/// `churn_edge`, which is why the adapter stays.)
+/// 1-key [`RegisterSpace`] instead keeps every digest but runs at 0.42×
+/// (`soak_scale`), 0.53× (`es_quorum`), 0.61× (`churn_edge`) and 0.73×
+/// (`chaos_loss`) of the adapter's dynabench events per second — medians
+/// of three alternating 3-second pairs at commit `89929dd`, seed 762320,
+/// on a 2-core Xeon VM — which is why the adapter stays.)
 impl<F: ProtocolFactory> SpaceFactory for F {
     type Proc = SoloSpace<F::Proc>;
 
@@ -192,8 +194,8 @@ impl<F: ProtocolFactory> SpaceFactory for SpaceOf<F> {
             // A full re-inquiry is the sharded handshake's starvation
             // fallback — only ever sent when `G > 1`, so the distinct
             // label cannot perturb an unsharded run's label streams. A high
-            // INQUIRY_FULL count is the operational signal that shard
-            // quorums keep starving (e.g. `G` too large for `n`) and
+            // INQUIRY_FULL count is the operational signal that shards
+            // keep starving (e.g. `G` too large for `n`) and
             // joins are degrading to the full-state transfer.
             SpaceMsg::JoinAll { full: true, .. } => "INQUIRY_FULL",
             SpaceMsg::Keyed { inner, .. } | SpaceMsg::JoinAll { inner, .. } => F::msg_label(inner),
@@ -360,11 +362,10 @@ mod tests {
     fn space_of_threads_the_shard_config_into_built_spaces() {
         use dynareg_core::space::shard_of_node;
         let f = SpaceOf::new(SyncFactory::new(SyncConfig::new(Span::ticks(3))), 8)
-            .with_shards(ShardConfig::new(4).with_quorum(2));
+            .with_shards(ShardConfig::new(4));
         assert_eq!(f.shard_config().groups, 4);
         let b = f.space_bootstrap(NodeId::from_raw(7), 0);
         assert_eq!(b.shard_config().groups, 4);
-        assert_eq!(b.shard_config().quorum, 2);
         assert_eq!(b.responder_shard(), shard_of_node(NodeId::from_raw(7), 4));
         // Groups clamp to the key count at build time.
         let narrow = SpaceOf::new(SyncFactory::new(SyncConfig::new(Span::ticks(3))), 2)

@@ -42,6 +42,7 @@
 
 #![warn(missing_docs)]
 
+mod clients;
 mod factory;
 pub mod obs;
 mod scenario;
@@ -50,6 +51,7 @@ pub mod table;
 mod workload;
 mod world;
 
+pub use clients::WriterPolicy;
 pub use dynareg_core::space::{
     shard_of_key, shard_of_node, RegisterSpace, RegisterSpaceProcess, ShardConfig, SoloSpace,
     SpaceEffect, SpaceMsg,
@@ -66,4 +68,4 @@ pub use workload::{
     KeyedAction, OpAction, RateWorkload, ScriptTarget, ScriptedWorkload, Workload, ZipfKeys,
     ZipfWorkload,
 };
-pub use world::{World, WorldConfig, WriterPolicy};
+pub use world::{World, WorldConfig};

@@ -25,10 +25,11 @@ use dynareg_sim::trace::TraceLog;
 use dynareg_sim::{DetRng, IdSource, NodeId, RegisterId, Span, Time};
 use dynareg_verify::{ConsistencyReport, History, LivenessReport, SpaceReport};
 
+use crate::clients::WriterPolicy;
 use crate::factory::{EsFactory, ProtocolFactory, SpaceFactory, SpaceOf, SyncFactory};
 use crate::obs::{ObsConfig, ObsReport};
 use crate::workload::{RateWorkload, ScriptedWorkload, Workload, ZipfKeys, ZipfWorkload};
-use crate::world::{Val, World, WorldConfig, WriterPolicy};
+use crate::world::{Val, World, WorldConfig};
 
 /// Which protocol (and variant) a scenario runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -537,7 +538,7 @@ pub struct ScenarioSpec {
     pub zipf_exponent: f64,
     /// Join-reply shard groups `G` (clamped to `keys`; `1` = the
     /// full-reply handshake): each responder answers a join only for its
-    /// own key shard. A too-large `G` starves shard quorums; watch
+    /// own key shard. A too-large `G` starves shards; watch
     /// [`RunReport::inquiry_full`].
     pub shards: u32,
     /// Writer roster size and per-key concurrent-write cap (`1` = the
@@ -715,7 +716,7 @@ impl ScenarioSpec {
     }
 
     /// The join-reply shard layout built spaces receive: `G` effective
-    /// groups, per-shard quorum 1, re-inquiries every `4δ` (≥ the sync
+    /// groups, re-inquiries every `4δ` (≥ the sync
     /// handshake's 2δ round trip, and a sane post-GST beat for ES).
     fn shard_config(&self) -> ShardConfig {
         ShardConfig::new(self.effective_shards()).with_reinquire_every(self.delta.times(4))

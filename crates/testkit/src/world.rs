@@ -25,7 +25,8 @@
 //! Per time unit the world (1) applies churn decisions — departures first,
 //! then fresh joiners, matching the paper's "replaced within the time unit"
 //! accounting — and (2) asks the workload for client operations on idle
-//! active processes.
+//! active processes. The client side (histories, ops in flight, the
+//! workload) is `Clients`, called once per lifecycle event.
 //!
 //! # Node storage
 //!
@@ -35,23 +36,21 @@
 //! `NodeId` identity check (catching slots recycled to later joiners) —
 //! no tree walk. A `NodeId → slot` interning map (with a cheap
 //! multiply-xor hasher; node ids are already well-distributed small
-//! integers) is consulted only when new work is scheduled. The sorted
-//! idle-active roster the workload samples from is maintained
-//! incrementally instead of being re-collected every tick.
+//! integers) is consulted only when new work is scheduled.
 
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use dynareg_churn::ChurnDriver;
 use dynareg_core::space::{RegisterSpaceProcess, SpaceEffect};
-use dynareg_core::OpOutcome;
 use dynareg_net::{Fanout, Network, Presence};
 use dynareg_sim::metrics::Metrics;
 use dynareg_sim::obs::{TickPhase, TickProfile};
 use dynareg_sim::trace::{TraceEvent, TraceLog};
-use dynareg_sim::{DetRng, EventQueue, LookupMap, NodeId, OpId, RegisterId, Span, Time};
+use dynareg_sim::{DetRng, EventQueue, LookupMap, NodeId, RegisterId, Span, Time};
 use dynareg_verify::{History, SpaceHistory};
 
+use crate::clients::{Clients, WriterPolicy};
 use crate::factory::SpaceFactory;
 use crate::obs::{Cause, ObsConfig, ObsReport, WorldObs};
 use crate::workload::{KeyedAction, OpAction, Workload};
@@ -244,75 +243,11 @@ impl PhaseClock for WallClock {
     }
 }
 
-/// Who issues writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WriterPolicy {
-    /// A fixed designated writer (the first bootstrap member), shielded
-    /// from churn — the paper's single-writer reading of §3.
-    #[default]
-    FixedProtected,
-    /// The *oldest active* process writes; when churn evicts it the role
-    /// migrates to the next-oldest. Writers are still sequential (one write
-    /// in flight), but no process is immortal — the configuration the
-    /// churn-threshold experiments need.
-    OldestActive,
-}
-
-/// What a process is currently executing on one key (per-`(node, key)`
-/// sequentiality: at most one client op per key per process). Op ids are
-/// unique *per key*, so the key lives in the [`BusyMap`] entry alongside.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Busy {
-    Read(OpId),
-    Write(OpId),
-}
-
-/// The client ops one process has in flight, keyed by register — a small
-/// linear-scan vec (a node rarely runs more than a handful of keys at
-/// once, and most run zero or one).
-#[derive(Debug, Default)]
-struct BusyMap(Vec<(RegisterId, Busy)>);
-
-impl BusyMap {
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    fn contains(&self, key: RegisterId) -> bool {
-        self.0.iter().any(|&(k, _)| k == key)
-    }
-
-    fn insert(&mut self, key: RegisterId, busy: Busy) {
-        debug_assert!(!self.contains(key), "one op per (node, key)");
-        self.0.push((key, busy));
-    }
-
-    fn remove(&mut self, key: RegisterId) -> Option<Busy> {
-        let i = self.0.iter().position(|&(k, _)| k == key)?;
-        Some(self.0.swap_remove(i).1)
-    }
-
-    /// The in-flight writes, as `(key, op)` pairs.
-    fn writes(&self) -> impl Iterator<Item = (RegisterId, OpId)> + '_ {
-        self.0.iter().filter_map(|&(k, b)| match b {
-            Busy::Write(op) => Some((k, op)),
-            Busy::Read(_) => None,
-        })
-    }
-}
-
 /// One live process in the slab.
 struct Slot<P> {
     /// Identity; checked against queued events to detect slot reuse.
     node: NodeId,
     proc_: P,
-    /// Mirrors the presence table's active bit for O(1) eligibility checks.
-    active: bool,
-    /// Per-key join ops of a process still joining (a joiner joins every
-    /// register of the space at once), in key order.
-    joining: Option<Vec<OpId>>,
-    /// Client ops in flight, keyed by register.
-    busy: BusyMap,
 }
 
 /// Multiply-xor hasher for `NodeId`-keyed maps: node ids are small
@@ -382,10 +317,9 @@ pub struct World<F: SpaceFactory> {
     presence: Presence,
     network: Network,
     churn: ChurnDriver,
-    workload: Box<dyn Workload>,
-    /// One history per key; 1-key worlds are the single-register case.
-    histories: SpaceHistory<Option<Val>>,
-    /// Cached key count (== `histories.key_count()`).
+    /// The client side: histories, in-flight ops, the workload.
+    clients: Clients,
+    /// Cached key count (== `factory.key_count()`).
     keys: u32,
     trace: TraceLog,
     metrics: Metrics,
@@ -398,32 +332,7 @@ pub struct World<F: SpaceFactory> {
     /// effects end in that buffer (`None`: the recipient left in flight).
     effects_buf: Effects<F>,
     stepped: Vec<(Head, Option<u32>)>,
-    rng_workload: DetRng,
     rng_churn: DetRng,
-    /// Active processes with no operation in flight on *any* key, in id
-    /// order — maintained incrementally so the per-tick workload never
-    /// rescans the population.
-    idle_active: Vec<NodeId>,
-    /// In-flight write count per key (index = raw key id), each capped at
-    /// `writer_cap` — per-key writer occupancy instead of the old
-    /// space-global single write slot, so writes to independent keys
-    /// pipeline and up to `writers` writes may race on one key.
-    key_writes: Vec<u32>,
-    /// Maximum concurrent writes per key ([`WorldConfig::writers`]).
-    writer_cap: u32,
-    /// The first bootstrap member: anchor of the `FixedProtected` roster
-    /// and the `OldestActive` fallback when nothing is active.
-    writer: NodeId,
-    writer_policy: WriterPolicy,
-    /// Churn arrivals in join order (for scripted workload targets).
-    arrivals: Vec<NodeId>,
-    /// Writers shielded from eviction only while a write of theirs is in
-    /// flight — the paper's liveness caveat ("invokes write and does not
-    /// leave the system for at least δ", Lemma 1; analogous assumption in
-    /// Lemma 7). Refcounted per in-flight write; an entry drops (and the
-    /// shield lifts) when the node's last write completes or the node
-    /// departs.
-    temp_write_protection: Vec<(NodeId, u32)>,
     /// The observability collector, absent unless installed via
     /// [`World::set_obs`] — every hook sits behind this `Option`, so an
     /// uninstrumented world pays one predictable branch per hook site and
@@ -463,7 +372,6 @@ where
         let mut slots = Vec::with_capacity(config.n);
         let mut slot_of = NodeMap::default();
         let mut present_slots = Vec::with_capacity(config.n);
-        let mut idle_active = Vec::with_capacity(config.n);
         for raw in 0..config.n as u64 {
             let id = NodeId::from_raw(raw);
             presence.enter(id, Time::ZERO);
@@ -473,11 +381,7 @@ where
             slots.push(Some(Slot {
                 node: id,
                 proc_: factory.space_bootstrap(id, config.initial),
-                active: true,
-                joining: None,
-                busy: BusyMap::default(),
             }));
-            idle_active.push(id);
         }
 
         let mut queue = EventQueue::new();
@@ -498,8 +402,15 @@ where
             presence,
             network: Network::new(config.delay, rng_net),
             churn: config.churn,
-            workload: config.workload,
-            histories: SpaceHistory::new(keys, Some(config.initial)),
+            clients: Clients::new(
+                config.n,
+                keys,
+                config.initial,
+                config.writer_policy,
+                config.writers,
+                config.workload,
+                rng_workload,
+            ),
             keys,
             trace: if config.trace {
                 TraceLog::enabled()
@@ -510,15 +421,7 @@ where
             delivered_msgs: 0,
             effects_buf: Vec::new(),
             stepped: Vec::new(),
-            rng_workload,
             rng_churn,
-            idle_active,
-            key_writes: vec![0; keys as usize],
-            writer_cap: config.writers as u32,
-            writer: NodeId::from_raw(0),
-            writer_policy: config.writer_policy,
-            arrivals: Vec::new(),
-            temp_write_protection: Vec::new(),
             obs: None,
             scripted_joins: Vec::new(),
             scripted_leaves: Vec::new(),
@@ -577,28 +480,6 @@ where
         Some(obs.into_report(log))
     }
 
-    /// The processes that issue writes this tick under the configured
-    /// [`WriterPolicy`], in roster order: the first `writers` bootstrap
-    /// ids under `FixedProtected`, or the `writers` oldest active
-    /// processes under `OldestActive` (fewer while the active set is
-    /// smaller; the bootstrap anchor when nothing is active, so the
-    /// roster is never empty).
-    pub fn writer_roster(&self) -> Vec<NodeId> {
-        match self.writer_policy {
-            WriterPolicy::FixedProtected => (0..u64::from(self.writer_cap))
-                .map(NodeId::from_raw)
-                .collect(),
-            WriterPolicy::OldestActive => {
-                let roster = self.presence.oldest_active(self.writer_cap as usize);
-                if roster.is_empty() {
-                    vec![self.writer]
-                } else {
-                    roster
-                }
-            }
-        }
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.now
@@ -624,18 +505,6 @@ where
         match self.slots.get_mut(slot as usize) {
             Some(Some(s)) if s.node == node => Some(s),
             _ => None,
-        }
-    }
-
-    fn idle_insert(&mut self, node: NodeId) {
-        if let Err(i) = self.idle_active.binary_search(&node) {
-            self.idle_active.insert(i, node);
-        }
-    }
-
-    fn idle_remove(&mut self, node: NodeId) {
-        if let Ok(i) = self.idle_active.binary_search(&node) {
-            self.idle_active.remove(i);
         }
     }
 
@@ -739,21 +608,20 @@ where
                 self.trace.record(now, TraceEvent::Drop { to, label });
                 continue;
             };
-            if let Some(obs) = self.obs.as_deref_mut() {
-                obs.note_delivered(seq, to, label, now);
-                // Sends the handler emits inherit this delivery's attribution.
-                let op = obs.op_of_seq(seq);
-                obs.cause = Cause::Deliver(seq, op);
-            }
+            // Sends the handler emits inherit this delivery's attribution.
+            let cause = match self.obs.as_deref_mut() {
+                Some(obs) => {
+                    obs.note_delivered(seq, to, label, now);
+                    Cause::Deliver(seq, obs.op_of_seq(seq))
+                }
+                None => Cause::None,
+            };
             self.trace
                 .record(now, TraceEvent::Deliver { to, from, label });
             self.delivered_msgs += 1;
             let count = (end - start) as usize;
-            self.apply_effects(to, slot, effects.by_ref().take(count));
+            self.dispatch(to, slot, cause, effects.by_ref().take(count));
             start = end;
-            if let Some(obs) = self.obs.as_deref_mut() {
-                obs.cause = Cause::None;
-            }
         }
         drop(effects);
         (self.stepped, self.effects_buf) = (stepped, buf);
@@ -775,37 +643,16 @@ where
 
     fn handle_timer(&mut self, node: NodeId, slot: u32, tag: u64) {
         let now = self.now;
-        let track = self.obs.as_deref().is_some_and(|o| o.cfg.spans);
         // The node may have left since setting the timer.
         let Some(s) = self.live_slot(node, slot) else {
             return;
         };
+        let effects = s.proc_.on_timer(now, tag);
         // Attribute the timer to the node's sole in-flight operation when
-        // that is unambiguous (a joiner's anchor join op, or a single busy
-        // client op); re-sends it triggers become Refire phases.
-        let anchor = if track {
-            if let Some(join_ops) = &s.joining {
-                Some((RegisterId::ZERO, join_ops[0]))
-            } else if s.busy.0.len() == 1 {
-                let (key, busy) = s.busy.0[0];
-                let op = match busy {
-                    Busy::Read(op) | Busy::Write(op) => op,
-                };
-                Some((key, op))
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        let mut effects = s.proc_.on_timer(now, tag);
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.cause = Cause::Timer(anchor);
-        }
-        self.apply_effects(node, slot, effects.drain(..));
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.cause = Cause::None;
-        }
+        // that is unambiguous; re-sends it triggers become Refire phases.
+        let track = self.obs.as_deref().is_some_and(|o| o.cfg.spans);
+        let anchor = track.then(|| self.clients.anchor(slot)).flatten();
+        self.dispatch(node, slot, Cause::Timer(anchor), effects.into_iter());
     }
 
     fn handle_tick<C: PhaseClock>(&mut self, clock: &mut C) {
@@ -850,7 +697,6 @@ where
         }
         let active = self.presence.active_count() as u64;
         let present = self.presence.present_count() as u64;
-        let busy_writers: u64 = self.key_writes.iter().map(|&w| u64::from(w)).sum();
         ts.push_row(
             tick,
             &[
@@ -858,7 +704,7 @@ where
                 ("present", present),
                 ("joining", present - active),
                 ("inflight", inflight),
-                ("busy_writers", busy_writers),
+                ("busy_writers", self.clients.writes_in_flight()),
                 ("delivered", self.delivered_msgs),
                 ("fault_drops", self.network.dropped_to_faults()),
                 ("inquiry_full", self.network.sent_of("INQUIRY_FULL")),
@@ -900,7 +746,7 @@ where
             count
         };
         for _ in 0..joins {
-            let id = NodeId::from_raw(1_000_000 + self.arrivals.len() as u64);
+            let id = NodeId::from_raw(1_000_000 + self.clients.arrival_count() as u64);
             self.spawn_joiner(id);
         }
     }
@@ -919,7 +765,6 @@ where
 
     fn remove_node(&mut self, victim: NodeId) {
         self.presence.leave(victim, self.now);
-        self.histories.note_left(victim, self.now);
         let slot_idx = self
             .slot_of
             .remove(&victim)
@@ -934,40 +779,17 @@ where
             .expect("interned slot is occupied");
         debug_assert_eq!(slot.node, victim);
         self.free_slots.push(slot_idx);
-        if slot.active && slot.busy.is_empty() {
-            self.idle_remove(victim);
-        }
-        // A departing writer abandons *every* write it has in flight:
-        // each one frees its key's writer slot (the pending ops stay
-        // incomplete-but-excused), so no departure can leave a key's
-        // occupancy wedged. Any write-completion shield goes with it —
-        // the protection set must never retain a departed id.
-        for (key, _op) in slot.busy.writes() {
-            let kw = &mut self.key_writes[key.as_raw() as usize];
-            debug_assert!(*kw > 0, "an in-flight write occupies its key slot");
-            *kw -= 1;
-        }
-        if let Some(i) = self
-            .temp_write_protection
-            .iter()
-            .position(|&(n, _)| n == victim)
-        {
-            self.temp_write_protection.remove(i);
-            self.churn.unprotect(victim);
-        }
+        self.clients
+            .departed(victim, slot_idx, self.now, &mut self.churn);
         self.trace
             .record(self.now, TraceEvent::Leave { node: victim });
         self.metrics.incr("churn.leaves");
     }
 
     fn spawn_joiner(&mut self, id: NodeId) {
-        // The join is one membership event recorded in every key's history
-        // (each key's history is self-contained for the liveness checker);
-        // the trace and the protocol see the anchor key's op id.
-        let join_ops = self.histories.invoke_join_all(id, self.now);
-        let join_op = join_ops[0];
+        let slot_idx = self.free_slots.pop().unwrap_or(self.slots.len() as u32);
+        let join_op = self.clients.join_started(id, slot_idx, self.now);
         self.presence.enter(id, self.now);
-        self.arrivals.push(id);
         let mut proc_ = self.factory.space_joiner(id, join_op);
         self.trace.record(self.now, TraceEvent::Enter { node: id });
         self.trace.record(
@@ -981,77 +803,34 @@ where
         self.metrics.incr("churn.joins");
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.op_invoked(RegisterId::ZERO, join_op, id, "join", self.now);
-            obs.cause = Cause::Op(RegisterId::ZERO, join_op);
         }
-        let mut effects = proc_.on_enter(self.now);
-        let slot = Slot {
-            node: id,
-            proc_,
-            active: false,
-            joining: Some(join_ops),
-            busy: BusyMap::default(),
-        };
-        let slot_idx = match self.free_slots.pop() {
-            Some(i) => {
-                debug_assert!(self.slots[i as usize].is_none());
-                self.slots[i as usize] = Some(slot);
-                i
+        let effects = proc_.on_enter(self.now);
+        let slot = Some(Slot { node: id, proc_ });
+        match self.slots.get_mut(slot_idx as usize) {
+            Some(free) => {
+                debug_assert!(free.is_none());
+                *free = slot;
             }
-            None => {
-                self.slots.push(Some(slot));
-                (self.slots.len() - 1) as u32
-            }
-        };
+            None => self.slots.push(slot),
+        }
         self.slot_of.insert(id, slot_idx);
         let i = self
             .present_slots
             .binary_search_by_key(&id, |&(n, _)| n)
             .expect_err("fresh id cannot already hold a slot");
         self.present_slots.insert(i, (id, slot_idx));
-        self.apply_effects(id, slot_idx, effects.drain(..));
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.cause = Cause::None;
-        }
+        let cause = Cause::Op(RegisterId::ZERO, join_op);
+        self.dispatch(id, slot_idx, cause, effects.into_iter());
     }
 
     fn apply_workload(&mut self) {
-        let roster = self.writer_roster();
-        // Disjoint field borrows: the availability query reads the slab
-        // and occupancy while the workload itself is borrowed mutably.
-        let slots = &self.slots;
         let slot_of = &self.slot_of;
-        let key_writes = &self.key_writes;
-        let cap = self.writer_cap;
-        // Denied availability queries are the workload-level contention
-        // signal (`workload.write_gated`): the workload declines to emit
-        // the write, so `ops.skipped_busy` never sees it. Metrics are
-        // outside the event-stream digest, so counting here is free.
-        let gated = std::cell::Cell::new(0u64);
-        let can_write = |node: NodeId, key: RegisterId| -> bool {
-            let free = key_writes
-                .get(key.as_raw() as usize)
-                .is_some_and(|&w| w < cap)
-                && slot_of.get(&node).is_some_and(|&i| {
-                    let s = slots[i as usize].as_ref().expect("interned slot");
-                    s.active && !s.busy.contains(key)
-                });
-            if !free {
-                gated.set(gated.get() + 1);
-            }
-            free
-        };
-        let access = crate::workload::WriteAccess::new(&roster, &can_write);
-        let ops = self.workload.tick(
+        let ops = self.clients.tick(
             self.now,
-            &self.idle_active,
-            &self.arrivals,
-            &access,
-            &mut self.rng_workload,
+            &self.presence,
+            |node| slot_of.get(&node).copied(),
+            &mut self.metrics,
         );
-        let denied = gated.get();
-        if denied > 0 {
-            self.metrics.add("workload.write_gated", denied);
-        }
         for (node, action) in ops {
             self.invoke(node, action);
         }
@@ -1068,7 +847,8 @@ where
     /// # Panics
     /// Panics if the addressed key is outside the world's key space.
     pub fn invoke(&mut self, node: NodeId, action: impl Into<KeyedAction>) {
-        let KeyedAction { key, action } = action.into();
+        let action = action.into();
+        let key = action.key;
         assert!(
             key.as_raw() < self.keys,
             "{key} is outside this world's {}-key space",
@@ -1078,122 +858,52 @@ where
             self.metrics.incr("workload.skipped");
             return;
         };
-        {
-            let s = self.slots[slot_idx as usize]
-                .as_ref()
-                .expect("interned slot");
-            if !s.active {
-                self.metrics.incr("workload.skipped");
-                return;
-            }
-            if s.busy.contains(key) {
-                self.metrics.incr("ops.skipped_busy");
-                return;
-            }
+        let Some(op) = self.clients.op_started(
+            node,
+            slot_idx,
+            &action,
+            self.now,
+            &mut self.churn,
+            &mut self.metrics,
+        ) else {
+            return;
+        };
+        let label = match action.action {
+            OpAction::Read => "read",
+            OpAction::Write(_) => "write",
+        };
+        self.trace
+            .record(self.now, TraceEvent::Invoke { node, op, label });
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.op_invoked(key, op, node, label, self.now);
         }
-        match action {
-            OpAction::Read => {
-                let op = self.histories.key_mut(key).invoke_read(node, self.now);
-                self.set_busy(node, slot_idx, key, Busy::Read(op));
-                self.trace.record(
-                    self.now,
-                    TraceEvent::Invoke {
-                        node,
-                        op,
-                        label: "read",
-                    },
-                );
-                if let Some(obs) = self.obs.as_deref_mut() {
-                    obs.op_invoked(key, op, node, "read", self.now);
-                    obs.cause = Cause::Op(key, op);
-                }
-                let now = self.now;
-                let mut effects = self.slots[slot_idx as usize]
-                    .as_mut()
-                    .expect("interned slot")
-                    .proc_
-                    .on_read(now, key, op);
-                self.apply_effects(node, slot_idx, effects.drain(..));
-                if let Some(obs) = self.obs.as_deref_mut() {
-                    obs.cause = Cause::None;
-                }
-            }
-            OpAction::Write(value) => {
-                let kw = &mut self.key_writes[key.as_raw() as usize];
-                if *kw >= self.writer_cap {
-                    self.metrics.incr("ops.skipped_busy");
-                    return;
-                }
-                *kw += 1;
-                let op = self
-                    .histories
-                    .key_mut(key)
-                    .invoke_write(node, self.now, Some(value));
-                self.set_busy(node, slot_idx, key, Busy::Write(op));
-                // The paper's liveness statements assume a writer stays
-                // until its write returns; shield it for exactly that long
-                // (refcounted — a writer pipelining across keys stays
-                // shielded until its *last* write returns).
-                if let Some(e) = self
-                    .temp_write_protection
-                    .iter_mut()
-                    .find(|&&mut (n, _)| n == node)
-                {
-                    e.1 += 1;
-                } else if !self.churn.protected().contains(&node) {
-                    self.churn.protect(node);
-                    self.temp_write_protection.push((node, 1));
-                }
-                self.trace.record(
-                    self.now,
-                    TraceEvent::Invoke {
-                        node,
-                        op,
-                        label: "write",
-                    },
-                );
-                if let Some(obs) = self.obs.as_deref_mut() {
-                    obs.op_invoked(key, op, node, "write", self.now);
-                    obs.cause = Cause::Op(key, op);
-                }
-                let now = self.now;
-                let mut effects = self.slots[slot_idx as usize]
-                    .as_mut()
-                    .expect("interned slot")
-                    .proc_
-                    .on_write(now, key, op, value);
-                self.apply_effects(node, slot_idx, effects.drain(..));
-                if let Some(obs) = self.obs.as_deref_mut() {
-                    obs.cause = Cause::None;
-                }
-            }
-        }
-    }
-
-    fn set_busy(&mut self, node: NodeId, slot_idx: u32, key: RegisterId, busy: Busy) {
-        let s = self.slots[slot_idx as usize]
+        let now = self.now;
+        let proc_ = &mut self.slots[slot_idx as usize]
             .as_mut()
-            .expect("interned slot");
-        let was_idle = s.busy.is_empty();
-        s.busy.insert(key, busy);
-        if was_idle {
-            self.idle_remove(node);
-        }
+            .expect("interned slot")
+            .proc_;
+        let effects = match action.action {
+            OpAction::Read => proc_.on_read(now, key, op),
+            OpAction::Write(value) => proc_.on_write(now, key, op, value),
+        };
+        self.dispatch(node, slot_idx, Cause::Op(key, op), effects.into_iter());
     }
 
-    /// Drops one unit of the write-completion shield on `node`,
-    /// unprotecting it once its last in-flight write has returned.
-    fn release_write_protection(&mut self, node: NodeId) {
-        if let Some(i) = self
-            .temp_write_protection
-            .iter()
-            .position(|&(n, _)| n == node)
-        {
-            self.temp_write_protection[i].1 -= 1;
-            if self.temp_write_protection[i].1 == 0 {
-                self.temp_write_protection.remove(i);
-                self.churn.unprotect(node);
-            }
+    /// Applies the effects of one handler run, attributing the messages it
+    /// sends to `cause` in the observability layer.
+    fn dispatch(
+        &mut self,
+        node: NodeId,
+        slot_idx: u32,
+        cause: Cause,
+        effects: impl Iterator<Item = SpaceEffect<<F::Proc as RegisterSpaceProcess>::Msg, Val>>,
+    ) {
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.cause = cause;
+        }
+        self.apply_effects(node, slot_idx, effects);
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.cause = Cause::None;
         }
     }
 
@@ -1367,73 +1077,30 @@ where
                     // complete no join op. A space emits one JoinComplete
                     // when its last key activates; the join completes in
                     // every key's history at once.
-                    let s = self.slots[slot_idx as usize]
-                        .as_mut()
-                        .expect("effects target a live slot");
-                    if let Some(join_ops) = s.joining.take() {
-                        s.active = true;
+                    let joined =
+                        self.clients
+                            .join_completed(node, slot_idx, self.now, &mut self.metrics);
+                    if let Some(op) = joined {
                         self.presence.activate(node, self.now);
-                        self.histories.complete_join_all(&join_ops, self.now);
-                        self.idle_insert(node);
                         if let Some(obs) = self.obs.as_deref_mut() {
-                            obs.op_completed(RegisterId::ZERO, join_ops[0], self.now);
+                            obs.op_completed(RegisterId::ZERO, op, self.now);
                         }
                         self.trace.record(self.now, TraceEvent::Activate { node });
-                        self.trace.record(
-                            self.now,
-                            TraceEvent::Complete {
-                                node,
-                                op: join_ops[0],
-                            },
-                        );
-                        self.metrics.incr("ops.join_completed");
+                        self.trace
+                            .record(self.now, TraceEvent::Complete { node, op });
                     }
                 }
                 SpaceEffect::OpComplete { key, op, outcome } => {
-                    // Key-attributed completion counters and latency
-                    // histograms (`ops.read_completed.rK`,
-                    // `latency.read.rK`) alongside the space-wide ones.
-                    let latency = self
-                        .histories
-                        .key(key)
-                        .get(op)
-                        .map(|rec| (self.now - rec.invoked_at).as_ticks());
-                    match outcome {
-                        OpOutcome::Read(value) => {
-                            self.histories
-                                .key_mut(key)
-                                .complete_read(op, self.now, value);
-                            self.metrics.incr("ops.read_completed");
-                            self.metrics.incr_keyed("ops.read_completed", key.as_raw());
-                            if let Some(latency) = latency {
-                                self.metrics
-                                    .sample_keyed("latency.read", key.as_raw(), latency);
-                            }
-                        }
-                        OpOutcome::WriteOk => {
-                            self.histories.key_mut(key).complete_write(op, self.now);
-                            self.metrics.incr("ops.write_completed");
-                            self.metrics.incr_keyed("ops.write_completed", key.as_raw());
-                            if let Some(latency) = latency {
-                                self.metrics
-                                    .sample_keyed("latency.write", key.as_raw(), latency);
-                            }
-                        }
-                    }
-                    let s = self.slots[slot_idx as usize]
-                        .as_mut()
-                        .expect("effects target a live slot");
-                    let freed = s.busy.remove(key);
-                    if s.active && s.busy.is_empty() {
-                        self.idle_insert(node);
-                    }
-                    if let Some(Busy::Write(started)) = freed {
-                        debug_assert_eq!(started, op, "a key completes the op it runs");
-                        let kw = &mut self.key_writes[key.as_raw() as usize];
-                        debug_assert!(*kw > 0, "an in-flight write occupies its key slot");
-                        *kw -= 1;
-                        self.release_write_protection(node);
-                    }
+                    self.clients.op_completed(
+                        node,
+                        slot_idx,
+                        key,
+                        op,
+                        outcome,
+                        self.now,
+                        &mut self.churn,
+                        &mut self.metrics,
+                    );
                     if let Some(obs) = self.obs.as_deref_mut() {
                         obs.op_completed(key, op, self.now);
                     }
@@ -1445,12 +1112,10 @@ where
                     // the preceding `Broadcast` effect; this arm only
                     // attributes it (always-on counter + obs phase event).
                     self.metrics.incr("join.retransmits");
-                    let join_op = self.slots[slot_idx as usize]
-                        .as_ref()
-                        .and_then(|s| s.joining.as_ref())
-                        .map(|ops| ops[0]);
-                    if let (Some(op), Some(obs)) = (join_op, self.obs.as_deref_mut()) {
-                        obs.op_retransmit(RegisterId::ZERO, op, self.now);
+                    // Only a joining space retransmits, so the anchor is its join.
+                    let join = self.clients.anchor(slot_idx);
+                    if let (Some((key, op)), Some(obs)) = (join, self.obs.as_deref_mut()) {
+                        obs.op_retransmit(key, op, self.now);
                     }
                 }
                 SpaceEffect::Note { key, text } => {
@@ -1489,17 +1154,17 @@ where
     /// single-register world. Keyed worlds expose every key via
     /// [`World::space_history`].
     pub fn history(&self) -> &History<Option<Val>> {
-        self.histories.key(RegisterId::ZERO)
+        self.clients.histories().key(RegisterId::ZERO)
     }
 
     /// One key's recorded history (read-only).
     pub fn key_history(&self, key: RegisterId) -> &History<Option<Val>> {
-        self.histories.key(key)
+        self.clients.histories().key(key)
     }
 
     /// The full per-key history space (read-only).
     pub fn space_history(&self) -> &SpaceHistory<Option<Val>> {
-        &self.histories
+        self.clients.histories()
     }
 
     /// The presence table (read-only).
@@ -1555,7 +1220,7 @@ where
             }
         }
         (
-            self.histories,
+            self.clients.into_histories(),
             self.presence,
             self.metrics,
             self.trace,
@@ -1700,18 +1365,24 @@ mod tests {
     fn idle_active_roster_matches_presence() {
         let mut w = sync_world(15, 3, 0.05, 9);
         w.run_until(Time::at(120));
-        // The incremental roster must equal "active and not busy", sorted.
+        // The incremental roster must equal "active and not busy", sorted:
+        // an active process is busy exactly while it has a pending op.
+        let busy: Vec<NodeId> = w
+            .history()
+            .ops()
+            .iter()
+            .filter(|rec| !rec.is_complete())
+            .map(|rec| rec.node)
+            .collect();
+        assert!(!busy.is_empty(), "some op is in flight at the probe");
         let mut expect: Vec<NodeId> = w
             .presence()
             .active_nodes()
             .into_iter()
-            .filter(|id| {
-                let idx = *w.slot_of.get(id).unwrap() as usize;
-                w.slots[idx].as_ref().unwrap().busy.is_empty()
-            })
+            .filter(|id| !busy.contains(id))
             .collect();
         expect.sort_unstable();
-        assert_eq!(w.idle_active, expect);
+        assert_eq!(w.clients.idle_active(), expect);
     }
 
     #[test]
@@ -2133,10 +1804,10 @@ mod tests {
         w.schedule_leave(Time::at(3), leaver);
         w.run_until(Time::at(40));
         // The abandoned write freed the key's writer slot and the
-        // write-completion shield — the t=10 write went through.
-        assert_eq!(w.key_writes[0], 0);
-        assert!(!w.churn.protected().contains(&leaver));
-        assert!(w.temp_write_protection.is_empty());
+        // write-completion shield — the t=10 write went through, and its
+        // own shield lifted when it returned.
+        assert_eq!(w.clients.key_writes(), [0]);
+        assert_eq!(w.churn.protected(), []);
         assert_eq!(w.metrics().counter("ops.skipped_busy"), 0);
         assert_eq!(w.metrics().counter("ops.write_completed"), 1);
         let abandoned = w
@@ -2180,11 +1851,67 @@ mod tests {
             "writes keep flowing across evictions ({writes})"
         );
         assert!(
-            w.key_writes.iter().all(|&c| c == 0),
+            w.clients.key_writes().iter().all(|&c| c == 0),
             "no key slot stays occupied at quiescence: {:?}",
-            w.key_writes
+            w.clients.key_writes()
         );
-        assert!(w.temp_write_protection.is_empty());
+        assert_eq!(w.churn.protected(), [], "no shield outlives its writes");
+    }
+
+    #[test]
+    fn a_writer_pipelining_across_keys_stays_shielded_until_its_last_write() {
+        use crate::workload::ScriptedWorkload;
+        use crate::SpaceOf;
+        let (a, b) = (NodeId::from_raw(1), NodeId::from_raw(2));
+        let (r0, r1) = (RegisterId::ZERO, RegisterId::from_raw(1));
+        // Sync writes take δ = 3: `a` writes r0 over t=2..5 and r1 over
+        // t=4..7; `b`, protected by the run, writes r0 over t=6..9.
+        let script = ScriptedWorkload::new()
+            .at(Time::at(2), a, OpAction::Write(100).on_key(r0))
+            .at(Time::at(4), a, OpAction::Write(101).on_key(r1))
+            .at(Time::at(6), b, OpAction::Write(102).on_key(r0));
+        let mut w = World::new(
+            SpaceOf::new(SyncFactory::new(SyncConfig::new(Span::ticks(3))), 2),
+            WorldConfig {
+                n: 5,
+                initial: 0,
+                delay: Box::new(Synchronous::new(Span::ticks(3))),
+                churn: ChurnDriver::new(
+                    Box::new(NoChurn),
+                    LeaveSelector::Random,
+                    IdSource::starting_at(5),
+                ),
+                workload: Box::new(script),
+                seed: 29,
+                trace: false,
+                writer_policy: WriterPolicy::FixedProtected,
+                writers: 1,
+            },
+        );
+        w.protect(b);
+        let mut seen = Vec::new();
+        for t in [3, 5, 6, 7, 9] {
+            w.run_until(Time::at(t));
+            seen.push((
+                t,
+                w.churn.protected().to_vec(),
+                w.clients.key_writes().to_vec(),
+            ));
+        }
+        assert_eq!(
+            seen,
+            [
+                (3, vec![b, a], vec![1, 0]),
+                // r0's write returned; r1's still holds the shield.
+                (5, vec![b, a], vec![0, 1]),
+                (6, vec![b, a], vec![1, 1]),
+                // `a`'s last write returned; the run's own protection of
+                // `b` outlives `b`'s write.
+                (7, vec![b], vec![1, 0]),
+                (9, vec![b], vec![0, 0]),
+            ]
+        );
+        assert_eq!(w.metrics().counter("ops.write_completed"), 3);
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl<V: Clone + Eq + Hash + fmt::Debug> SpaceHistory<V> {
         }
     }
 
-    /// Total operations recorded across keys.
-    pub fn total_ops(&self) -> usize {
-        self.keys.iter().map(|h| h.ops().len()).sum()
-    }
-
     /// Decomposes the space into its per-key histories, in key order.
     pub fn into_histories(self) -> Vec<History<V>> {
         self.keys
@@ -294,7 +289,6 @@ mod tests {
         assert_eq!(s.key(k(0)).write_count(), 1);
         assert_eq!(s.key(k(1)).write_count(), 0);
         assert_eq!(s.key(k(2)).write_count(), 1);
-        assert_eq!(s.total_ops(), 2);
     }
 
     #[test]
