@@ -20,10 +20,10 @@
 //! * [`SoloSpace`] adapts a single [`RegisterProcess`] to the space trait
 //!   with **zero wire or behavioural overhead** — raw protocol messages,
 //!   no key tags. It is the 1-key fast path, chosen by the factory from
-//!   the key count: `K = 1` through [`RegisterSpace`] runs at 0.42–0.73×
-//!   of its dynabench events per second (`soak_scale` 0.42×, `es_quorum`
-//!   0.53×, `churn_edge` 0.61×, `chaos_loss` 0.73×; medians of three
-//!   alternating pairs at commit `89929dd`, seed 762320, 2-core Xeon
+//!   the key count: `K = 1` through [`RegisterSpace`] runs at 0.48–0.89×
+//!   (`soak_scale` 0.48×, `churn_edge` 0.68×, `es_quorum` 0.80×,
+//!   `chaos_loss` 0.89×; RSS +2–12 %; medians of five alternating 3 s
+//!   dynabench pairs, seed 762320, on the child of `a23eae9`, 2-core Xeon
 //!   VM), and the 1-key equivalence property tests hold the two
 //!   digest-identical.
 //!
@@ -46,8 +46,12 @@
 //!    (Figure 1 line 14, Figure 4 line 13 — an ES instance that is
 //!    `reading` adds a `DL_PREV`, and two `Send`s are not such an answer).
 //!
-//! Steady-state operation needs no contract: a read/write/timer touches
-//! exactly one key's instance and its effects are tagged with that key.
+//! A joined space is just its registers and needs no contract: a read,
+//! write, key-tagged timer or [`SpaceMsg::Keyed`] delivery steps one key's
+//! instance, whose effects go straight out tagged with that key. Only the
+//! join's inputs (`on_enter`, `JoinAll`, `Batch`, shared timers, deliveries
+//! to a space still joining) take the handshake router, and its state
+//! lives in one box that a joining space drops with its `JoinComplete`.
 //!
 //! Both ends of the handshake stream: a responder builds its
 //! [`SpaceMsg::Batch`] in one pass over its instances (one reply vector,
@@ -126,7 +130,7 @@
 //! `join.retransmits` without parsing wire labels. Responders are
 //! idempotent by construction: a re-received inquiry is re-answered from
 //! current state, and a duplicate `Batch` reply only re-marks a shard
-//! already heard from (`shard_heard` is one flag per shard).
+//! already heard from (the join state keeps one flag per shard).
 //!
 //! The full wire-level lifecycle (message grammar, shard striping, the
 //! retransmit state machine) is specified in `docs/PROTOCOL.md` at the
@@ -315,23 +319,23 @@ pub trait RegisterSpaceProcess: fmt::Debug {
 #[derive(Debug)]
 pub struct SoloSpace<P: RegisterProcess> {
     inner: P,
-    /// Join re-fire state; inert without a policy (the default of
-    /// [`SoloSpace::new`]).
-    refire: JoinRefire<P::Msg>,
+    /// Join re-fire state: held only by a joining instance under a
+    /// retransmit policy, and dropped at the first handshake step or timer
+    /// that finds the instance active.
+    join: Option<Box<JoinRefire<P::Msg>>>,
 }
 
 impl<P: RegisterProcess> SoloSpace<P> {
     /// Wraps a protocol instance.
     pub fn new(inner: P) -> SoloSpace<P> {
-        SoloSpace {
-            inner,
-            refire: JoinRefire::new(),
-        }
+        SoloSpace { inner, join: None }
     }
 
-    /// Installs (or clears) the bounded join-retransmit policy.
+    /// Installs (or clears) the bounded join-retransmit policy. An instance
+    /// that is already active has no join to re-fire and holds nothing.
     pub fn with_retransmit(mut self, config: Option<RetransmitConfig>) -> SoloSpace<P> {
-        self.refire.policy = config;
+        let policy = config.filter(|_| !self.inner.is_active());
+        self.join = policy.map(|cfg| Box::new(JoinRefire::new(Some(cfg))));
         self
     }
 
@@ -346,26 +350,32 @@ impl<P: RegisterProcess> SoloSpace<P> {
         effects.into_iter().map(lift_effect).collect()
     }
 
+    /// Drops the join's re-fire state once the instance is active.
+    fn settle(&mut self) {
+        if self.inner.is_active() {
+            self.join = None;
+        }
+    }
+
     /// Observes a join-phase step's lifted effects (inquiry payload and
     /// armed waits) and appends the silence timer for timer-less joins —
-    /// the solo counterpart of [`RegisterSpace::flush`]'s bookkeeping. A
-    /// no-op unless a retransmit policy is installed and the join is still
-    /// in flight.
+    /// the solo counterpart of [`RegisterSpace::flush`]'s bookkeeping.
     fn observe_join_step(&mut self, out: &mut Vec<SpaceEffect<P::Msg, P::Val>>) {
-        if self.refire.policy.is_none() || self.inner.is_active() {
+        self.settle();
+        let Some(join) = self.join.as_deref_mut() else {
             return;
-        }
+        };
         for effect in out.iter() {
             match effect {
                 SpaceEffect::Broadcast { msg } => {
-                    self.refire.inquiry.get_or_insert_with(|| msg.clone());
+                    join.inquiry.get_or_insert_with(|| msg.clone());
                 }
-                SpaceEffect::SetTimer { delay, tag } => self.refire.record_wait(*tag, *delay),
+                SpaceEffect::SetTimer { delay, tag } => join.record_wait(*tag, *delay),
                 _ => {}
             }
         }
         let inner = &self.inner;
-        self.refire.arm(|| inner.join_replies().unwrap_or(0), out);
+        join.arm(|| inner.join_replies().unwrap_or(0), out);
     }
 }
 
@@ -433,18 +443,17 @@ impl<P: RegisterProcess> RegisterSpaceProcess for SoloSpace<P> {
 
     fn on_timer(&mut self, now: Time, tag: u64) -> Vec<SpaceEffect<P::Msg, P::Val>> {
         let mut out = Vec::new();
-        let (inner, done) = (&self.inner, self.inner.is_active());
+        self.settle();
+        let (inner, join) = (&self.inner, self.join.as_deref_mut());
         if tag == RETRANSMIT_TAG {
             // The space's own silence timer — never forwarded (timer-less
-            // inner protocols panic on unknown tags).
-            let heard = inner.join_replies().unwrap_or(0);
-            self.refire.beat(done, heard, &mut out);
+            // inner protocols panic on unknown tags), inert after the join.
+            if let Some(join) = join {
+                join.beat(inner.join_replies().unwrap_or(0), &mut out);
+            }
             return out;
         }
-        if self
-            .refire
-            .intercept(done, tag, || inner.join_replies(), &mut out)
-        {
+        if join.is_some_and(|join| join.intercept(tag, || inner.join_replies(), &mut out)) {
             return out;
         }
         let mut out = Self::lift(self.inner.on_timer(now, tag));
@@ -541,12 +550,13 @@ impl RetransmitConfig {
     }
 }
 
-/// The join handshake's re-fire state machine: "the inquiry went
-/// unanswered, send it again", once. Each space holds one, records into it
-/// the inquiry (already wrapped for its wire) and the join waits (under
-/// their outer tags) it observes, and asks it the three decisions —
-/// [`arm`](Self::arm), [`beat`](Self::beat), [`intercept`](Self::intercept);
-/// every re-broadcast leaves through [`refire`](Self::refire).
+/// The join handshake's state, and its re-fire machine: "the inquiry went
+/// unanswered, send it again", once. A space holds one, boxed, only while
+/// its join is in flight, records into it the inquiry (already wrapped for
+/// its wire) and the join waits (under their outer tags) it observes, and
+/// asks it the three decisions — [`arm`](Self::arm), [`beat`](Self::beat),
+/// [`intercept`](Self::intercept); every re-broadcast leaves through
+/// [`refire`](Self::refire).
 #[derive(Debug)]
 struct JoinRefire<W> {
     /// Retransmit policy (`None` = no interceptions, no silence beats).
@@ -568,12 +578,15 @@ struct JoinRefire<W> {
     used: u32,
     /// Reply count at the last silence beat (progress detection).
     seen: usize,
+    /// Per shard, whether any responder's batch covered that shard's keys
+    /// (empty unless sharded).
+    shards: Vec<bool>,
 }
 
 impl<W: Clone> JoinRefire<W> {
-    fn new() -> JoinRefire<W> {
+    fn new(policy: Option<RetransmitConfig>) -> JoinRefire<W> {
         JoinRefire {
-            policy: None,
+            policy,
             reinquire: None,
             inquiry: None,
             waits: Vec::new(),
@@ -581,6 +594,7 @@ impl<W: Clone> JoinRefire<W> {
             attempts: 0,
             used: 0,
             seen: 0,
+            shards: Vec::new(),
         }
     }
 
@@ -645,9 +659,9 @@ impl<W: Clone> JoinRefire<W> {
     /// Decision 2, the silence timer fired: re-broadcast the inquiry if no
     /// reply arrived since the last beat (at the sharded pace, always),
     /// back the window off (progress resets it), and re-arm.
-    fn beat<V>(&mut self, done: bool, heard: usize, out: &mut Vec<SpaceEffect<W, V>>) {
+    fn beat<V>(&mut self, heard: usize, out: &mut Vec<SpaceEffect<W, V>>) {
         self.armed = false;
-        if done || self.silence().is_none() {
+        if self.silence().is_none() {
             return;
         }
         if self.reinquire.is_some() || heard <= self.seen {
@@ -665,14 +679,13 @@ impl<W: Clone> JoinRefire<W> {
     /// blind-activate at `⊥`. Returns whether the expiry was consumed.
     fn intercept<V>(
         &mut self,
-        done: bool,
         tag: u64,
         heard: impl FnOnce() -> Option<usize>,
         out: &mut Vec<SpaceEffect<W, V>>,
     ) -> bool {
         let wait = self.wait(tag);
         let spent = self.used >= self.budget();
-        if done || spent || self.inquiry.is_none() || wait.is_none() || heard() != Some(0) {
+        if spent || self.inquiry.is_none() || wait.is_none() || heard() != Some(0) {
             return false;
         }
         self.used += 1;
@@ -750,19 +763,59 @@ impl Default for ShardConfig {
 pub struct RegisterSpace<P: RegisterProcess> {
     id: NodeId,
     regs: Regs<P>,
-    /// Whether this space already emitted its single `JoinComplete`.
-    join_done: bool,
     /// Reused scratch for the instances' effect lists.
     scratch: Vec<Effect<P::Msg, P::Val>>,
     /// Join-reply sharding (`groups == 1` = full replies).
     shard: ShardConfig,
     /// This process's responder shard (`shard_of_node(id, groups)`).
     my_shard: u32,
-    /// Per shard, whether any responder's batch covered that shard's keys
-    /// (joiner-side tracking; empty unless `groups > 1`).
-    shard_heard: Vec<bool>,
-    /// Join re-fire state; on the sharded pace while `groups > 1`.
-    refire: JoinRefire<SpaceMsg<P::Msg>>,
+    /// The shared join's state (on the sharded pace while `groups > 1`):
+    /// never held by a bootstrap member, dropped when `JoinComplete` goes
+    /// out — its absence is what "active" means.
+    join: Option<Box<JoinRefire<SpaceMsg<P::Msg>>>>,
+}
+
+/// The joined-space effect rule: an instance's effect as its space emits
+/// it — payloads wrapped as [`SpaceMsg::Keyed`], timer tags partitioned by
+/// `key`, completions and notes attributed to `key`. A joined space has no
+/// join left to complete, so `JoinComplete` maps to nothing.
+fn keyed_effect<M, V>(key: RegisterId, e: Effect<M, V>) -> Option<SpaceEffect<SpaceMsg<M>, V>> {
+    let keyed = |inner| SpaceMsg::Keyed { key, inner };
+    Some(match e {
+        Effect::Send { to, msg } => SpaceEffect::Send {
+            to,
+            msg: keyed(msg),
+        },
+        Effect::Broadcast { msg } => SpaceEffect::Broadcast { msg: keyed(msg) },
+        Effect::SetTimer { delay, tag } => {
+            debug_assert!(tag <= INNER_TAG_MASK, "inner timer tags must fit 32 bits");
+            let tag = (u64::from(key.as_raw()) << KEY_TAG_SHIFT) | tag;
+            SpaceEffect::SetTimer { delay, tag }
+        }
+        Effect::JoinComplete => return None,
+        Effect::OpComplete { op, outcome } => SpaceEffect::OpComplete { key, op, outcome },
+        Effect::Note(text) => SpaceEffect::Note { key, text },
+    })
+}
+
+/// One key's effect list under [`keyed_effect`]: a joined space's step.
+fn keyed_all<M, V>(key: RegisterId, fx: Vec<Effect<M, V>>) -> Vec<SpaceEffect<SpaceMsg<M>, V>> {
+    let mut out = Vec::with_capacity(fx.len());
+    fx.into_iter().for_each(|e| Tagged(key, &mut out).push(e));
+    out
+}
+
+/// A sink applying [`keyed_effect`] as the instance pushes — the keyed
+/// twin of [`Lifted`], so a joined space's delivery writes its effects once.
+struct Tagged<'a, M, V>(RegisterId, &'a mut Vec<SpaceEffect<SpaceMsg<M>, V>>);
+
+impl<M, V> EffectSink<M, V> for Tagged<'_, M, V> {
+    #[inline]
+    fn push(&mut self, effect: Effect<M, V>) {
+        if let Some(effect) = keyed_effect(self.0, effect) {
+            self.1.push(effect);
+        }
+    }
 }
 
 use regs::Regs;
@@ -936,7 +989,7 @@ impl<P: RegisterProcess> RegisterSpace<P> {
         );
         // Bootstrap spaces run no handshake: steady-state routing from the
         // first effect (the runtime may never call `on_enter` on them).
-        space.join_done = true;
+        space.join = None;
         space
     }
 
@@ -955,12 +1008,10 @@ impl<P: RegisterProcess> RegisterSpace<P> {
         RegisterSpace {
             id,
             regs: Regs::new(regs),
-            join_done: false,
             scratch: Vec::new(),
             shard: ShardConfig::default(),
             my_shard: 0,
-            shard_heard: Vec::new(),
-            refire: JoinRefire::new(),
+            join: Some(Box::new(JoinRefire::new(None))),
         }
     }
 
@@ -972,19 +1023,19 @@ impl<P: RegisterProcess> RegisterSpace<P> {
         let groups = config.groups.min(self.regs.len() as u32).max(1);
         self.shard = ShardConfig { groups, ..config };
         self.my_shard = shard_of_node(self.id, groups);
-        self.refire.reinquire = (groups > 1).then_some(config.reinquire_every);
-        self.shard_heard = if groups > 1 {
-            vec![false; groups as usize]
-        } else {
-            Vec::new()
-        };
+        if let Some(join) = self.join.as_deref_mut() {
+            join.reinquire = (groups > 1).then_some(config.reinquire_every);
+            join.shards = vec![false; if groups > 1 { groups as usize } else { 0 }];
+        }
         self
     }
 
     /// Installs (or clears) the bounded join-retransmit policy. Only an
     /// unsharded (`G = 1`) handshake uses it; see [`RetransmitConfig`].
     pub fn with_retransmit(mut self, config: Option<RetransmitConfig>) -> RegisterSpace<P> {
-        self.refire.policy = config;
+        if let Some(join) = self.join.as_deref_mut() {
+            join.policy = config;
+        }
         self
     }
 
@@ -1010,7 +1061,10 @@ impl<P: RegisterProcess> RegisterSpace<P> {
         joining.filter_map(P::join_replies).reduce(|a, b| a + b)
     }
 
-    /// Routes one instance's raw effects into the step context.
+    /// Routes one instance's raw effects into the step context: fan-in
+    /// sends group per target; a joining space coalesces its instances'
+    /// inquiries and waits, and completes once every key is active; every
+    /// other effect takes [`keyed_effect`].
     fn route(
         &mut self,
         key: RegisterId,
@@ -1019,22 +1073,15 @@ impl<P: RegisterProcess> RegisterSpace<P> {
     ) {
         for effect in effects.drain(..) {
             match effect {
-                Effect::Send { to, msg } => match &mut ctx.fan_sends {
-                    Some(groups) => match groups.iter_mut().find(|(t, _)| *t == to) {
+                Effect::Send { to, msg } if ctx.fan_sends.is_some() => {
+                    let groups = ctx.fan_sends.as_mut().expect("batching");
+                    match groups.iter_mut().find(|(t, _)| *t == to) {
                         Some((_, entries)) => entries.push((key, msg)),
                         None => groups.push((to, vec![(key, msg)])),
-                    },
-                    None => ctx.out.push(SpaceEffect::Send {
-                        to,
-                        msg: SpaceMsg::Keyed { key, inner: msg },
-                    }),
-                },
-                Effect::Broadcast { msg } => {
-                    if self.join_done {
-                        ctx.out.push(SpaceEffect::Broadcast {
-                            msg: SpaceMsg::Keyed { key, inner: msg },
-                        });
-                    } else if ctx.join_broadcast.is_none() {
+                    }
+                }
+                Effect::Broadcast { msg } if self.join.is_some() => {
+                    if ctx.join_broadcast.is_none() {
                         // Shared handshake: one inquiry covers every key
                         // (join-phase broadcasts are key-agnostic; module
                         // docs, contract 1). The first sharded inquiry asks
@@ -1043,38 +1090,29 @@ impl<P: RegisterProcess> RegisterSpace<P> {
                         // shard falls back to the full-state transfer
                         // instead of wedging the join.
                         let full = self.shard.groups > 1;
-                        self.refire
-                            .inquiry
-                            .get_or_insert_with(|| SpaceMsg::JoinAll {
-                                inner: msg.clone(),
-                                full,
-                            });
+                        let join = self.join.as_deref_mut().expect("joining");
+                        join.inquiry.get_or_insert_with(|| SpaceMsg::JoinAll {
+                            inner: msg.clone(),
+                            full,
+                        });
                         ctx.join_broadcast = Some(msg);
                     }
                 }
-                Effect::SetTimer { delay, tag } => {
+                Effect::SetTimer { delay, tag } if self.join.is_some() => {
                     debug_assert!(tag <= INNER_TAG_MASK, "inner timer tags must fit 32 bits");
-                    if self.join_done {
-                        ctx.out.push(SpaceEffect::SetTimer {
-                            delay,
-                            tag: (u64::from(key.as_raw()) << KEY_TAG_SHIFT) | tag,
-                        });
-                    } else if !ctx.join_timers.contains(&(delay, tag)) {
+                    if !ctx.join_timers.contains(&(delay, tag)) {
                         // Shared handshake: still-joining instances request
                         // uniform waits (contract 2) — arm each once.
                         ctx.join_timers.push((delay, tag));
                     }
                 }
-                Effect::JoinComplete => {
-                    if !self.join_done && self.regs.iter().all(|r| r.is_active()) {
-                        self.join_done = true;
+                Effect::JoinComplete if self.join.is_some() => {
+                    if self.regs.iter().all(|r| r.is_active()) {
+                        self.join = None;
                         ctx.out.push(SpaceEffect::JoinComplete);
                     }
                 }
-                Effect::OpComplete { op, outcome } => {
-                    ctx.out.push(SpaceEffect::OpComplete { key, op, outcome });
-                }
-                Effect::Note(text) => ctx.out.push(SpaceEffect::Note { key, text }),
+                effect => ctx.out.extend(keyed_effect(key, effect)),
             }
         }
     }
@@ -1095,16 +1133,17 @@ impl<P: RegisterProcess> RegisterSpace<P> {
         }
         for (delay, tag) in ctx.join_timers.drain(..) {
             let tag = SHARED_TAG | tag;
-            self.refire.record_wait(tag, delay);
+            if let Some(join) = self.join.as_deref_mut() {
+                join.record_wait(tag, delay);
+            }
             out.push(SpaceEffect::SetTimer { delay, tag });
         }
-        if let Some(tag) = ctx.withheld {
-            self.refire.refire(&mut out, self.refire.wait(tag));
-        }
-        if !self.join_done {
+        if let Some(join) = self.join.as_deref_mut() {
+            if let Some(tag) = ctx.withheld {
+                join.refire(&mut out, join.wait(tag));
+            }
             let regs = &*self.regs;
-            let heard = || Self::joining_replies(regs).unwrap_or(0);
-            self.refire.arm(heard, &mut out);
+            join.arm(|| Self::joining_replies(regs).unwrap_or(0), &mut out);
         }
         if let Some(groups) = ctx.fan_sends.take() {
             for (to, mut entries) in groups {
@@ -1184,20 +1223,6 @@ impl<P: RegisterProcess> RegisterSpace<P> {
         self.scratch = scratch;
         replies
     }
-
-    /// Runs `step` on the instance backing `key`, routing its effects.
-    fn step_one(
-        &mut self,
-        key: RegisterId,
-        ctx: &mut StepCtx<P::Msg, P::Val>,
-        step: impl FnOnce(&mut P, &mut Vec<Effect<P::Msg, P::Val>>),
-    ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        debug_assert!(scratch.is_empty());
-        step(self.regs.step(key), &mut scratch);
-        self.route(key, ctx, &mut scratch);
-        self.scratch = scratch;
-    }
 }
 
 impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
@@ -1209,7 +1234,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
     }
 
     fn is_active(&self) -> bool {
-        self.join_done
+        self.join.is_none()
     }
 
     fn key_count(&self) -> u32 {
@@ -1217,7 +1242,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
     }
 
     fn on_enter(&mut self, now: Time) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
-        if self.join_done {
+        if self.join.is_none() {
             // Bootstrap member: already active (mirrors the single-register
             // protocols' bootstrap `on_enter`).
             return vec![SpaceEffect::JoinComplete];
@@ -1226,10 +1251,9 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
         // handshake costs one physical message per counterpart however
         // many keys the space owns.
         let mut ctx = StepCtx::new(self.regs.len() > 1, self.shard.groups > 1);
-        for raw in 0..self.regs.len() as u32 {
-            self.step_one(RegisterId::from_raw(raw), &mut ctx, |reg, scratch| {
-                scratch.append(&mut reg.on_enter(now));
-            });
+        for key in (0..self.regs.len() as u32).map(RegisterId::from_raw) {
+            let mut effects = self.regs.step(key).on_enter(now);
+            self.route(key, &mut ctx, &mut effects);
         }
         self.flush(ctx)
     }
@@ -1242,13 +1266,17 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
         out: &mut Vec<SpaceEffect<Self::Msg, Self::Val>>,
     ) {
         if let SpaceMsg::Keyed { key, inner } = msg {
-            debug_assert!(self.scratch.is_empty());
             let reg = self.regs.step(key);
+            if self.join.is_none() {
+                // A joined space is just its registers: the instance's
+                // effects go straight into the runtime's buffer.
+                return reg.on_message_into(now, from, inner, &mut Tagged(key, out));
+            }
+            debug_assert!(self.scratch.is_empty());
             reg.on_message_into(now, from, inner, &mut self.scratch);
-            // Steady state's common delivery — a `WRITE` already applied
-            // or stale — emits nothing, and once the join is done a flush
-            // adds nothing of its own: leave before any context is built.
-            if self.scratch.is_empty() && self.join_done {
+            // A delivery that emits nothing has nothing to route, and the
+            // flush adds nothing of its own: leave before building a context.
+            if self.scratch.is_empty() {
                 return;
             }
             let mut scratch = std::mem::take(&mut self.scratch);
@@ -1289,7 +1317,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
                     let mut patch = kept.as_mut().map(Rc::make_mut);
                     let mut replies = self.fan_in(now, from, entries, &mut ctx, &mut patch);
                     let stepped = patch.is_none();
-                    if stepped && self.join_done && replies.len() == width {
+                    if stepped && self.join.is_none() && replies.len() == width {
                         // One `Send` per key and nothing else (a 1-key
                         // space batches nothing, so it never gets here).
                         kept = Some(replies.into());
@@ -1309,10 +1337,9 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
                 // covers the shards of the keys it carries (its own shard
                 // for a sharded reply, every shard for a full-fallback
                 // one).
-                if self.shard.groups > 1 && !self.join_done {
+                if let Some(join) = self.join.as_deref_mut().filter(|_| self.shard.groups > 1) {
                     for (key, _) in replies.iter() {
-                        let s = shard_of_key(*key, self.shard.groups) as usize;
-                        self.shard_heard[s] = true;
+                        join.shards[shard_of_key(*key, self.shard.groups) as usize] = true;
                     }
                 }
                 let entries = replies.iter().cloned();
@@ -1324,60 +1351,55 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
     }
 
     fn on_timer(&mut self, now: Time, tag: u64) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
+        if tag & SHARED_TAG == 0 {
+            // A key-tagged timer, which only a joined space sets.
+            let key = RegisterId::from_raw((tag >> KEY_TAG_SHIFT) as u32);
+            let effects = self.regs.step(key).on_timer(now, tag & INNER_TAG_MASK);
+            return keyed_all(key, effects);
+        }
         let mut out = Vec::new();
+        // The space's own timers serve the join; one outliving it is inert.
+        let (Some(join), regs) = (self.join.as_deref_mut(), &*self.regs) else {
+            return out;
+        };
         if tag == RETRANSMIT_TAG || tag == REINQUIRE_TAG {
-            // The space's own silence timer — never forwarded to instances.
-            let heard = Self::joining_replies(&self.regs).unwrap_or(0);
-            self.refire.beat(self.join_done, heard, &mut out);
+            // The silence timer — never forwarded to instances.
+            join.beat(Self::joining_replies(regs).unwrap_or(0), &mut out);
             return out;
         }
-        if tag & SHARED_TAG != 0 {
-            // A shared join-phase timer: dispatch to every still-joining
-            // instance (exactly the requesters; module docs, contract 2) —
-            // except, once the sharded inquiry is out, instances of shards
-            // no responder has answered yet: those stay joining and the
-            // timer re-fires the inquiry (full fallback) and re-arms.
-            // Multi-instance step → per-target sends batch, so postponed
-            // replies flushed at activation stay one message per inquirer.
-            let groups = self.shard.groups;
-            let (regs, done) = (&*self.regs, self.join_done);
-            let heard = || Self::joining_replies(regs);
-            if self.refire.intercept(done, tag, heard, &mut out) {
-                // An unsharded zero-reply expiry: dispatching it would
-                // blind-activate every key at ⊥.
-                return out;
-            }
-            let inner_tag = tag & !SHARED_TAG;
-            // Snapshot the gate before stepping: the first dispatched
-            // instance may broadcast the inquiry (flipping `inquired`)
-            // mid-step, and pre-inquiry waits must dispatch to every key.
-            let gate = groups > 1 && self.refire.inquiry.is_some() && !self.join_done;
-            let mut ctx = StepCtx::new(self.regs.len() > 1, groups > 1);
-            let mut withheld = false;
-            for raw in 0..self.regs.len() as u32 {
-                if self.regs[raw as usize].is_active() {
-                    continue;
-                }
-                let shard = shard_of_key(RegisterId::from_raw(raw), groups) as usize;
-                if gate && !self.shard_heard[shard] {
-                    withheld = true;
-                    continue;
-                }
-                self.step_one(RegisterId::from_raw(raw), &mut ctx, |reg, scratch| {
-                    scratch.append(&mut reg.on_timer(now, inner_tag));
-                });
-            }
-            ctx.withheld = withheld.then_some(tag);
-            self.flush(ctx)
-        } else {
-            let key = RegisterId::from_raw((tag >> KEY_TAG_SHIFT) as u32);
-            let inner_tag = tag & INNER_TAG_MASK;
-            let mut ctx = StepCtx::new(false, false);
-            self.step_one(key, &mut ctx, |reg, scratch| {
-                scratch.append(&mut reg.on_timer(now, inner_tag));
-            });
-            self.flush(ctx)
+        // A shared join-phase timer: dispatch to every still-joining
+        // instance (exactly the requesters; module docs, contract 2) —
+        // except, once the sharded inquiry is out, instances of shards no
+        // responder has answered yet: those stay joining and the timer
+        // re-fires the inquiry (full fallback) and re-arms. Multi-instance
+        // step → per-target sends batch, so postponed replies flushed at
+        // activation stay one message per inquirer.
+        if join.intercept(tag, || Self::joining_replies(regs), &mut out) {
+            // An unsharded zero-reply expiry: dispatching it would
+            // blind-activate every key at ⊥.
+            return out;
         }
+        // Snapshot the gate before stepping: the first dispatched instance
+        // may broadcast the inquiry mid-step, and pre-inquiry waits must
+        // dispatch to every key.
+        let gate = join.inquiry.is_some();
+        let groups = self.shard.groups;
+        let mut ctx = StepCtx::new(self.regs.len() > 1, groups > 1);
+        let mut withheld = false;
+        for key in (0..self.regs.len() as u32).map(RegisterId::from_raw) {
+            if self.regs[key.as_raw() as usize].is_active() {
+                continue;
+            }
+            let join = self.join.as_deref().expect("a key is still joining");
+            if gate && join.shards.get(shard_of_key(key, groups) as usize) == Some(&false) {
+                withheld = true;
+                continue;
+            }
+            let mut effects = self.regs.step(key).on_timer(now, tag & !SHARED_TAG);
+            self.route(key, &mut ctx, &mut effects);
+        }
+        ctx.withheld = withheld.then_some(tag);
+        self.flush(ctx)
     }
 
     fn on_read(
@@ -1386,11 +1408,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
         key: RegisterId,
         op: OpId,
     ) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
-        let mut ctx = StepCtx::new(false, false);
-        self.step_one(key, &mut ctx, |reg, scratch| {
-            scratch.append(&mut reg.on_read(now, op));
-        });
-        self.flush(ctx)
+        keyed_all(key, self.regs.step(key).on_read(now, op))
     }
 
     fn on_write(
@@ -1400,11 +1418,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
         op: OpId,
         value: Self::Val,
     ) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
-        let mut ctx = StepCtx::new(false, false);
-        self.step_one(key, &mut ctx, |reg, scratch| {
-            scratch.append(&mut reg.on_write(now, op, value));
-        });
-        self.flush(ctx)
+        keyed_all(key, self.regs.step(key).on_write(now, op, value))
     }
 }
 
@@ -1533,6 +1547,10 @@ mod tests {
         let done = s.on_timer(Time::at(9), t2);
         assert_eq!(done, vec![SpaceEffect::JoinComplete]);
         assert!(s.is_active());
+        // A shared wait expiring again after the join emits nothing.
+        for tag in [t2, tag] {
+            assert_eq!(s.on_timer(Time::at(10), tag), vec![]);
+        }
     }
 
     #[test]
@@ -2312,7 +2330,7 @@ mod tests {
     }
 
     /// The per-key path the single-pass fan-in replaced, as an oracle: one
-    /// `step_one` (scratch take, `route`, group `find`) per entry.
+    /// step and `route` (group `find`) per entry.
     fn per_key_fan_in<P: RegisterProcess>(
         space: &mut RegisterSpace<P>,
         from: NodeId,
@@ -2320,9 +2338,8 @@ mod tests {
     ) -> Vec<SpaceEffect<SpaceMsg<P::Msg>, P::Val>> {
         let mut ctx = StepCtx::new(space.regs.len() > 1, space.shard.groups > 1);
         for (key, inner) in entries {
-            space.step_one(key, &mut ctx, |reg, scratch| {
-                reg.on_message_into(Time::at(7), from, inner, scratch);
-            });
+            let mut effects = space.regs.step(key).on_message(Time::at(7), from, inner);
+            space.route(key, &mut ctx, &mut effects);
         }
         space.flush(ctx)
     }
@@ -2430,7 +2447,8 @@ mod tests {
             s.on_message_into(Time::at(2), nid(from), batch, &mut Vec::new());
         }
         assert!(s.register(key(1)).is_active() && !s.register(key(2)).is_active());
-        s.on_read(Time::at(3), key(1), oid(5));
+        // `on_read` waits for the space's join; the instance reads now.
+        s.regs.step(key(1)).on_read(Time::at(3), oid(5));
         s
     }
 
@@ -2471,7 +2489,10 @@ mod tests {
                     if groups > 1 {
                         // The oracle bypasses the Batch arm's shard
                         // bookkeeping; nothing below reads it.
-                        per_key.shard_heard = single.shard_heard.clone();
+                        let heard = single.join.as_ref().map(|j| j.shards.clone());
+                        if let (Some(join), Some(heard)) = (per_key.join.as_mut(), heard) {
+                            join.shards = heard;
+                        }
                     }
                     let got = single.on_message(Time::at(8), nid(from), batch);
                     assert_eq!(
@@ -2525,10 +2546,10 @@ mod tests {
     enum Step {
         /// A join-phase step closed (decision 1) with this many replies in.
         Arm(usize),
-        /// The silence timer fired (decision 2): `(done, heard)`.
-        Beat(bool, usize),
-        /// Join wait 2 expired (decision 3): `(done, heard)`.
-        Expire(bool, Option<usize>),
+        /// The silence timer fired (decision 2) with this many replies in.
+        Beat(usize),
+        /// Join wait 2 expired (decision 3) with this reply count.
+        Expire(Option<usize>),
     }
 
     #[test]
@@ -2552,18 +2573,15 @@ mod tests {
                 Timed,
                 vec![
                     (Arm(0), vec![]),
-                    (Expire(false, Some(0)), refired(timer(6, 2))),
-                    (Expire(false, Some(0)), refired(timer(6, 2))),
-                    (Expire(false, Some(0)), vec![]),
+                    (Expire(Some(0)), refired(timer(6, 2))),
+                    (Expire(Some(0)), refired(timer(6, 2))),
+                    (Expire(Some(0)), vec![]),
                 ],
             ),
             (
                 "a gathered reply, or no reply count at all, stands down",
                 Timed,
-                vec![
-                    (Expire(false, Some(1)), vec![]),
-                    (Expire(false, None), vec![]),
-                ],
+                vec![(Expire(Some(1)), vec![]), (Expire(None), vec![])],
             ),
             (
                 "the window plateaus at base << budget",
@@ -2571,9 +2589,9 @@ mod tests {
                 vec![
                     (Arm(0), vec![silence(8)]),
                     (Arm(0), vec![]),
-                    (Beat(false, 0), refired(silence(16))),
-                    (Beat(false, 0), refired(silence(32))),
-                    (Beat(false, 0), refired(silence(32))),
+                    (Beat(0), refired(silence(16))),
+                    (Beat(0), refired(silence(32))),
+                    (Beat(0), refired(silence(32))),
                 ],
             ),
             (
@@ -2581,34 +2599,29 @@ mod tests {
                 Quorum,
                 vec![
                     (Arm(0), vec![silence(8)]),
-                    (Beat(false, 0), refired(silence(16))),
-                    (Beat(false, 1), vec![silence(8)]),
-                    (Beat(false, 1), refired(silence(16))),
+                    (Beat(0), refired(silence(16))),
+                    (Beat(1), vec![silence(8)]),
+                    (Beat(1), refired(silence(16))),
                 ],
-            ),
-            (
-                "nothing is emitted once the join is done",
-                Timed,
-                vec![(Expire(true, Some(0)), vec![]), (Beat(true, 0), vec![])],
             ),
             (
                 "the sharded pace beats unconditionally, uncounted, at one period",
                 Sharded,
                 vec![
                     (Arm(0), vec![timer(12, REINQUIRE_TAG)]),
-                    (Beat(false, 0), reinquiry()),
-                    (Beat(false, 5), reinquiry()),
+                    (Beat(0), reinquiry()),
+                    (Beat(5), reinquiry()),
                 ],
             ),
             (
                 "a sharded space never intercepts",
                 ShardedTimed,
-                vec![(Expire(false, Some(0)), vec![])],
+                vec![(Expire(Some(0)), vec![])],
             ),
         ];
         for (case, join, steps) in table {
-            let mut m = JoinRefire::new();
-            m.policy = Some(RetransmitConfig::after(Span::ticks(8)).with_budget(2));
+            let mut m =
+                JoinRefire::new(Some(RetransmitConfig::after(Span::ticks(8)).with_budget(2)));
             m.inquiry = Some(7u8);
             match join {
                 Timed | ShardedTimed => m.record_wait(2, Span::ticks(6)),
@@ -2621,14 +2634,39 @@ mod tests {
                 let mut out = Vec::new();
                 match step {
                     Arm(heard) => m.arm(|| heard, &mut out),
-                    Beat(done, heard) => m.beat(done, heard, &mut out),
-                    Expire(done, heard) => {
-                        let consumed = m.intercept(done, 2, || heard, &mut out);
+                    Beat(heard) => m.beat(heard, &mut out),
+                    Expire(heard) => {
+                        let consumed = m.intercept(2, || heard, &mut out);
                         assert_eq!(consumed, !out.is_empty(), "{case}: step {i}");
                     }
                 }
                 assert_eq!(out, want, "{case}: step {i}");
             }
+        }
+    }
+
+    #[test]
+    fn late_join_timers_after_join_complete_emit_nothing() {
+        // Quorum completes each ES join with the space's silence timer out.
+        let reply = <EsRegister<u64> as Wire>::reply(7, 0);
+        let joiner = EsRegister::new_joiner(nid(9), EsConfig::new(3), oid(900));
+        let rc = Some(RetransmitConfig::after(Span::ticks(8)));
+        let mut solo = SoloSpace::new(joiner).with_retransmit(rc);
+        solo.on_enter(Time::ZERO);
+        for from in [1, 2] {
+            solo.on_message(Time::at(2), nid(from), reply.clone());
+        }
+        assert_eq!(solo.on_timer(Time::at(8), RETRANSMIT_TAG), vec![]);
+        assert!(solo.is_active() && solo.join.is_none());
+        for (groups, silence) in [(1, RETRANSMIT_TAG), (2, REINQUIRE_TAG)] {
+            let mut s = spaced_es_joiner(2).with_shards(ShardConfig::new(groups));
+            s.on_enter(Time::ZERO);
+            for from in [1, 2] {
+                let replies = vec![(key(0), reply.clone()), (key(1), reply.clone())].into();
+                s.on_message(Time::at(2), nid(from), SpaceMsg::Batch { replies });
+            }
+            assert!(s.join.is_none(), "G={groups}: dropped with JoinComplete");
+            assert_eq!(s.on_timer(Time::at(8), silence), vec![], "G={groups}");
         }
     }
 
@@ -3096,6 +3134,66 @@ mod tests {
         Ok(())
     }
 
+    /// A joined `keys`-key space and `keys` bare instances stepped in
+    /// lockstep — `Keyed` deliveries (remote writes, stray replies,
+    /// inquiries, answers to the space's broadcasts), reads and writes on
+    /// an idle process, expiries of the timers the space set: the space
+    /// appends exactly the addressed instance's effects under
+    /// [`keyed_effect`].
+    fn joined_space_matches_bare<P: Wire>(
+        keys: u32,
+        steps: &[RigStep],
+    ) -> Result<(), TestCaseError> {
+        let mut rig = Rig::<P>::new(keys, 1);
+        let mut bare = rig.space.regs.to_vec();
+        let at = |k: RegisterId| k.as_raw() as usize;
+        for &(kind, k, node, x, _) in steps {
+            rig.now += 1;
+            let (now, op, k) = (Time::at(rig.now), oid(rig.now), key(k % keys));
+            let invoke = matches!(kind, 2 | 3) && !rig.busy;
+            let input = match kind {
+                _ if invoke => None,
+                0 => Some(Owed::Msg(node, k, P::write(node, x))),
+                1 => Some(Owed::Msg(node, k, P::reply(node, x))),
+                6 => Some(Owed::Msg(node, k, P::inquiry(x % 2))),
+                _ => match rig.owed.pop_front() {
+                    None => continue,
+                    owed => owed,
+                },
+            };
+            let (k, got, want) = match input {
+                None => {
+                    let reg = &mut bare[at(k)];
+                    match kind {
+                        2 => (k, rig.space.on_read(now, k, op), reg.on_read(now, op)),
+                        _ => (
+                            k,
+                            rig.space.on_write(now, k, op, 7),
+                            reg.on_write(now, op, 7),
+                        ),
+                    }
+                }
+                Some(Owed::Timer(tag)) => {
+                    let k = key((tag >> KEY_TAG_SHIFT) as u32);
+                    let want = bare[at(k)].on_timer(now, tag & INNER_TAG_MASK);
+                    (k, rig.space.on_timer(now, tag), want)
+                }
+                Some(Owed::Msg(from, k, inner)) => {
+                    let want = bare[at(k)].on_message(now, nid(from), inner.clone());
+                    let mut got = vec![SpaceEffect::Retransmit];
+                    let msg = SpaceMsg::Keyed { key: k, inner };
+                    rig.space.on_message_into(now, nid(from), msg, &mut got);
+                    prop_assert_eq!(got.remove(0), SpaceEffect::Retransmit);
+                    (k, got, want)
+                }
+            };
+            prop_assert_eq!(&got, &keyed_all(k, want));
+            rig.busy |= invoke;
+            rig.absorb(got);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -3114,6 +3212,22 @@ mod tests {
                 standing_matches_fresh::<EsRegister<u64>>(keys, groups, &steps)?;
             } else {
                 standing_matches_fresh::<SyncRegister<u64>>(keys, groups, &steps)?;
+            }
+        }
+
+        /// A joined space is just its registers: under any mix of keyed
+        /// deliveries, client operations and timer expiries it emits what
+        /// its instances emit, tagged, in the same order.
+        #[test]
+        fn joined_space_steps_like_its_bare_instances(
+            keys in prop::sample::select(vec![1u32, 3]),
+            es in prop::bool::ANY,
+            steps in rig_steps(),
+        ) {
+            if es {
+                joined_space_matches_bare::<EsRegister<u64>>(keys, &steps)?;
+            } else {
+                joined_space_matches_bare::<SyncRegister<u64>>(keys, &steps)?;
             }
         }
 

@@ -22,7 +22,7 @@
 //!   (§4, unbounded delays), and [`delay::EventuallySynchronous`] (§5, bounded
 //!   only after an unknown GST).
 //!
-//! The network is *sans-queue*: `send` returns an [`Envelope`] and
+//! The network is *sans-queue*: `send_present` returns an [`Envelope`] and
 //! `broadcast` a zero-copy [`Fanout`], each carrying computed delivery
 //! instants that the simulation runtime schedules. This keeps the substrate
 //! unit-testable in isolation.

@@ -137,21 +137,19 @@ impl<M> Fanout<M> {
 ///
 /// # Message accounting
 ///
-/// All send/drop statistics follow two rules, stated once here:
+/// All send/drop statistics follow three rules, stated once here:
 ///
 /// * **`sent_by_label` counts one unit per recipient channel actually
-///   used**: a unicast [`Network::send`] to a present recipient counts 1;
-///   a [`Network::broadcast`] counts one per process in its snapshot (so a
-///   broadcast into an n-process system adds n). A unicast to an
-///   already-departed recipient counts 0 — the channel carries nothing.
+///   used**: a unicast [`Network::send_present`] counts 1; a
+///   [`Network::broadcast`] counts one per process in its snapshot (so a
+///   broadcast into an n-process system adds n).
 /// * **`dropped_departed` counts every message abandoned because its
-///   target was gone**, whether detected at send time (unicast to a
-///   departed process) or at delivery time ([`Network::should_deliver`] /
-///   the runtime's equivalent slab check, reported via
-///   [`Network::note_dropped_departed`]). A *sender* that has departed is
-///   a protocol bug, not traffic: it panics in debug builds and counts
-///   the whole attempt as dropped (without sending) in release builds,
-///   identically for `send` and `broadcast`.
+///   target was gone**: the runtime checks presence — at send time for a
+///   unicast, at delivery time for every copy — and reports each drop via
+///   [`Network::note_dropped_departed`]. A broadcast *sender* that has
+///   departed is a protocol bug, not traffic: it panics in debug builds
+///   and counts the whole attempt as dropped (without sending) in release
+///   builds.
 /// * **Fault-induced drops count as sent *and* as dropped**: a message
 ///   lost to a partition or a probabilistic [`crate::DropRule`] used its
 ///   channel (the sender paid for it), so `sent_by_label` counts it like
@@ -280,21 +278,16 @@ impl Network {
         self.sync_from
     }
 
-    /// Samples one message's fate: `Ok(latency)` to deliver, `Err((kind,
-    /// rule))` when the fault layer dropped it (already counted; the
-    /// attribution is returned so send sites can log it). The latency rng
-    /// is always consumed (the base sample happens before fault
-    /// resolution), so installing drop rules never shifts the latency
-    /// stream of the messages that survive. Surviving latencies are
-    /// checked against the advertised δ here — the one chokepoint every
-    /// copy passes through — so a region baseline or delay fault that
-    /// silently breaks the synchrony assumption is counted, not ignored.
-    fn route(
-        &mut self,
-        now: Time,
-        from: NodeId,
-        to: NodeId,
-    ) -> Result<Span, (&'static str, usize)> {
+    /// Samples one message's fate: its delivery instant, or the fault rule
+    /// that dropped it (already counted; the attribution is returned so
+    /// send sites can log it). The latency rng is always consumed (the
+    /// base sample happens before fault resolution), so installing drop
+    /// rules never shifts the latency stream of the messages that survive.
+    /// Surviving latencies are checked against the advertised δ here —
+    /// the one chokepoint every copy passes through — so a region baseline
+    /// or delay fault that silently breaks the synchrony assumption is
+    /// counted, not ignored.
+    fn route(&mut self, now: Time, from: NodeId, to: NodeId) -> SendFate {
         let base = self.delay.sample(now, from, to, &mut self.rng);
         let latency = match self.fault_rng.as_mut().map(|r| r.unit()) {
             None => self.faults.apply(base, now, from, to),
@@ -302,11 +295,13 @@ impl Network {
                 FaultVerdict::Deliver(latency) => latency,
                 FaultVerdict::Dropped(DropKind::Partition(i)) => {
                     self.dropped_by_partition[i] += 1;
-                    return Err(("partition", i));
+                    let kind = "partition";
+                    return SendFate::FaultDropped { kind, rule: i };
                 }
                 FaultVerdict::Dropped(DropKind::Random(i)) => {
                     self.dropped_by_drop_rule[i] += 1;
-                    return Err(("drop", i));
+                    let kind = "drop";
+                    return SendFate::FaultDropped { kind, rule: i };
                 }
             },
         };
@@ -318,7 +313,9 @@ impl Network {
                 self.delta_overruns += 1;
             }
         }
-        Ok(latency)
+        SendFate::Scheduled {
+            deliver_at: now + latency,
+        }
     }
 
     /// Assigns the next message sequence id (one per send attempt).
@@ -329,51 +326,12 @@ impl Network {
         seq
     }
 
-    /// Handles a departed sender uniformly for `send` and `broadcast` (see
-    /// *Message accounting* on [`Network`]): debug builds panic — sending
-    /// after leaving is a protocol bug worth failing loudly on — while
-    /// release builds count the abandoned attempt and carry nothing.
-    fn departed_sender(&mut self, from: NodeId) {
-        debug_assert!(false, "departed sender {from}");
-        let _ = from;
-        self.dropped_departed += 1;
-    }
-
-    /// Sends `msg` point-to-point from `from` to `to` at `now`.
-    ///
-    /// Returns `None` when `to` is not present (already left, or never
-    /// entered): the channel to a departed process carries nothing. See
-    /// *Message accounting* on [`Network`] for how this is counted.
-    ///
-    /// # Panics
-    /// Panics in debug builds if the sender is not present — a departed
-    /// process "does no longer send … messages" (§2.1). Release builds
-    /// count the attempt toward `dropped_departed` and return `None`.
-    pub fn send<M>(
-        &mut self,
-        presence: &Presence,
-        now: Time,
-        from: NodeId,
-        to: NodeId,
-        label: &'static str,
-        msg: M,
-    ) -> Option<Envelope<M>> {
-        if !presence.is_present(from) {
-            self.departed_sender(from);
-            return None;
-        }
-        if !presence.is_present(to) {
-            self.dropped_departed += 1;
-            return None;
-        }
-        self.send_present(now, from, to, label, msg)
-    }
-
-    /// Unicast fast path: like [`Network::send`], but the caller attests
-    /// that both endpoints are present (the runtime knows — it holds the
-    /// live-node slab), so no presence lookups happen here. Returns `None`
-    /// when the fault layer drops the message in flight (counted as sent
-    /// *and* as a fault drop; see *Message accounting* on [`Network`]).
+    /// Sends `msg` point-to-point from `from` to `to` at `now`. The caller
+    /// attests that both endpoints are present (the runtime knows — it
+    /// holds the live-node slab), so no presence lookups happen here.
+    /// Returns `None` when the fault layer drops the message in flight
+    /// (counted as sent *and* as a fault drop; see *Message accounting* on
+    /// [`Network`]).
     pub fn send_present<M>(
         &mut self,
         now: Time,
@@ -384,42 +342,43 @@ impl Network {
     ) -> Option<Envelope<M>> {
         self.bump_label(label, 1);
         let seq = self.assign_seq();
-        match self.route(now, from, to) {
-            Ok(latency) => {
-                let deliver_at = now + latency;
-                if let Some(log) = self.msg_log.as_mut() {
-                    log.push(MsgRecord {
-                        seq,
-                        from,
-                        to,
-                        label,
-                        sent_at: now,
-                        fate: SendFate::Scheduled { deliver_at },
-                    });
-                }
-                Some(Envelope {
-                    seq,
-                    from,
-                    to,
-                    sent_at: now,
-                    deliver_at,
-                    label,
-                    msg,
-                })
-            }
-            Err((kind, rule)) => {
-                if let Some(log) = self.msg_log.as_mut() {
-                    log.push(MsgRecord {
-                        seq,
-                        from,
-                        to,
-                        label,
-                        sent_at: now,
-                        fate: SendFate::FaultDropped { kind, rule },
-                    });
-                }
-                None
-            }
+        let deliver_at = self.route_logged(seq, now, from, to, label)?;
+        Some(Envelope {
+            seq,
+            from,
+            to,
+            sent_at: now,
+            deliver_at,
+            label,
+            msg,
+        })
+    }
+
+    /// Routes one copy and records its fate in the log (when enabled):
+    /// the delivery instant, or `None` when the fault layer drops it.
+    #[inline]
+    fn route_logged(
+        &mut self,
+        seq: u64,
+        now: Time,
+        from: NodeId,
+        to: NodeId,
+        label: &'static str,
+    ) -> Option<Time> {
+        let fate = self.route(now, from, to);
+        if let Some(log) = self.msg_log.as_mut() {
+            log.push(MsgRecord {
+                seq,
+                from,
+                to,
+                label,
+                sent_at: now,
+                fate,
+            });
+        }
+        match fate {
+            SendFate::Scheduled { deliver_at } => Some(deliver_at),
+            _ => None,
         }
     }
 
@@ -446,7 +405,10 @@ impl Network {
         msg: M,
     ) -> Fanout<M> {
         if !presence.is_present(from) {
-            self.departed_sender(from);
+            // Sending after leaving is a protocol bug worth failing loudly
+            // on; release builds count the abandoned attempt instead.
+            debug_assert!(false, "departed sender {from}");
+            self.dropped_departed += 1;
             return Fanout {
                 from,
                 sent_at: now,
@@ -463,33 +425,8 @@ impl Network {
         // broadcast were lost.
         for to in presence.present_iter() {
             let seq = self.assign_seq();
-            match self.route(now, from, to) {
-                Ok(latency) => {
-                    let deliver_at = now + latency;
-                    if let Some(log) = self.msg_log.as_mut() {
-                        log.push(MsgRecord {
-                            seq,
-                            from,
-                            to,
-                            label,
-                            sent_at: now,
-                            fate: SendFate::Scheduled { deliver_at },
-                        });
-                    }
-                    recipients.push((to, deliver_at, seq));
-                }
-                Err((kind, rule)) => {
-                    if let Some(log) = self.msg_log.as_mut() {
-                        log.push(MsgRecord {
-                            seq,
-                            from,
-                            to,
-                            label,
-                            sent_at: now,
-                            fate: SendFate::FaultDropped { kind, rule },
-                        });
-                    }
-                }
+            if let Some(deliver_at) = self.route_logged(seq, now, from, to, label) {
+                recipients.push((to, deliver_at, seq));
             }
         }
         self.bump_label(label, presence.present_count() as u64);
@@ -499,18 +436,6 @@ impl Network {
             label,
             msg,
             recipients,
-        }
-    }
-
-    /// Whether an in-flight envelope should still be delivered: the
-    /// recipient must not have left. (Listening recipients *do* receive —
-    /// the paper's listening mode starts at the beginning of `join`.)
-    pub fn should_deliver<M>(&mut self, presence: &Presence, env: &Envelope<M>) -> bool {
-        if presence.is_present(env.to) {
-            true
-        } else {
-            self.dropped_departed += 1;
-            false
         }
     }
 
@@ -640,20 +565,14 @@ mod tests {
 
     #[test]
     fn unicast_within_delta() {
-        let (p, mut net) = three_node_world();
+        let (_, mut net) = three_node_world();
         for _ in 0..500 {
-            let e = net.send(&p, Time::at(10), n(0), n(1), "X", 42u64).unwrap();
+            let e = net
+                .send_present(Time::at(10), n(0), n(1), "X", 42u64)
+                .unwrap();
             assert!(e.deliver_at > Time::at(10) && e.deliver_at <= Time::at(15));
             assert_eq!(e.msg, 42);
         }
-    }
-
-    #[test]
-    fn send_to_departed_returns_none() {
-        let (mut p, mut net) = three_node_world();
-        p.leave(n(1), Time::at(1));
-        assert!(net.send(&p, Time::at(2), n(0), n(1), "X", ()).is_none());
-        assert_eq!(net.dropped_to_departed(), 1);
     }
 
     #[test]
@@ -661,9 +580,9 @@ mod tests {
     fn departed_sender_panics_in_debug() {
         let (mut p, mut net) = three_node_world();
         p.leave(n(0), Time::at(1));
-        let sent = net.send(&p, Time::at(2), n(0), n(1), "X", ());
+        let sent = net.broadcast(&p, Time::at(2), n(0), "X", ());
         // Release builds reach here: the attempt is dropped, not sent.
-        assert!(sent.is_none());
+        assert!(sent.is_empty());
         assert_eq!(net.dropped_to_departed(), 1);
         assert_eq!(net.total_sent(), 0);
     }
@@ -696,19 +615,11 @@ mod tests {
     }
 
     #[test]
-    fn delivery_check_drops_for_departed_recipient() {
-        let (mut p, mut net) = three_node_world();
-        let e = net.send(&p, Time::at(1), n(0), n(2), "X", ()).unwrap();
-        p.leave(n(2), Time::at(2));
-        assert!(!net.should_deliver(&p, &e));
-        assert_eq!(net.dropped_to_departed(), 1);
-    }
-
-    #[test]
     fn label_statistics_count_per_recipient() {
         let (p, mut net) = three_node_world();
         net.broadcast(&p, Time::ZERO, n(0), "INQUIRY", ());
-        net.send(&p, Time::ZERO, n(1), n(0), "REPLY", ()).unwrap();
+        net.send_present(Time::ZERO, n(1), n(0), "REPLY", ())
+            .unwrap();
         let stats: std::collections::BTreeMap<_, _> = net.sent_by_label().collect();
         assert_eq!(stats["INQUIRY"], 3);
         assert_eq!(stats["REPLY"], 1);
@@ -717,8 +628,6 @@ mod tests {
 
     #[test]
     fn faults_stretch_targeted_messages() {
-        let mut p = Presence::new();
-        p.bootstrap([n(0), n(1)], Time::ZERO);
         let mut net = Network::new(Box::new(Fixed::new(Span::ticks(2))), DetRng::seed(3));
         net.set_faults(FaultPlan::none().with(DelayFault::starve_recipient(
             n(1),
@@ -726,8 +635,8 @@ mod tests {
             Time::MAX,
             Span::ticks(500),
         )));
-        let slow = net.send(&p, Time::ZERO, n(0), n(1), "X", ()).unwrap();
-        let fast = net.send(&p, Time::ZERO, n(1), n(0), "X", ()).unwrap();
+        let slow = net.send_present(Time::ZERO, n(0), n(1), "X", ()).unwrap();
+        let fast = net.send_present(Time::ZERO, n(1), n(0), "X", ()).unwrap();
         assert_eq!(slow.deliver_at, Time::at(500));
         assert_eq!(fast.deliver_at, Time::at(2));
     }
@@ -735,16 +644,18 @@ mod tests {
     #[test]
     fn partition_drops_cross_cut_and_counts() {
         use crate::fault::Partition;
-        let (p, mut net) = three_node_world();
+        let (_, mut net) = three_node_world();
         net.set_faults(
             FaultPlan::none().with_partition(Partition::even_odd(Time::ZERO, Time::at(50))),
         );
         // 0 → 1 crosses the even/odd cut: dropped but counted as sent.
-        assert!(net.send(&p, Time::at(1), n(0), n(1), "X", ()).is_none());
+        assert!(net.send_present(Time::at(1), n(0), n(1), "X", ()).is_none());
         // 0 → 2 stays on the even side: delivered.
-        assert!(net.send(&p, Time::at(1), n(0), n(2), "X", ()).is_some());
+        assert!(net.send_present(Time::at(1), n(0), n(2), "X", ()).is_some());
         // After the heal everything flows.
-        assert!(net.send(&p, Time::at(50), n(0), n(1), "X", ()).is_some());
+        assert!(net
+            .send_present(Time::at(50), n(0), n(1), "X", ())
+            .is_some());
         assert_eq!(net.dropped_to_faults(), 1);
         assert_eq!(net.total_sent(), 3, "fault drops still count as sent");
         assert_eq!(net.dropped_to_departed(), 0);
@@ -771,8 +682,6 @@ mod tests {
     fn probabilistic_drops_are_seeded_and_counted() {
         use crate::fault::DropRule;
         let run = |seed| {
-            let mut p = Presence::new();
-            p.bootstrap([n(0), n(1), n(2)], Time::ZERO);
             let mut net = Network::new(Box::new(Fixed::new(Span::ticks(2))), DetRng::seed(seed));
             net.set_faults(FaultPlan::none().with_drop(DropRule::lossy_everything(
                 Time::ZERO,
@@ -781,7 +690,7 @@ mod tests {
             )));
             let mut fates = Vec::new();
             for t in 0..200 {
-                fates.push(net.send(&p, Time::at(t), n(0), n(1), "X", ()).is_some());
+                fates.push(net.send_present(Time::at(t), n(0), n(1), "X", ()).is_some());
             }
             (fates, net.dropped_to_faults())
         };
@@ -801,7 +710,7 @@ mod tests {
     fn delay_only_plans_leave_latency_stream_untouched() {
         // A delay-only plan must not consume coins: the surviving latency
         // stream is identical to the no-plan network's.
-        let (p, mut plain) = three_node_world();
+        let (_, mut plain) = three_node_world();
         let mut faulted = Network::new(Box::new(Synchronous::new(Span::ticks(5))), DetRng::seed(1));
         faulted.set_faults(FaultPlan::none().with(DelayFault::slow_everything(
             Time::at(1000),
@@ -809,8 +718,12 @@ mod tests {
             Span::ticks(9),
         )));
         for t in 0..100 {
-            let a = plain.send(&p, Time::at(t), n(0), n(1), "X", ()).unwrap();
-            let b = faulted.send(&p, Time::at(t), n(0), n(1), "X", ()).unwrap();
+            let a = plain
+                .send_present(Time::at(t), n(0), n(1), "X", ())
+                .unwrap();
+            let b = faulted
+                .send_present(Time::at(t), n(0), n(1), "X", ())
+                .unwrap();
             assert_eq!(a.deliver_at, b.deliver_at);
         }
     }
@@ -839,9 +752,9 @@ mod tests {
         assert_eq!(seqs, vec![0, 2], "dropped copy burned seq 1");
         assert_eq!(net.next_seq(), 3);
         // A fault-dropped unicast still advances the counter.
-        assert!(net.send(&p, Time::at(2), n(0), n(1), "X", ()).is_none());
+        assert!(net.send_present(Time::at(2), n(0), n(1), "X", ()).is_none());
         assert_eq!(net.last_seq(), Some(3));
-        let env = net.send(&p, Time::at(2), n(0), n(2), "X", ()).unwrap();
+        let env = net.send_present(Time::at(2), n(0), n(2), "X", ()).unwrap();
         assert_eq!(env.seq, 4);
     }
 
@@ -875,8 +788,6 @@ mod tests {
     #[test]
     fn delta_overruns_count_post_gst_breaches_only() {
         use crate::delay::{Asynchronous, EventuallySynchronous};
-        let mut p = Presence::new();
-        p.bootstrap([n(0), n(1)], Time::ZERO);
         // δ=2 advertised from GST=100; stretch every delivery to 500 ticks.
         let pre = Asynchronous::new(Span::ticks(1), 0.5, Span::ticks(10));
         let mut net = Network::new(
@@ -892,10 +803,12 @@ mod tests {
             Time::MAX,
             Span::ticks(500),
         )));
-        net.send(&p, Time::at(1), n(0), n(1), "X", ()).unwrap();
+        net.send_present(Time::at(1), n(0), n(1), "X", ()).unwrap();
         assert_eq!(net.delta_overruns(), 0, "pre-GST latency is fair game");
-        net.send(&p, Time::at(150), n(0), n(1), "X", ()).unwrap();
-        net.send(&p, Time::at(151), n(0), n(1), "X", ()).unwrap();
+        net.send_present(Time::at(150), n(0), n(1), "X", ())
+            .unwrap();
+        net.send_present(Time::at(151), n(0), n(1), "X", ())
+            .unwrap();
         assert_eq!(net.delta_overruns(), 2);
         let (at, from, to, latency) = net.first_delta_overrun().unwrap();
         assert_eq!((at, from, to), (Time::at(150), n(0), n(1)));
@@ -906,7 +819,7 @@ mod tests {
     fn clean_synchronous_traffic_never_overruns() {
         let (p, mut net) = three_node_world();
         for t in 0..200 {
-            net.send(&p, Time::at(t), n(0), n(1), "X", ()).unwrap();
+            net.send_present(Time::at(t), n(0), n(1), "X", ()).unwrap();
         }
         net.broadcast(&p, Time::at(200), n(0), "WRITE", ());
         assert_eq!(net.delta_overruns(), 0);

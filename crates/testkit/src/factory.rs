@@ -82,11 +82,9 @@ pub trait SpaceFactory {
 /// in the transparent [`SoloSpace`] adapter, so the wire format (raw
 /// protocol messages, no key tags) and the event stream are byte-identical
 /// to driving the protocol directly — the 1-key fast path. (Lifting to a
-/// 1-key [`RegisterSpace`] instead keeps every digest but runs at 0.42×
-/// (`soak_scale`), 0.53× (`es_quorum`), 0.61× (`churn_edge`) and 0.73×
-/// (`chaos_loss`) of the adapter's dynabench events per second — medians
-/// of three alternating 3-second pairs at commit `89929dd`, seed 762320,
-/// on a 2-core Xeon VM — which is why the adapter stays.)
+/// 1-key [`RegisterSpace`] instead keeps every digest but runs well below
+/// the adapter's dynabench events per second — the measured ratios are in
+/// the `dynareg_core::space` module docs — which is why the adapter stays.)
 impl<F: ProtocolFactory> SpaceFactory for F {
     type Proc = SoloSpace<F::Proc>;
 

@@ -140,6 +140,10 @@ pub struct RunReport {
     /// Verdicts and histories of keys `r1 …` (empty for 1-key runs; the
     /// anchor key `r0` lives in the top-level fields).
     pub extra_keys: Vec<KeyReport>,
+    /// Whether every join completed in every key at once, or in none
+    /// ([`SpaceReport::joins_consistent`]) — the space-level half of
+    /// liveness.
+    pub joins_consistent: bool,
     /// Deliveries whose effective latency exceeded the configured `δ`
     /// after the synchrony guarantee began — a non-zero count means the
     /// run's timing assumption was violated (a delay adversary, or a
@@ -199,9 +203,12 @@ impl RunReport {
         self.safety.is_ok() && self.extra_keys.iter().all(|k| k.safety.is_ok())
     }
 
-    /// Whether every key of the space satisfies liveness.
+    /// Whether every key of the space satisfies liveness, joins included
+    /// (a join completes in every key at once).
     pub fn all_keys_live(&self) -> bool {
-        self.liveness.is_ok() && self.extra_keys.iter().all(|k| k.liveness.is_ok())
+        self.joins_consistent
+            && self.liveness.is_ok()
+            && self.extra_keys.iter().all(|k| k.liveness.is_ok())
     }
 
     /// Reads checked across the whole key space.
@@ -930,7 +937,9 @@ impl ScenarioSpec {
         let obs_report = world.take_obs_report();
         let (space, presence, metrics, trace, network) = world.into_space_outputs();
         // One source of per-key checking: the verify crate's space report.
-        let mut verdicts = SpaceReport::check(&space).keys.into_iter();
+        let checked = SpaceReport::check(&space);
+        let joins_consistent = checked.joins_consistent;
+        let mut verdicts = checked.keys.into_iter();
         let mut histories = space.into_histories().into_iter();
         let anchor = verdicts.next().expect("anchor key verdict");
         let history = histories.next().expect("anchor key history");
@@ -964,6 +973,7 @@ impl ScenarioSpec {
             shards,
             writers: self.writers,
             extra_keys,
+            joins_consistent,
             delta_overruns: network.delta_overruns(),
             delta_overrun_example: network.first_delta_overrun(),
             obs: obs_report,

@@ -918,8 +918,8 @@ where
                 SpaceEffect::Send { to, msg } => {
                     let label = F::space_msg_label(&msg);
                     // The slab mirrors the present set: an absent key means
-                    // the channel carries nothing (counted as dropped, as
-                    // `Network::send` would).
+                    // the channel carries nothing (counted as dropped; see
+                    // *Message accounting* on `Network`).
                     let Some(&rslot) = self.slot_of.get(&to) else {
                         self.network.note_dropped_departed();
                         continue;
@@ -1137,7 +1137,6 @@ where
         let present = self.presence.present_count() as u64;
         self.metrics.sample("gauge.active", active);
         self.metrics.sample("gauge.present", present);
-        self.metrics.sample("gauge.joining", present - active);
     }
 
     /// Protects `node` from churn eviction.

@@ -77,6 +77,23 @@ fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
+/// A keyed corpus run carries the space-level join check into its report:
+/// every join of `migrating_writers_churn.dyn` completes in all four keys
+/// at once, and a report whose joins were not consistent is not live,
+/// however each key's own verdict reads.
+#[test]
+fn keyed_corpus_run_reports_consistent_joins() {
+    let path = corpus_dir().join("migrating_writers_churn.dyn");
+    let text = fs::read_to_string(&path).expect("corpus file is readable");
+    let mut report = parse_scenario(&text).expect("corpus file parses").run();
+    assert_eq!(report.keys, 4);
+    assert!(report.joins_consistent, "{}", report.summary());
+    assert!(report.all_keys_live(), "{}", report.summary());
+    report.joins_consistent = false;
+    assert!(!report.all_keys_live());
+    assert!(report.summary().contains("liveness=STUCK"));
+}
+
 /// Every committed corpus file parses, and its parsed spec survives the
 /// canonical write → parse cycle unchanged. (Exact byte canonicity is
 /// not asserted: corpus files carry `#` commentary the canonical writer
