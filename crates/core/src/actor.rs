@@ -71,7 +71,7 @@ pub enum Effect<M, V> {
 
 /// Where a protocol step writes its effects.
 ///
-/// [`RegisterProcess::on_message_into`] pushes into a sink rather than
+/// [`RegisterProcess::on_message_ref`] pushes into a sink rather than
 /// returning a list, so the runtime decides where an effect lands: a
 /// `Vec<Effect>` keeps them as they are, and an adapter can convert each
 /// effect as it is pushed, so a delivery's effects are written once.
@@ -136,20 +136,40 @@ pub trait RegisterProcess: fmt::Debug {
     fn on_enter(&mut self, now: Time) -> Vec<Effect<Self::Msg, Self::Val>>;
 
     /// A message from `from` is delivered; its effects are pushed into
-    /// `out`, in order. Message delivery is the simulator's hottest edge
-    /// (tens of millions of calls in a large-population run), so the
-    /// runtime hands in its own buffer, or a sink that writes each effect
-    /// straight into it, and a delivery costs no allocation.
+    /// `out`, in order. This is the one delivery handler a protocol writes.
+    ///
+    /// # Delivery contract
+    ///
+    /// The handler *reads* the message: a broadcast's copies all borrow the
+    /// one payload the runtime holds, so the handler clones a value only
+    /// where it keeps it (an adopted `WRITE`, a reply it stores) and a
+    /// recipient that keeps nothing costs no copy. Message delivery is the
+    /// simulator's hottest edge (tens of millions of calls in a
+    /// large-population run), so the runtime hands in its own buffer, or a
+    /// sink that writes each effect straight into it, and a delivery costs
+    /// no allocation.
+    fn on_message_ref(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        msg: &Self::Msg,
+        out: &mut impl EffectSink<Self::Msg, Self::Val>,
+    );
+
+    /// By-value form of [`on_message_ref`](RegisterProcess::on_message_ref),
+    /// for callers that own the message.
     fn on_message_into(
         &mut self,
         now: Time,
         from: NodeId,
         msg: Self::Msg,
         out: &mut impl EffectSink<Self::Msg, Self::Val>,
-    );
+    ) {
+        self.on_message_ref(now, from, &msg, out);
+    }
 
     /// Allocating convenience form of
-    /// [`on_message_into`](RegisterProcess::on_message_into).
+    /// [`on_message_ref`](RegisterProcess::on_message_ref).
     fn on_message(
         &mut self,
         now: Time,
@@ -157,7 +177,7 @@ pub trait RegisterProcess: fmt::Debug {
         msg: Self::Msg,
     ) -> Vec<Effect<Self::Msg, Self::Val>> {
         let mut out = Vec::new();
-        self.on_message_into(now, from, msg, &mut out);
+        self.on_message_ref(now, from, &msg, &mut out);
         out
     }
 

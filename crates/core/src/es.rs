@@ -588,15 +588,16 @@ impl<V: Value> RegisterProcess for EsRegister<V> {
     // broadcast lands here once per process, and an ES-heavy sweep delivers
     // tens of millions of them); the sink form makes the common cases —
     // replying to a request, recording a reply, acking a write — push
-    // into the runtime's buffer with zero allocations.
-    fn on_message_into(
+    // into the runtime's buffer with zero allocations, and a value is
+    // cloned only when it is kept: a reply recorded, a `WRITE` adopted.
+    fn on_message_ref(
         &mut self,
         _now: Time,
         from: NodeId,
-        msg: EsMsg<V>,
+        msg: &EsMsg<V>,
         out: &mut impl EffectSink<EsMsg<V>, V>,
     ) {
-        match msg {
+        match *msg {
             // Figure 4 lines 12–17.
             EsMsg::Inquiry { r_sn } => {
                 if self.active {
@@ -638,7 +639,11 @@ impl<V: Value> RegisterProcess for EsRegister<V> {
                 }
             }
             // Figure 4 lines 18–21.
-            EsMsg::Reply { value, ts, r_sn } => {
+            EsMsg::Reply {
+                ref value,
+                ts,
+                r_sn,
+            } => {
                 if r_sn != self.read_sn {
                     return; // stale reply for a finished request
                 }
@@ -646,7 +651,7 @@ impl<V: Value> RegisterProcess for EsRegister<V> {
                 if !collecting {
                     return;
                 }
-                self.record_reply(from, value, ts);
+                self.record_reply(from, value.clone(), ts);
                 // Line 20: acknowledge the carried value — this is what
                 // lets an in-flight write count us (Lemma 7).
                 out.push(Effect::Send {
@@ -662,9 +667,9 @@ impl<V: Value> RegisterProcess for EsRegister<V> {
                 }
             }
             // Figure 6 lines 06–08 (shared by the write-back extension).
-            EsMsg::Write { value, ts } | EsMsg::WriteBack { value, ts } => {
+            EsMsg::Write { ref value, ts } | EsMsg::WriteBack { ref value, ts } => {
                 if ts > self.ts {
-                    self.register = Some(value);
+                    self.register = Some(value.clone());
                     self.ts = ts;
                 }
                 // Line 08: always ack the received timestamp.
@@ -1187,10 +1192,11 @@ mod tests {
 
     #[test]
     fn on_message_into_appends_and_converges_with_on_message() {
-        // `on_message` delegates to `on_message_into`, so the exact
-        // effect sequences are pinned by the per-message unit tests
-        // above (which go through `on_message`). What this test guards
-        // is the buffered entry point's *contract with the runtime*:
+        // `on_message` and `on_message_into` both forward to
+        // `on_message_ref`, so the exact effect sequences are pinned by
+        // the per-message unit tests above (which go through
+        // `on_message`). What this test guards is the buffered entry
+        // point's *contract with the runtime*:
         // it must **append** to the reused buffer — never clobber it —
         // and driving a process through either entry point must leave
         // identical protocol state.

@@ -55,9 +55,10 @@
 //!
 //! Both ends of the handshake stream: a responder builds its
 //! [`SpaceMsg::Batch`] in one pass over its instances (one reply vector,
-//! sized once), and a joiner hands each received entry to its instance as
-//! it goes — the sync protocol folds it into a running maximum, so a join
-//! holds O(1) state per key however many processes answer.
+//! sized once), and a joiner hands each received entry to its instance in
+//! place, by reference — the sync protocol folds it into a running
+//! maximum, cloning only a new best, so a join holds O(1) state per key
+//! however many processes answer.
 //!
 //! # Standing answers
 //!
@@ -73,7 +74,9 @@
 //! place when no reply still shares the slice, on a copy otherwise, so a
 //! `Batch` on the wire is never written. A marked key answering anything
 //! but its one `Send` drops the answer; the inquiry finishes key by key.
-//! Memory: `K` × ≈ 40 B per node beside `K` × ≈ 160 B of instances.
+//! Memory: `K` × ≈ 40 B per node beside the instances themselves —
+//! `K` × 72 B for active sync instances over `u64` (the join's state is
+//! boxed and dropped when it returns), `K` × 256 B for ES.
 //!
 //! # Key-sharded join replies
 //!
@@ -269,16 +272,33 @@ pub trait RegisterSpaceProcess: fmt::Debug {
 
     /// A message from `from` is delivered; effects append to `out` (the
     /// runtime calls this with a reused buffer — the delivery fast path).
+    ///
+    /// The delivery contract is [`RegisterProcess::on_message_ref`]'s: the
+    /// handler reads the message, which every copy of a broadcast borrows
+    /// from the runtime, and clones only what it keeps.
+    fn on_message_ref(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        msg: &Self::Msg,
+        out: &mut Vec<SpaceEffect<Self::Msg, Self::Val>>,
+    );
+
+    /// By-value form of
+    /// [`on_message_ref`](RegisterSpaceProcess::on_message_ref), for
+    /// callers that own the message.
     fn on_message_into(
         &mut self,
         now: Time,
         from: NodeId,
         msg: Self::Msg,
         out: &mut Vec<SpaceEffect<Self::Msg, Self::Val>>,
-    );
+    ) {
+        self.on_message_ref(now, from, &msg, out);
+    }
 
     /// Allocating convenience form of
-    /// [`on_message_into`](RegisterSpaceProcess::on_message_into).
+    /// [`on_message_ref`](RegisterSpaceProcess::on_message_ref).
     fn on_message(
         &mut self,
         now: Time,
@@ -286,7 +306,7 @@ pub trait RegisterSpaceProcess: fmt::Debug {
         msg: Self::Msg,
     ) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
         let mut out = Vec::new();
-        self.on_message_into(now, from, msg, &mut out);
+        self.on_message_ref(now, from, &msg, &mut out);
         out
     }
 
@@ -431,14 +451,14 @@ impl<P: RegisterProcess> RegisterSpaceProcess for SoloSpace<P> {
         out
     }
 
-    fn on_message_into(
+    fn on_message_ref(
         &mut self,
         now: Time,
         from: NodeId,
-        msg: P::Msg,
+        msg: &P::Msg,
         out: &mut Vec<SpaceEffect<P::Msg, P::Val>>,
     ) {
-        self.inner.on_message_into(now, from, msg, &mut Lifted(out));
+        self.inner.on_message_ref(now, from, msg, &mut Lifted(out));
     }
 
     fn on_timer(&mut self, now: Time, tag: u64) -> Vec<SpaceEffect<P::Msg, P::Val>> {
@@ -835,7 +855,8 @@ mod regs {
         inquiry: M,
         /// The stripe it covers: keys `first, first + stride, …`.
         stripe: (u32, usize),
-        entries: Entries<M>,
+        /// Out (`None`) while an inquiry patches or replaces them.
+        entries: Option<Entries<M>>,
     }
 
     #[derive(Debug)]
@@ -884,42 +905,59 @@ mod regs {
         }
 
         /// Takes the standing answer's entries out if it answers `inquiry`
-        /// over `stripe`; drops an answer that does not.
+        /// over `stripe`, leaving the inquiry in place; drops an answer
+        /// that does not.
         pub fn take_answer(
             &mut self,
             inquiry: &P::Msg,
             stripe: (u32, usize),
         ) -> Option<Entries<P::Msg>> {
-            let fits = |a: &Standing<P::Msg>| a.stripe == stripe && a.inquiry == *inquiry;
-            self.answer.take().filter(fits).map(|a| a.entries)
+            match &mut self.answer {
+                Some(a) if a.stripe == stripe && a.inquiry == *inquiry => a.entries.take(),
+                _ => {
+                    self.answer = None;
+                    None
+                }
+            }
         }
 
         /// Keeps `entries`, just built or patched, as the answer to `inquiry`
-        /// over `stripe`. Debug builds first ask every key again (contract 3).
+        /// over `stripe` — the inquiry is cloned only when no answer to it
+        /// stands. Debug builds first ask every key again (contract 3).
         pub fn keep(
             &mut self,
             now: Time,
             from: NodeId,
-            inquiry: P::Msg,
+            inquiry: &P::Msg,
             stripe: (u32, usize),
             entries: &Entries<P::Msg>,
         ) {
             if cfg!(debug_assertions) {
                 for (key, kept) in entries.iter() {
                     let reg = &mut self.regs[key.as_raw() as usize];
-                    let fresh = reg.on_message(now, from, inquiry.clone());
+                    let mut fresh = Vec::new();
+                    reg.on_message_ref(now, from, inquiry, &mut fresh);
                     let same = matches!(fresh.as_slice(),
                         [Effect::Send { to, msg }] if *to == from && msg == kept);
                     assert!(same, "stale answer for {key:?}: {kept:?}, now {fresh:?}");
                 }
             }
             self.dirty = 0;
-            let entries = Rc::clone(entries);
-            self.answer = Some(Standing {
-                inquiry,
-                stripe,
-                entries,
-            });
+            let entries = Some(Rc::clone(entries));
+            match &mut self.answer {
+                // `take_answer` let only an answer to this inquiry stand.
+                Some(a) => {
+                    debug_assert!(a.stripe == stripe && a.inquiry == *inquiry);
+                    a.entries = entries;
+                }
+                None => {
+                    self.answer = Some(Standing {
+                        inquiry: inquiry.clone(),
+                        stripe,
+                        entries,
+                    });
+                }
+            }
         }
     }
 }
@@ -1176,14 +1214,17 @@ impl<P: RegisterProcess> RegisterSpace<P> {
     /// `entries` — only dirty keys are stepped, their one `Send` overwriting
     /// their entry. The first to answer anything else takes `patch` away: the
     /// entries before it open the reply group and the pass goes on without.
-    fn fan_in(
+    fn fan_in<'m>(
         &mut self,
         now: Time,
         from: NodeId,
-        entries: impl ExactSizeIterator<Item = (RegisterId, P::Msg)>,
+        entries: impl ExactSizeIterator<Item = (RegisterId, &'m P::Msg)>,
         ctx: &mut StepCtx<P::Msg, P::Val>,
         patch: &mut Option<&mut [(RegisterId, P::Msg)]>,
-    ) -> Vec<(RegisterId, P::Msg)> {
+    ) -> Vec<(RegisterId, P::Msg)>
+    where
+        P::Msg: 'm,
+    {
         let mut scratch = std::mem::take(&mut self.scratch);
         debug_assert!(scratch.is_empty());
         let capacity = entries.len();
@@ -1195,7 +1236,7 @@ impl<P: RegisterProcess> RegisterSpace<P> {
                 continue;
             }
             let reg = self.regs.step(key);
-            reg.on_message_into(now, from, inner, &mut scratch);
+            reg.on_message_ref(now, from, inner, &mut scratch);
             // Peek before popping: moving a whole `Effect` out right after
             // the instance wrote it stalls on store forwarding.
             match scratch.as_slice() {
@@ -1258,22 +1299,22 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
         self.flush(ctx)
     }
 
-    fn on_message_into(
+    fn on_message_ref(
         &mut self,
         now: Time,
         from: NodeId,
-        msg: Self::Msg,
+        msg: &Self::Msg,
         out: &mut Vec<SpaceEffect<Self::Msg, Self::Val>>,
     ) {
-        if let SpaceMsg::Keyed { key, inner } = msg {
+        if let &SpaceMsg::Keyed { key, ref inner } = msg {
             let reg = self.regs.step(key);
             if self.join.is_none() {
                 // A joined space is just its registers: the instance's
                 // effects go straight into the runtime's buffer.
-                return reg.on_message_into(now, from, inner, &mut Tagged(key, out));
+                return reg.on_message_ref(now, from, inner, &mut Tagged(key, out));
             }
             debug_assert!(self.scratch.is_empty());
-            reg.on_message_into(now, from, inner, &mut self.scratch);
+            reg.on_message_ref(now, from, inner, &mut self.scratch);
             // A delivery that emits nothing has nothing to route, and the
             // flush adds nothing of its own: leave before building a context.
             if self.scratch.is_empty() {
@@ -1293,7 +1334,7 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
         ctx.out = std::mem::take(out);
         match msg {
             SpaceMsg::Keyed { .. } => unreachable!("stepped above"),
-            SpaceMsg::JoinAll { inner, full } => {
+            &SpaceMsg::JoinAll { ref inner, full } => {
                 // Fan the shared inquiry into every instance — or, on a
                 // sharded space answering a non-full inquiry, into this
                 // responder's stripe (`shard_of_key` is `key mod G`) only.
@@ -1310,10 +1351,10 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
                 // A standing answer (module docs) serves the inquiry as it is
                 // or after its dirty keys answered again; without one, or once
                 // a key answers more than its `Send`, every key is stepped.
-                let mut kept = self.regs.take_answer(&inner, stripe);
+                let mut kept = self.regs.take_answer(inner, stripe);
                 if kept.is_none() || self.regs.any_dirty() {
                     let width = keys.len();
-                    let entries = keys.map(|raw| (RegisterId::from_raw(raw), inner.clone()));
+                    let entries = keys.map(|raw| (RegisterId::from_raw(raw), inner));
                     let mut patch = kept.as_mut().map(Rc::make_mut);
                     let mut replies = self.fan_in(now, from, entries, &mut ctx, &mut patch);
                     let stepped = patch.is_none();
@@ -1342,7 +1383,10 @@ impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
                         join.shards[shard_of_key(*key, self.shard.groups) as usize] = true;
                     }
                 }
-                let entries = replies.iter().cloned();
+                // One pass over the entries as they lie in the message: an
+                // instance that keeps nothing of its entry copies nothing,
+                // and one that emits nothing never reaches `route`.
+                let entries = replies.iter().map(|(key, inner)| (*key, inner));
                 let mut replies = self.fan_in(now, from, entries, &mut ctx, &mut None);
                 ctx.fan_to(from, &mut replies);
             }
@@ -2825,15 +2869,15 @@ mod tests {
             self.inner.on_enter(now)
         }
 
-        fn on_message_into(
+        fn on_message_ref(
             &mut self,
             now: Time,
             from: NodeId,
-            msg: SyncMsg<u64>,
+            msg: &SyncMsg<u64>,
             out: &mut impl EffectSink<SyncMsg<u64>, u64>,
         ) {
             self.log.borrow_mut().push(self.key);
-            self.inner.on_message_into(now, from, msg, out);
+            self.inner.on_message_ref(now, from, msg, out);
         }
 
         fn on_timer(&mut self, now: Time, tag: u64) -> Vec<Effect<SyncMsg<u64>, u64>> {
@@ -3194,6 +3238,149 @@ mod tests {
         Ok(())
     }
 
+    /// What the batch-fold property needs of a protocol: a joiner, a join
+    /// reply carrying `(sn, value)`, and the `(sn, value)` it adopted.
+    trait Joiner: RegisterProcess<Val = u64> {
+        fn joiner() -> Self;
+        fn reply(value: Option<u64>, sn: i64) -> Self::Msg;
+        fn adopted(&self) -> (i64, Option<u64>);
+    }
+
+    impl Joiner for SyncRegister<u64> {
+        fn joiner() -> Self {
+            SyncRegister::new_joiner(nid(9), cfg(), oid(900))
+        }
+
+        fn reply(value: Option<u64>, sn: i64) -> SyncMsg<u64> {
+            SyncMsg::Reply { value, sn }
+        }
+
+        fn adopted(&self) -> (i64, Option<u64>) {
+            (self.local_sn(), self.local_value().copied())
+        }
+    }
+
+    impl Joiner for EsRegister<u64> {
+        fn joiner() -> Self {
+            EsRegister::new_joiner(nid(9), EsConfig::new(3), oid(900))
+        }
+
+        fn reply(value: Option<u64>, sn: i64) -> EsMsg<u64> {
+            // One writer id, so equal `sn`s from different senders tie.
+            let ts = Timestamp { sn, writer: 1 };
+            EsMsg::Reply { value, ts, r_sn: 0 }
+        }
+
+        fn adopted(&self) -> (i64, Option<u64>) {
+            (self.local_ts().sn, self.local_value().copied())
+        }
+    }
+
+    /// One generated handshake input, `(kind, from, keys, sn, value)`:
+    /// kind 0 fires the oldest shared timer the space set, any other kind
+    /// delivers a `Batch` from `from` over the keys whose bit is set in
+    /// `keys` (key 0 alone when none is; key 0's value `⊥` when `value` is
+    /// 0). Small ranges on
+    /// purpose: duplicate senders and equal `(sn, sender)` keys carrying
+    /// different values are likely.
+    type FoldStep = (u32, u64, u32, u64, u64);
+
+    fn fold_steps() -> impl Strategy<Value = Vec<FoldStep>> {
+        let step = (0u32..4, 0u64..3, 1u32..8, 0u64..3, 0u64..4);
+        prop::collection::vec(step, 1..24)
+    }
+
+    /// A joining `keys`-key space absorbing `Batch`es in one pass, against
+    /// (a) a twin space fed every entry by value, one `route` each, and
+    /// (b) `keys` bare instances fed every entry by value, entry by entry,
+    /// and the shared timers the space dispatched to their key: the same
+    /// effects in the same order, and the same instance state — the
+    /// adopted `(sn, value)` included — after every input, through
+    /// activation and the late replies after it.
+    fn batch_fold_matches_entry_by_entry<P: Joiner>(
+        keys: u32,
+        groups: u32,
+        steps: &[FoldStep],
+    ) -> Result<(), TestCaseError> {
+        let space = || {
+            let regs = (0..keys).map(|_| P::joiner()).collect();
+            RegisterSpace::new_joiner(regs).with_shards(ShardConfig::new(groups))
+        };
+        let (mut space, mut twin) = (space(), space());
+        let mut bare: Vec<P> = (0..keys).map(|_| P::joiner()).collect();
+        let enter = space.on_enter(Time::ZERO);
+        prop_assert_eq!(&enter, &twin.on_enter(Time::ZERO));
+        bare.iter_mut().for_each(|p| drop(p.on_enter(Time::ZERO)));
+        let mut timers = std::collections::VecDeque::new();
+        let owe = |timers: &mut std::collections::VecDeque<u64>, effects: &[SpaceEffect<_, _>]| {
+            for effect in effects {
+                if let SpaceEffect::SetTimer { tag, .. } = effect {
+                    timers.push_back(*tag);
+                }
+            }
+        };
+        owe(&mut timers, &enter);
+        for (at, &(kind, from, mask, sn, value)) in steps.iter().enumerate() {
+            let now = Time::at(at as u64 + 1);
+            let got = if kind == 0 {
+                let Some(tag) = timers.pop_front() else {
+                    continue;
+                };
+                // The keys a shared join wait reaches: those still joining,
+                // less those of shards unheard once the inquiry is out.
+                let waits = tag != RETRANSMIT_TAG && tag != REINQUIRE_TAG;
+                let reached: Vec<bool> = (0..keys)
+                    .map(|k| {
+                        let Some(join) = space.join.as_deref().filter(|_| waits) else {
+                            return false;
+                        };
+                        let shard = shard_of_key(key(k), space.shard.groups) as usize;
+                        let unheard = join.shards.get(shard) == Some(&false);
+                        let withheld = join.inquiry.is_some() && unheard;
+                        !space.register(key(k)).is_active() && !withheld
+                    })
+                    .collect();
+                let got = space.on_timer(now, tag);
+                prop_assert_eq!(&got, &twin.on_timer(now, tag));
+                for (p, _) in bare.iter_mut().zip(&reached).filter(|(_, r)| **r) {
+                    drop(p.on_timer(now, tag & !SHARED_TAG));
+                }
+                got
+            } else {
+                let mask = (mask % (1 << keys)).max(1);
+                let entries: Vec<(RegisterId, P::Msg)> = (0..keys)
+                    .filter(|k| mask & (1 << k) != 0)
+                    .map(|k| {
+                        let v = (value > 0 || k > 0).then_some(value * 10 + u64::from(k));
+                        (key(k), P::reply(v, sn as i64))
+                    })
+                    .collect();
+                let batch = SpaceMsg::Batch {
+                    replies: entries.clone().into(),
+                };
+                let got = space.on_message(now, nid(from), batch);
+                // The twin takes the batch entry by entry, by value; the
+                // shard marks are the Batch arm's, which it bypasses.
+                if let (Some(a), Some(b)) = (space.join.as_deref(), twin.join.as_deref_mut()) {
+                    b.shards.clone_from(&a.shards);
+                }
+                prop_assert_eq!(&got, &per_key_fan_in(&mut twin, nid(from), entries.clone()));
+                for (k, msg) in entries {
+                    drop(bare[k.as_raw() as usize].on_message(now, nid(from), msg));
+                }
+                got
+            };
+            owe(&mut timers, &got);
+            prop_assert_eq!(space.is_active(), twin.is_active());
+            for (k, p) in bare.iter().enumerate() {
+                let reg = space.register(key(k as u32));
+                prop_assert_eq!(reg.adopted(), p.adopted(), "key {}", k);
+                prop_assert_eq!(format!("{reg:?}"), format!("{p:?}"));
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -3228,6 +3415,24 @@ mod tests {
                 joined_space_matches_bare::<EsRegister<u64>>(keys, &steps)?;
             } else {
                 joined_space_matches_bare::<SyncRegister<u64>>(keys, &steps)?;
+            }
+        }
+
+        /// A `Batch` folds in one pass over its entries as they lie in
+        /// the message, and that is invisible: effects, their order and
+        /// every instance's state equal those of feeding each entry by
+        /// value, including duplicate senders, ties, `⊥` and late replies.
+        #[test]
+        fn batch_fold_matches_entries_fed_one_by_one(
+            keys in prop::sample::select(vec![1u32, 3]),
+            groups in prop::sample::select(vec![1u32, 2]),
+            es in prop::bool::ANY,
+            steps in fold_steps(),
+        ) {
+            if es {
+                batch_fold_matches_entry_by_entry::<EsRegister<u64>>(keys, groups, &steps)?;
+            } else {
+                batch_fold_matches_entry_by_entry::<SyncRegister<u64>>(keys, groups, &steps)?;
             }
         }
 

@@ -123,8 +123,24 @@ enum JoinPhase {
     InitialWait,
     /// Figure 1 line 06: `INQUIRY` broadcast, waiting `2δ` for replies.
     Inquiring,
-    /// Join returned; process is active.
-    Done,
+}
+
+/// The join's state (Figure 1), which exists only until line 10 sets
+/// `activeᵢ`: a process holds it boxed while its join is in flight and
+/// drops it when the join returns.
+#[derive(Debug, Clone)]
+struct Joining<V> {
+    phase: JoinPhase,
+    /// `repliesᵢ`, folded: the join only ever reads its `(sn, sender)`-
+    /// maximal entry (lines 07–08), so that entry is all that is kept —
+    /// `(sn, sender, value)`, `None` while no reply arrived.
+    best_reply: Option<(i64, NodeId, Option<V>)>,
+    /// `|repliesᵢ|` since line 04, duplicates included.
+    reply_count: usize,
+    /// `reply_toᵢ` — inquirers to answer upon activation.
+    reply_to: Vec<NodeId>,
+    /// The join op id (recorded by the runtime for the history).
+    op: OpId,
 }
 
 /// One process running the synchronous protocol of Figures 1–2.
@@ -153,21 +169,11 @@ pub struct SyncRegister<V> {
     register: Option<V>,
     /// `snᵢ` — sequence number of the local copy (−1 while ⊥).
     sn: i64,
-    /// `activeᵢ`.
-    active: bool,
-    /// `repliesᵢ`, folded: the join only ever reads its `(sn, sender)`-
-    /// maximal entry (lines 07–08), so that entry is all that is kept —
-    /// `(sn, sender, value)`, `None` while no reply arrived.
-    best_reply: Option<(i64, NodeId, Option<V>)>,
-    /// `|repliesᵢ|` since line 04, duplicates included.
-    reply_count: usize,
-    /// `reply_toᵢ` — inquirers to answer upon activation.
-    reply_to: Vec<NodeId>,
-    phase: JoinPhase,
     /// The in-flight write, if any (the paper's writer blocks in `wait(δ)`).
     pending_write: Option<OpId>,
-    /// The in-flight join op id (recorded by the runtime for the history).
-    pending_join: Option<OpId>,
+    /// The join's state while it is in flight: never held by a bootstrap
+    /// member, dropped when the join returns — `activeᵢ` is its absence.
+    join: Option<Box<Joining<V>>>,
 }
 
 impl<V: Value> SyncRegister<V> {
@@ -180,13 +186,8 @@ impl<V: Value> SyncRegister<V> {
             config,
             register: Some(initial),
             sn: 0,
-            active: true,
-            best_reply: None,
-            reply_count: 0,
-            reply_to: Vec::new(),
-            phase: JoinPhase::Done,
             pending_write: None,
-            pending_join: None,
+            join: None,
         }
     }
 
@@ -198,19 +199,20 @@ impl<V: Value> SyncRegister<V> {
             config,
             register: None,
             sn: -1,
-            active: false,
-            best_reply: None,
-            reply_count: 0,
-            reply_to: Vec::new(),
-            phase: JoinPhase::InitialWait,
             pending_write: None,
-            pending_join: Some(join_op),
+            join: Some(Box::new(Joining {
+                phase: JoinPhase::InitialWait,
+                best_reply: None,
+                reply_count: 0,
+                reply_to: Vec::new(),
+                op: join_op,
+            })),
         }
     }
 
     /// The join operation this process is executing, if any.
     pub fn pending_join(&self) -> Option<OpId> {
-        self.pending_join
+        self.join.as_ref().map(|join| join.op)
     }
 
     /// The local register copy (`None` = ⊥).
@@ -223,22 +225,20 @@ impl<V: Value> SyncRegister<V> {
         self.sn
     }
 
-    /// `repliesᵢ ← ∅` — line 04, and the join state's release on activation.
-    fn clear_replies(&mut self) {
-        self.best_reply = None;
-        self.reply_count = 0;
+    /// The join's state; only a joining process has inputs that need it.
+    fn joining(&mut self) -> &mut Joining<V> {
+        self.join
+            .as_deref_mut()
+            .expect("a join wait fires while joining")
     }
 
     /// Figure 1, lines 10–11: switch to active and flush `reply_toᵢ`.
     fn become_active(&mut self) -> Vec<Effect<SyncMsg<V>, V>> {
-        debug_assert!(!self.active);
-        // Line 10: activeᵢ ← true.
-        self.active = true;
-        self.phase = JoinPhase::Done;
-        self.clear_replies();
+        // Line 10: activeᵢ ← true — the join's state goes with the join.
+        let join = self.join.take().expect("only a joining process activates");
         let mut effects = Vec::new();
         // Line 11: for each j ∈ reply_toᵢ send REPLY⟨i, registerᵢ, snᵢ⟩.
-        for j in std::mem::take(&mut self.reply_to) {
+        for j in join.reply_to {
             effects.push(Effect::Send {
                 to: j,
                 msg: SyncMsg::Reply {
@@ -255,7 +255,7 @@ impl<V: Value> SyncRegister<V> {
     /// Figure 1, lines 07–08: adopt the reply with the largest sequence
     /// number, if larger than ours.
     fn adopt_best_reply(&mut self) {
-        if let Some((sn, _, value)) = self.best_reply.take() {
+        if let Some((sn, _, value)) = self.joining().best_reply.take() {
             // Line 08: if sn > snᵢ then adopt.
             if sn > self.sn {
                 self.sn = sn;
@@ -274,28 +274,24 @@ impl<V: Value> RegisterProcess for SyncRegister<V> {
     }
 
     fn is_active(&self) -> bool {
-        self.active
+        self.join.is_none()
     }
 
     fn join_replies(&self) -> Option<usize> {
-        if self.active {
-            return None;
-        }
         // A plain counter: this join completes on a timer, so its only
         // consumer asks "zero or not" and duplicates cannot mislead it.
-        Some(self.reply_count)
+        self.join.as_ref().map(|join| join.reply_count)
     }
 
     /// `operation join(i)` — Figure 1.
     fn on_enter(&mut self, _now: Time) -> Vec<Effect<SyncMsg<V>, V>> {
-        if self.active {
+        if self.join.is_none() {
             // Bootstrap member: already active, nothing to do.
             return vec![Effect::JoinComplete];
         }
         // Line 01 happened at construction (registerᵢ ← ⊥, snᵢ ← −1, …).
         if self.config.skip_join_wait {
             // Figure 3(a) ablation: jump straight to the line-03 check.
-            self.phase = JoinPhase::InitialWait;
             return self.on_timer(_now, TIMER_JOIN_WAIT);
         }
         // Line 02: wait(δ).
@@ -308,12 +304,13 @@ impl<V: Value> RegisterProcess for SyncRegister<V> {
     fn on_timer(&mut self, _now: Time, tag: u64) -> Vec<Effect<SyncMsg<V>, V>> {
         match tag {
             TIMER_JOIN_WAIT => {
-                debug_assert_eq!(self.phase, JoinPhase::InitialWait);
+                debug_assert_eq!(self.joining().phase, JoinPhase::InitialWait);
                 // Line 03: if registerᵢ = ⊥ …
                 if self.register.is_none() {
                     // Line 04: repliesᵢ ← ∅.
-                    self.clear_replies();
-                    self.phase = JoinPhase::Inquiring;
+                    let join = self.joining();
+                    (join.best_reply, join.reply_count) = (None, 0);
+                    join.phase = JoinPhase::Inquiring;
                     // Line 05: broadcast INQUIRY(i); line 06: wait(2δ).
                     vec![
                         Effect::Broadcast {
@@ -330,7 +327,7 @@ impl<V: Value> RegisterProcess for SyncRegister<V> {
                 }
             }
             TIMER_INQUIRY_WAIT => {
-                debug_assert_eq!(self.phase, JoinPhase::Inquiring);
+                debug_assert_eq!(self.joining().phase, JoinPhase::Inquiring);
                 // Lines 07–08: adopt the freshest reply.
                 self.adopt_best_reply();
                 // Lines 10–12.
@@ -354,48 +351,48 @@ impl<V: Value> RegisterProcess for SyncRegister<V> {
     /// Figure 1 lines 13–17 and Figure 2 lines 03–04. Message delivery is
     /// the simulator's hottest edge (every INQUIRY in a join wave lands here
     /// once per process); pushing into the runtime's sink makes it
-    /// allocation-free.
-    fn on_message_into(
+    /// allocation-free, and a value is cloned only when it is kept: a
+    /// `WRITE` adopted, or a `REPLY` that becomes the best.
+    fn on_message_ref(
         &mut self,
         _now: Time,
         from: NodeId,
-        msg: SyncMsg<V>,
+        msg: &SyncMsg<V>,
         out: &mut impl EffectSink<SyncMsg<V>, V>,
     ) {
         match msg {
             // Figure 1, lines 13–16.
-            SyncMsg::Inquiry => {
-                if self.active {
-                    // Line 14: immediate REPLY.
-                    out.push(Effect::Send {
-                        to: from,
-                        msg: SyncMsg::Reply {
-                            value: self.register.clone(),
-                            sn: self.sn,
-                        },
-                    });
-                } else {
-                    // Line 15: postpone until active.
-                    if !self.reply_to.contains(&from) {
-                        self.reply_to.push(from);
+            SyncMsg::Inquiry => match self.join.as_deref_mut() {
+                // Line 14: immediate REPLY.
+                None => out.push(Effect::Send {
+                    to: from,
+                    msg: SyncMsg::Reply {
+                        value: self.register.clone(),
+                        sn: self.sn,
+                    },
+                }),
+                // Line 15: postpone until active.
+                Some(join) => {
+                    if !join.reply_to.contains(&from) {
+                        join.reply_to.push(from);
                     }
                 }
-            }
+            },
             // Figure 1, line 17 — folded on arrival; among equal
             // `(sn, sender)` keys the last wins. An active process reads none.
-            SyncMsg::Reply { value, sn } => {
-                if self.phase != JoinPhase::Done {
-                    self.reply_count += 1;
-                    let best = self.best_reply.as_ref();
+            &SyncMsg::Reply { ref value, sn } => {
+                if let Some(join) = self.join.as_deref_mut() {
+                    join.reply_count += 1;
+                    let best = join.best_reply.as_ref();
                     if best.is_none_or(|(s, id, _)| (sn, from) >= (*s, *id)) {
-                        self.best_reply = Some((sn, from, value));
+                        join.best_reply = Some((sn, from, value.clone()));
                     }
                 }
             }
             // Figure 2, lines 03–04.
-            SyncMsg::Write { value, sn } => {
+            &SyncMsg::Write { ref value, sn } => {
                 if sn > self.sn {
-                    self.register = Some(value);
+                    self.register = Some(value.clone());
                     self.sn = sn;
                 }
             }
@@ -404,7 +401,10 @@ impl<V: Value> RegisterProcess for SyncRegister<V> {
 
     /// `operation read()` — Figure 2: purely local, zero latency.
     fn on_read(&mut self, _now: Time, op: OpId) -> Vec<Effect<SyncMsg<V>, V>> {
-        assert!(self.active, "reads are invoked only after join returns");
+        assert!(
+            self.is_active(),
+            "reads are invoked only after join returns"
+        );
         vec![Effect::OpComplete {
             op,
             outcome: OpOutcome::Read(self.register.clone()),
@@ -413,7 +413,10 @@ impl<V: Value> RegisterProcess for SyncRegister<V> {
 
     /// `operation write(v)` — Figure 2.
     fn on_write(&mut self, _now: Time, op: OpId, value: V) -> Vec<Effect<SyncMsg<V>, V>> {
-        assert!(self.active, "writes are invoked only after join returns");
+        assert!(
+            self.is_active(),
+            "writes are invoked only after join returns"
+        );
         assert!(
             self.pending_write.is_none(),
             "writes are not concurrent (paper assumption)"
@@ -635,7 +638,7 @@ mod tests {
         assert!(p.on_message(Time::at(13), nid(2), late).is_empty());
         assert_eq!((p.local_value(), p.local_sn()), (Some(&11), 1));
         assert_eq!(p.join_replies(), None);
-        assert!(p.best_reply.is_none() && p.reply_count == 0);
+        assert!(p.join.is_none(), "the join's state is gone");
     }
 
     #[test]
@@ -660,7 +663,33 @@ mod tests {
         // Adopted into the register; the join state itself is gone.
         assert_eq!(p.local_sn(), 2);
         assert_eq!(Rc::strong_count(&held), 2);
-        assert!(p.best_reply.is_none() && p.reply_count == 0);
+        assert!(p.join.is_none(), "the join's state is gone");
+    }
+
+    #[test]
+    fn an_active_process_holds_only_its_register() {
+        // `id`, `config`, `registerᵢ`, `snᵢ`, the pending write and the
+        // join box's pointer: the join's state lives behind the box.
+        assert!(std::mem::size_of::<SyncRegister<u64>>() <= 80);
+        let mut boot = bootstrap(0);
+        assert!(boot.join.is_none(), "a bootstrap member never joins");
+        boot.on_enter(Time::ZERO);
+        assert!(boot.join.is_none());
+        let mut p = joiner(5);
+        assert_eq!(p.pending_join(), Some(oid(905)));
+        inquiring(&mut p);
+        assert!(p.join.is_some(), "held while the join is in flight");
+        p.on_message(Time::at(5), nid(8), SyncMsg::Inquiry);
+        let effects = p.on_timer(Time::at(12), TIMER_INQUIRY_WAIT);
+        assert_eq!(effects.last(), Some(&Effect::JoinComplete));
+        assert!(p.join.is_none() && p.is_active());
+        assert_eq!(p.pending_join(), None);
+        // A process joined through a WRITE during its initial wait, too.
+        let mut q = joiner(6);
+        q.on_enter(Time::ZERO);
+        q.on_message(Time::at(2), nid(0), SyncMsg::Write { value: 9, sn: 3 });
+        q.on_timer(Time::at(4), TIMER_JOIN_WAIT);
+        assert!(q.join.is_none() && q.is_active());
     }
 
     /// One message of a generated join: `REPLY⟨from, value, sn⟩` or a

@@ -83,9 +83,9 @@ pub struct MsgRecord {
 /// front — O(n) payload clones and allocations on the hottest protocol
 /// path (every `INQUIRY`/`WRITE` wave). A `Fanout` is the zero-copy
 /// replacement: the payload is stored once, the recipient snapshot carries
-/// only `(recipient, deliver_at)` pairs, and the runtime expands copies
-/// *lazily at delivery time* (skipping recipients that left in flight, so
-/// their clones never happen at all).
+/// only `(recipient, deliver_at)` pairs, and the runtime hands every copy
+/// a reference to the one payload at delivery time, so a recipient clones
+/// only what it keeps of it.
 ///
 /// # Example
 ///

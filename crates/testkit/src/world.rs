@@ -146,7 +146,7 @@ type Effects<F> = Vec<SpaceEffect<<<F as SpaceFactory>::Proc as RegisterSpacePro
 /// latency draws, queue appends, completions, in the same order); only
 /// the steps move ahead of the run's first effect, and no step can tell:
 /// - phase A reaches nothing but one slot's `proc_` and the buffer (the
-///   signature of `on_message_into`);
+///   signature of `on_message_ref`);
 /// - liveness cannot change inside a run: membership changes only in
 ///   `CLASS_TICK`;
 /// - `apply_effects` never touches a `proc_`;
@@ -545,7 +545,7 @@ where
                     clock.enter(TickPhase::Deliver, run.len() as u64);
                     self.drain_run(|w, stepped, buf| {
                         for (head, msg) in run.drain(..) {
-                            stepped.push((head, w.step(head, || msg, buf)));
+                            stepped.push((head, w.step(head, &msg, buf)));
                         }
                     });
                     self.free_unicasts.push(run);
@@ -563,9 +563,9 @@ where
                                 label,
                                 seq,
                             };
-                            // Cloned lazily: a recipient that left in flight
-                            // never costs a copy.
-                            stepped.push((head, w.step(head, || fan.msg.clone(), buf)));
+                            // Every copy reads the one payload: a recipient
+                            // clones only what it keeps of it.
+                            stepped.push((head, w.step(head, &fan.msg, buf)));
                         }
                     });
                     copies.clear();
@@ -591,16 +591,19 @@ where
         let mut buf = std::mem::take(&mut self.effects_buf);
         phase_a(self, &mut stepped, &mut buf);
         // The queue counted the run as one event; count its other copies.
-        let surplus = stepped.len() - 1;
+        let copies = stepped.len();
+        let surplus = copies - 1;
         self.surplus_queued -= surplus;
         self.surplus_done += surplus as u64;
         let now = self.now;
         let mut effects = buf.drain(..);
         let mut start = 0;
+        let mut dropped = 0;
         for (head, effects_end) in stepped.drain(..) {
             let (from, to, slot, label, seq) =
                 (head.from, head.to, head.slot, head.label, head.seq);
             let Some(end) = effects_end else {
+                dropped += 1;
                 self.network.note_dropped_departed();
                 if let Some(obs) = self.obs.as_deref_mut() {
                     obs.note_drop_departed(seq, now);
@@ -618,26 +621,29 @@ where
             };
             self.trace
                 .record(now, TraceEvent::Deliver { to, from, label });
-            self.delivered_msgs += 1;
-            let count = (end - start) as usize;
-            self.dispatch(to, slot, cause, effects.by_ref().take(count));
-            start = end;
+            // A copy that emitted nothing has nothing to apply.
+            if end > start {
+                let count = (end - start) as usize;
+                self.dispatch(to, slot, cause, effects.by_ref().take(count));
+                start = end;
+            }
         }
         drop(effects);
+        self.delivered_msgs += (copies - dropped) as u64;
         (self.stepped, self.effects_buf) = (stepped, buf);
     }
 
     /// Phase A for one copy: steps its recipient, if still in its slot, on
-    /// `msg()` into `buf`, and returns where the copy's effects end.
+    /// `msg` into `buf`, and returns where the copy's effects end.
     fn step(
         &mut self,
         head: Head,
-        msg: impl FnOnce() -> <F::Proc as RegisterSpaceProcess>::Msg,
+        msg: &<F::Proc as RegisterSpaceProcess>::Msg,
         buf: &mut Effects<F>,
     ) -> Option<u32> {
         let now = self.now;
         let s = self.live_slot(head.to, head.slot)?;
-        s.proc_.on_message_into(now, head.from, msg(), buf);
+        s.proc_.on_message_ref(now, head.from, msg, buf);
         Some(buf.len() as u32)
     }
 
@@ -1762,6 +1768,60 @@ mod tests {
         );
         let (_h, _p, metrics, _t, _n) = w.into_space_outputs();
         assert_eq!(metrics.counter("net.delivered"), attempts as u64);
+    }
+
+    /// Every delivery count on a churning world where copies land on
+    /// departed recipients: the network's, the obs layer's message fates,
+    /// span deliveries, the `delivered` gauge and the tick profile's
+    /// events. A run counts its deliveries once, as copies less drops, and
+    /// a copy that emitted nothing skips its dispatch; the figures were
+    /// recorded when every copy was counted and dispatched one by one.
+    #[test]
+    fn delivery_counts_are_per_copy_with_drops_in_flight() {
+        use crate::obs::MsgFate;
+        let mut w = sync_world(20, 3, 0.05, 2);
+        w.set_obs(ObsConfig {
+            spans: true,
+            timeseries_every: Some(1),
+            tick_profile: true,
+            ..ObsConfig::off()
+        });
+        w.run_until(Time::at(200));
+        let report = w.take_obs_report().expect("obs installed");
+        let fates = |want: fn(&MsgFate) -> bool| {
+            report.msgs.iter().filter(|m| want(&m.fate)).count() as u64
+        };
+        let delivered = fates(|f| matches!(f, MsgFate::Delivered { .. }));
+        let dropped = fates(|f| matches!(f, MsgFate::DroppedDeparted { .. }));
+        let spans: u64 = report.spans.iter().map(|s| s.deliveries).sum();
+        let gauge = report.timeseries.as_ref().expect("recorder on");
+        let gauge = *gauge
+            .column("delivered")
+            .expect("gauge")
+            .last()
+            .expect("rows");
+        let events = report
+            .tick_profile
+            .as_ref()
+            .expect("profiled")
+            .deliver_events;
+        let (_h, _p, metrics, _t, net) = w.into_space_outputs();
+        let counted = metrics.counter("net.delivered");
+        assert!(dropped > 0, "copies must land on departed recipients");
+        assert_eq!(counted, delivered);
+        assert_eq!(events, delivered + dropped);
+        assert_eq!(
+            (
+                counted,
+                net.dropped_to_departed(),
+                delivered,
+                dropped,
+                spans,
+                gauge,
+                events
+            ),
+            (4818, 898, 4818, 585, 1720, 4818, 5403)
+        );
     }
 
     #[test]
