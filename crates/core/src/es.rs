@@ -424,12 +424,11 @@ impl<V: Value> EsRegister<V> {
                 self.ts
             )));
         }
-        // Lines 08–10: one REPLY per distinct (requester, r_sn).
-        let mut targets: Vec<(NodeId, u64)> = self
-            .reply_to
-            .drain(..)
-            .chain(self.dl_prev.drain(..))
-            .collect();
+        // Lines 08–10: one REPLY per distinct (requester, r_sn). The join's
+        // state is released: nothing reads it once the process is active.
+        self.pending_join = None;
+        let mut targets = std::mem::take(&mut self.reply_to);
+        targets.append(&mut std::mem::take(&mut self.dl_prev));
         targets.sort_unstable();
         targets.dedup();
         for (j, r_sn) in targets {
@@ -742,6 +741,37 @@ mod tests {
             ts: Timestamp { sn, writer: 0 },
             r_sn,
         }
+    }
+
+    #[test]
+    fn an_active_process_holds_no_join_state() {
+        let released = |p: &EsRegister<u64>| {
+            p.is_active()
+                && p.pending_join().is_none()
+                && p.reply_to.capacity() == 0
+                && p.dl_prev.capacity() == 0
+        };
+        assert!(released(&bootstrap(0)));
+        // A quorum-joined process that promised answers to a concurrent
+        // joiner (`reply_to`) and was asked to relay (`dl_prev`).
+        let mut p = joiner(9);
+        p.on_enter(Time::ZERO);
+        assert_eq!(p.pending_join(), Some(oid(909)));
+        p.on_message(Time::at(1), nid(8), EsMsg::Inquiry { r_sn: 0 });
+        p.on_message(Time::at(1), nid(7), EsMsg::DlPrev { r_sn: 2 });
+        assert!(p.reply_to.capacity() > 0 && p.dl_prev.capacity() > 0);
+        let mut answered = Vec::new();
+        for from in 1..=3 {
+            answered.extend(p.on_message(Time::at(2), nid(from), reply(4, 1, 0)));
+        }
+        assert!(answered.contains(&Effect::JoinComplete));
+        let to = |j| {
+            answered.iter().any(
+                |e| matches!(e, Effect::Send { to, msg: EsMsg::Reply { .. } } if *to == nid(j)),
+            )
+        };
+        assert!(to(8) && to(7), "both promises answered: {answered:?}");
+        assert!(released(&p));
     }
 
     #[test]

@@ -53,6 +53,6 @@ pub mod sync;
 
 pub use actor::{completions, Effect, EffectSink, OpOutcome, RegisterProcess, Value};
 pub use space::{
-    shard_of_key, shard_of_node, RegisterSpace, RegisterSpaceProcess, ShardConfig, SoloSpace,
-    SpaceEffect, SpaceMsg,
+    shard_of_key, shard_of_node, KeyTags, OneKey, RegisterSpace, RegisterSpaceProcess, ShardConfig,
+    SpaceEffect, SpaceMsg, WireFormat,
 };

@@ -17,15 +17,14 @@
 //!   ([`SpaceMsg::Batch`]), and join-phase timers are shared. Steady-state
 //!   traffic is tagged per key ([`SpaceMsg::Keyed`]); timer tags are
 //!   key-partitioned.
-//! * [`SoloSpace`] adapts a single [`RegisterProcess`] to the space trait
-//!   with **zero wire or behavioural overhead** — raw protocol messages,
-//!   no key tags. It is the 1-key fast path, chosen by the factory from
-//!   the key count: `K = 1` through [`RegisterSpace`] runs at 0.48–0.89×
-//!   (`soak_scale` 0.48×, `churn_edge` 0.68×, `es_quorum` 0.80×,
-//!   `chaos_loss` 0.89×; RSS +2–12 %; medians of five alternating 3 s
-//!   dynabench pairs, seed 762320, on the child of `a23eae9`, 2-core Xeon
-//!   VM), and the 1-key equivalence property tests hold the two
-//!   digest-identical.
+//! * The wire format is the space's second type parameter
+//!   ([`WireFormat`]); only it differs between key counts. [`KeyTags`],
+//!   the default, puts [`SpaceMsg`]s on the network. [`OneKey`] puts the
+//!   protocol's own messages there, which holds for one key only: a 1-key
+//!   space never batches and its inquiry is never `full`, so every message
+//!   is key 0's. The paper's one-register system is a
+//!   `RegisterSpace<P, OneKey>`, which the factory picks from the key count,
+//!   and every key count runs the same handshake and the same re-fire machine.
 //!
 //! # The shared handshake's contract
 //!
@@ -50,8 +49,9 @@
 //! write, key-tagged timer or [`SpaceMsg::Keyed`] delivery steps one key's
 //! instance, whose effects go straight out tagged with that key. Only the
 //! join's inputs (`on_enter`, `JoinAll`, `Batch`, shared timers, deliveries
-//! to a space still joining) take the handshake router, and its state
-//! lives in one box that a joining space drops with its `JoinComplete`.
+//! to a space still joining) take the handshake router, and its re-fire
+//! state lives in one box, held only under a retransmit policy or a
+//! sharded handshake, that a joining space drops with its `JoinComplete`.
 //!
 //! Both ends of the handshake stream: a responder builds its
 //! [`SpaceMsg::Batch`] in one pass over its instances (one reply vector,
@@ -74,79 +74,54 @@
 //! place when no reply still shares the slice, on a copy otherwise, so a
 //! `Batch` on the wire is never written. A marked key answering anything
 //! but its one `Send` drops the answer; the inquiry finishes key by key.
-//! Memory: `K` × ≈ 40 B per node beside the instances themselves —
-//! `K` × 72 B for active sync instances over `u64` (the join's state is
-//! boxed and dropped when it returns), `K` × 256 B for ES.
+//! Memory: register 0 lives inline and keys 1 … K−1 in one vector, so a
+//! joined 1-key space over sync `u64` is 128 B with no heap block of its
+//! own; beside its instances (72 B sync, 256 B ES) a `K`-key space holds
+//! one boxed standing answer of `K/G` entries.
 //!
 //! # Key-sharded join replies
 //!
-//! The shared handshake's full-state reply transfers `K` payload entries
-//! per responder — `K·n` entries per join, which is what collapses join
-//! throughput at large key counts. [`ShardConfig`] shards the reply side:
-//! every responder belongs to a deterministic shard
-//! `shard(p) = hash(node_id) mod G` ([`shard_of_node`]) and answers a
-//! (non-full) [`SpaceMsg::JoinAll`] only for the keys of *its* shard
-//! (`key mod G`), so one reply carries `K/G` entries. The joiner still
-//! broadcasts a single inquiry; it tracks, per shard, whether any
-//! responder's [`SpaceMsg::Batch`] covered that shard's keys, and the
-//! shared join timer only activates the keys of shards that have been
-//! heard from — shards still unheard keep their instances joining and the
-//! timer **re-fires the inquiry** (re-arming itself) until every shard has
-//! answered. A re-inquiry is *full* (`full: true`): any
-//! active process answers for all keys, so one starved shard degrades a
-//! join to the full-state transfer for one extra round instead of
-//! wedging it — availability falls back to the paper's argument while the
-//! common case pays `1/G` of the payload.
-//!
-//! Quorum-based protocols (ES) set no join timers; a sharded space arms
-//! its own re-inquiry timer ([`ShardConfig::reinquire_every`]) instead,
-//! and the per-key join quorum is sized to the shard
-//! (`EsConfig::join_quorum`) — the quorum-per-shard liveness trade the
-//! fleet tier's phase diagrams measure.
-//!
-//! `G = 1` (the default) is the full-reply handshake: every gate, filter
-//! and fallback below is conditioned on `groups > 1`.
+//! A full-state reply costs `K` entries per responder, `K·n` per join.
+//! [`ShardConfig`] stripes the reply side over `G` groups: a responder in
+//! shard [`shard_of_node`] answers a non-`full` [`SpaceMsg::JoinAll`] only
+//! for its own keys (`key mod G`), and the joiner's shared join timer
+//! activates only the keys of shards it heard from. A starved shard
+//! re-fires the inquiry as `full`, which every active process answers for
+//! all keys, so it degrades to the full-state transfer instead of
+//! wedging. Protocols that set no join timers (ES) re-inquire every
+//! [`ShardConfig::reinquire_every`] instead, with the join quorum sized to
+//! the shard (`EsConfig::join_quorum`). `G = 1`, the default, is the
+//! full-reply handshake: every gate below is conditioned on `groups > 1`.
 //!
 //! # Loss-tolerant join retransmission
 //!
-//! The paper assumes reliable channels, so a lost inquiry or reply is a
-//! case its join never handles: a sync joiner blind-activates at `⊥` and a
-//! quorum-driven (ES) joiner wedges **forever**. [`RetransmitConfig`]
-//! bounds that gap for unsharded (`G = 1`) handshakes — sharded spaces
-//! already re-fire via the withheld-expiry/re-inquiry machinery above:
+//! The paper assumes reliable channels: a sync joiner whose handshake is
+//! lost blind-activates at `⊥`, and an ES joiner wedges **forever**.
+//! [`RetransmitConfig`] bounds that for unsharded handshakes. A sync
+//! join's post-inquiry wait that expires with *zero* replies
+//! ([`RegisterProcess::join_replies`]) re-fires the inquiry and re-arms
+//! instead of dispatching, up to [`RetransmitConfig::budget`] times; an ES
+//! join gets the space's own silence timer ([`RETRANSMIT_TAG`]), which
+//! re-fires on every silent beat and doubles its window up to the budget.
+//! Each re-fire is marked by a digest-invisible [`SpaceEffect::Retransmit`],
+//! and responders are idempotent: a re-received inquiry is answered from
+//! current state, and a duplicate `Batch` only re-marks a shard already
+//! heard from.
 //!
-//! * **Timer-driven joins** (sync): when the post-inquiry wait expires
-//!   with *zero* replies gathered ([`RegisterProcess::join_replies`]), the
-//!   space re-fires the inquiry and re-arms the same wait instead of
-//!   dispatching the expiry, up to [`RetransmitConfig::budget`] times per
-//!   join; the budget exhausted, the expiry dispatches normally and the
-//!   paper's blind `⊥` activation proceeds.
-//! * **Timer-less joins** (ES): the space arms its own silence timer
-//!   ([`RETRANSMIT_TAG`]); each expiry with no new replies since the last
-//!   beat re-broadcasts the inquiry and doubles the wait (capped after
-//!   `budget` doublings — the "current timeout estimate"), so a joiner
-//!   whose handshake was swallowed converges within a bounded number of
-//!   rounds once the network turns lossless.
-//!
-//! Every retransmission is marked by a digest-invisible
-//! [`SpaceEffect::Retransmit`] so the runtime can count
-//! `join.retransmits` without parsing wire labels. Responders are
-//! idempotent by construction: a re-received inquiry is re-answered from
-//! current state, and a duplicate `Batch` reply only re-marks a shard
-//! already heard from (the join state keeps one flag per shard).
-//!
-//! The full wire-level lifecycle (message grammar, shard striping, the
-//! retransmit state machine) is specified in `docs/PROTOCOL.md` at the
-//! repository root.
+//! `docs/PROTOCOL.md` at the repository root specifies the wire-level
+//! lifecycle: the message grammar, shard striping and the retransmit
+//! machine.
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::rc::Rc;
 
 use dynareg_sim::{NodeId, OpId, RegisterId, Span, Time};
 
 use crate::actor::{Effect, EffectSink, OpOutcome, RegisterProcess, Value};
 
-/// Wire messages of a register space over inner protocol messages `M`.
+/// Wire messages of a register space over inner protocol messages `M`
+/// (the [`KeyTags`] wire).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpaceMsg<M> {
     /// One register's protocol message, delivered to that key's instance.
@@ -186,6 +161,93 @@ impl<M> SpaceMsg<M> {
             SpaceMsg::Keyed { .. } | SpaceMsg::JoinAll { .. } => 1,
             SpaceMsg::Batch { replies } => replies.len(),
         }
+    }
+}
+
+/// A received wire message as a [`RegisterSpace`] reads it.
+#[derive(Debug)]
+pub enum View<'a, M> {
+    /// One key's protocol message.
+    Keyed(RegisterId, &'a M),
+    /// The shared join inquiry, and whether it is `full`.
+    JoinAll(&'a M, bool),
+    /// A responder's batched per-key answers.
+    Batch(&'a Rc<[(RegisterId, M)]>),
+}
+
+/// How a [`RegisterSpace`] puts its instances' messages `M` on the network
+/// (module docs). The handshake, re-fire, shard and standing-answer code
+/// is written once against these four functions.
+pub trait WireFormat<M>: fmt::Debug {
+    /// The message type on the network.
+    type Msg: Clone + fmt::Debug;
+
+    /// Key `key`'s own message.
+    fn keyed(key: RegisterId, inner: M) -> Self::Msg;
+
+    /// The shared join inquiry.
+    fn join_all(inner: M, full: bool) -> Self::Msg;
+
+    /// A responder's batched per-key answers.
+    fn batch(replies: Rc<[(RegisterId, M)]>) -> Self::Msg;
+
+    /// What a received message asks of the space.
+    fn view(msg: &Self::Msg) -> View<'_, M>;
+}
+
+/// The keyed wire, and the default: every message is a [`SpaceMsg`].
+#[derive(Debug, Clone, Copy)]
+pub struct KeyTags;
+
+impl<M: Clone + fmt::Debug> WireFormat<M> for KeyTags {
+    type Msg = SpaceMsg<M>;
+
+    fn keyed(key: RegisterId, inner: M) -> SpaceMsg<M> {
+        SpaceMsg::Keyed { key, inner }
+    }
+
+    fn join_all(inner: M, full: bool) -> SpaceMsg<M> {
+        SpaceMsg::JoinAll { inner, full }
+    }
+
+    fn batch(replies: Rc<[(RegisterId, M)]>) -> SpaceMsg<M> {
+        SpaceMsg::Batch { replies }
+    }
+
+    fn view(msg: &SpaceMsg<M>) -> View<'_, M> {
+        match msg {
+            SpaceMsg::Keyed { key, inner } => View::Keyed(*key, inner),
+            SpaceMsg::JoinAll { inner, full } => View::JoinAll(inner, *full),
+            SpaceMsg::Batch { replies } => View::Batch(replies),
+        }
+    }
+}
+
+/// The protocol's own wire, for a space of one key: its message *is* the
+/// protocol message. A 1-key space never batches (one instance answers
+/// with one `Send`) and its inquiry is never `full` (groups clamp to the
+/// key count), so a keyed message, the shared inquiry and a plain
+/// delivery all mean "key 0's message".
+#[derive(Debug, Clone, Copy)]
+pub struct OneKey;
+
+impl<M: Clone + fmt::Debug> WireFormat<M> for OneKey {
+    type Msg = M;
+
+    fn keyed(_key: RegisterId, inner: M) -> M {
+        inner
+    }
+
+    fn join_all(inner: M, _full: bool) -> M {
+        inner
+    }
+
+    fn batch(_replies: Rc<[(RegisterId, M)]>) -> M {
+        unreachable!("a one-key space never batches")
+    }
+
+    fn view(msg: &M) -> View<'_, M> {
+        View::Keyed(RegisterId::ZERO, msg)
     }
 }
 
@@ -331,178 +393,6 @@ pub trait RegisterSpaceProcess: fmt::Debug {
     ) -> Vec<SpaceEffect<Self::Msg, Self::Val>>;
 }
 
-/// Adapts one [`RegisterProcess`] to the space trait with no wire overhead:
-/// `Msg = P::Msg` (no key tags), every effect attributed to
-/// [`RegisterId::ZERO`]. Byte-identical behaviour to driving `P` directly —
-/// the 1-key fast path the factory picks from the key count, and what the
-/// 1-key equivalence property tests pit [`RegisterSpace`] against.
-#[derive(Debug)]
-pub struct SoloSpace<P: RegisterProcess> {
-    inner: P,
-    /// Join re-fire state: held only by a joining instance under a
-    /// retransmit policy, and dropped at the first handshake step or timer
-    /// that finds the instance active.
-    join: Option<Box<JoinRefire<P::Msg>>>,
-}
-
-impl<P: RegisterProcess> SoloSpace<P> {
-    /// Wraps a protocol instance.
-    pub fn new(inner: P) -> SoloSpace<P> {
-        SoloSpace { inner, join: None }
-    }
-
-    /// Installs (or clears) the bounded join-retransmit policy. An instance
-    /// that is already active has no join to re-fire and holds nothing.
-    pub fn with_retransmit(mut self, config: Option<RetransmitConfig>) -> SoloSpace<P> {
-        let policy = config.filter(|_| !self.inner.is_active());
-        self.join = policy.map(|cfg| Box::new(JoinRefire::new(Some(cfg))));
-        self
-    }
-
-    /// The wrapped instance.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    fn lift(
-        effects: impl IntoIterator<Item = Effect<P::Msg, P::Val>>,
-    ) -> Vec<SpaceEffect<P::Msg, P::Val>> {
-        effects.into_iter().map(lift_effect).collect()
-    }
-
-    /// Drops the join's re-fire state once the instance is active.
-    fn settle(&mut self) {
-        if self.inner.is_active() {
-            self.join = None;
-        }
-    }
-
-    /// Observes a join-phase step's lifted effects (inquiry payload and
-    /// armed waits) and appends the silence timer for timer-less joins —
-    /// the solo counterpart of [`RegisterSpace::flush`]'s bookkeeping.
-    fn observe_join_step(&mut self, out: &mut Vec<SpaceEffect<P::Msg, P::Val>>) {
-        self.settle();
-        let Some(join) = self.join.as_deref_mut() else {
-            return;
-        };
-        for effect in out.iter() {
-            match effect {
-                SpaceEffect::Broadcast { msg } => {
-                    join.inquiry.get_or_insert_with(|| msg.clone());
-                }
-                SpaceEffect::SetTimer { delay, tag } => join.record_wait(*tag, *delay),
-                _ => {}
-            }
-        }
-        let inner = &self.inner;
-        join.arm(|| inner.join_replies().unwrap_or(0), out);
-    }
-}
-
-/// A sink that lifts each single-register effect into the space's buffer
-/// as the protocol pushes it, so a solo delivery writes its effects once.
-struct Lifted<'a, M, V>(&'a mut Vec<SpaceEffect<M, V>>);
-
-impl<M, V> EffectSink<M, V> for Lifted<'_, M, V> {
-    #[inline]
-    fn push(&mut self, effect: Effect<M, V>) {
-        self.0.push(lift_effect(effect));
-    }
-}
-
-/// Attributes a single-register effect to the anchor key.
-fn lift_effect<M, V>(e: Effect<M, V>) -> SpaceEffect<M, V> {
-    match e {
-        Effect::Send { to, msg } => SpaceEffect::Send { to, msg },
-        Effect::Broadcast { msg } => SpaceEffect::Broadcast { msg },
-        Effect::SetTimer { delay, tag } => SpaceEffect::SetTimer { delay, tag },
-        Effect::JoinComplete => SpaceEffect::JoinComplete,
-        Effect::OpComplete { op, outcome } => SpaceEffect::OpComplete {
-            key: RegisterId::ZERO,
-            op,
-            outcome,
-        },
-        Effect::Note(text) => SpaceEffect::Note {
-            key: RegisterId::ZERO,
-            text,
-        },
-    }
-}
-
-impl<P: RegisterProcess> RegisterSpaceProcess for SoloSpace<P> {
-    type Msg = P::Msg;
-    type Val = P::Val;
-
-    fn id(&self) -> NodeId {
-        self.inner.id()
-    }
-
-    fn is_active(&self) -> bool {
-        self.inner.is_active()
-    }
-
-    fn key_count(&self) -> u32 {
-        1
-    }
-
-    fn on_enter(&mut self, now: Time) -> Vec<SpaceEffect<P::Msg, P::Val>> {
-        let mut out = Self::lift(self.inner.on_enter(now));
-        self.observe_join_step(&mut out);
-        out
-    }
-
-    fn on_message_ref(
-        &mut self,
-        now: Time,
-        from: NodeId,
-        msg: &P::Msg,
-        out: &mut Vec<SpaceEffect<P::Msg, P::Val>>,
-    ) {
-        self.inner.on_message_ref(now, from, msg, &mut Lifted(out));
-    }
-
-    fn on_timer(&mut self, now: Time, tag: u64) -> Vec<SpaceEffect<P::Msg, P::Val>> {
-        let mut out = Vec::new();
-        self.settle();
-        let (inner, join) = (&self.inner, self.join.as_deref_mut());
-        if tag == RETRANSMIT_TAG {
-            // The space's own silence timer — never forwarded (timer-less
-            // inner protocols panic on unknown tags), inert after the join.
-            if let Some(join) = join {
-                join.beat(inner.join_replies().unwrap_or(0), &mut out);
-            }
-            return out;
-        }
-        if join.is_some_and(|join| join.intercept(tag, || inner.join_replies(), &mut out)) {
-            return out;
-        }
-        let mut out = Self::lift(self.inner.on_timer(now, tag));
-        self.observe_join_step(&mut out);
-        out
-    }
-
-    fn on_read(
-        &mut self,
-        now: Time,
-        key: RegisterId,
-        op: OpId,
-    ) -> Vec<SpaceEffect<P::Msg, P::Val>> {
-        debug_assert_eq!(key, RegisterId::ZERO, "a solo space has one key");
-        Self::lift(self.inner.on_read(now, op))
-    }
-
-    fn on_write(
-        &mut self,
-        now: Time,
-        key: RegisterId,
-        op: OpId,
-        value: P::Val,
-    ) -> Vec<SpaceEffect<P::Msg, P::Val>> {
-        debug_assert_eq!(key, RegisterId::ZERO, "a solo space has one key");
-        Self::lift(self.inner.on_write(now, op, value))
-    }
-}
-
 /// Timer-tag partitioning: regular tags carry their key in the upper half
 /// (`key << 32 | tag`), shared join-phase timers live in a reserved
 /// partition marked by the top bit.
@@ -520,9 +410,9 @@ pub const RETRANSMIT_TAG: u64 = SHARED_TAG | (1 << 61);
 
 /// Bounded join-handshake retransmission policy (see the module's
 /// "Loss-tolerant join retransmission"). Attached to a space via
-/// [`SoloSpace::with_retransmit`] / [`RegisterSpace::with_retransmit`];
-/// absent (the default of every raw constructor), nothing re-fires — on a
-/// lossless network the effect stream is the same either way.
+/// [`RegisterSpace::with_retransmit`]; absent (the default of every raw
+/// constructor), nothing re-fires — on a lossless network the effect
+/// stream is the same either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetransmitConfig {
     /// The initial silence window: how long a joiner's inquiry may go
@@ -570,13 +460,13 @@ impl RetransmitConfig {
     }
 }
 
-/// The join handshake's state, and its re-fire machine: "the inquiry went
-/// unanswered, send it again", once. A space holds one, boxed, only while
-/// its join is in flight, records into it the inquiry (already wrapped for
-/// its wire) and the join waits (under their outer tags) it observes, and
-/// asks it the three decisions — [`arm`](Self::arm), [`beat`](Self::beat),
-/// [`intercept`](Self::intercept); every re-broadcast leaves through
-/// [`refire`](Self::refire).
+/// The join handshake's re-fire machine: "the inquiry went unanswered,
+/// send it again", once. A joining space holds one, boxed, only under a
+/// retransmit policy or a sharded handshake, records into it the inquiry
+/// (already wrapped for its wire) and the join waits (under their outer
+/// tags) it observes, and asks it the three decisions —
+/// [`arm`](Self::arm), [`beat`](Self::beat), [`intercept`](Self::intercept);
+/// every re-broadcast leaves through [`refire`](Self::refire).
 #[derive(Debug)]
 struct JoinRefire<W> {
     /// Retransmit policy (`None` = no interceptions, no silence beats).
@@ -777,36 +667,40 @@ impl Default for ShardConfig {
 }
 
 /// A per-node multiplexer owning one [`RegisterProcess`] instance per key
-/// behind a single shared join handshake. See the module docs for the
-/// coalescing rules and their contract.
+/// behind a single shared join handshake, on wire `W`. See the module
+/// docs for the coalescing rules and their contract.
 #[derive(Debug)]
-pub struct RegisterSpace<P: RegisterProcess> {
-    id: NodeId,
+pub struct RegisterSpace<P: RegisterProcess, W: WireFormat<P::Msg> = KeyTags> {
     regs: Regs<P>,
-    /// Reused scratch for the instances' effect lists.
-    scratch: Vec<Effect<P::Msg, P::Val>>,
-    /// Join-reply sharding (`groups == 1` = full replies).
-    shard: ShardConfig,
-    /// This process's responder shard (`shard_of_node(id, groups)`).
-    my_shard: u32,
-    /// The shared join's state (on the sharded pace while `groups > 1`):
-    /// never held by a bootstrap member, dropped when `JoinComplete` goes
-    /// out — its absence is what "active" means.
-    join: Option<Box<JoinRefire<SpaceMsg<P::Msg>>>>,
+    /// Join-reply shard groups (`1` = full replies), clamped to the key
+    /// count.
+    groups: u32,
+    /// Whether the shared join is in flight: set until every key is
+    /// active and `JoinComplete` went out.
+    joining: bool,
+    /// The join's re-fire state (on the sharded pace while `groups > 1`):
+    /// held only by a joining space under a retransmit policy or a
+    /// sharded handshake, and dropped with `JoinComplete`.
+    join: Option<Box<JoinRefire<W::Msg>>>,
+    wire: PhantomData<W>,
 }
 
 /// The joined-space effect rule: an instance's effect as its space emits
-/// it — payloads wrapped as [`SpaceMsg::Keyed`], timer tags partitioned by
-/// `key`, completions and notes attributed to `key`. A joined space has no
-/// join left to complete, so `JoinComplete` maps to nothing.
-fn keyed_effect<M, V>(key: RegisterId, e: Effect<M, V>) -> Option<SpaceEffect<SpaceMsg<M>, V>> {
-    let keyed = |inner| SpaceMsg::Keyed { key, inner };
+/// it — payloads wrapped for wire `W` under `key`, timer tags partitioned
+/// by `key`, completions and notes attributed to `key`. A joined space has
+/// no join left to complete, so `JoinComplete` maps to nothing.
+fn keyed_effect<W: WireFormat<M>, M, V>(
+    key: RegisterId,
+    e: Effect<M, V>,
+) -> Option<SpaceEffect<W::Msg, V>> {
     Some(match e {
         Effect::Send { to, msg } => SpaceEffect::Send {
             to,
-            msg: keyed(msg),
+            msg: W::keyed(key, msg),
         },
-        Effect::Broadcast { msg } => SpaceEffect::Broadcast { msg: keyed(msg) },
+        Effect::Broadcast { msg } => SpaceEffect::Broadcast {
+            msg: W::keyed(key, msg),
+        },
         Effect::SetTimer { delay, tag } => {
             debug_assert!(tag <= INNER_TAG_MASK, "inner timer tags must fit 32 bits");
             let tag = (u64::from(key.as_raw()) << KEY_TAG_SHIFT) | tag;
@@ -819,22 +713,61 @@ fn keyed_effect<M, V>(key: RegisterId, e: Effect<M, V>) -> Option<SpaceEffect<Sp
 }
 
 /// One key's effect list under [`keyed_effect`]: a joined space's step.
-fn keyed_all<M, V>(key: RegisterId, fx: Vec<Effect<M, V>>) -> Vec<SpaceEffect<SpaceMsg<M>, V>> {
-    let mut out = Vec::with_capacity(fx.len());
-    fx.into_iter().for_each(|e| Tagged(key, &mut out).push(e));
-    out
+fn keyed_all<W: WireFormat<M>, M, V>(
+    key: RegisterId,
+    fx: Vec<Effect<M, V>>,
+) -> Vec<SpaceEffect<W::Msg, V>> {
+    // Collected in place where the two effect types share a layout (ES).
+    fx.into_iter()
+        .filter_map(|e| keyed_effect::<W, M, V>(key, e))
+        .collect()
 }
 
-/// A sink applying [`keyed_effect`] as the instance pushes — the keyed
-/// twin of [`Lifted`], so a joined space's delivery writes its effects once.
-struct Tagged<'a, M, V>(RegisterId, &'a mut Vec<SpaceEffect<SpaceMsg<M>, V>>);
+/// A sink applying [`keyed_effect`] as the instance pushes, so a joined
+/// space's delivery writes its effects once.
+struct Tagged<'a, W: WireFormat<M>, M, V>(RegisterId, &'a mut Vec<SpaceEffect<W::Msg, V>>);
 
-impl<M, V> EffectSink<M, V> for Tagged<'_, M, V> {
+impl<W: WireFormat<M>, M, V> EffectSink<M, V> for Tagged<'_, W, M, V> {
     #[inline]
     fn push(&mut self, effect: Effect<M, V>) {
-        if let Some(effect) = keyed_effect(self.0, effect) {
+        if let Some(effect) = keyed_effect::<W, M, V>(self.0, effect) {
             self.1.push(effect);
         }
+    }
+}
+
+/// A short list whose first entry lies inline: one instance's effects
+/// from a handshake delivery, or one step's join waits — typically one or
+/// none, and holding one allocates nothing.
+struct Held<E> {
+    first: Option<E>,
+    more: Vec<E>,
+}
+
+impl<E> Held<E> {
+    fn new() -> Held<E> {
+        Held {
+            first: None,
+            more: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, entry: E) {
+        match self.first {
+            None => self.first = Some(entry),
+            Some(_) => self.more.push(entry),
+        }
+    }
+
+    /// Takes every entry out, in order, keeping the spill's capacity.
+    fn drain(&mut self) -> impl Iterator<Item = E> + '_ {
+        self.first.take().into_iter().chain(self.more.drain(..))
+    }
+}
+
+impl<M, V> EffectSink<M, V> for Held<Effect<M, V>> {
+    fn push(&mut self, effect: Effect<M, V>) {
+        Held::push(self, effect);
     }
 }
 
@@ -842,6 +775,559 @@ use regs::Regs;
 
 /// A stripe's `(key, payload)` replies: what a [`SpaceMsg::Batch`] carries.
 type Entries<M> = Rc<[(RegisterId, M)]>;
+
+/// One target's pending fan-in replies: `(target, per-key payloads)`.
+type FanGroup<M> = (NodeId, Vec<(RegisterId, M)>);
+
+/// Per-call routing context: collects the joins' coalescable effects
+/// (shared broadcast, shared timers) and — during multi-instance fan-in —
+/// the per-target reply batches, flushed in deterministic order after the
+/// step's direct effects.
+struct StepCtx<M> {
+    /// First join-phase broadcast payload of this step, if any.
+    join_broadcast: Option<M>,
+    /// Distinct `(delay, tag)` join-phase timer requests of this step (by
+    /// contract 2, one).
+    join_timers: Held<(Span, u64)>,
+    /// The shared wait whose expiry a starved shard withheld this step:
+    /// the flush re-fires the (full) inquiry and re-arms it.
+    withheld: Option<u64>,
+    /// Per-target send groups (fan-in batching); insertion-ordered.
+    fan_sends: Option<Vec<FanGroup<M>>>,
+    /// Emit single-entry fan-in groups as `Batch` anyway (sharded joins:
+    /// the joiner marks shards heard from by batch content, so join
+    /// replies must be identifiable on the wire even when a shard owns
+    /// one key). Never set when `groups == 1`.
+    force_batch: bool,
+}
+
+impl<M> StepCtx<M> {
+    fn new(batch_fan_in: bool, force_batch: bool) -> StepCtx<M> {
+        StepCtx {
+            join_broadcast: None,
+            join_timers: Held::new(),
+            withheld: None,
+            fan_sends: batch_fan_in.then(Vec::new),
+            force_batch: batch_fan_in && force_batch,
+        }
+    }
+
+    /// Records a join-phase wait once per step.
+    fn join_wait(&mut self, wait: (Span, u64)) {
+        let timers = &self.join_timers;
+        if timers.first != Some(wait) && !timers.more.contains(&wait) {
+            self.join_timers.push(wait);
+        }
+    }
+
+    /// Moves `entries` to the end of `to`'s fan-in group, opening the group
+    /// if these are its first.
+    fn fan_to(&mut self, to: NodeId, entries: &mut Vec<(RegisterId, M)>) {
+        let Some(groups) = &mut self.fan_sends else {
+            return;
+        };
+        match groups.iter_mut().find(|(t, _)| *t == to) {
+            Some((_, group)) => group.append(entries),
+            None if entries.is_empty() => {}
+            None => groups.push((to, std::mem::take(entries))),
+        }
+    }
+}
+
+impl<P: RegisterProcess> RegisterSpace<P> {
+    /// A space whose instances are already active (bootstrap members).
+    ///
+    /// # Panics
+    /// Panics if `regs` is empty, the instances disagree on identity, or
+    /// any instance is not active.
+    pub fn new_bootstrap(regs: Vec<P>) -> RegisterSpace<P> {
+        let space = RegisterSpace::new_joiner(regs);
+        assert!(space.is_active(), "bootstrap instances must be active");
+        space
+    }
+
+    /// A space about to enter the system: every instance still joining
+    /// runs its join through the shared handshake.
+    ///
+    /// # Panics
+    /// Panics if `regs` is empty or the instances disagree on identity.
+    pub fn new_joiner(regs: Vec<P>) -> RegisterSpace<P> {
+        let mut regs = regs.into_iter();
+        let first = regs
+            .next()
+            .expect("a register space needs at least one key");
+        RegisterSpace::assemble(first, regs.collect())
+    }
+}
+
+impl<P: RegisterProcess, W: WireFormat<P::Msg>> RegisterSpace<P, W> {
+    /// A one-key space over `reg`: joined if `reg` is active (a bootstrap
+    /// member, which runs no handshake), joining otherwise.
+    pub fn single(reg: P) -> RegisterSpace<P, W> {
+        RegisterSpace::assemble(reg, Vec::new())
+    }
+
+    /// A space over its instances, joining unless every one is active.
+    fn assemble(first: P, rest: Vec<P>) -> RegisterSpace<P, W> {
+        let id = first.id();
+        let one_process = rest.iter().all(|r| r.id() == id);
+        assert!(
+            one_process,
+            "all instances of a space belong to one process"
+        );
+        let regs = Regs::new(first, rest);
+        let joining = !regs.iter().all(|r| r.is_active());
+        RegisterSpace {
+            joining,
+            regs,
+            groups: 1,
+            join: None,
+            wire: PhantomData,
+        }
+    }
+
+    /// The join's re-fire state, created on first use.
+    fn refire_state(&mut self) -> &mut JoinRefire<W::Msg> {
+        self.join
+            .get_or_insert_with(|| Box::new(JoinRefire::new(None)))
+    }
+
+    /// Installs a join-reply shard configuration. `groups` is clamped to
+    /// the key count (a shard owning no keys answers nothing and gates
+    /// nothing); a clamped-to-1 (or explicit `G = 1`) config leaves the
+    /// space on the full-reply path.
+    pub fn with_shards(mut self, config: ShardConfig) -> RegisterSpace<P, W> {
+        self.groups = config.groups.min(self.regs.len() as u32).max(1);
+        let sharded = self.groups > 1;
+        if self.joining && (sharded || self.join.is_some()) {
+            let groups = self.groups as usize;
+            let join = self.refire_state();
+            join.reinquire = sharded.then_some(config.reinquire_every);
+            join.shards = vec![false; if sharded { groups } else { 0 }];
+        }
+        self
+    }
+
+    /// Installs (or clears) the bounded join-retransmit policy. Only an
+    /// unsharded (`G = 1`) handshake uses it; see [`RetransmitConfig`].
+    pub fn with_retransmit(mut self, config: Option<RetransmitConfig>) -> RegisterSpace<P, W> {
+        if self.joining && (config.is_some() || self.join.is_some()) {
+            self.refire_state().policy = config;
+        }
+        self
+    }
+
+    /// The effective number of shard groups (clamped to the key count).
+    pub fn shard_groups(&self) -> u32 {
+        self.groups
+    }
+
+    /// This process's responder shard.
+    pub fn responder_shard(&self) -> u32 {
+        shard_of_node(self.id(), self.groups)
+    }
+
+    /// The instance backing `key`.
+    pub fn register(&self, key: RegisterId) -> &P {
+        self.regs.get(key)
+    }
+
+    /// Total join replies gathered by still-joining instances, if any
+    /// instance reports a count ([`RegisterProcess::join_replies`]).
+    fn joining_replies(regs: &Regs<P>) -> Option<usize> {
+        let joining = regs.iter().filter(|r| !r.is_active());
+        joining.filter_map(P::join_replies).reduce(|a, b| a + b)
+    }
+
+    /// Routes one instance's effects: fan-in sends group per target; a
+    /// joining space coalesces its instances' inquiries and waits, and
+    /// completes once every key is active; every other effect takes
+    /// [`keyed_effect`] into `out`.
+    fn route(
+        &mut self,
+        key: RegisterId,
+        ctx: &mut StepCtx<P::Msg>,
+        out: &mut Vec<SpaceEffect<W::Msg, P::Val>>,
+        effects: impl IntoIterator<Item = Effect<P::Msg, P::Val>>,
+    ) {
+        let effects = effects.into_iter();
+        out.reserve(effects.size_hint().0);
+        for effect in effects {
+            match effect {
+                Effect::Send { to, msg } if ctx.fan_sends.is_some() => {
+                    let groups = ctx.fan_sends.as_mut().expect("batching");
+                    match groups.iter_mut().find(|(t, _)| *t == to) {
+                        Some((_, entries)) => entries.push((key, msg)),
+                        None => groups.push((to, vec![(key, msg)])),
+                    }
+                }
+                Effect::Broadcast { msg } if self.joining => {
+                    if ctx.join_broadcast.is_none() {
+                        // Shared handshake: one inquiry covers every key
+                        // (join-phase broadcasts are key-agnostic; module
+                        // docs, contract 1). The first sharded inquiry asks
+                        // each responder only for its shard; its re-fires
+                        // ask any responder for every key, so a starved
+                        // shard falls back to the full-state transfer
+                        // instead of wedging the join.
+                        let full = self.groups > 1;
+                        if let Some(join) = self.join.as_deref_mut() {
+                            let inquiry = || W::join_all(msg.clone(), full);
+                            join.inquiry.get_or_insert_with(inquiry);
+                        }
+                        ctx.join_broadcast = Some(msg);
+                    }
+                }
+                Effect::SetTimer { delay, tag } if self.joining => {
+                    debug_assert!(tag <= INNER_TAG_MASK, "inner timer tags must fit 32 bits");
+                    // Shared handshake: still-joining instances request
+                    // uniform waits (contract 2) — arm each once.
+                    ctx.join_wait((delay, tag));
+                }
+                Effect::JoinComplete if self.joining => {
+                    if self.regs.iter().all(|r| r.is_active()) {
+                        self.joining = false;
+                        self.join = None;
+                        out.push(SpaceEffect::JoinComplete);
+                    }
+                }
+                effect => out.extend(keyed_effect::<W, _, _>(key, effect)),
+            }
+        }
+    }
+
+    /// Flushes the step context after the step's direct effects in `out`
+    /// (their order is the instances' own): the coalesced join broadcast,
+    /// shared timers (recorded, so an expiry can re-arm itself), the
+    /// re-fire for a withheld expiry, the silence timer for protocols that
+    /// arm no join timer themselves, and batched fan-in replies.
+    #[inline]
+    fn flush(&mut self, ctx: &mut StepCtx<P::Msg>, out: &mut Vec<SpaceEffect<W::Msg, P::Val>>) {
+        if let Some(inner) = ctx.join_broadcast.take() {
+            let msg = W::join_all(inner, false);
+            out.push(SpaceEffect::Broadcast { msg });
+        }
+        for (delay, tag) in ctx.join_timers.drain() {
+            let tag = SHARED_TAG | tag;
+            if let Some(join) = self.join.as_deref_mut() {
+                join.record_wait(tag, delay);
+            }
+            out.push(SpaceEffect::SetTimer { delay, tag });
+        }
+        if let Some(join) = self.join.as_deref_mut() {
+            if let Some(tag) = ctx.withheld {
+                join.refire(out, join.wait(tag));
+            }
+            let regs = &self.regs;
+            join.arm(|| Self::joining_replies(regs).unwrap_or(0), out);
+        }
+        for (to, mut entries) in ctx.fan_sends.take().into_iter().flatten() {
+            debug_assert!(!entries.is_empty());
+            let msg = if entries.len() == 1 && !ctx.force_batch {
+                let (key, inner) = entries.pop().expect("checked non-empty");
+                W::keyed(key, inner)
+            } else {
+                W::batch(entries.into())
+            };
+            out.push(SpaceEffect::Send { to, msg });
+        }
+    }
+
+    /// Delivers a fan-in message's per-key payloads in one pass. An
+    /// instance answering with exactly one `Send` back to `from` (any
+    /// active responder) appends to `from`'s reply group, allocated once
+    /// at exact capacity and returned for the caller to close; every other
+    /// effect list takes the generic [`route`](Self::route) — so the
+    /// effects, and their order, are those of stepping the keys one by one.
+    ///
+    /// With `patch` — a standing answer's entries, one per entry of
+    /// `entries` — only dirty keys are stepped, their one `Send` overwriting
+    /// their entry. The first to answer anything else takes `patch` away: the
+    /// entries before it open the reply group and the pass goes on without.
+    fn fan_in<'m>(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        entries: impl ExactSizeIterator<Item = (RegisterId, &'m P::Msg)>,
+        ctx: &mut StepCtx<P::Msg>,
+        out: &mut Vec<SpaceEffect<W::Msg, P::Val>>,
+        patch: &mut Option<&mut [(RegisterId, P::Msg)]>,
+    ) -> Vec<(RegisterId, P::Msg)>
+    where
+        P::Msg: 'm,
+    {
+        let mut held = Held::new();
+        let capacity = entries.len();
+        let batching = ctx.fan_sends.is_some();
+        // `from`'s reply group, local to the loop until something routes.
+        let mut replies = Vec::new();
+        for (at, (key, inner)) in entries.enumerate() {
+            if patch.is_some() && !self.regs.is_dirty(key) {
+                continue;
+            }
+            let reg = self.regs.step(key);
+            reg.on_message_ref(now, from, inner, &mut held);
+            // Peek before taking: moving a whole `Effect` out right after
+            // the instance wrote it stalls on store forwarding.
+            match (&held.first, held.more.is_empty()) {
+                (None, _) if patch.is_none() => {}
+                (Some(Effect::Send { to, .. }), true) if batching && *to == from => {
+                    if replies.capacity() == 0 && patch.is_none() {
+                        replies.reserve_exact(capacity);
+                    }
+                    if let Some(Effect::Send { msg, .. }) = held.first.take() {
+                        match patch {
+                            Some(kept) => kept[at].1 = msg,
+                            None => replies.push((key, msg)),
+                        }
+                    }
+                }
+                _ => {
+                    if let Some(kept) = patch.take() {
+                        replies.extend_from_slice(&kept[..at]);
+                    }
+                    ctx.fan_to(from, &mut replies);
+                    self.route(key, ctx, out, held.drain());
+                }
+            }
+        }
+        replies
+    }
+
+    /// Routes the effects a keyed delivery to a joining space emitted.
+    /// Kept out of line, like [`fan_in_message`](Self::fan_in_message), so
+    /// the delivery itself inlines into the runtime's loop.
+    #[inline(never)]
+    fn joining_delivery(
+        &mut self,
+        key: RegisterId,
+        mut held: Held<Effect<P::Msg, P::Val>>,
+        out: &mut Vec<SpaceEffect<W::Msg, P::Val>>,
+    ) {
+        let mut ctx = StepCtx::new(false, false);
+        self.route(key, &mut ctx, out, held.drain());
+        self.flush(&mut ctx, out);
+    }
+
+    /// A fan-in message (`JoinAll`, `Batch`): per-target sends batch.
+    #[inline(never)]
+    fn fan_in_message(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        view: View<'_, P::Msg>,
+        out: &mut Vec<SpaceEffect<W::Msg, P::Val>>,
+    ) {
+        let mut ctx = StepCtx::new(self.regs.len() > 1, self.groups > 1);
+        match view {
+            View::Keyed(..) => unreachable!("a keyed message is no fan-in"),
+            View::JoinAll(inner, full) => {
+                // Fan the shared inquiry into every instance — or, on a
+                // sharded space answering a non-full inquiry, into this
+                // responder's stripe (`shard_of_key` is `key mod G`) only.
+                // Each key's answers to one target coalesce into a single
+                // Batch (the "all keys' states in one reply" half of the
+                // handshake; `K/G` of them when sharded). A 1-key space
+                // batches nothing.
+                let stripe = match self.groups {
+                    g if g > 1 && !full => (self.responder_shard(), g as usize),
+                    _ => (0, 1),
+                };
+                let keys = (stripe.0..self.regs.len() as u32).step_by(stripe.1);
+                // A standing answer (module docs) serves the inquiry as it is
+                // or after its dirty keys answered again; without one, or once
+                // a key answers more than its `Send`, every key is stepped.
+                let mut kept = self.regs.take_answer(inner, stripe);
+                if kept.is_none() || self.regs.any_dirty() {
+                    let width = keys.len();
+                    let entries = keys.map(|raw| (RegisterId::from_raw(raw), inner));
+                    let mut patch = kept.as_mut().map(Rc::make_mut);
+                    let mut replies = self.fan_in(now, from, entries, &mut ctx, out, &mut patch);
+                    let stepped = patch.is_none();
+                    if stepped && !self.joining && replies.len() == width {
+                        // One `Send` per key and nothing else (a 1-key
+                        // space batches nothing, so it never gets here).
+                        kept = Some(replies.into());
+                    } else if stepped {
+                        kept = None;
+                        ctx.fan_to(from, &mut replies);
+                    }
+                }
+                if let Some(replies) = kept {
+                    self.regs.keep(now, from, inner, stripe, &replies);
+                    let msg = W::batch(replies);
+                    out.push(SpaceEffect::Send { to: from, msg });
+                }
+            }
+            View::Batch(replies) => {
+                // Joiner-side shard bookkeeping: a batch from `from`
+                // covers the shards of the keys it carries (its own shard
+                // for a sharded reply, every shard for a full-fallback
+                // one).
+                let groups = self.groups;
+                if let Some(join) = self.join.as_deref_mut().filter(|_| groups > 1) {
+                    for (key, _) in replies.iter() {
+                        join.shards[shard_of_key(*key, groups) as usize] = true;
+                    }
+                }
+                // One pass over the entries as they lie in the message: an
+                // instance that keeps nothing of its entry copies nothing,
+                // and one that emits nothing never reaches `route`.
+                let entries = replies.iter().map(|(key, inner)| (*key, inner));
+                let mut replies = self.fan_in(now, from, entries, &mut ctx, out, &mut None);
+                ctx.fan_to(from, &mut replies);
+            }
+        }
+        self.flush(&mut ctx, out);
+    }
+}
+
+impl<P: RegisterProcess, W: WireFormat<P::Msg>> RegisterSpaceProcess for RegisterSpace<P, W> {
+    type Msg = W::Msg;
+    type Val = P::Val;
+
+    fn id(&self) -> NodeId {
+        self.regs.get(RegisterId::ZERO).id()
+    }
+
+    fn is_active(&self) -> bool {
+        !self.joining
+    }
+
+    fn key_count(&self) -> u32 {
+        self.regs.len() as u32
+    }
+
+    fn on_enter(&mut self, now: Time) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
+        if !self.joining {
+            // Bootstrap member: already active (mirrors the single-register
+            // protocols' bootstrap `on_enter`).
+            return vec![SpaceEffect::JoinComplete];
+        }
+        // A multi-instance step: per-target sends batch (keys > 1), so the
+        // handshake costs one physical message per counterpart however
+        // many keys the space owns.
+        let mut ctx = StepCtx::new(self.regs.len() > 1, self.groups > 1);
+        let mut out = Vec::new();
+        for key in (0..self.regs.len() as u32).map(RegisterId::from_raw) {
+            let effects = self.regs.step(key).on_enter(now);
+            self.route(key, &mut ctx, &mut out, effects);
+        }
+        self.flush(&mut ctx, &mut out);
+        out
+    }
+
+    #[inline]
+    fn on_message_ref(
+        &mut self,
+        now: Time,
+        from: NodeId,
+        msg: &Self::Msg,
+        out: &mut Vec<SpaceEffect<Self::Msg, Self::Val>>,
+    ) {
+        match W::view(msg) {
+            // A joined space is just its registers: the instance's effects
+            // go straight into the runtime's buffer.
+            View::Keyed(key, inner) if !self.joining => {
+                let tagged = &mut Tagged::<W, P::Msg, P::Val>(key, out);
+                self.regs.step(key).on_message_ref(now, from, inner, tagged);
+            }
+            View::Keyed(key, inner) => {
+                let mut held = Held::new();
+                self.regs
+                    .step(key)
+                    .on_message_ref(now, from, inner, &mut held);
+                // A joining instance's delivery that emits nothing has
+                // nothing to route, and the flush adds nothing of its own.
+                if held.first.is_some() {
+                    self.joining_delivery(key, held, out);
+                }
+            }
+            view => self.fan_in_message(now, from, view, out),
+        }
+    }
+
+    fn on_timer(&mut self, now: Time, tag: u64) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
+        if tag & SHARED_TAG == 0 {
+            // A key-tagged timer, which only a joined space sets.
+            let key = RegisterId::from_raw((tag >> KEY_TAG_SHIFT) as u32);
+            let effects = self.regs.step(key).on_timer(now, tag & INNER_TAG_MASK);
+            return keyed_all::<W, _, _>(key, effects);
+        }
+        let mut out = Vec::new();
+        // The space's own timers serve the join; one outliving it is inert.
+        if !self.joining {
+            return out;
+        }
+        let regs = &self.regs;
+        if tag == RETRANSMIT_TAG || tag == REINQUIRE_TAG {
+            // The silence timer — never forwarded to instances.
+            if let Some(join) = self.join.as_deref_mut() {
+                join.beat(Self::joining_replies(regs).unwrap_or(0), &mut out);
+            }
+            return out;
+        }
+        // A shared join-phase timer: dispatch to every still-joining
+        // instance (exactly the requesters; module docs, contract 2) —
+        // except, once the sharded inquiry is out, instances of shards no
+        // responder has answered yet: those stay joining and the timer
+        // re-fires the inquiry (full fallback) and re-arms. Multi-instance
+        // step → per-target sends batch, so postponed replies flushed at
+        // activation stay one message per inquirer.
+        if let Some(join) = self.join.as_deref_mut() {
+            if join.intercept(tag, || Self::joining_replies(regs), &mut out) {
+                // An unsharded zero-reply expiry: dispatching it would
+                // blind-activate every key at ⊥.
+                return out;
+            }
+        }
+        // Snapshot the gate before stepping: the first dispatched instance
+        // may broadcast the inquiry mid-step, and pre-inquiry waits must
+        // dispatch to every key.
+        let gate = self
+            .join
+            .as_ref()
+            .is_some_and(|join| join.inquiry.is_some());
+        let groups = self.groups;
+        let mut ctx = StepCtx::new(self.regs.len() > 1, groups > 1);
+        let mut withheld = false;
+        for key in (0..self.regs.len() as u32).map(RegisterId::from_raw) {
+            if self.regs.get(key).is_active() {
+                continue;
+            }
+            let shard = shard_of_key(key, groups) as usize;
+            let unheard = |join: &JoinRefire<_>| join.shards.get(shard) == Some(&false);
+            if gate && self.join.as_deref().is_some_and(unheard) {
+                withheld = true;
+                continue;
+            }
+            let effects = self.regs.step(key).on_timer(now, tag & !SHARED_TAG);
+            self.route(key, &mut ctx, &mut out, effects);
+        }
+        ctx.withheld = withheld.then_some(tag);
+        self.flush(&mut ctx, &mut out);
+        out
+    }
+
+    fn on_read(
+        &mut self,
+        now: Time,
+        key: RegisterId,
+        op: OpId,
+    ) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
+        keyed_all::<W, _, _>(key, self.regs.step(key).on_read(now, op))
+    }
+
+    fn on_write(
+        &mut self,
+        now: Time,
+        key: RegisterId,
+        op: OpId,
+        value: Self::Val,
+    ) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
+        keyed_all::<W, _, _>(key, self.regs.step(key).on_write(now, op, value))
+    }
+}
 
 /// The instances and their standing answer (module docs), in a module of
 /// their own so that no `&mut P` is reachable without dirtying its key.
@@ -861,38 +1347,66 @@ mod regs {
 
     #[derive(Debug)]
     pub(super) struct Regs<P: RegisterProcess> {
-        regs: Vec<P>,
+        /// Register 0, inline: a 1-key space holds no block of its own.
+        first: P,
+        /// Registers 1 … K−1 (empty, and unallocated, for one key).
+        rest: Vec<P>,
         /// Bit `key % 64`: `key` was stepped since `answer` was kept (exact
         /// to 64 keys). Inline: the `Keyed` exit touches no new cache line.
         dirty: u64,
-        answer: Option<Standing<P::Msg>>,
-    }
-
-    impl<P: RegisterProcess> std::ops::Deref for Regs<P> {
-        type Target = [P];
-
-        fn deref(&self) -> &[P] {
-            &self.regs
-        }
+        answer: Option<Box<Standing<P::Msg>>>,
     }
 
     impl<P: RegisterProcess> Regs<P> {
-        pub fn new(regs: Vec<P>) -> Regs<P> {
+        pub fn new(first: P, rest: Vec<P>) -> Regs<P> {
             Regs {
-                regs,
+                first,
+                rest,
                 dirty: 0,
                 answer: None,
             }
+        }
+
+        pub fn len(&self) -> usize {
+            1 + self.rest.len()
+        }
+
+        pub fn iter(&self) -> impl Iterator<Item = &P> {
+            std::iter::once(&self.first).chain(&self.rest)
+        }
+
+        pub fn get(&self, key: RegisterId) -> &P {
+            match key.as_raw() {
+                0 => &self.first,
+                k => &self.rest[k as usize - 1],
+            }
+        }
+
+        /// Whether the space holds a heap block for its instances or its
+        /// standing answer.
+        #[cfg(test)]
+        pub fn holds_heap(&self) -> bool {
+            self.rest.capacity() > 0 || self.answer.is_some()
         }
 
         fn bit(key: RegisterId) -> u64 {
             1 << (key.as_raw() % 64)
         }
 
-        /// The only `&mut P` there is.
+        /// The only `&mut P` there is. Marks matter only while an answer
+        /// stands (`keep` clears them), so none is made without one.
         pub fn step(&mut self, key: RegisterId) -> &mut P {
-            self.dirty |= Self::bit(key);
-            &mut self.regs[key.as_raw() as usize]
+            if self.answer.is_some() {
+                self.dirty |= Self::bit(key);
+            }
+            self.slot(key)
+        }
+
+        fn slot(&mut self, key: RegisterId) -> &mut P {
+            match key.as_raw() {
+                0 => &mut self.first,
+                k => &mut self.rest[k as usize - 1],
+            }
         }
 
         /// Whether `key` (or one sharing its bit) was stepped since `keep`.
@@ -934,9 +1448,9 @@ mod regs {
         ) {
             if cfg!(debug_assertions) {
                 for (key, kept) in entries.iter() {
-                    let reg = &mut self.regs[key.as_raw() as usize];
                     let mut fresh = Vec::new();
-                    reg.on_message_ref(now, from, inquiry, &mut fresh);
+                    self.slot(*key)
+                        .on_message_ref(now, from, inquiry, &mut fresh);
                     let same = matches!(fresh.as_slice(),
                         [Effect::Send { to, msg }] if *to == from && msg == kept);
                     assert!(same, "stale answer for {key:?}: {kept:?}, now {fresh:?}");
@@ -951,518 +1465,14 @@ mod regs {
                     a.entries = entries;
                 }
                 None => {
-                    self.answer = Some(Standing {
+                    self.answer = Some(Box::new(Standing {
                         inquiry: inquiry.clone(),
                         stripe,
                         entries,
-                    });
+                    }));
                 }
             }
         }
-    }
-}
-
-/// One target's pending fan-in replies: `(target, per-key payloads)`.
-type FanGroup<M> = (NodeId, Vec<(RegisterId, M)>);
-
-/// Per-call routing context: collects the joins' coalescable effects
-/// (shared broadcast, shared timers) and — during multi-instance fan-in —
-/// the per-target reply batches, flushed in deterministic order at the end
-/// of the space-level step.
-struct StepCtx<M, V> {
-    out: Vec<SpaceEffect<SpaceMsg<M>, V>>,
-    /// First join-phase broadcast payload of this step, if any.
-    join_broadcast: Option<M>,
-    /// Distinct `(delay, tag)` join-phase timer requests of this step.
-    join_timers: Vec<(Span, u64)>,
-    /// The shared wait whose expiry a starved shard withheld this step:
-    /// the flush re-fires the (full) inquiry and re-arms it.
-    withheld: Option<u64>,
-    /// Per-target send groups (fan-in batching); insertion-ordered.
-    fan_sends: Option<Vec<FanGroup<M>>>,
-    /// Emit single-entry fan-in groups as `Batch` anyway (sharded joins:
-    /// the joiner marks shards heard from by batch content, so join
-    /// replies must be identifiable on the wire even when a shard owns
-    /// one key). Never set when `groups == 1`.
-    force_batch: bool,
-}
-
-impl<M, V> StepCtx<M, V> {
-    fn new(batch_fan_in: bool, force_batch: bool) -> StepCtx<M, V> {
-        StepCtx {
-            out: Vec::new(),
-            join_broadcast: None,
-            join_timers: Vec::new(),
-            withheld: None,
-            fan_sends: batch_fan_in.then(Vec::new),
-            force_batch: batch_fan_in && force_batch,
-        }
-    }
-
-    /// Moves `entries` to the end of `to`'s fan-in group, opening the group
-    /// if these are its first.
-    fn fan_to(&mut self, to: NodeId, entries: &mut Vec<(RegisterId, M)>) {
-        let Some(groups) = &mut self.fan_sends else {
-            return;
-        };
-        match groups.iter_mut().find(|(t, _)| *t == to) {
-            Some((_, group)) => group.append(entries),
-            None if entries.is_empty() => {}
-            None => groups.push((to, std::mem::take(entries))),
-        }
-    }
-}
-
-impl<P: RegisterProcess> RegisterSpace<P> {
-    /// A space whose instances are already active (bootstrap members).
-    ///
-    /// # Panics
-    /// Panics if `regs` is empty, the instances disagree on identity, or
-    /// any instance is not active.
-    pub fn new_bootstrap(regs: Vec<P>) -> RegisterSpace<P> {
-        let mut space = RegisterSpace::new_joiner(regs);
-        assert!(
-            space.regs.iter().all(|r| r.is_active()),
-            "bootstrap instances must be active"
-        );
-        // Bootstrap spaces run no handshake: steady-state routing from the
-        // first effect (the runtime may never call `on_enter` on them).
-        space.join = None;
-        space
-    }
-
-    /// A space about to enter the system: every instance runs its join
-    /// through the shared handshake.
-    ///
-    /// # Panics
-    /// Panics if `regs` is empty or the instances disagree on identity.
-    pub fn new_joiner(regs: Vec<P>) -> RegisterSpace<P> {
-        assert!(!regs.is_empty(), "a register space needs at least one key");
-        let id = regs[0].id();
-        assert!(
-            regs.iter().all(|r| r.id() == id),
-            "all instances of a space belong to one process"
-        );
-        RegisterSpace {
-            id,
-            regs: Regs::new(regs),
-            scratch: Vec::new(),
-            shard: ShardConfig::default(),
-            my_shard: 0,
-            join: Some(Box::new(JoinRefire::new(None))),
-        }
-    }
-
-    /// Installs a join-reply shard configuration. `groups` is clamped to
-    /// the key count (a shard owning no keys answers nothing and gates
-    /// nothing); a clamped-to-1 (or explicit `G = 1`) config leaves the
-    /// space on the full-reply path.
-    pub fn with_shards(mut self, config: ShardConfig) -> RegisterSpace<P> {
-        let groups = config.groups.min(self.regs.len() as u32).max(1);
-        self.shard = ShardConfig { groups, ..config };
-        self.my_shard = shard_of_node(self.id, groups);
-        if let Some(join) = self.join.as_deref_mut() {
-            join.reinquire = (groups > 1).then_some(config.reinquire_every);
-            join.shards = vec![false; if groups > 1 { groups as usize } else { 0 }];
-        }
-        self
-    }
-
-    /// Installs (or clears) the bounded join-retransmit policy. Only an
-    /// unsharded (`G = 1`) handshake uses it; see [`RetransmitConfig`].
-    pub fn with_retransmit(mut self, config: Option<RetransmitConfig>) -> RegisterSpace<P> {
-        if let Some(join) = self.join.as_deref_mut() {
-            join.policy = config;
-        }
-        self
-    }
-
-    /// The effective shard configuration (groups clamped to the key count).
-    pub fn shard_config(&self) -> ShardConfig {
-        self.shard
-    }
-
-    /// This process's responder shard.
-    pub fn responder_shard(&self) -> u32 {
-        self.my_shard
-    }
-
-    /// The instance backing `key`.
-    pub fn register(&self, key: RegisterId) -> &P {
-        &self.regs[key.as_raw() as usize]
-    }
-
-    /// Total join replies gathered by still-joining instances, if any
-    /// instance reports a count ([`RegisterProcess::join_replies`]).
-    fn joining_replies(regs: &[P]) -> Option<usize> {
-        let joining = regs.iter().filter(|r| !r.is_active());
-        joining.filter_map(P::join_replies).reduce(|a, b| a + b)
-    }
-
-    /// Routes one instance's raw effects into the step context: fan-in
-    /// sends group per target; a joining space coalesces its instances'
-    /// inquiries and waits, and completes once every key is active; every
-    /// other effect takes [`keyed_effect`].
-    fn route(
-        &mut self,
-        key: RegisterId,
-        ctx: &mut StepCtx<P::Msg, P::Val>,
-        effects: &mut Vec<Effect<P::Msg, P::Val>>,
-    ) {
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } if ctx.fan_sends.is_some() => {
-                    let groups = ctx.fan_sends.as_mut().expect("batching");
-                    match groups.iter_mut().find(|(t, _)| *t == to) {
-                        Some((_, entries)) => entries.push((key, msg)),
-                        None => groups.push((to, vec![(key, msg)])),
-                    }
-                }
-                Effect::Broadcast { msg } if self.join.is_some() => {
-                    if ctx.join_broadcast.is_none() {
-                        // Shared handshake: one inquiry covers every key
-                        // (join-phase broadcasts are key-agnostic; module
-                        // docs, contract 1). The first sharded inquiry asks
-                        // each responder only for its shard; its re-fires
-                        // ask any responder for every key, so a starved
-                        // shard falls back to the full-state transfer
-                        // instead of wedging the join.
-                        let full = self.shard.groups > 1;
-                        let join = self.join.as_deref_mut().expect("joining");
-                        join.inquiry.get_or_insert_with(|| SpaceMsg::JoinAll {
-                            inner: msg.clone(),
-                            full,
-                        });
-                        ctx.join_broadcast = Some(msg);
-                    }
-                }
-                Effect::SetTimer { delay, tag } if self.join.is_some() => {
-                    debug_assert!(tag <= INNER_TAG_MASK, "inner timer tags must fit 32 bits");
-                    if !ctx.join_timers.contains(&(delay, tag)) {
-                        // Shared handshake: still-joining instances request
-                        // uniform waits (contract 2) — arm each once.
-                        ctx.join_timers.push((delay, tag));
-                    }
-                }
-                Effect::JoinComplete if self.join.is_some() => {
-                    if self.regs.iter().all(|r| r.is_active()) {
-                        self.join = None;
-                        ctx.out.push(SpaceEffect::JoinComplete);
-                    }
-                }
-                effect => ctx.out.extend(keyed_effect(key, effect)),
-            }
-        }
-    }
-
-    /// Flushes the step context into the final effect list: direct effects
-    /// first (their order is the instances' own), then the coalesced join
-    /// broadcast, shared timers (recorded, so an expiry can re-arm itself),
-    /// the re-fire for a withheld expiry, the silence timer for protocols
-    /// that arm no join timer themselves, and batched fan-in replies.
-    fn flush(
-        &mut self,
-        mut ctx: StepCtx<P::Msg, P::Val>,
-    ) -> Vec<SpaceEffect<SpaceMsg<P::Msg>, P::Val>> {
-        let mut out = ctx.out;
-        if let Some(inner) = ctx.join_broadcast.take() {
-            let msg = SpaceMsg::JoinAll { inner, full: false };
-            out.push(SpaceEffect::Broadcast { msg });
-        }
-        for (delay, tag) in ctx.join_timers.drain(..) {
-            let tag = SHARED_TAG | tag;
-            if let Some(join) = self.join.as_deref_mut() {
-                join.record_wait(tag, delay);
-            }
-            out.push(SpaceEffect::SetTimer { delay, tag });
-        }
-        if let Some(join) = self.join.as_deref_mut() {
-            if let Some(tag) = ctx.withheld {
-                join.refire(&mut out, join.wait(tag));
-            }
-            let regs = &*self.regs;
-            join.arm(|| Self::joining_replies(regs).unwrap_or(0), &mut out);
-        }
-        if let Some(groups) = ctx.fan_sends.take() {
-            for (to, mut entries) in groups {
-                debug_assert!(!entries.is_empty());
-                if entries.len() == 1 && !ctx.force_batch {
-                    let (key, inner) = entries.pop().expect("checked non-empty");
-                    out.push(SpaceEffect::Send {
-                        to,
-                        msg: SpaceMsg::Keyed { key, inner },
-                    });
-                } else {
-                    let replies = entries.into();
-                    let msg = SpaceMsg::Batch { replies };
-                    out.push(SpaceEffect::Send { to, msg });
-                }
-            }
-        }
-        out
-    }
-
-    /// Delivers a fan-in message's per-key payloads in one pass over a
-    /// single scratch borrow. An instance answering with exactly one `Send`
-    /// back to `from` (any active responder) appends to `from`'s reply
-    /// group, allocated once at exact capacity and returned for the caller
-    /// to close; every other effect list takes the generic
-    /// [`route`](Self::route) — so the effects, and their order, are those
-    /// of stepping the keys one by one.
-    ///
-    /// With `patch` — a standing answer's entries, one per entry of
-    /// `entries` — only dirty keys are stepped, their one `Send` overwriting
-    /// their entry. The first to answer anything else takes `patch` away: the
-    /// entries before it open the reply group and the pass goes on without.
-    fn fan_in<'m>(
-        &mut self,
-        now: Time,
-        from: NodeId,
-        entries: impl ExactSizeIterator<Item = (RegisterId, &'m P::Msg)>,
-        ctx: &mut StepCtx<P::Msg, P::Val>,
-        patch: &mut Option<&mut [(RegisterId, P::Msg)]>,
-    ) -> Vec<(RegisterId, P::Msg)>
-    where
-        P::Msg: 'm,
-    {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        debug_assert!(scratch.is_empty());
-        let capacity = entries.len();
-        let batching = ctx.fan_sends.is_some();
-        // `from`'s reply group, local to the loop until something routes.
-        let mut replies = Vec::new();
-        for (at, (key, inner)) in entries.enumerate() {
-            if patch.is_some() && !self.regs.is_dirty(key) {
-                continue;
-            }
-            let reg = self.regs.step(key);
-            reg.on_message_ref(now, from, inner, &mut scratch);
-            // Peek before popping: moving a whole `Effect` out right after
-            // the instance wrote it stalls on store forwarding.
-            match scratch.as_slice() {
-                [] if patch.is_none() => {}
-                [Effect::Send { to, .. }] if batching && *to == from => {
-                    if replies.capacity() == 0 && patch.is_none() {
-                        replies.reserve_exact(capacity);
-                    }
-                    if let Some(Effect::Send { msg, .. }) = scratch.pop() {
-                        match patch {
-                            Some(kept) => kept[at].1 = msg,
-                            None => replies.push((key, msg)),
-                        }
-                    }
-                }
-                _ => {
-                    if let Some(kept) = patch.take() {
-                        replies.extend_from_slice(&kept[..at]);
-                    }
-                    ctx.fan_to(from, &mut replies);
-                    self.route(key, ctx, &mut scratch);
-                }
-            }
-        }
-        self.scratch = scratch;
-        replies
-    }
-}
-
-impl<P: RegisterProcess> RegisterSpaceProcess for RegisterSpace<P> {
-    type Msg = SpaceMsg<P::Msg>;
-    type Val = P::Val;
-
-    fn id(&self) -> NodeId {
-        self.id
-    }
-
-    fn is_active(&self) -> bool {
-        self.join.is_none()
-    }
-
-    fn key_count(&self) -> u32 {
-        self.regs.len() as u32
-    }
-
-    fn on_enter(&mut self, now: Time) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
-        if self.join.is_none() {
-            // Bootstrap member: already active (mirrors the single-register
-            // protocols' bootstrap `on_enter`).
-            return vec![SpaceEffect::JoinComplete];
-        }
-        // A multi-instance step: per-target sends batch (keys > 1), so the
-        // handshake costs one physical message per counterpart however
-        // many keys the space owns.
-        let mut ctx = StepCtx::new(self.regs.len() > 1, self.shard.groups > 1);
-        for key in (0..self.regs.len() as u32).map(RegisterId::from_raw) {
-            let mut effects = self.regs.step(key).on_enter(now);
-            self.route(key, &mut ctx, &mut effects);
-        }
-        self.flush(ctx)
-    }
-
-    fn on_message_ref(
-        &mut self,
-        now: Time,
-        from: NodeId,
-        msg: &Self::Msg,
-        out: &mut Vec<SpaceEffect<Self::Msg, Self::Val>>,
-    ) {
-        if let &SpaceMsg::Keyed { key, ref inner } = msg {
-            let reg = self.regs.step(key);
-            if self.join.is_none() {
-                // A joined space is just its registers: the instance's
-                // effects go straight into the runtime's buffer.
-                return reg.on_message_ref(now, from, inner, &mut Tagged(key, out));
-            }
-            debug_assert!(self.scratch.is_empty());
-            reg.on_message_ref(now, from, inner, &mut self.scratch);
-            // A delivery that emits nothing has nothing to route, and the
-            // flush adds nothing of its own: leave before building a context.
-            if self.scratch.is_empty() {
-                return;
-            }
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let mut ctx = StepCtx::new(false, false);
-            ctx.out = std::mem::take(out);
-            self.route(key, &mut ctx, &mut scratch);
-            self.scratch = scratch;
-            *out = self.flush(ctx);
-            return;
-        }
-        // The handshake's fan-in messages batch per-target sends; the step
-        // appends straight into the runtime's buffer (`flush` returns it).
-        let mut ctx = StepCtx::new(self.regs.len() > 1, self.shard.groups > 1);
-        ctx.out = std::mem::take(out);
-        match msg {
-            SpaceMsg::Keyed { .. } => unreachable!("stepped above"),
-            &SpaceMsg::JoinAll { ref inner, full } => {
-                // Fan the shared inquiry into every instance — or, on a
-                // sharded space answering a non-full inquiry, into this
-                // responder's stripe (`shard_of_key` is `key mod G`) only.
-                // Each key's answers to one target coalesce into a single
-                // Batch (the "all keys' states in one reply" half of the
-                // handshake; `K/G` of them when sharded). A 1-key space
-                // batches nothing, staying message-for-message identical
-                // to the solo path.
-                let stripe = match self.shard.groups {
-                    g if g > 1 && !full => (self.my_shard, g as usize),
-                    _ => (0, 1),
-                };
-                let keys = (stripe.0..self.regs.len() as u32).step_by(stripe.1);
-                // A standing answer (module docs) serves the inquiry as it is
-                // or after its dirty keys answered again; without one, or once
-                // a key answers more than its `Send`, every key is stepped.
-                let mut kept = self.regs.take_answer(inner, stripe);
-                if kept.is_none() || self.regs.any_dirty() {
-                    let width = keys.len();
-                    let entries = keys.map(|raw| (RegisterId::from_raw(raw), inner));
-                    let mut patch = kept.as_mut().map(Rc::make_mut);
-                    let mut replies = self.fan_in(now, from, entries, &mut ctx, &mut patch);
-                    let stepped = patch.is_none();
-                    if stepped && self.join.is_none() && replies.len() == width {
-                        // One `Send` per key and nothing else (a 1-key
-                        // space batches nothing, so it never gets here).
-                        kept = Some(replies.into());
-                    } else if stepped {
-                        kept = None;
-                        ctx.fan_to(from, &mut replies);
-                    }
-                }
-                if let Some(replies) = kept {
-                    self.regs.keep(now, from, inner, stripe, &replies);
-                    let msg = SpaceMsg::Batch { replies };
-                    ctx.out.push(SpaceEffect::Send { to: from, msg });
-                }
-            }
-            SpaceMsg::Batch { replies } => {
-                // Joiner-side shard bookkeeping: a batch from `from`
-                // covers the shards of the keys it carries (its own shard
-                // for a sharded reply, every shard for a full-fallback
-                // one).
-                if let Some(join) = self.join.as_deref_mut().filter(|_| self.shard.groups > 1) {
-                    for (key, _) in replies.iter() {
-                        join.shards[shard_of_key(*key, self.shard.groups) as usize] = true;
-                    }
-                }
-                // One pass over the entries as they lie in the message: an
-                // instance that keeps nothing of its entry copies nothing,
-                // and one that emits nothing never reaches `route`.
-                let entries = replies.iter().map(|(key, inner)| (*key, inner));
-                let mut replies = self.fan_in(now, from, entries, &mut ctx, &mut None);
-                ctx.fan_to(from, &mut replies);
-            }
-        }
-        *out = self.flush(ctx);
-    }
-
-    fn on_timer(&mut self, now: Time, tag: u64) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
-        if tag & SHARED_TAG == 0 {
-            // A key-tagged timer, which only a joined space sets.
-            let key = RegisterId::from_raw((tag >> KEY_TAG_SHIFT) as u32);
-            let effects = self.regs.step(key).on_timer(now, tag & INNER_TAG_MASK);
-            return keyed_all(key, effects);
-        }
-        let mut out = Vec::new();
-        // The space's own timers serve the join; one outliving it is inert.
-        let (Some(join), regs) = (self.join.as_deref_mut(), &*self.regs) else {
-            return out;
-        };
-        if tag == RETRANSMIT_TAG || tag == REINQUIRE_TAG {
-            // The silence timer — never forwarded to instances.
-            join.beat(Self::joining_replies(regs).unwrap_or(0), &mut out);
-            return out;
-        }
-        // A shared join-phase timer: dispatch to every still-joining
-        // instance (exactly the requesters; module docs, contract 2) —
-        // except, once the sharded inquiry is out, instances of shards no
-        // responder has answered yet: those stay joining and the timer
-        // re-fires the inquiry (full fallback) and re-arms. Multi-instance
-        // step → per-target sends batch, so postponed replies flushed at
-        // activation stay one message per inquirer.
-        if join.intercept(tag, || Self::joining_replies(regs), &mut out) {
-            // An unsharded zero-reply expiry: dispatching it would
-            // blind-activate every key at ⊥.
-            return out;
-        }
-        // Snapshot the gate before stepping: the first dispatched instance
-        // may broadcast the inquiry mid-step, and pre-inquiry waits must
-        // dispatch to every key.
-        let gate = join.inquiry.is_some();
-        let groups = self.shard.groups;
-        let mut ctx = StepCtx::new(self.regs.len() > 1, groups > 1);
-        let mut withheld = false;
-        for key in (0..self.regs.len() as u32).map(RegisterId::from_raw) {
-            if self.regs[key.as_raw() as usize].is_active() {
-                continue;
-            }
-            let join = self.join.as_deref().expect("a key is still joining");
-            if gate && join.shards.get(shard_of_key(key, groups) as usize) == Some(&false) {
-                withheld = true;
-                continue;
-            }
-            let mut effects = self.regs.step(key).on_timer(now, tag & !SHARED_TAG);
-            self.route(key, &mut ctx, &mut effects);
-        }
-        ctx.withheld = withheld.then_some(tag);
-        self.flush(ctx)
-    }
-
-    fn on_read(
-        &mut self,
-        now: Time,
-        key: RegisterId,
-        op: OpId,
-    ) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
-        keyed_all(key, self.regs.step(key).on_read(now, op))
-    }
-
-    fn on_write(
-        &mut self,
-        now: Time,
-        key: RegisterId,
-        op: OpId,
-        value: Self::Val,
-    ) -> Vec<SpaceEffect<Self::Msg, Self::Val>> {
-        keyed_all(key, self.regs.step(key).on_write(now, op, value))
     }
 }
 
@@ -1678,8 +1688,7 @@ mod tests {
                 full: false,
             },
         );
-        // A single reply stays a Keyed unicast — message-for-message
-        // identical to the solo path.
+        // A single reply stays a Keyed unicast: one key never batches.
         assert!(matches!(
             effects.as_slice(),
             [SpaceEffect::Send {
@@ -1752,38 +1761,17 @@ mod tests {
         assert_eq!(s.register(key(0)).local_value(), Some(&55));
     }
 
-    #[test]
-    fn solo_space_is_a_transparent_adapter() {
-        let mut solo = SoloSpace::new(SyncRegister::<u64>::new_bootstrap(nid(0), cfg(), 5));
-        assert!(solo.is_active());
-        assert_eq!(solo.key_count(), 1);
-        let effects = solo.on_read(Time::ZERO, RegisterId::ZERO, oid(1));
-        assert_eq!(
-            effects,
-            vec![SpaceEffect::OpComplete {
-                key: RegisterId::ZERO,
-                op: oid(1),
-                outcome: OpOutcome::Read(Some(5)),
-            }]
-        );
-        // Raw protocol messages, no key tags.
-        let mut out = Vec::new();
-        solo.on_message_into(Time::at(1), nid(7), SyncMsg::Inquiry, &mut out);
-        assert!(matches!(
-            out.as_slice(),
-            [SpaceEffect::Send { to, msg: SyncMsg::Reply { .. } }] if *to == nid(7)
-        ));
-    }
-
-    /// Delivers `deliveries` to a `SoloSpace` over `make()`, all into one
+    /// Delivers `deliveries` to a one-key space over `make()`, all into one
     /// buffer that starts non-empty, and to a bare `make()` through
     /// `on_message`: every step appends exactly the bare step's effects,
-    /// lifted, and leaves what the buffer held before it alone.
+    /// keyed to key 0 on the protocol's own wire, and leaves what the
+    /// buffer held before it alone — joined, and joining (the handshake's
+    /// router), where the instance's `JoinComplete` is the space's.
     fn solo_delivery_lifts_on_message<P: RegisterProcess>(
         make: impl Fn() -> P,
         deliveries: Vec<(u64, P::Msg)>,
     ) {
-        let (mut solo, mut bare) = (SoloSpace::new(make()), make());
+        let (mut solo, mut bare) = (RegisterSpace::<P, OneKey>::single(make()), make());
         let sentinel = SpaceEffect::Note {
             key: RegisterId::ZERO,
             text: "sentinel".into(),
@@ -1794,8 +1782,14 @@ mod tests {
             let now = Time::at(t as u64);
             let expected = bare.on_message(now, nid(from), msg.clone());
             solo.on_message_into(now, nid(from), msg, &mut out);
-            before.extend(expected.into_iter().map(lift_effect));
+            for effect in expected {
+                match effect {
+                    Effect::JoinComplete => before.push(SpaceEffect::JoinComplete),
+                    e => before.extend(keyed_effect::<OneKey, _, _>(RegisterId::ZERO, e)),
+                }
+            }
             assert_eq!(out, before, "delivery {t}");
+            assert_eq!(solo.is_active(), bare.is_active());
         }
         assert!(out.len() > 1, "the sequence emits something");
     }
@@ -1902,9 +1896,9 @@ mod tests {
     #[test]
     fn shard_groups_clamp_to_the_key_count() {
         let s = sharded_bootstrap(0, 4, 64);
-        assert_eq!(s.shard_config().groups, 4);
+        assert_eq!(s.shard_groups(), 4);
         let s1 = sharded_bootstrap(0, 1, 8);
-        assert_eq!(s1.shard_config().groups, 1, "a 1-key space cannot shard");
+        assert_eq!(s1.shard_groups(), 1, "a 1-key space cannot shard");
     }
 
     #[test]
@@ -2096,14 +2090,17 @@ mod tests {
         );
     }
 
-    fn solo_sync_joiner(retransmit: Option<RetransmitConfig>) -> SoloSpace<SyncRegister<u64>> {
-        SoloSpace::new(SyncRegister::new_joiner(nid(9), cfg(), oid(900)))
+    /// A one-key sync joiner on the protocol's own wire.
+    fn solo_sync_joiner(
+        retransmit: Option<RetransmitConfig>,
+    ) -> RegisterSpace<SyncRegister<u64>, OneKey> {
+        RegisterSpace::single(SyncRegister::new_joiner(nid(9), cfg(), oid(900)))
             .with_retransmit(retransmit)
     }
 
-    /// Drives a solo sync joiner to its post-inquiry wait, returning the
-    /// 2δ timer tag.
-    fn inquire_solo_sync(s: &mut SoloSpace<SyncRegister<u64>>) -> u64 {
+    /// Drives a one-key sync joiner to its post-inquiry wait, returning
+    /// the 2δ timer tag.
+    fn inquire_solo_sync(s: &mut RegisterSpace<SyncRegister<u64>, OneKey>) -> u64 {
         let enter = s.on_enter(Time::ZERO);
         let [SpaceEffect::SetTimer { tag, .. }] = enter.as_slice() else {
             panic!("expected the δ wait, got {enter:?}");
@@ -2120,6 +2117,35 @@ mod tests {
         };
         assert_eq!(delay, Span::ticks(6));
         t2
+    }
+
+    #[test]
+    fn one_key_space_holds_only_its_register() {
+        type OneSync = RegisterSpace<SyncRegister<u64>, OneKey>;
+        let size = std::mem::size_of::<OneSync>();
+        assert!(size <= 128, "a joined 1-key sync space is {size} B");
+        // Register 0 is inline, and a bootstrap member runs no handshake:
+        // no join box, no block of its own.
+        let b = OneSync::single(SyncRegister::new_bootstrap(nid(0), cfg(), 5));
+        assert!(b.is_active() && b.join.is_none() && !b.regs.holds_heap());
+        // A joiner holds a join box only under a retransmit policy, and
+        // drops it with its `JoinComplete`; the space keeps no effect
+        // scratch of its own at all.
+        let mut plain = solo_sync_joiner(None);
+        let mut refiring = solo_sync_joiner(Some(RetransmitConfig::after(Span::ticks(6))));
+        assert!(plain.join.is_none() && refiring.join.is_some());
+        for s in [&mut plain, &mut refiring] {
+            let t2 = inquire_solo_sync(s);
+            let reply = SyncMsg::Reply {
+                value: Some(41),
+                sn: 2,
+            };
+            s.on_message_into(Time::at(5), nid(1), reply, &mut Vec::new());
+            assert!(s
+                .on_timer(Time::at(9), t2)
+                .contains(&SpaceEffect::JoinComplete));
+            assert!(s.is_active() && s.join.is_none() && !s.regs.holds_heap());
+        }
     }
 
     #[test]
@@ -2154,7 +2180,11 @@ mod tests {
         let done = s.on_timer(Time::at(now), t2);
         assert!(done.contains(&SpaceEffect::JoinComplete), "{done:?}");
         assert!(s.is_active());
-        assert_eq!(s.inner().local_value(), None, "blind activation is at ⊥");
+        assert_eq!(
+            s.register(key(0)).local_value(),
+            None,
+            "blind activation is at ⊥"
+        );
     }
 
     #[test]
@@ -2175,7 +2205,7 @@ mod tests {
         let done = s.on_timer(Time::at(9), t2);
         assert!(done.contains(&SpaceEffect::JoinComplete), "{done:?}");
         assert!(s.is_active());
-        assert_eq!(s.inner().local_value(), Some(&41));
+        assert_eq!(s.register(key(0)).local_value(), Some(&41));
     }
 
     #[test]
@@ -2214,8 +2244,8 @@ mod tests {
         // n = 3 ⇒ join quorum 2: one reply is progress but not completion.
         let ecfg = EsConfig::new(3);
         let rc = RetransmitConfig::after(Span::ticks(8)).with_budget(2);
-        let mut s = SoloSpace::new(EsRegister::<u64>::new_joiner(nid(9), ecfg, oid(900)))
-            .with_retransmit(Some(rc));
+        let joiner = EsRegister::<u64>::new_joiner(nid(9), ecfg, oid(900));
+        let mut s = RegisterSpace::<_, OneKey>::single(joiner).with_retransmit(Some(rc));
         // ES joins arm no timers, so the space appends its own silence
         // timer right behind the inquiry.
         assert_eq!(
@@ -2301,7 +2331,7 @@ mod tests {
     fn spaced_one_group_es_join_retransmits_like_solo() {
         let mut s = spaced_es_joiner(2);
         // Both keys' inquiries coalesce into one JoinAll; the silence
-        // timer rides right behind it — the solo sequence, spaced.
+        // timer rides right behind it — the one-key sequence, keyed.
         assert_eq!(
             s.on_enter(Time::ZERO),
             vec![
@@ -2380,20 +2410,22 @@ mod tests {
         from: NodeId,
         entries: Vec<(RegisterId, P::Msg)>,
     ) -> Vec<SpaceEffect<SpaceMsg<P::Msg>, P::Val>> {
-        let mut ctx = StepCtx::new(space.regs.len() > 1, space.shard.groups > 1);
+        let mut ctx = StepCtx::new(space.regs.len() > 1, space.groups > 1);
+        let mut out = Vec::new();
         for (key, inner) in entries {
-            let mut effects = space.regs.step(key).on_message(Time::at(7), from, inner);
-            space.route(key, &mut ctx, &mut effects);
+            let effects = space.regs.step(key).on_message(Time::at(7), from, inner);
+            space.route(key, &mut ctx, &mut out, effects);
         }
-        space.flush(ctx)
+        space.flush(&mut ctx, &mut out);
+        out
     }
 
     /// The keys a responder answers a `JoinAll` for, by `shard_of_key`.
     fn answered_keys<P: RegisterProcess>(space: &RegisterSpace<P>, full: bool) -> Vec<RegisterId> {
-        let groups = space.shard.groups;
+        let groups = space.groups;
         (0..space.key_count())
             .map(key)
-            .filter(|k| groups == 1 || full || shard_of_key(*k, groups) == space.my_shard)
+            .filter(|k| groups == 1 || full || shard_of_key(*k, groups) == space.responder_shard())
             .collect()
     }
 
@@ -2695,7 +2727,7 @@ mod tests {
         let reply = <EsRegister<u64> as Wire>::reply(7, 0);
         let joiner = EsRegister::new_joiner(nid(9), EsConfig::new(3), oid(900));
         let rc = Some(RetransmitConfig::after(Span::ticks(8)));
-        let mut solo = SoloSpace::new(joiner).with_retransmit(rc);
+        let mut solo = RegisterSpace::<_, OneKey>::single(joiner).with_retransmit(rc);
         solo.on_enter(Time::ZERO);
         for from in [1, 2] {
             solo.on_message(Time::at(2), nid(from), reply.clone());
@@ -3029,8 +3061,8 @@ mod tests {
     /// A join-done space driven the way a runtime drives it: one client
     /// operation at a time, its broadcasts answered by nodes 1 and 2, its
     /// timers and those answers delivered when the schedule says so.
-    struct Rig<P: Wire> {
-        space: RegisterSpace<P>,
+    struct Rig<P: Wire, W: WireFormat<P::Msg> = KeyTags> {
+        space: RegisterSpace<P, W>,
         owed: std::collections::VecDeque<Owed<P::Msg>>,
         busy: bool,
         now: u64,
@@ -3044,11 +3076,8 @@ mod tests {
         prop::collection::vec(step, 1..48)
     }
 
-    impl<P: Wire> Rig<P> {
-        fn new(keys: u32, groups: u32) -> Rig<P> {
-            let regs = (0..keys).map(|k| P::bootstrap(u64::from(100 + k)));
-            let space =
-                RegisterSpace::new_bootstrap(regs.collect()).with_shards(ShardConfig::new(groups));
+    impl<P: Wire, W: WireFormat<P::Msg>> Rig<P, W> {
+        fn over(space: RegisterSpace<P, W>) -> Rig<P, W> {
             Rig {
                 space,
                 owed: std::collections::VecDeque::new(),
@@ -3057,22 +3086,32 @@ mod tests {
             }
         }
 
-        fn absorb(&mut self, effects: Vec<SpaceEffect<SpaceMsg<P::Msg>, u64>>) {
+        fn absorb(&mut self, effects: Vec<SpaceEffect<W::Msg, u64>>) {
             for effect in effects {
                 match effect {
                     SpaceEffect::SetTimer { tag, .. } => self.owed.push_back(Owed::Timer(tag)),
                     SpaceEffect::OpComplete { .. } => self.busy = false,
-                    SpaceEffect::Broadcast {
-                        msg: SpaceMsg::Keyed { key, inner },
-                    } => {
-                        let answers = [1, 2].map(|from| (from, P::answer(&inner, from)));
-                        for (from, answer) in answers {
+                    SpaceEffect::Broadcast { msg } => {
+                        let View::Keyed(key, inner) = W::view(&msg) else {
+                            continue;
+                        };
+                        for from in [1, 2] {
+                            let answer = P::answer(inner, from);
                             self.owed.extend(answer.map(|m| Owed::Msg(from, key, m)));
                         }
                     }
                     _ => {}
                 }
             }
+        }
+    }
+
+    impl<P: Wire> Rig<P> {
+        fn new(keys: u32, groups: u32) -> Rig<P> {
+            let regs = (0..keys).map(|k| P::bootstrap(u64::from(100 + k)));
+            Rig::over(
+                RegisterSpace::new_bootstrap(regs.collect()).with_shards(ShardConfig::new(groups)),
+            )
         }
 
         /// Runs every step but an inquiry; an inquiry (kinds 6–7) is left
@@ -3137,15 +3176,13 @@ mod tests {
             };
             // The oracle: the same instances in a space that never kept an
             // answer.
-            let mut fresh = RegisterSpace::new_bootstrap(rig.space.regs.to_vec())
-                .with_shards(ShardConfig::new(groups));
+            let regs = rig.space.regs.iter().cloned().collect();
+            let mut fresh =
+                RegisterSpace::new_bootstrap(regs).with_shards(ShardConfig::new(groups));
             let now = Time::at(rig.now);
             let got = rig.space.on_message(now, from, inquiry.clone());
             prop_assert_eq!(&got, &fresh.on_message(now, from, inquiry));
-            prop_assert_eq!(
-                format!("{:?}", &*rig.space.regs),
-                format!("{:?}", &*fresh.regs)
-            );
+            prop_assert_eq!(instances(&rig.space), instances(&fresh));
             // Some replies stay in flight (here: forever), some are dropped.
             if !rig.now.is_multiple_of(3) {
                 handed_out.push(got.clone());
@@ -3178,18 +3215,28 @@ mod tests {
         Ok(())
     }
 
-    /// A joined `keys`-key space and `keys` bare instances stepped in
-    /// lockstep — `Keyed` deliveries (remote writes, stray replies,
-    /// inquiries, answers to the space's broadcasts), reads and writes on
-    /// an idle process, expiries of the timers the space set: the space
-    /// appends exactly the addressed instance's effects under
-    /// [`keyed_effect`].
-    fn joined_space_matches_bare<P: Wire>(
-        keys: u32,
+    /// Every instance's `Debug` state, key by key.
+    fn instances<P: RegisterProcess, W: WireFormat<P::Msg>>(space: &RegisterSpace<P, W>) -> String {
+        format!("{:?}", space.regs.iter().collect::<Vec<_>>())
+    }
+
+    /// A joined space and its bare instances stepped in lockstep — keyed
+    /// deliveries (remote writes, stray replies, inquiries, answers to the
+    /// space's broadcasts), reads and writes on an idle process, expiries
+    /// of the timers the space set: the space appends exactly the
+    /// addressed instance's effects under [`keyed_effect`], and every
+    /// message it puts on wire `W` is that key's own — never a `JoinAll`
+    /// or a `Batch`.
+    fn joined_space_matches_bare<P: Wire, W: WireFormat<P::Msg>>(
+        space: RegisterSpace<P, W>,
         steps: &[RigStep],
-    ) -> Result<(), TestCaseError> {
-        let mut rig = Rig::<P>::new(keys, 1);
-        let mut bare = rig.space.regs.to_vec();
+    ) -> Result<(), TestCaseError>
+    where
+        W::Msg: PartialEq,
+    {
+        let mut rig = Rig::over(space);
+        let keys = rig.space.key_count();
+        let mut bare: Vec<P> = rig.space.regs.iter().cloned().collect();
         let at = |k: RegisterId| k.as_raw() as usize;
         for &(kind, k, node, x, _) in steps {
             rig.now += 1;
@@ -3225,13 +3272,19 @@ mod tests {
                 Some(Owed::Msg(from, k, inner)) => {
                     let want = bare[at(k)].on_message(now, nid(from), inner.clone());
                     let mut got = vec![SpaceEffect::Retransmit];
-                    let msg = SpaceMsg::Keyed { key: k, inner };
+                    let msg = W::keyed(k, inner);
                     rig.space.on_message_into(now, nid(from), msg, &mut got);
                     prop_assert_eq!(got.remove(0), SpaceEffect::Retransmit);
                     (k, got, want)
                 }
             };
-            prop_assert_eq!(&got, &keyed_all(k, want));
+            prop_assert_eq!(&got, &keyed_all::<W, _, _>(k, want));
+            for effect in &got {
+                if let SpaceEffect::Send { msg, .. } | SpaceEffect::Broadcast { msg } = effect {
+                    let own = matches!(W::view(msg), View::Keyed(at, _) if at == k);
+                    prop_assert!(own, "not {:?}'s own message: {:?}", k, msg);
+                }
+            }
             rig.busy |= invoke;
             rig.absorb(got);
         }
@@ -3331,13 +3384,11 @@ mod tests {
                 let waits = tag != RETRANSMIT_TAG && tag != REINQUIRE_TAG;
                 let reached: Vec<bool> = (0..keys)
                     .map(|k| {
-                        let Some(join) = space.join.as_deref().filter(|_| waits) else {
-                            return false;
-                        };
-                        let shard = shard_of_key(key(k), space.shard.groups) as usize;
-                        let unheard = join.shards.get(shard) == Some(&false);
-                        let withheld = join.inquiry.is_some() && unheard;
-                        !space.register(key(k)).is_active() && !withheld
+                        let shard = shard_of_key(key(k), space.groups) as usize;
+                        let withheld = space.join.as_deref().is_some_and(|join| {
+                            join.inquiry.is_some() && join.shards.get(shard) == Some(&false)
+                        });
+                        waits && space.joining && !space.register(key(k)).is_active() && !withheld
                     })
                     .collect();
                 let got = space.on_timer(now, tag);
@@ -3404,17 +3455,28 @@ mod tests {
 
         /// A joined space is just its registers: under any mix of keyed
         /// deliveries, client operations and timer expiries it emits what
-        /// its instances emit, tagged, in the same order.
+        /// its instances emit, tagged, in the same order — on the keyed
+        /// wire at one and three keys, and on the one-key wire.
         #[test]
         fn joined_space_steps_like_its_bare_instances(
-            keys in prop::sample::select(vec![1u32, 3]),
+            shape in prop::sample::select(vec![(1u32, false), (3, false), (1, true)]),
             es in prop::bool::ANY,
             steps in rig_steps(),
         ) {
+            let (keys, one_key) = shape;
+            fn run<P: Wire>(keys: u32, one_key: bool, steps: &[RigStep]) -> Result<(), TestCaseError> {
+                let regs = (0..keys).map(|k| P::bootstrap(u64::from(100 + k)));
+                if one_key {
+                    let space = RegisterSpace::<P, OneKey>::single(P::bootstrap(100));
+                    joined_space_matches_bare(space, steps)
+                } else {
+                    joined_space_matches_bare(RegisterSpace::new_bootstrap(regs.collect()), steps)
+                }
+            }
             if es {
-                joined_space_matches_bare::<EsRegister<u64>>(keys, &steps)?;
+                run::<EsRegister<u64>>(keys, one_key, &steps)?;
             } else {
-                joined_space_matches_bare::<SyncRegister<u64>>(keys, &steps)?;
+                run::<SyncRegister<u64>>(keys, one_key, &steps)?;
             }
         }
 

@@ -5,14 +5,14 @@
 //! * [`ProtocolFactory`] — builds single-register protocol instances
 //!   ([`SyncFactory`], [`EsFactory`]); unchanged from the paper's shape.
 //! * [`SpaceFactory`] — builds the [`RegisterSpaceProcess`]es the world
-//!   actually drives. Every [`ProtocolFactory`] *is* a 1-key
-//!   [`SpaceFactory`] (the blanket impl wraps instances in the transparent
-//!   [`SoloSpace`] adapter — the pre-redesign wire format), and
-//!   [`SpaceOf`] lifts one to a `k`-key [`RegisterSpace`] multiplexer.
+//!   actually drives: a [`RegisterSpace`] for every key count. Every
+//!   [`ProtocolFactory`] *is* a 1-key [`SpaceFactory`] whose spaces speak
+//!   the protocol's own wire ([`OneKey`]), and [`SpaceOf`] lifts one to a
+//!   `k`-key space on the keyed wire ([`SpaceMsg`]).
 
 use dynareg_core::es::{EsConfig, EsMsg, EsRegister};
 use dynareg_core::space::{
-    RegisterSpace, RegisterSpaceProcess, RetransmitConfig, ShardConfig, SoloSpace, SpaceMsg,
+    OneKey, RegisterSpace, RegisterSpaceProcess, RetransmitConfig, ShardConfig, SpaceMsg,
 };
 use dynareg_core::sync::{SyncConfig, SyncMsg, SyncRegister};
 use dynareg_core::RegisterProcess;
@@ -78,15 +78,12 @@ pub trait SpaceFactory {
     fn space_msg_label(msg: &<Self::Proc as RegisterSpaceProcess>::Msg) -> &'static str;
 }
 
-/// Every protocol factory is a 1-key space factory: instances are wrapped
-/// in the transparent [`SoloSpace`] adapter, so the wire format (raw
-/// protocol messages, no key tags) and the event stream are byte-identical
-/// to driving the protocol directly — the 1-key fast path. (Lifting to a
-/// 1-key [`RegisterSpace`] instead keeps every digest but runs well below
-/// the adapter's dynabench events per second — the measured ratios are in
-/// the `dynareg_core::space` module docs — which is why the adapter stays.)
+/// Every protocol factory is a 1-key space factory: a [`RegisterSpace`] on
+/// the protocol's own wire ([`OneKey`]) — raw protocol messages, no key
+/// tags, register 0 inline — running the same handshake as every other
+/// key count.
 impl<F: ProtocolFactory> SpaceFactory for F {
-    type Proc = SoloSpace<F::Proc>;
+    type Proc = RegisterSpace<F::Proc, OneKey>;
 
     fn key_count(&self) -> u32 {
         1
@@ -96,12 +93,12 @@ impl<F: ProtocolFactory> SpaceFactory for F {
         &self,
         id: NodeId,
         initial: <F::Proc as RegisterProcess>::Val,
-    ) -> SoloSpace<F::Proc> {
-        SoloSpace::new(self.bootstrap(id, initial))
+    ) -> Self::Proc {
+        RegisterSpace::single(self.bootstrap(id, initial))
     }
 
-    fn space_joiner(&self, id: NodeId, join_op: OpId) -> SoloSpace<F::Proc> {
-        SoloSpace::new(self.joiner(id, join_op)).with_retransmit(self.retransmit())
+    fn space_joiner(&self, id: NodeId, join_op: OpId) -> Self::Proc {
+        RegisterSpace::single(self.joiner(id, join_op)).with_retransmit(self.retransmit())
     }
 
     fn space_name(&self) -> &'static str {
@@ -311,7 +308,7 @@ impl ProtocolFactory for EsFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynareg_sim::Span;
+    use dynareg_sim::{RegisterId, Span};
 
     #[test]
     fn sync_factory_builds_correct_modes() {
@@ -348,8 +345,8 @@ mod tests {
         assert_eq!(f.space_name(), "sync");
         let b = f.space_bootstrap(NodeId::from_raw(0), 5);
         assert!(b.is_active());
-        assert_eq!(b.inner().local_value(), Some(&5));
-        // Solo wire labels are the raw protocol labels.
+        assert_eq!(b.register(RegisterId::ZERO).local_value(), Some(&5));
+        // One-key wire labels are the raw protocol labels.
         assert_eq!(
             <SyncFactory as SpaceFactory>::space_msg_label(&SyncMsg::Inquiry),
             "INQUIRY"
@@ -363,7 +360,7 @@ mod tests {
             .with_shards(ShardConfig::new(4));
         assert_eq!(f.shard_config().groups, 4);
         let b = f.space_bootstrap(NodeId::from_raw(7), 0);
-        assert_eq!(b.shard_config().groups, 4);
+        assert_eq!(b.shard_groups(), 4);
         assert_eq!(b.responder_shard(), shard_of_node(NodeId::from_raw(7), 4));
         // Groups clamp to the key count at build time.
         let narrow = SpaceOf::new(SyncFactory::new(SyncConfig::new(Span::ticks(3))), 2)
@@ -371,8 +368,7 @@ mod tests {
         assert_eq!(
             narrow
                 .space_bootstrap(NodeId::from_raw(0), 0)
-                .shard_config()
-                .groups,
+                .shard_groups(),
             2
         );
         // The default is the full-reply handshake.
@@ -382,7 +378,6 @@ mod tests {
 
     #[test]
     fn space_of_builds_one_instance_per_key() {
-        use dynareg_sim::RegisterId;
         let f = SpaceOf::new(SyncFactory::new(SyncConfig::new(Span::ticks(3))), 4);
         assert_eq!(f.key_count(), 4);
         assert_eq!(f.space_name(), "sync");

@@ -53,8 +53,8 @@ mod world;
 
 pub use clients::WriterPolicy;
 pub use dynareg_core::space::{
-    shard_of_key, shard_of_node, RegisterSpace, RegisterSpaceProcess, ShardConfig, SoloSpace,
-    SpaceEffect, SpaceMsg,
+    shard_of_key, shard_of_node, KeyTags, OneKey, RegisterSpace, RegisterSpaceProcess, ShardConfig,
+    SpaceEffect, SpaceMsg, WireFormat,
 };
 pub use factory::{EsFactory, ProtocolFactory, SpaceFactory, SpaceOf, SyncFactory};
 pub use obs::{

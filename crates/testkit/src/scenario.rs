@@ -15,7 +15,7 @@ use dynareg_churn::{
 };
 use dynareg_core::es::EsConfig;
 use dynareg_core::space::{
-    RegisterSpace, RegisterSpaceProcess, RetransmitConfig, ShardConfig, SoloSpace,
+    OneKey, RegisterSpace, RegisterSpaceProcess, RetransmitConfig, ShardConfig,
 };
 use dynareg_core::sync::SyncConfig;
 use dynareg_net::delay::{Asynchronous, EventuallySynchronous, Synchronous};
@@ -779,25 +779,15 @@ impl ScenarioSpec {
 
     /// Runs the spec to completion and checks the result (every key).
     ///
-    /// Single-key specs run the solo fast path — raw protocol messages,
-    /// byte-identical to the pre-register-space engine; keyed specs run a
-    /// [`SpaceOf`] world under Zipf traffic.
+    /// Every key count runs a [`crate::RegisterSpace`]: a single-key spec on
+    /// the protocol's own wire — raw protocol messages, byte-identical to
+    /// the pre-register-space engine — and a keyed spec as a [`SpaceOf`]
+    /// world under Zipf traffic.
     ///
     /// # Panics
     /// Panics if [`ScenarioSpec::validate`] rejects the spec.
     pub fn run(&self) -> RunReport {
-        self.dispatch(false, ObsConfig::off())
-    }
-
-    /// Runs the spec through the [`crate::RegisterSpace`] multiplexer even
-    /// for one key. The equivalence oracle hook: a 1-key `run_spaced()`
-    /// must produce the same observable run as `run()` (the property tests
-    /// compare their digests), while exercising the `SpaceMsg` wire layer.
-    ///
-    /// # Panics
-    /// Panics if [`ScenarioSpec::validate`] rejects the spec.
-    pub fn run_spaced(&self) -> RunReport {
-        self.dispatch(true, ObsConfig::off())
+        self.dispatch(ObsConfig::off())
     }
 
     /// Runs the spec with the observability layer on: the returned
@@ -810,19 +800,20 @@ impl ScenarioSpec {
     /// # Panics
     /// Panics if [`ScenarioSpec::validate`] rejects the spec.
     pub fn run_observed(&self, obs: ObsConfig) -> RunReport {
-        self.dispatch(false, obs)
+        self.dispatch(obs)
     }
 
     /// The loss-tolerance policy every scenario run wraps around joiners:
     /// re-fire a silent join inquiry after `2δ`, doubling up to the retry
     /// budget. On a lossless run the handshake completes before the first
     /// beat can observe silence, so the policy is digest-invisible there
-    /// (pinned by the equivalence property tests).
+    /// (pinned at the unit level by `core::space`'s
+    /// `sync_retransmit_policy_is_invisible_on_a_lossless_handshake`).
     fn retransmit_config(&self) -> Option<RetransmitConfig> {
         Some(RetransmitConfig::after(self.delta.times(2)))
     }
 
-    fn dispatch(&self, force_space: bool, obs: ObsConfig) -> RunReport {
+    fn dispatch(&self, obs: ObsConfig) -> RunReport {
         if let Err(e) = self.validate() {
             panic!("invalid scenario: {e}");
         }
@@ -834,7 +825,7 @@ impl ScenarioSpec {
                 .saturating_sub(drain.as_ticks())
                 .max(1),
         );
-        let spaced = force_space || self.keys > 1;
+        let spaced = self.keys > 1;
         let retransmit = self.retransmit_config();
         match self.protocol {
             ProtocolChoice::Synchronous | ProtocolChoice::SynchronousNoWait => {
@@ -871,8 +862,8 @@ impl ScenarioSpec {
         }
     }
 
-    /// Runs `f`'s protocol on the solo fast path, or lifted to a
-    /// `keys`-key [`SpaceOf`] space when `spaced`.
+    /// Runs `f`'s protocol as a 1-key space on its own wire, or lifted to
+    /// a `keys`-key [`SpaceOf`] space when `spaced`.
     fn run_factory<F>(
         &self,
         f: F,
@@ -883,7 +874,7 @@ impl ScenarioSpec {
     ) -> RunReport
     where
         F: ProtocolFactory,
-        SoloSpace<F::Proc>: RegisterSpaceProcess<Val = Val>,
+        RegisterSpace<F::Proc, OneKey>: RegisterSpaceProcess<Val = Val>,
         RegisterSpace<F::Proc>: RegisterSpaceProcess<Val = Val>,
     {
         if spaced {

@@ -4,11 +4,13 @@
 //! 1000-node churning world** runs through `RegisterSpace`, per-key
 //! regularity/liveness checks all green, with the shared join handshake
 //! batching each joiner's state transfer into one inquiry and one reply
-//! per responder.
+//! per responder. `multi_writer` holds the multi-writer drive's contracts.
 
-use dynareg::sim::{RegisterId, Span};
-use dynareg::testkit::{ChurnChoice, OpAction, ScenarioSpec};
+use dynareg::fleet::run_digest;
+use dynareg::sim::{RegisterId, Span, Time};
+use dynareg::testkit::{ChurnChoice, OpAction, RunReport, ScenarioSpec};
 use dynareg::verify::SpaceReport;
+use proptest::prelude::*;
 
 /// 256 keys × 1000 nodes under churn: every key's register is regular and
 /// live. (Churn is modest so the K·n state transfer per join keeps debug
@@ -224,4 +226,171 @@ fn out_of_space_key_panics() {
         NodeId::from_raw(1),
         OpAction::Read.on_key(RegisterId::from_raw(9)),
     );
+}
+
+/// The multi-writer drive's two contracts: `writers = 1` is the legacy
+/// single-writer world **exactly** (digest-identical — the roster and the
+/// per-(node, key) availability query reduce to the old fixed writer and
+/// global write slot), and `writers = N` ES runs **converge**: once the
+/// last write completes, every reader returns the same value — the ES
+/// protocol's competing `(sn, writer)` timestamps pick a single winner
+/// however the writes raced.
+mod multi_writer {
+    use super::*;
+    use dynareg::verify::OpKind;
+
+    /// The values of every read invoked after the last write completed —
+    /// the post-quiescence suffix where convergence must hold. `None`
+    /// when the run has no such reads (the final write outlived the final
+    /// read invocation), which makes the convergence claim vacuous.
+    fn quiescent_reads(report: &RunReport) -> Option<Vec<Option<u64>>> {
+        let ops = report.history.ops();
+        let end = ops
+            .iter()
+            .filter(|r| matches!(r.kind, OpKind::Write { .. }))
+            .filter_map(|r| r.completed_at)
+            .max()?;
+        let finals: Vec<Option<u64>> = ops
+            .iter()
+            .filter(|r| r.invoked_at > end)
+            .filter_map(|r| match r.kind {
+                OpKind::Read { returned } => returned,
+                _ => None,
+            })
+            .collect();
+        if finals.is_empty() {
+            None
+        } else {
+            Some(finals)
+        }
+    }
+
+    /// Asserts the convergence claim on a finished multi-writer run:
+    /// regularity holds, and (when the run has a post-quiescence suffix)
+    /// every reader returns one single written value.
+    fn assert_converged(report: &RunReport) -> Result<bool, String> {
+        if !report.safety.is_ok() {
+            return Err(format!("regularity lost: {}", report.safety));
+        }
+        let Some(finals) = quiescent_reads(report) else {
+            return Ok(false);
+        };
+        if !finals.windows(2).all(|w| w[0] == w[1]) {
+            return Err(format!("post-quiescence readers disagree: {finals:?}"));
+        }
+        // The register value is `Option<u64>` (`None` = the initial ⊥);
+        // a converged post-quiescence read is always a written `Some`.
+        let winner = finals[0];
+        let written = report
+            .history
+            .ops()
+            .iter()
+            .any(|r| matches!(r.kind, OpKind::Write { value, .. } if value == winner));
+        if !written {
+            return Err(format!("converged value {winner:?} was never written"));
+        }
+        Ok(true)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Explicitly requesting one writer must not perturb a single
+        /// event: the digest pins `writers = 1 ≡ default` across seeds and
+        /// churn plans (CI additionally `cmp`s the bench digests).
+        #[test]
+        fn one_writer_request_is_digest_identical_to_default(
+            n in 5usize..16,
+            delta in 2u64..5,
+            churn_plan in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let b = ScenarioSpec {
+                duration: Span::ticks(160),
+                seed,
+                ..ScenarioSpec::synchronous(n, Span::ticks(delta))
+            };
+            let default = match churn_plan {
+                0 => b,
+                1 => b.churn_fraction_of_bound(0.5),
+                _ => ScenarioSpec { churn: ChurnChoice::Poisson(0.01), ..b },
+            };
+            let pinned = ScenarioSpec { writers: 1, ..default.clone() };
+            prop_assert_eq!(run_digest(&default.run()), run_digest(&pinned.run()));
+        }
+
+        /// N concurrent ES writers on one key: regularity holds under the
+        /// hybrid write order and, after the last write completes, every
+        /// reader observes one single value.
+        #[test]
+        fn concurrent_es_writers_converge_to_one_value_at_every_reader(
+            writers in 2usize..5,
+            churn_plan in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let base = ScenarioSpec {
+                duration: Span::ticks(320),
+                reads_per_tick: 2.0,
+                write_every: Some(Span::ticks(4)),
+                write_quiesce: Some(Span::ticks(40)),
+                writers,
+                seed,
+                ..ScenarioSpec::eventually_synchronous(10, Span::ticks(3), Time::ZERO)
+            };
+            let spec = match churn_plan {
+                0 => base,
+                1 => base.churn_fraction_of_bound(0.4),
+                _ => ScenarioSpec { churn: ChurnChoice::Poisson(0.005), ..base },
+            };
+            let report = spec.run();
+            if churn_plan == 0 {
+                // Static membership: the whole roster is present, so the
+                // drive really is multi-writer.
+                let writer_nodes: std::collections::BTreeSet<_> = report
+                    .history
+                    .ops()
+                    .iter()
+                    .filter(|r| matches!(r.kind, OpKind::Write { .. }))
+                    .map(|r| r.node)
+                    .collect();
+                prop_assert_eq!(writer_nodes.len(), writers, "roster writers all drove");
+            }
+            // Convergence may be vacuous for a given seed (the final
+            // write can outlive the final read invocation); the fixed-
+            // seed companion below pins non-vacuous coverage.
+            prop_assert!(assert_converged(&report).is_ok());
+        }
+    }
+
+    /// Deterministic companion to the proptest: hand-picked seeds whose
+    /// runs are guaranteed to carry a post-quiescence read suffix, so
+    /// the convergence claim is checked non-vacuously on every CI run.
+    #[test]
+    fn convergence_suffix_is_exercised_on_fixed_seeds() {
+        let mut exercised = 0;
+        for writers in 2usize..5 {
+            for seed in 0..6u64 {
+                let report = ScenarioSpec {
+                    duration: Span::ticks(320),
+                    reads_per_tick: 2.0,
+                    write_every: Some(Span::ticks(4)),
+                    write_quiesce: Some(Span::ticks(40)),
+                    writers,
+                    seed,
+                    ..ScenarioSpec::eventually_synchronous(10, Span::ticks(3), Time::ZERO)
+                        .churn_fraction_of_bound(0.4)
+                }
+                .run();
+                match assert_converged(&report) {
+                    Ok(true) => exercised += 1,
+                    Ok(false) => {}
+                    Err(e) => panic!("W={writers} seed={seed}: {e}"),
+                }
+            }
+        }
+        assert!(
+            exercised >= 9,
+            "convergence suffix vacuous almost everywhere ({exercised}/18)"
+        );
+    }
 }
