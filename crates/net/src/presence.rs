@@ -16,9 +16,12 @@
 //!   departure's victim is one pass over contiguous rows and none of them
 //!   touches the history below;
 //! - the full per-node [`LifeRecord`] history, for `A(τ)` / `A(τ₁, τ₂)`
-//!   measurements after the fact (the Lemma 2 experiment).
-
-use std::collections::BTreeMap;
+//!   measurements after the fact (the Lemma 2 experiment). Under the
+//!   infinite-arrival model every process that ever existed keeps its
+//!   record, so this history grows with the run, not with `n`: it is kept
+//!   as packed id-ordered rows of 32 B each (id and three instants), and a
+//!   fresh id above every earlier one — all that an `IdSource` hands out —
+//!   is appended.
 
 use dynareg_sim::{NodeId, Time};
 
@@ -77,6 +80,31 @@ pub struct PresentRow {
     pub active: bool,
 }
 
+/// The instant a packed [`Life`] row stores for "never activated" or
+/// "never left"; [`Presence::activate`] and [`Presence::leave`] refuse it.
+const NEVER: Time = Time::MAX;
+
+/// One lifecycle record as the history stores it: 32 B, with [`NEVER`]
+/// standing for an absent instant instead of an `Option` tag.
+#[derive(Debug, Clone, Copy)]
+struct Life {
+    id: NodeId,
+    entered_at: Time,
+    activated_at: Time,
+    left_at: Time,
+}
+
+impl Life {
+    fn record(&self) -> LifeRecord {
+        let known = |t: Time| (t != NEVER).then_some(t);
+        LifeRecord {
+            entered_at: self.entered_at,
+            activated_at: known(self.activated_at),
+            left_at: known(self.left_at),
+        }
+    }
+}
+
 /// The non-id columns of one present-table row.
 #[derive(Debug, Clone, Copy)]
 struct Member {
@@ -92,7 +120,10 @@ struct Member {
 /// active bit in a second. Membership tests binary-search the ids;
 /// broadcast snapshots, victim selection and [`Presence::oldest_active`]
 /// walk the rows. The lifecycle history ([`Presence::records`]) backs
-/// [`Presence::status`], the totals and the after-the-fact `A(τ)` queries.
+/// [`Presence::status`] and the after-the-fact `A(τ)` queries; it is one
+/// id-ordered vector of 32 B rows, one per process that ever entered,
+/// appended to whenever ids arrive in increasing order. The totals are
+/// its length and the present table's.
 ///
 /// # Example
 ///
@@ -115,9 +146,12 @@ struct Member {
 pub struct Presence {
     // Ordered containers throughout, so iteration order (and thus the whole
     // simulation, and every history report derived from it) is
-    // deterministic. Record access is one lookup per lifecycle event; the
-    // history queries below iterate, which a hash map must never back.
-    records: BTreeMap<NodeId, LifeRecord>,
+    // deterministic. Record access is one binary search per lifecycle
+    // event; the history queries below iterate, which a hash map must never
+    // back.
+    /// Every process that ever entered, sorted by id. Those not in the
+    /// present table have left.
+    records: Vec<Life>,
     /// The present table's id column, sorted; `members[i]` is row `i`'s
     /// other columns.
     present: Vec<NodeId>,
@@ -148,18 +182,20 @@ impl Presence {
     /// Panics if `node` was ever in the system before: the infinite-arrival
     /// model forbids identity reuse.
     pub fn enter(&mut self, node: NodeId, t: Time) {
-        let prev = self.records.insert(
-            node,
-            LifeRecord {
-                entered_at: t,
-                activated_at: None,
-                left_at: None,
-            },
-        );
-        assert!(
-            prev.is_none(),
-            "{node} re-entered the system; ids are single-use"
-        );
+        let life = Life {
+            id: node,
+            entered_at: t,
+            activated_at: NEVER,
+            left_at: NEVER,
+        };
+        if self.records.last().is_none_or(|last| last.id < node) {
+            self.records.push(life);
+        } else {
+            let Err(i) = self.life(node) else {
+                panic!("{node} re-entered the system; ids are single-use");
+            };
+            self.records.insert(i, life);
+        }
         let i = self
             .present
             .binary_search(&node)
@@ -177,8 +213,10 @@ impl Presence {
     /// Records that `node`'s join returned at `t`.
     ///
     /// # Panics
-    /// Panics if `node` is not currently listening.
+    /// Panics if `node` is not currently listening, or if `t` is
+    /// [`Time::MAX`] (the stored "never").
     pub fn activate(&mut self, node: NodeId, t: Time) {
+        assert!(t != NEVER, "{node} activated at Time::MAX");
         let member = self
             .row(node)
             .map(|i| &mut self.members[i])
@@ -186,16 +224,17 @@ impl Presence {
             .unwrap_or_else(|| panic!("{node} activated while not listening"));
         member.active = true;
         self.active_count += 1;
-        let rec = self.records.get_mut(&node).expect("record exists");
-        rec.activated_at = Some(t);
+        self.life_mut(node).activated_at = t;
     }
 
     /// Records that `node` left at `t`. Idempotence is *not* provided: a
     /// node leaves at most once.
     ///
     /// # Panics
-    /// Panics if `node` is not currently present.
+    /// Panics if `node` is not currently present, or if `t` is
+    /// [`Time::MAX`] (the stored "never").
     pub fn leave(&mut self, node: NodeId, t: Time) {
+        assert!(t != NEVER, "{node} left at Time::MAX");
         let i = self
             .row(node)
             .unwrap_or_else(|| panic!("{node} left while not present"));
@@ -203,8 +242,7 @@ impl Presence {
         if self.members.remove(i).active {
             self.active_count -= 1;
         }
-        let rec = self.records.get_mut(&node).expect("record exists");
-        rec.left_at = Some(t);
+        self.life_mut(node).left_at = t;
     }
 
     /// Index of `node`'s row in the present table.
@@ -212,9 +250,20 @@ impl Presence {
         self.present.binary_search(&node).ok()
     }
 
+    /// Index of `node`'s lifecycle record, or where it would go.
+    fn life(&self, node: NodeId) -> Result<usize, usize> {
+        self.records.binary_search_by_key(&node, |l| l.id)
+    }
+
+    /// The record of a present `node`, which always has one.
+    fn life_mut(&mut self, node: NodeId) -> &mut Life {
+        let i = self.life(node).expect("a present node has a record");
+        &mut self.records[i]
+    }
+
     /// Current status of `node`, or `None` if it never entered.
     pub fn status(&self, node: NodeId) -> Option<NodeStatus> {
-        let rec = self.records.get(&node)?;
+        let rec = self.record(node)?;
         Some(if rec.left_at.is_some() {
             NodeStatus::Left
         } else if rec.activated_at.is_some() {
@@ -303,17 +352,16 @@ impl Presence {
     }
 
     /// Lifecycle record for `node`, if it ever entered.
-    pub fn record(&self, node: NodeId) -> Option<&LifeRecord> {
-        self.records.get(&node)
+    pub fn record(&self, node: NodeId) -> Option<LifeRecord> {
+        self.life(node).ok().map(|i| self.records[i].record())
     }
 
     /// Historical `A(τ)`: processes active at instant `t`, in node-id order
     /// (free: `records` is ordered).
     pub fn active_set_at(&self, t: Time) -> Vec<NodeId> {
-        self.records
-            .iter()
+        self.records()
             .filter(|(_, r)| r.active_at(t))
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect()
     }
 
@@ -324,26 +372,24 @@ impl Presence {
     /// Panics if `t1 > t2`.
     pub fn active_set_throughout(&self, t1: Time, t2: Time) -> Vec<NodeId> {
         assert!(t1 <= t2, "interval must be ordered");
-        self.records
-            .iter()
+        self.records()
             .filter(|(_, r)| r.active_throughout(t1, t2))
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect()
     }
 
     /// `|A(τ₁, τ₂)|` without materializing the set.
     pub fn active_count_throughout(&self, t1: Time, t2: Time) -> usize {
         assert!(t1 <= t2, "interval must be ordered");
-        self.records
-            .values()
-            .filter(|r| r.active_throughout(t1, t2))
+        self.records()
+            .filter(|(_, r)| r.active_throughout(t1, t2))
             .count()
     }
 
     /// Iterates over every lifecycle record of the run (including departed
     /// processes), in node-id order.
-    pub fn records(&self) -> impl Iterator<Item = (NodeId, &LifeRecord)> + '_ {
-        self.records.iter().map(|(&id, r)| (id, r))
+    pub fn records(&self) -> impl Iterator<Item = (NodeId, LifeRecord)> + '_ {
+        self.records.iter().map(|l| (l.id, l.record()))
     }
 
     /// Total number of processes that ever entered over the run.
@@ -351,12 +397,10 @@ impl Presence {
         self.records.len()
     }
 
-    /// Total number of processes that have left over the run.
+    /// Total number of processes that have left over the run: every one
+    /// that entered and is no longer present.
     pub fn total_departures(&self) -> usize {
-        self.records
-            .values()
-            .filter(|r| r.left_at.is_some())
-            .count()
+        self.records.len() - self.present.len()
     }
 }
 
@@ -410,9 +454,41 @@ mod tests {
     #[test]
     #[should_panic(expected = "re-entered")]
     fn identity_reuse_is_rejected() {
+        // An id below the highest re-enters: the insert path's search
+        // finds its record.
         let mut p = system_with_three();
         p.leave(n(0), Time::at(1));
         p.enter(n(0), Time::at(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "re-entered")]
+    fn reentry_on_the_append_path_is_rejected() {
+        // The highest id re-enters: the append check sends it to the
+        // search, which finds it.
+        let mut p = system_with_three();
+        p.enter(n(2), Time::at(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "Time::MAX")]
+    fn activation_at_the_reserved_instant_is_rejected() {
+        let mut p = Presence::new();
+        p.enter(n(1), Time::at(1));
+        p.activate(n(1), Time::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "Time::MAX")]
+    fn departure_at_the_reserved_instant_is_rejected() {
+        let mut p = system_with_three();
+        p.leave(n(1), Time::MAX);
+    }
+
+    /// One row per process that ever entered: the history's whole cost.
+    #[test]
+    fn a_lifecycle_row_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<Life>() <= 32);
     }
 
     #[test]
@@ -467,7 +543,7 @@ mod tests {
     fn present_at_includes_listening_period() {
         let mut p = Presence::new();
         p.enter(n(1), Time::at(5));
-        let r = *p.record(n(1)).unwrap();
+        let r = p.record(n(1)).unwrap();
         assert!(!r.present_at(Time::at(4)));
         assert!(r.present_at(Time::at(5)));
         assert!(!r.active_at(Time::at(5)));

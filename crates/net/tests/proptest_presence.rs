@@ -1,7 +1,9 @@
 //! Property tests for the presence table's interval algebra — the Lemma 2
 //! measurements are only as good as `A(τ)` / `A(τ₁, τ₂)`.
 
-use dynareg_net::{NodeStatus, Presence, PresentRow};
+use std::collections::BTreeMap;
+
+use dynareg_net::{LifeRecord, NodeStatus, Presence, PresentRow};
 use dynareg_sim::{NodeId, Time};
 use proptest::prelude::*;
 
@@ -170,5 +172,65 @@ proptest! {
         let departed = lives.iter().filter(|l| l.leave.is_some()).count();
         prop_assert_eq!(p.total_departures(), departed);
         prop_assert_eq!(p.present_count(), lives.len() - departed);
+    }
+
+    /// The packed, id-ordered history behaves as the ordered map of
+    /// records it replaced. Ids are drawn out of order (so below the
+    /// highest one as often as above it); each step enters a fresh id,
+    /// activates a listening one or removes a present one, and the model
+    /// applies the same step to a `BTreeMap<NodeId, LifeRecord>`. Every
+    /// accessor of the history then reads the same as the model.
+    #[test]
+    fn history_matches_ordered_map_model(
+        steps in prop::collection::vec((0u8..3, 0u64..64, 0u64..3), 0..80),
+        probes in prop::collection::vec((0u64..120, 0u64..20), 1..6),
+    ) {
+        let mut p = Presence::new();
+        let mut model: BTreeMap<NodeId, LifeRecord> = BTreeMap::new();
+        let mut now = 0;
+        for (op, raw, dt) in steps {
+            now += dt;
+            let (id, t) = (NodeId::from_raw(raw), Time::at(now));
+            match (op, model.get_mut(&id)) {
+                (0, None) => {
+                    p.enter(id, t);
+                    model.insert(id, LifeRecord { entered_at: t, activated_at: None, left_at: None });
+                }
+                (1, Some(r)) if r.activated_at.is_none() && r.left_at.is_none() => {
+                    p.activate(id, t);
+                    r.activated_at = Some(t);
+                }
+                (2, Some(r)) if r.left_at.is_none() => {
+                    p.leave(id, t);
+                    r.left_at = Some(t);
+                }
+                _ => {}
+            }
+        }
+        for raw in 0..64 {
+            let id = NodeId::from_raw(raw);
+            let want = model.get(&id).copied();
+            prop_assert_eq!(p.record(id), want);
+            let status = want.map(|r| match (r.activated_at, r.left_at) {
+                (_, Some(_)) => NodeStatus::Left,
+                (Some(_), None) => NodeStatus::Active,
+                (None, None) => NodeStatus::Listening,
+            });
+            prop_assert_eq!(p.status(id), status);
+        }
+        let records: Vec<(NodeId, LifeRecord)> = p.records().collect();
+        let expect: Vec<(NodeId, LifeRecord)> = model.iter().map(|(&id, &r)| (id, r)).collect();
+        prop_assert_eq!(records, expect);
+        for (t1, width) in probes {
+            let (a, b) = (Time::at(t1), Time::at(t1 + width));
+            let at: Vec<NodeId> = model.iter().filter(|(_, r)| r.active_at(a)).map(|(&id, _)| id).collect();
+            prop_assert_eq!(p.active_set_at(a), at);
+            let throughout = model.values().filter(|r| r.active_throughout(a, b)).count();
+            prop_assert_eq!(p.active_count_throughout(a, b), throughout);
+        }
+        prop_assert_eq!(p.total_arrivals(), model.len());
+        let departed = model.values().filter(|r| r.left_at.is_some()).count();
+        prop_assert_eq!(p.total_departures(), departed);
+        prop_assert_eq!(p.total_departures(), p.records().filter(|(_, r)| r.left_at.is_some()).count());
     }
 }

@@ -122,6 +122,17 @@ struct Head {
     seq: u64,
 }
 
+/// A queued unicast copy's [`Head`] without its label: the payload
+/// determines the label ([`SpaceFactory::space_msg_label`]), so phase A
+/// rebuilds the full head and the queue holds 16 B less per copy.
+#[derive(Clone, Copy)]
+struct Route {
+    from: NodeId,
+    to: NodeId,
+    slot: u32,
+    seq: u64,
+}
+
 /// The effects a space step emits, in the world's value type.
 type Effects<F> = Vec<SpaceEffect<<<F as SpaceFactory>::Proc as RegisterSpaceProcess>::Msg, Val>>;
 
@@ -155,7 +166,7 @@ type Effects<F> = Vec<SpaceEffect<<<F as SpaceFactory>::Proc as RegisterSpacePro
 enum Pending<M> {
     /// A unicast run: consecutive sends landing at one instant, in send
     /// order. A lone unicast is a run of one.
-    UnicastRun(Vec<(Head, M)>),
+    UnicastRun(Vec<(Route, M)>),
     /// A broadcast run: the copies of one broadcast landing at one
     /// instant, as `(index into fan.recipients, recipient slot)` in
     /// recipient-id order. The payload lives once inside the shared
@@ -299,7 +310,7 @@ pub struct World<F: SpaceFactory> {
     surplus_done: u64,
     /// Drained runs' buffers, reused last in, first out, so a lone unicast
     /// or a one-instant broadcast costs no allocation.
-    free_unicasts: Vec<Vec<(Head, <F::Proc as RegisterSpaceProcess>::Msg)>>,
+    free_unicasts: Vec<Vec<(Route, <F::Proc as RegisterSpaceProcess>::Msg)>>,
     free_copies: Vec<Vec<(u32, u32)>>,
     /// Scratch for bucketing one broadcast's copies by delivery instant,
     /// sorted by instant; empty between broadcasts.
@@ -544,7 +555,14 @@ where
                 Pending::UnicastRun(mut run) => {
                     clock.enter(TickPhase::Deliver, run.len() as u64);
                     self.drain_run(|w, stepped, buf| {
-                        for (head, msg) in run.drain(..) {
+                        for (route, msg) in run.drain(..) {
+                            let head = Head {
+                                from: route.from,
+                                to: route.to,
+                                slot: route.slot,
+                                label: F::space_msg_label(&msg),
+                                seq: route.seq,
+                            };
                             stepped.push((head, w.step(head, &msg, buf)));
                         }
                     });
@@ -967,14 +985,13 @@ where
                             deliver_at: Some(env.deliver_at),
                         },
                     );
-                    let head = Head {
+                    let route = Route {
                         from: env.from,
                         to: env.to,
                         slot: rslot,
-                        label: env.label,
                         seq: env.seq,
                     };
-                    let copy = (head, env.msg);
+                    let copy = (route, env.msg);
                     // Join the run at the tail of this instant's lane, or
                     // open one (see `Pending` for why that keeps the order).
                     match self.queue.back_mut(env.deliver_at, CLASS_DELIVER) {
@@ -1256,6 +1273,15 @@ mod tests {
     use dynareg_sim::trace::TraceEntry;
     use dynareg_sim::IdSource;
     use dynareg_verify::{LivenessChecker, RegularityChecker};
+
+    /// A queued sync unicast copy carries no label (its payload names it),
+    /// so a churned run's pooled unicast buffers hold 56 B per copy, not 72.
+    #[test]
+    fn a_queued_sync_unicast_copy_is_at_most_56_bytes() {
+        type Msg = <<SyncFactory as SpaceFactory>::Proc as RegisterSpaceProcess>::Msg;
+        let size = std::mem::size_of::<(Route, Msg)>();
+        assert!(size <= 56, "{size} B");
+    }
 
     fn sync_world(n: usize, delta: u64, c: f64, seed: u64) -> World<SyncFactory> {
         let churn: Box<dyn dynareg_churn::ChurnModel> = if c == 0.0 {

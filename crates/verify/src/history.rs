@@ -100,16 +100,18 @@ impl<V> OpRecord<V> {
 #[derive(Debug, Clone)]
 pub struct History<V> {
     initial: V,
+    /// Every op in invocation order. Ids are handed out as `0, 1, 2, …` in
+    /// push order, so an op is found by its id (`ops[op.as_raw()]`) and
+    /// needs no index of its own.
     ops: Vec<OpRecord<V>>,
-    // Acceleration indexes, inserted and probed by key; `LookupMap` cannot
-    // be iterated, and `value_writer_index` is keyed by the generic
-    // `V: Hash`, which has no `Ord` bound — a BTreeMap cannot back it.
-    index_of: LookupMap<OpId, usize>,
+    // The remaining indexes — writes per node, write per value, departures
+    // — are inserted and probed by key; `LookupMap` cannot be iterated, and
+    // `value_writer_index` is keyed by the generic `V: Hash`, which has no
+    // `Ord` bound — a BTreeMap cannot back it.
     write_count: usize,
     last_write_by_node: LookupMap<NodeId, OpId>,
     value_writer_index: LookupMap<V, usize>,
     left_at: LookupMap<NodeId, Time>,
-    next_op: u64,
 }
 
 impl<V: Clone + Eq + Hash + std::fmt::Debug> History<V> {
@@ -119,12 +121,10 @@ impl<V: Clone + Eq + Hash + std::fmt::Debug> History<V> {
         History {
             initial,
             ops: Vec::new(),
-            index_of: LookupMap::new(),
             write_count: 0,
             last_write_by_node: LookupMap::new(),
             value_writer_index: LookupMap::new(),
             left_at: LookupMap::new(),
-            next_op: 0,
         }
     }
 
@@ -133,15 +133,18 @@ impl<V: Clone + Eq + Hash + std::fmt::Debug> History<V> {
         &self.initial
     }
 
-    fn fresh_op(&mut self) -> OpId {
-        let id = OpId::from_raw(self.next_op);
-        self.next_op += 1;
-        id
+    /// The id the next pushed op gets: its index in `ops`.
+    fn fresh_op(&self) -> OpId {
+        OpId::from_raw(self.ops.len() as u64)
     }
 
     fn push(&mut self, rec: OpRecord<V>) -> OpId {
         let id = rec.op;
-        self.index_of.insert(id, self.ops.len());
+        debug_assert_eq!(
+            id.as_raw(),
+            self.ops.len() as u64,
+            "ops are pushed in id order"
+        );
         self.ops.push(rec);
         id
     }
@@ -205,8 +208,10 @@ impl<V: Clone + Eq + Hash + std::fmt::Debug> History<V> {
     }
 
     fn rec_mut(&mut self, op: OpId) -> &mut OpRecord<V> {
-        let i = *self.index_of.get(&op).expect("unknown op id");
-        &mut self.ops[i]
+        usize::try_from(op.as_raw())
+            .ok()
+            .and_then(|i| self.ops.get_mut(i))
+            .expect("unknown op id")
     }
 
     /// Marks join `op` complete at `t`.
@@ -274,7 +279,7 @@ impl<V: Clone + Eq + Hash + std::fmt::Debug> History<V> {
 
     /// Looks up a record by id.
     pub fn get(&self, op: OpId) -> Option<&OpRecord<V>> {
-        self.index_of.get(&op).map(|&i| &self.ops[i])
+        self.ops.get(usize::try_from(op.as_raw()).ok()?)
     }
 
     /// All write records (complete and pending), in invocation order.
@@ -331,6 +336,7 @@ impl std::error::Error for FabricatedValue {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(i: u64) -> NodeId {
         NodeId::from_raw(i)
@@ -462,8 +468,71 @@ mod tests {
         };
         let (a, b) = (format!("{:?}", build()), format!("{:?}", build()));
         assert_eq!(a, b);
-        assert_eq!(a.matches("LookupMap { len: ").count(), 4, "{a}");
+        assert_eq!(a.matches("LookupMap { len: ").count(), 3, "{a}");
         assert!(a.contains("left_at: LookupMap { len: 12 }"), "{a}");
+    }
+
+    /// What a run's op log costs per op: the record itself, found by id.
+    #[test]
+    fn an_op_record_is_at_most_64_bytes() {
+        assert!(std::mem::size_of::<OpRecord<u64>>() <= 64);
+    }
+
+    #[test]
+    fn get_past_the_last_op_is_none() {
+        let mut h: History<u64> = History::new(0);
+        assert_eq!(h.get(OpId::from_raw(0)), None);
+        let r = h.invoke_read(n(1), Time::at(3));
+        assert_eq!(h.get(r).map(|rec| rec.op), Some(r));
+        assert_eq!(h.get(OpId::from_raw(1)), None);
+        assert_eq!(h.get(OpId::from_raw(u64::MAX)), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Ops are found by their id: after any mix of invocations and
+        /// completions, record `i` carries id `i` and `get` returns it.
+        #[test]
+        fn ops_are_found_by_their_id(
+            steps in prop::collection::vec((0u8..5, 0u64..6, 0usize..64), 0..60),
+        ) {
+            let mut h: History<u64> = History::new(0);
+            let mut pending: Vec<OpId> = Vec::new();
+            let mut writing = [false; 6];
+            let mut next_value = 1;
+            for (i, &(kind, node, pick)) in steps.iter().enumerate() {
+                let t = Time::at(i as u64);
+                match kind {
+                    0 => pending.push(h.invoke_join(n(node), t)),
+                    1 => pending.push(h.invoke_read(n(node), t)),
+                    2 if !writing[node as usize] => {
+                        writing[node as usize] = true;
+                        pending.push(h.invoke_write(n(node), t, next_value));
+                        next_value += 1;
+                    }
+                    _ if !pending.is_empty() => {
+                        let op = pending.swap_remove(pick % pending.len());
+                        let rec = h.get(op).expect("invoked").clone();
+                        match rec.kind {
+                            OpKind::Join => h.complete_join(op, t),
+                            OpKind::Read { .. } => h.complete_read(op, t, 0),
+                            OpKind::Write { .. } => {
+                                writing[rec.node.as_raw() as usize] = false;
+                                h.complete_write(op, t);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            for (i, rec) in h.ops().iter().enumerate() {
+                prop_assert_eq!(rec.op.as_raw(), i as u64);
+                prop_assert_eq!(h.get(rec.op), Some(rec));
+            }
+            let past = OpId::from_raw(h.ops().len() as u64);
+            prop_assert_eq!(h.get(past), None);
+        }
     }
 
     #[test]
